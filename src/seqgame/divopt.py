@@ -1,8 +1,10 @@
 """Divergence minimization over distortion balls and channel sets.
 
-Every optimizer here is a hand-rolled projected-gradient or projection
-method; brute-force lattice searches are provided as independent oracles
-for tests and are never called by the solvers themselves.
+The reach `min D(qhat || q)` and the pairwise minimum `min D(q1 || q2)`
+over distortion balls are solved exactly from their KKT conditions: a
+sorting water-fill for TV balls, and a mixture or an exponential tilt with
+one bisected scalar for KL balls. The Bhattacharyya blocks and the
+channel-space min-max still run projected-gradient methods.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import xlogy
+from scipy.special import lambertw, xlogy
 
 from .errors import DomainError, InfeasibleError, ResourceError, ShapeError
 from .prob import Channel, Distribution, DistortionMeasure, _kl_arrays
@@ -28,14 +30,13 @@ __all__ = [
     "pairwise_min_divergence",
     "min_max_divergence_over_channel",
     "min_divergence_over_common_channels",
-    "simplex_lattice",
-    "ball_lattice",
-    "grid_oracle_min",
-    "grid_oracle_min_channels",
-    "refine_simplex_min",
 ]
 
 _FEASIBILITY_SLACK = 1e-9
+# Most steps any bracket-widening loop may take before giving up.
+_BRACKET_CAP = 100
+# Most bisection or alternation steps an exact block solver may take.
+_BISECTION_CAP = 200
 
 
 @dataclass(frozen=True)
@@ -166,6 +167,8 @@ def _project_simplex_floor(y: np.ndarray, floor: float) -> np.ndarray:
 
 
 def _project_l1_ball(y: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray:
+    if radius == 0.0:
+        return center.copy()
     z = y - center
     mag = np.abs(z)
     if mag.sum() <= radius:
@@ -179,44 +182,6 @@ def _project_l1_ball(y: np.ndarray, center: np.ndarray, radius: float) -> np.nda
     return center + np.sign(z) * np.maximum(mag - theta, 0.0)
 
 
-def _project_kl_sublevel(y: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray:
-    """Projection onto {x : D(center || x) <= radius}; coordinates off the
-    center's support are unconstrained."""
-    support = center > 0.0
-    c = center[support]
-    ys = y[support]
-
-    def level(xs: np.ndarray) -> float:
-        if np.any(xs <= 0.0):
-            return math.inf
-        return float(np.dot(c, np.log(c) - np.log(xs)))
-
-    if level(ys) <= radius:
-        return y.copy()
-
-    # KKT stationarity gives x_i = (y_i + sqrt(y_i^2 + 4 mu c_i)) / 2 with the
-    # multiplier mu > 0 solving D(center || x(mu)) = radius; the level is
-    # strictly decreasing in mu, so bisection applies.
-    def x_of(mu: float) -> np.ndarray:
-        return 0.5 * (ys + np.sqrt(ys * ys + 4.0 * mu * c))
-
-    mu_hi = 1e-8
-    while level(x_of(mu_hi)) > radius:
-        mu_hi *= 4.0
-        if mu_hi > 1e12:
-            break
-    mu_lo = 0.0
-    for _ in range(200):
-        mid = 0.5 * (mu_lo + mu_hi)
-        if level(x_of(mid)) > radius:
-            mu_lo = mid
-        else:
-            mu_hi = mid
-    out = y.copy()
-    out[support] = x_of(mu_hi)
-    return out
-
-
 def _project_kl_feasible(y: np.ndarray, center: np.ndarray, radius: float,
                          floor: float) -> np.ndarray:
     """Exact projection onto {x : sum x = 1, x >= floor, D(center || x) <= radius}.
@@ -225,18 +190,25 @@ def _project_kl_feasible(y: np.ndarray, center: np.ndarray, radius: float,
     + 4 mu c_i)) / 2) with lam enforcing the sum and mu >= 0 the divergence
     level. Both scalars come from nested bisections, so the result is
     feasible to bisection precision rather than to an alternation tolerance.
+    A bracket that does not close within its cap raises ResourceError.
     """
+    if radius == 0.0:
+        return center.copy()
 
     def x_of(lam: float, mu: float) -> np.ndarray:
         t = y - lam
         return np.maximum(floor, 0.5 * (t + np.sqrt(t * t + 4.0 * mu * center)))
 
+    def widen(edge: float, mu: float, sign: float) -> float:
+        for _ in range(_BRACKET_CAP):
+            if sign * (x_of(edge, mu).sum() - 1.0) <= 0.0:
+                return edge
+            edge *= 2.0
+        raise ResourceError("sum multiplier bracket did not close")
+
     def solve_lam(mu: float) -> np.ndarray:
-        lo, hi = -1.0, 1.0
-        while x_of(lo, mu).sum() < 1.0:
-            lo *= 2.0
-        while x_of(hi, mu).sum() > 1.0:
-            hi *= 2.0
+        lo = widen(-1.0, mu, -1.0)
+        hi = widen(1.0, mu, 1.0)
         for _ in range(100):
             mid = 0.5 * (lo + hi)
             if x_of(mid, mu).sum() > 1.0:
@@ -252,8 +224,12 @@ def _project_kl_feasible(y: np.ndarray, center: np.ndarray, radius: float,
     if level(x) <= radius:
         return x
     mu_hi = 1e-10
-    while level(solve_lam(mu_hi)) > radius:
+    for _ in range(_BRACKET_CAP):
+        if level(solve_lam(mu_hi)) <= radius:
+            break
         mu_hi *= 8.0
+    else:
+        raise ResourceError("divergence multiplier bracket did not close")
     mu_lo = 0.0
     for _ in range(120):
         mid = 0.5 * (mu_lo + mu_hi)
@@ -335,6 +311,181 @@ def _minimize_over_ball(value_fn, grad_fn, ball: DistortionBall, options: Solver
     return f, x, False, iters
 
 
+# ---------------------------------------------------------------------------
+# Exact block minimizers over one ball
+#
+# Over a ball with center p, radius r and floor f, the reach argmin of
+# D(w || q) and the argmin of D(x || w) solve KKT systems with one or two
+# scalar multipliers. Sorting finds the TV multipliers; a capped bisection
+# finds the KL one. Each solver returns (argmin, converged, iterations).
+
+
+def _upper_level(w: np.ndarray, c: np.ndarray, mass: float) -> float:
+    """The level h > 0 with sum((w/h - c)_+) = mass > 0, by sorting w/c."""
+    ratio = np.divide(w, c, out=np.where(w > 0.0, math.inf, 0.0), where=c > 0.0)
+    order = np.argsort(-ratio)
+    levels = np.cumsum(w[order]) / (np.cumsum(c[order]) + mass)
+    k = int(np.nonzero(ratio[order] > levels)[0][-1])
+    return float(levels[k])
+
+
+def _floor_fill(v: np.ndarray, floor: float) -> np.ndarray:
+    """max(floor, v/lam) with lam making the sum one; v >= 0 with some mass."""
+    x = v / v.sum()
+    if x.min() >= floor:
+        return x
+    lam = _upper_level(x, np.full(x.size, floor), 1.0 - x.size * floor)
+    return np.maximum(floor, x / lam)
+
+
+def _tv_block_argmin(w: np.ndarray, ball: DistortionBall) -> np.ndarray:
+    """The common argmin over a TV ball of D(w || q) and of D(q || w).
+
+    With rho = w/p, both optima take q_i = w_i/h where rho_i > h,
+    q_i = max(f, w_i/l) where rho_i < l, and q_i = p_i otherwise. The up
+    level h and the down level l each move r/2 of mass and come from
+    independent water-fills. When l > h the budget is slack and only the
+    floor binds.
+    """
+    p, floor, mass = ball.center.probs, ball.floor, 0.5 * ball.radius
+    if mass == 0.0:
+        return p.copy()
+    rho = np.divide(w, p, out=np.where(w > 0.0, math.inf, 0.0), where=p > 0.0)
+    high = _upper_level(w, p, mass)
+
+    # The mass below p is continuous and increasing in l, with knots where a
+    # symbol leaves p (rho) and where it reaches the floor (sigma).
+    sigma = w / floor if floor > 0.0 else np.where(w > 0.0, math.inf, 0.0)
+    knots = np.unique(np.concatenate([rho, sigma, [math.inf]]))[:, None]
+    floored = sigma <= knots
+    free = (rho < knots) & ~floored
+    with np.errstate(divide="ignore", invalid="ignore"):
+        below = np.where(floored, p - floor, np.where(free, p - w / knots, 0.0)).sum(axis=1)
+    reached = np.nonzero(below >= mass)[0]
+    if reached.size == 0:
+        return _floor_fill(w, floor)
+    j = int(reached[0])
+    q = p.copy()
+    if j == 0:
+        # Symbols with w_i = 0 alone can give up r/2 at l -> 0; the objective
+        # ignores them, so shrink them in proportion to their room above f.
+        zero = w == 0.0
+        q[zero] -= mass * (p[zero] - floor) / (p[zero] - floor).sum()
+    else:
+        low_knot = knots[j - 1, 0]
+        floored, free = sigma <= low_knot, (rho <= low_knot) & (sigma > low_knot)
+        slope = float(w[free].sum())
+        low = slope / ((p[floored] - floor).sum() + p[free].sum() - mass)
+        if low > high:
+            return _floor_fill(w, floor)
+        down = rho < low
+        q[down] = np.maximum(floor, w[down] / low)
+    up = rho > high
+    q[up] = w[up] / high
+    return q
+
+
+def _bisect_level(point, level, radius: float, lo: float, hi: float) -> tuple[np.ndarray, bool, int]:
+    """Bisect a parameter between an infeasible `lo` and a feasible `hi`
+    until level(point(s)) = radius; returns the feasible end's point."""
+    for it in range(1, _BISECTION_CAP + 1):
+        mid = 0.5 * (lo + hi)
+        if level(point(mid)) <= radius:
+            hi = mid
+        else:
+            lo = mid
+        if abs(hi - lo) <= 4.0 * np.finfo(float).eps * max(1.0, abs(lo), abs(hi)):
+            return point(hi), True, it
+    return point(hi), False, _BISECTION_CAP
+
+
+def _kl_reach_argmin(w: np.ndarray, ball: DistortionBall) -> tuple[np.ndarray, bool, int]:
+    """argmin of D(w || q) over a KL ball: the floored mixture of w and p.
+
+    Stationarity gives q = (1-t) w + t p (Csiszar's mixture form), with t
+    bisected on D(p || q(t)) = r. The bisection runs on log(1-t) so that a
+    tiny radius keeps full relative precision in the weight on w.
+    """
+    p, floor, radius = ball.center.probs, ball.floor, ball.radius
+    if radius == 0.0:
+        return p.copy(), True, 0
+
+    def mixture(s: float) -> np.ndarray:
+        u = math.exp(s)
+        return _floor_fill(u * w + (1.0 - u) * p, floor)
+
+    def level(q: np.ndarray) -> float:
+        return _kl_arrays(p, q)
+
+    q = mixture(0.0)  # w itself, floored
+    if level(q) <= radius:
+        return q, True, 0
+    # at the smallest normal weight the mixture is p to rounding: feasible
+    return _bisect_level(mixture, level, radius, 0.0, math.log(np.finfo(float).tiny))
+
+
+def _lambertw_exp(y: np.ndarray) -> np.ndarray:
+    """W(exp(y)) on the principal branch, finite for every finite y."""
+    big = y > 600.0
+    if not big.any():
+        return lambertw(np.exp(y)).real
+    out = np.empty_like(y)
+    out[~big] = lambertw(np.exp(y[~big])).real
+    u = y[big]
+    for _ in range(6):  # u = y - log u contracts by 1/u < 1/590
+        u = y[big] - np.log(u)
+    out[big] = u
+    return out
+
+
+def _kl_tilt_argmin(w: np.ndarray, ball: DistortionBall) -> tuple[np.ndarray, bool, int]:
+    """argmin of D(x || w) over a KL ball, an I-projection of w.
+
+    Stationarity gives x_i = mu p_i / W(mu p_i e^(1+lam) / w_i) with W the
+    Lambert function, lam fixing the sum and mu the level. Writing
+    c = mu e^(1+lam) turns this into x_i proportional to
+    w_i exp(W(c p_i / w_i)), normalized and floored; log c is bisected on
+    D(p || x) = r, with x = w at c -> 0 and x -> p as c grows.
+    """
+    p, floor, radius = ball.center.probs, ball.floor, ball.radius
+    if radius == 0.0 or np.any(w[p > 0.0] == 0.0):
+        # every feasible x has D(x || w) = inf when w misses p's support
+        return p.copy(), True, 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_ratio = np.where(p > 0.0, np.log(p) - np.log(w), -math.inf)
+    top = float(log_ratio.max())
+
+    def tilt(s: float) -> np.ndarray:
+        lw = _lambertw_exp(s + log_ratio)
+        return _floor_fill(w * np.exp(lw - lw.max()), floor)
+
+    def level(x: np.ndarray) -> float:
+        return _kl_arrays(p, x)
+
+    lo = -40.0 - top  # c p_i / w_i < e^-40: x equals w to rounding
+    x = tilt(lo)
+    if level(x) <= radius:
+        return x, True, 0
+    hi = 1.0 - lo
+    for widen in range(1, _BRACKET_CAP + 1):
+        if level(tilt(hi)) <= radius:
+            break
+        lo, hi = hi, 2.0 * hi
+    else:
+        return p.copy(), False, _BRACKET_CAP
+    x, converged, steps = _bisect_level(tilt, level, radius, lo, hi)
+    return x, converged, widen + steps
+
+
+def _first_block_argmin(w: np.ndarray, ball: DistortionBall) -> tuple[np.ndarray, bool, int]:
+    """argmin of D(x || w) over x in the ball."""
+    if ball.contains(w, slack=0.0):
+        return w, True, 0
+    if ball.measure is DistortionMeasure.TV_L1:
+        return _tv_block_argmin(w, ball), True, 0
+    return _kl_tilt_argmin(w, ball)
+
+
 def channel_from_output(source: Distribution, output: Distribution) -> Channel:
     """The rank-one channel sending every input symbol to the output law.
 
@@ -351,10 +502,12 @@ def min_divergence_to_ball(qhat, ball: DistortionBall,
     """Minimize D(qhat || q) over the ball; the reach of one adversary.
 
     Value is zero exactly when qhat itself is feasible. Binary alphabets
-    reduce to clamping qhat onto the feasible interval; larger alphabets run
-    projected gradient descent with Dykstra projections.
+    reduce to clamping qhat onto the feasible interval. Larger alphabets
+    solve the KKT conditions exactly: a sorting water-fill for TV balls,
+    and for KL balls the mixture of qhat and the center with its weight
+    bisected. `iterations` counts bisection steps. The solve has no
+    tolerance to tune; `options` is accepted for a uniform signature.
     """
-    opts = options or _DEFAULT_OPTIONS
     q0 = qhat.probs if isinstance(qhat, Distribution) else np.asarray(qhat, dtype=float)
     if q0.shape != ball.center.probs.shape:
         raise ShapeError("qhat alphabet does not match the ball center")
@@ -370,18 +523,11 @@ def min_divergence_to_ball(qhat, ball: DistortionBall,
     if ball.contains(q0, slack=0.0):
         return BallMinResult(0.0, Distribution(q0), True, 0)
 
-    def value_fn(x: np.ndarray) -> float:
-        return _kl_arrays(q0, x)
-
-    support = q0 > 0.0
-
-    def grad_fn(x: np.ndarray) -> np.ndarray:
-        g = np.zeros_like(x)
-        g[support] = -q0[support] / x[support]
-        return g
-
-    f, x, converged, iters = _minimize_over_ball(value_fn, grad_fn, ball, opts)
-    return BallMinResult(f, Distribution(x), converged, iters)
+    if ball.measure is DistortionMeasure.TV_L1:
+        q, converged, iters = _tv_block_argmin(q0, ball), True, 0
+    else:
+        q, converged, iters = _kl_reach_argmin(q0, ball)
+    return BallMinResult(_kl_arrays(q0, q), Distribution(q), converged, iters)
 
 
 @dataclass(frozen=True)
@@ -398,7 +544,11 @@ def pairwise_min_divergence(ball_first: DistortionBall, ball_second: DistortionB
     """Minimize D(q1 || q2) jointly over two balls.
 
     The objective is jointly convex and the feasible set is a product, so
-    alternating exact block minimization reaches the global optimum.
+    alternating exact block minimization reaches the global optimum. Each
+    block is solved exactly: the q1 step is an I-projection of q2 onto the
+    first ball, the q2 step the reach of q1 into the second. `iterations`
+    counts alternation steps plus the blocks' bisection steps; `converged`
+    is False when the alternation or any block hit its cap.
     """
     opts = options or _DEFAULT_OPTIONS
     if ball_first.size != ball_second.size:
@@ -425,23 +575,19 @@ def pairwise_min_divergence(ball_first: DistortionBall, ball_second: DistortionB
             0,
         )
 
-    q2 = _project_feasible(ball_second.center.probs, ball_second)
-    q1 = _project_feasible(ball_first.center.probs, ball_first)
+    q1 = ball_first.center.probs
+    q2 = ball_second.center.probs
     best = _kl_arrays(q1, q2)
     quiet = 0
     converged = False
+    blocks_converged = True
     total_iters = 0
-    for _ in range(200):
-        def value_first(x: np.ndarray) -> float:
-            return _kl_arrays(x, q2)
-
-        def grad_first(x: np.ndarray) -> np.ndarray:
-            return np.log(x) - np.log(q2) + 1.0
-
-        f1, q1, _, it1 = _minimize_over_ball(value_first, grad_first, ball_first, opts, x0=q1)
-        inner = min_divergence_to_ball(Distribution(q1), ball_second, opts)
+    for _ in range(_BISECTION_CAP):
+        q1, first_ok, it1 = _first_block_argmin(q2, ball_first)
+        inner = min_divergence_to_ball(q1, ball_second)
         q2 = inner.argmin.probs
-        total_iters += it1 + inner.iterations
+        total_iters += 1 + it1 + inner.iterations
+        blocks_converged &= first_ok and inner.converged
         value = inner.value
         rel = (best - value) / max(abs(best), 1e-300)
         best = value
@@ -449,7 +595,8 @@ def pairwise_min_divergence(ball_first: DistortionBall, ball_second: DistortionB
         if quiet >= opts.patience:
             converged = True
             break
-    return PairMinResult(best, Distribution(q1), Distribution(q2), converged, total_iters)
+    return PairMinResult(best, Distribution(q1), Distribution(q2),
+                         converged and blocks_converged, total_iters)
 
 
 # ---------------------------------------------------------------------------
@@ -642,120 +789,3 @@ def min_divergence_over_common_channels(qhat, target: int, p0: Distribution, p1:
         qhat, p0, p1, delta, measure, options=options, floor=floor,
         start=start, branches=(target,),
     )
-
-
-# ---------------------------------------------------------------------------
-# Brute-force oracles (test support only)
-
-
-def simplex_lattice(size: int, resolution: int) -> np.ndarray:
-    """All integer vectors of the given size summing to `resolution`."""
-    if size < 1 or resolution < 0:
-        raise DomainError("size must be >= 1 and resolution >= 0")
-    if size == 1:
-        return np.array([[resolution]], dtype=np.int64)
-    blocks = []
-    for first in range(resolution + 1):
-        sub = simplex_lattice(size - 1, resolution - first)
-        head = np.full((sub.shape[0], 1), first, dtype=np.int64)
-        blocks.append(np.hstack([head, sub]))
-    return np.vstack(blocks)
-
-
-def ball_lattice(ball: DistortionBall, step: float, max_points: int = 4_000_000) -> np.ndarray:
-    """Lattice points of pitch `step` lying inside the ball."""
-    n = int(round(1.0 / step))
-    count = math.comb(n + ball.size - 1, ball.size - 1)
-    if count > max_points:
-        raise ResourceError(f"lattice would hold {count} points (limit {max_points})")
-    pts = simplex_lattice(ball.size, n).astype(float) / n
-    keep = np.all(pts >= ball.floor, axis=1)
-    pts = pts[keep]
-    c = ball.center.probs
-    if ball.measure is DistortionMeasure.TV_L1:
-        dist = np.abs(pts - c).sum(axis=1)
-    else:
-        with np.errstate(divide="ignore"):
-            dist = xlogy(c, c / pts).sum(axis=1)
-    return pts[dist <= ball.radius + 1e-12]
-
-
-def grid_oracle_min(objective, ball: DistortionBall, step: float,
-                    max_points: int = 4_000_000) -> tuple[float, Distribution]:
-    """Exhaustive lattice minimization over a ball; alphabets up to size 3.
-
-    `objective` receives an (N, K) array of candidate rows and must return
-    N values. Intended as an independent check on the iterative solvers.
-    """
-    if ball.size > 3:
-        raise ResourceError("exhaustive ball grids support alphabets up to size 3")
-    pts = ball_lattice(ball, step, max_points)
-    if pts.shape[0] == 0:
-        raise InfeasibleError("no lattice point falls inside the ball")
-    values = np.asarray(objective(pts), dtype=float)
-    idx = int(np.argmin(values))
-    return float(values[idx]), Distribution(pts[idx])
-
-
-def grid_oracle_min_channels(objective, feasible, step: float,
-                             max_points: int = 4_000_000) -> tuple[float, Channel]:
-    """Exhaustive search over binary-alphabet channels [[a,1-a],[1-b,b]].
-
-    `objective` and `feasible` receive flat arrays of a, b values and return
-    per-point values / booleans.
-    """
-    n = int(round(1.0 / step))
-    if (n + 1) ** 2 > max_points:
-        raise ResourceError(f"channel grid would hold {(n + 1) ** 2} points")
-    g = np.linspace(0.0, 1.0, n + 1)
-    a, b = np.meshgrid(g, g, indexing="ij")
-    a = a.ravel()
-    b = b.ravel()
-    ok = np.asarray(feasible(a, b), dtype=bool)
-    if not np.any(ok):
-        raise InfeasibleError("no grid channel satisfies the distortion budget")
-    a, b = a[ok], b[ok]
-    values = np.asarray(objective(a, b), dtype=float)
-    idx = int(np.argmin(values))
-    rows = np.array([[a[idx], 1.0 - a[idx]], [1.0 - b[idx], b[idx]]])
-    return float(values[idx]), Channel(rows)
-
-
-def refine_simplex_min(objective, start, initial_step: float = 0.1,
-                       final_step: float = 1e-5, feasible=None) -> tuple[float, np.ndarray]:
-    """Pattern descent on the simplex along e_i - e_j moves with shrinking
-    pitch. For a convex objective this converges to the global minimum from
-    any start; used to sharpen coarse lattice searches.
-    """
-    x = np.asarray(start, dtype=float).copy()
-    k = x.size
-    moves = []
-    for i in range(k):
-        for j in range(k):
-            if i != j:
-                m = np.zeros(k)
-                m[i] += 1.0
-                m[j] -= 1.0
-                moves.append(m)
-    moves = np.array(moves)
-    best = float(np.asarray(objective(x[None, :]))[0])
-    h = initial_step
-    while h >= final_step:
-        improved = True
-        while improved:
-            cands = x[None, :] + h * moves
-            ok = np.all(cands >= 0.0, axis=1)
-            if feasible is not None:
-                ok &= np.asarray(feasible(cands), dtype=bool)
-            if not np.any(ok):
-                break
-            cands = cands[ok]
-            vals = np.asarray(objective(cands), dtype=float)
-            idx = int(np.argmin(vals))
-            if vals[idx] < best - 1e-18:
-                best = float(vals[idx])
-                x = cands[idx]
-            else:
-                improved = False
-        h *= 0.5
-    return best, x

@@ -14,7 +14,6 @@ from seqgame.divopt import (
     DistortionBall,
     min_divergence_to_ball,
     min_max_divergence_over_channel,
-    refine_simplex_min,
 )
 from seqgame.equilibrium import (
     _max_feasible_blend,
@@ -34,6 +33,8 @@ from seqgame.prob import (
 )
 from seqgame.seqtest import ThresholdSchedule, threshold_constant
 from seqgame.simharness import ScenarioConfig, alpha_sweep, monte_carlo
+
+from oracles import refine_simplex_min
 
 # series sum for decay exponent 0.85, frozen from a 30-digit bracket
 C_ORACLE = 2593.3325570093630302

@@ -22,11 +22,14 @@ from seqgame import (
     min_max_divergence_over_channel,
     pairwise_min_divergence,
 )
+from seqgame import divopt
 from seqgame.divopt import (
     _project_feasible,
-    _project_kl_sublevel,
     _project_l1_ball,
     _project_simplex_floor,
+)
+
+from oracles import (
     ball_lattice,
     grid_oracle_min,
     grid_oracle_min_channels,
@@ -132,19 +135,6 @@ class TestProjections:
         y = np.array([0.52, 0.48])
         assert np.allclose(_project_l1_ball(y, center, 0.1), y)
 
-    def test_kl_sublevel_projection(self, rng):
-        center = np.array([0.6, 0.3, 0.1])
-        radius = 0.01
-        for _ in range(20):
-            y = center + rng.normal(size=3) * 0.2
-            y = np.clip(y, 1e-6, None)
-            x = _project_kl_sublevel(y, center, radius)
-            assert float(xlogy(center, center / x).sum()) <= radius + 1e-9
-            samples = rng.dirichlet(center * 200, size=800)
-            ok = xlogy(center, center / samples).sum(axis=1) <= radius
-            if ok.any():
-                assert np.linalg.norm(x - y) <= _closest_of(y, samples[ok]) + 1e-9
-
     def test_dykstra_lands_in_both_sets(self, rng):
         ball = DistortionBall(Distribution([0.5, 0.3, 0.2]), 0.05, DistortionMeasure.TV_L1)
         for _ in range(10):
@@ -159,6 +149,18 @@ class TestProjections:
         x = ball.project(np.array([0.8, 0.1, 0.1]))
         again = ball.project(x)
         assert np.allclose(x, again, atol=1e-7)
+
+    @pytest.mark.parametrize("measure", list(DistortionMeasure))
+    def test_zero_radius_projects_to_center(self, measure):
+        ball = DistortionBall(Distribution([0.5, 0.3, 0.2]), 0.0, measure)
+        x = ball.project(np.array([0.1, 0.1, 0.8]))
+        assert np.allclose(x, ball.center.probs, rtol=0.0, atol=1e-15)
+
+    def test_kl_projection_bracket_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(divopt, "_BRACKET_CAP", 1)
+        ball = DistortionBall(Distribution([0.5, 0.3, 0.2]), 0.05, DistortionMeasure.KL)
+        with pytest.raises(ResourceError):
+            ball.project(np.array([5.0, 5.0, 5.0]))
 
 
 class TestMinDivergenceToBall:

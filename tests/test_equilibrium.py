@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from seqgame.divopt import DistortionBall, SolverOptions, ball_lattice
+from seqgame.divopt import DistortionBall, SolverOptions
 from seqgame.equilibrium import (
     GameSpec,
     _bhattacharyya_pair_min,
@@ -28,6 +28,8 @@ from seqgame.prob import (
     apply_channel,
     binary_kl,
 )
+
+from oracles import ball_lattice
 
 # closest facing points of the two Bernoulli balls [0.355, 0.405], [0.475, 0.525]
 E_01 = binary_kl(0.405, 0.475)
