@@ -3,8 +3,9 @@
 The reach `min D(qhat || q)` and the pairwise minimum `min D(q1 || q2)`
 over distortion balls are solved exactly from their KKT conditions: a
 sorting water-fill for TV balls, and a mixture or an exponential tilt with
-one bisected scalar for KL balls. The Bhattacharyya blocks and the
-channel-space min-max still run projected-gradient methods.
+one bisected scalar for KL balls. The Bhattacharyya blocks still run
+projected gradient. The binary common-channel min-max is solved in output
+coordinates by a golden-section search on one convex function.
 """
 
 from __future__ import annotations
@@ -56,13 +57,12 @@ class SolverOptions:
 _DEFAULT_OPTIONS = SolverOptions()
 
 
-def _loose_binary_kl(t: float, s: float) -> float:
+def _binary_kl(t: float, s: float) -> float:
     """Binary KL with t allowed on the closed interval [0, 1]; s interior."""
-    return float(xlogy(t, t / s) + xlogy(1.0 - t, (1.0 - t) / (1.0 - s)))
-
-
-def _interior_binary_kl(c: float, t: float) -> float:
-    return c * math.log(c / t) + (1.0 - c) * math.log((1.0 - c) / (1.0 - t))
+    value = t * math.log(t / s) if t > 0.0 else 0.0
+    if t < 1.0:
+        value += (1.0 - t) * math.log((1.0 - t) / (1.0 - s))
+    return value
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,13 +127,15 @@ class DistortionBall:
 
 def _bisect_kl_edge(c: float, radius: float, lo: float, hi: float, descending: bool) -> float:
     """Root of D(c || t) = radius on [lo, hi] where the map is monotone."""
-    g_far = _interior_binary_kl(c, lo if descending else hi)
+    g_far = _binary_kl(c, lo if descending else hi)
     if g_far <= radius:
         return lo if descending else hi
     a, b = lo, hi
     for _ in range(200):
         mid = 0.5 * (a + b)
-        g = _interior_binary_kl(c, mid)
+        if mid == a or mid == b:  # adjacent floats: no later step moves either
+            break
+        g = _binary_kl(c, mid)
         exceeded = g > radius
         if descending:
             if exceeded:
@@ -164,6 +166,13 @@ def _project_simplex_floor(y: np.ndarray, floor: float) -> np.ndarray:
     rho = int(np.nonzero(cond)[0][-1])
     theta = css[rho] / (rho + 1.0)
     return np.maximum(z - theta, 0.0) + floor
+
+
+def _row_project(a: np.ndarray, floor: float) -> np.ndarray:
+    out = np.empty_like(a)
+    for i in range(a.shape[0]):
+        out[i] = _project_simplex_floor(a[i], floor)
+    return out
 
 
 def _project_l1_ball(y: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray:
@@ -516,7 +525,7 @@ def min_divergence_to_ball(qhat, ball: DistortionBall,
         lo, hi = ball.interval
         t = float(q0[0])
         tc = min(max(t, lo), hi)
-        value = 0.0 if tc == t else _loose_binary_kl(t, tc)
+        value = 0.0 if tc == t else _binary_kl(t, tc)
         arg = Distribution(np.array([tc, 1.0 - tc]))
         return BallMinResult(value, arg, True, 0)
 
@@ -566,7 +575,7 @@ def pairwise_min_divergence(ball_first: DistortionBall, ball_second: DistortionB
             t1, t2 = b1, a2
         else:
             t1, t2 = a1, b2
-        value = _interior_binary_kl(t1, t2)
+        value = _binary_kl(t1, t2)
         return PairMinResult(
             value,
             Distribution(np.array([t1, 1.0 - t1])),
@@ -600,7 +609,16 @@ def pairwise_min_divergence(ball_first: DistortionBall, ball_second: DistortionB
 
 
 # ---------------------------------------------------------------------------
-# Channel-space min-max
+# Common-channel min-max, binary alphabets
+#
+# A binary channel [[u, 1-u], [v, 1-v]] sends p0 and p1 to the output
+# coordinates x = (p0 A)[0] and y = (p1 A)[0]. In the coordinates (x, s),
+# with s = u - v, the channel entries are u = x + p0[1] s and v = x - p0[0] s,
+# and y = x + (p1[0] - p0[0]) s. Every constraint of the problem reads
+# lo <= x + c s <= hi: u and v in [0, 1], y in the interval of p1's ball,
+# and x in the interval of p0's ball (c = 0). The range of x is found
+# without dividing by p1[0] - p0[0], so p0 = p1 (where y = x) stays well
+# posed; a slice divides by it only to aim y at qhat[0], then clips.
 
 
 @dataclass(frozen=True)
@@ -611,172 +629,142 @@ class ChannelMinMaxResult:
     iterations: int
 
 
-def _row_project(a: np.ndarray, floor: float) -> np.ndarray:
-    out = np.empty_like(a)
-    for i in range(a.shape[0]):
-        out[i] = _project_simplex_floor(a[i], floor)
-    return out
+def _converged_value(result: ChannelMinMaxResult) -> float:
+    """The value of a min-max solve; ResourceError if its search hit the cap."""
+    if not result.converged:
+        raise ResourceError(f"channel min-max search hit its cap after {result.iterations} steps")
+    return result.value
+
+
+# Shrink factor of a golden-section bracket per step.
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+class _CommonChannelSet:
+    """The binary channels that keep both laws inside their balls, as
+    slices in s over the feasible output range [x_lo, x_hi] of p0."""
+
+    def __init__(self, w: float, d: float, interval0: tuple[float, float],
+                 interval1: tuple[float, float]) -> None:
+        self.w, self.d = w, d
+        x_lo, x_hi = interval0
+        rows = [(1.0 - w, 0.0, 1.0), (-w, 0.0, 1.0)]
+        if d == 0.0:
+            x_lo, x_hi = max(x_lo, interval1[0]), min(x_hi, interval1[1])
+        else:
+            rows.append((d, *interval1))
+        # s >= (ell - x)/c and s <= (mu - x)/c for each row
+        self.rows = [(c, lo, hi) if c > 0.0 else (c, hi, lo) for c, lo, hi in rows]
+        # Eliminating s pairs each lower bound with every other upper bound;
+        # both sides are multiplied by |c_i c_j| so no small c is divided by.
+        for i, (ci, ell, _) in enumerate(self.rows):
+            for j, (cj, _, mu) in enumerate(self.rows):
+                if i == j:
+                    continue
+                wi, wj = math.copysign(cj, ci), math.copysign(ci, cj)
+                slope, rhs = wj - wi, mu * wj - ell * wi
+                if slope > 0.0:
+                    x_hi = min(x_hi, rhs / slope)
+                elif slope < 0.0:
+                    x_lo = max(x_lo, rhs / slope)
+        # The identity channel (x = p0[0], s = 1) is always feasible, so
+        # rounding may not push the range off it.
+        self.x_lo, self.x_hi = min(x_lo, w), max(x_hi, w)
+
+    def best_y(self, x: float, target: float) -> tuple[float, float]:
+        """The feasible (s, y) at x with y closest to the target."""
+        s_lo, s_hi = -math.inf, math.inf
+        for c, ell, mu in self.rows:
+            s_lo, s_hi = max(s_lo, (ell - x) / c), min(s_hi, (mu - x) / c)
+        if self.d == 0.0:
+            return min(max(1.0, s_lo), s_hi), x
+        s = min(max((target - x) / self.d, s_lo), s_hi)
+        return s, x + self.d * s
+
+    def channel(self, x: float, s: float) -> Channel:
+        u = min(max(x + (1.0 - self.w) * s, 0.0), 1.0)
+        v = min(max(x - self.w * s, 0.0), 1.0)
+        return Channel(np.array([[u, 1.0 - u], [v, 1.0 - v]]))
 
 
 def min_max_divergence_over_channel(qhat, p0: Distribution, p1: Distribution, delta: float,
                                     measure: DistortionMeasure,
                                     options: SolverOptions | None = None,
                                     floor: float = 1e-9,
-                                    start: np.ndarray | None = None,
                                     branches: tuple[int, ...] = (0, 1)) -> ChannelMinMaxResult:
-    """Minimize max over `branches` of D(qhat || p_b A) over channels A with
-    d(p0, p0 A) <= delta and d(p1, p1 A) <= delta.
+    """Minimize max over `branches` of D(qhat || p_b A) over binary channels
+    A with d(p0, p0 A) <= delta and d(p1, p1 A) <= delta.
 
-    Solved by log-sum-exp smoothing of the max plus a log-barrier on the two
-    distortion constraints, driven to zero over a continuation schedule, with
-    projected gradient steps on the rows. The identity channel is always
-    strictly feasible for delta > 0 and seeds the search. A projected
-    subgradient pass from the identity acts as a fallback if continuation
-    ever produces nothing usable.
+    Solved in output coordinates: the channels map affinely onto a polygon
+    of output pairs (x, y) = ((p0 A)[0], (p1 A)[0]) inside the product of
+    the two balls' intervals, whose floor keeps every output law at least
+    `floor` entrywise. One branch is a clamp of qhat[0] onto the polygon's
+    range. For both branches, h(x) = max(D(qhat || x), min over feasible
+    y of D(qhat || y)) is convex, because minimizing a jointly convex
+    function over some of its variables keeps it convex; a golden-section
+    search on x finds its minimum to float precision, and `iterations`
+    counts its steps. The solve has no tolerance to tune; `options` is
+    accepted for a uniform signature. Larger alphabets raise ShapeError.
     """
-    opts = options or _DEFAULT_OPTIONS
     q = qhat.probs if isinstance(qhat, Distribution) else np.asarray(qhat, dtype=float)
-    pa = p0.probs
-    pb = p1.probs
-    k = pa.size
+    pa, pb = p0.probs, p1.probs
     if q.shape != pa.shape or pa.shape != pb.shape:
         raise ShapeError("qhat, p0, p1 must share one alphabet")
-    if delta < 0:
+    if pa.size != 2:
+        raise ShapeError("the common-channel min-max applies to binary alphabets only")
+    if not delta >= 0.0:  # also rejects NaN
         raise DomainError("delta must be nonnegative")
     if np.any(pa <= 0.0) or np.any(pb <= 0.0):
         raise DomainError("both hypothesis laws must have full support")
     if not branches or any(b not in (0, 1) for b in branches):
         raise DomainError("branches must be a nonempty subset of (0, 1)")
-    laws = (pa, pb)
+    laws = (p0, p1)
+    if set(branches) == {1}:
+        laws = (p1, p0)  # the channel set is symmetric in the two laws
+    first, second = (DistortionBall(p, delta, measure, floor) for p in laws)
+    w = float(first.center.probs[0])
+    region = _CommonChannelSet(w, float(second.center.probs[0]) - w,
+                               first.interval, second.interval)
+    target = float(q[0])
 
-    if delta == 0.0:
-        value = max(_kl_arrays(q, laws[b]) for b in branches)
-        return ChannelMinMaxResult(value, Channel.identity(k), True, 0)
+    def divergence(t: float) -> float:
+        return _binary_kl(target, t)
 
-    support = q > 0.0
+    if len(set(branches)) == 1:
+        x = min(max(target, region.x_lo), region.x_hi)
+        s, _ = region.best_y(x, target)
+        return ChannelMinMaxResult(divergence(x), region.channel(x, s), True, 0)
 
-    def outputs(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return pa @ a, pb @ a
+    def h(x: float) -> float:
+        _, y = region.best_y(x, target)
+        return max(divergence(x), divergence(y))
 
-    def distortions(o0: np.ndarray, o1: np.ndarray) -> tuple[float, float]:
-        return measure.evaluate(pa, o0), measure.evaluate(pb, o1)
-
-    def objective(outs) -> float:
-        return max(_kl_arrays(q, outs[b]) for b in branches)
-
-    def raw(a: np.ndarray) -> tuple[float, float, float]:
-        outs = outputs(a)
-        t0, t1 = distortions(*outs)
-        return objective(outs), t0, t1
-
-    def div_grad(p: np.ndarray, out: np.ndarray) -> np.ndarray:
-        # gradient of D(q || p A) in A
-        w = np.zeros_like(out)
-        w[support] = -q[support] / out[support]
-        return np.outer(p, w)
-
-    def dist_grad(p: np.ndarray, out: np.ndarray) -> np.ndarray:
-        if measure is DistortionMeasure.TV_L1:
-            return np.outer(p, np.sign(out - p))
-        return np.outer(p, -p / out)
-
-    def smoothed(a: np.ndarray, beta: float, mu: float):
-        outs = outputs(a)
-        t0, t1 = distortions(*outs)
-        divs = [_kl_arrays(q, outs[b]) for b in branches]
-        if t0 >= delta or t1 >= delta or not all(map(math.isfinite, divs)):
-            return math.inf, None
-        top = max(divs)
-        scaled = np.exp((np.asarray(divs) - top) / mu)
-        total = float(scaled.sum())
-        weights = scaled / total
-        val = top + mu * math.log(total)
-        val -= beta * (math.log(delta - t0) + math.log(delta - t1))
-        grad = np.zeros_like(a)
-        for w, b in zip(weights, branches):
-            grad += w * div_grad(laws[b], outs[b])
-        grad += beta / (delta - t0) * dist_grad(pa, outs[0])
-        grad += beta / (delta - t1) * dist_grad(pb, outs[1])
-        return val, grad
-
-    identity = _row_project(np.eye(k), floor)
-    a = _row_project(np.asarray(start, float), floor) if start is not None else identity
-    best_val, bt0, bt1 = raw(a)
-    if bt0 > delta or bt1 > delta:
-        a = identity
-        best_val, _, _ = raw(a)
-    best_a = a.copy()
-
-    stages = [(1e-2, 1e-2), (1e-3, 1e-3), (1e-4, 1e-4), (1e-5, 1e-5),
-              (1e-6, 1e-6), (1e-7, 1e-7), (1e-8, 1e-7)]
-    inner_budget = max(40, opts.max_iterations // 50)
-    total_iters = 0
-    converged = True
-    for beta, mu in stages:
-        val, grad = smoothed(a, beta, mu)
-        if not math.isfinite(val):
-            a = identity
-            val, grad = smoothed(a, beta, mu)
-        step = opts.initial_step
-        quiet = 0
-        for _ in range(inner_budget):
-            total_iters += 1
-            step = min(step * 2.0, 1e4)
-            accepted = False
-            while step > 1e-15:
-                cand = _row_project(a - step * grad, floor)
-                diff = cand - a
-                norm2 = float(np.sum(diff * diff))
-                if norm2 == 0.0:
-                    break
-                cval, cgrad = smoothed(cand, beta, mu)
-                if cval <= val + float(np.sum(grad * diff)) + norm2 / (2.0 * step):
-                    accepted = True
-                    break
-                step *= 0.5
-            if not accepted:
-                break
-            rel = (val - cval) / max(abs(val), 1e-300)
-            a, val, grad = cand, cval, cgrad
-            rv, t0, t1 = raw(a)
-            if t0 <= delta + 1e-12 and t1 <= delta + 1e-12 and rv < best_val:
-                best_val, best_a = rv, a.copy()
-            if rel < max(opts.tolerance, beta * 1e-4):
-                quiet += 1
-                if quiet >= opts.patience:
-                    break
-            else:
-                quiet = 0
-
-    if not math.isfinite(best_val):
-        # fallback: projected subgradient with exact penalty from the identity
-        converged = False
-        a = identity
-        best_a = a.copy()
-        best_val, _, _ = raw(a)
-        for it in range(1, 500):
-            outs = outputs(a)
-            divs = [(_kl_arrays(q, outs[b]), b) for b in branches]
-            _, active = max(divs)
-            g = div_grad(laws[active], outs[active])
-            t0, t1 = distortions(*outs)
-            if t0 > delta:
-                g = g + 10.0 * dist_grad(pa, outs[0])
-            if t1 > delta:
-                g = g + 10.0 * dist_grad(pb, outs[1])
-            a = _row_project(a - (0.1 / math.sqrt(it)) * g, floor)
-            rv, t0, t1 = raw(a)
-            if t0 <= delta + 1e-12 and t1 <= delta + 1e-12 and rv < best_val:
-                best_val, best_a = rv, a.copy()
-
-    return ChannelMinMaxResult(best_val, Channel(best_a), converged, total_iters)
+    # golden section: the bracket [lo, hi] keeps the minimizer of convex h
+    lo, hi = region.x_lo, region.x_hi
+    mid_lo, mid_hi = hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo)
+    h_lo, h_hi = h(mid_lo), h(mid_hi)
+    converged, steps, width = False, 0, 4.0 * np.finfo(float).eps
+    for steps in range(1, _BISECTION_CAP + 1):
+        if hi - lo <= width:
+            converged = True
+            break
+        if h_lo <= h_hi:
+            hi, mid_hi, h_hi = mid_hi, mid_lo, h_lo
+            mid_lo = hi - _GOLDEN * (hi - lo)
+            h_lo = h(mid_lo)
+        else:
+            lo, mid_lo, h_lo = mid_lo, mid_hi, h_hi
+            mid_hi = lo + _GOLDEN * (hi - lo)
+            h_hi = h(mid_hi)
+    value, x = min((h_lo, mid_lo), (h_hi, mid_hi))
+    s, _ = region.best_y(x, target)
+    return ChannelMinMaxResult(value, region.channel(x, s), converged, steps)
 
 
 def min_divergence_over_common_channels(qhat, target: int, p0: Distribution, p1: Distribution,
                                         delta: float, measure: DistortionMeasure,
                                         options: SolverOptions | None = None,
-                                        floor: float = 1e-9,
-                                        start: np.ndarray | None = None) -> ChannelMinMaxResult:
+                                        floor: float = 1e-9) -> ChannelMinMaxResult:
     """Minimize D(qhat || p_target A) over channels feasible for both laws.
 
     Unlike `min_divergence_to_ball`, one channel must respect the distortion
@@ -786,6 +774,5 @@ def min_divergence_over_common_channels(qhat, target: int, p0: Distribution, p1:
     if target not in (0, 1):
         raise DomainError("target selects one of the two laws, 0 or 1")
     return min_max_divergence_over_channel(
-        qhat, p0, p1, delta, measure, options=options, floor=floor,
-        start=start, branches=(target,),
+        qhat, p0, p1, delta, measure, options=options, floor=floor, branches=(target,),
     )

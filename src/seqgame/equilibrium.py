@@ -17,10 +17,11 @@ from functools import cached_property
 import numpy as np
 
 from .divopt import (
-    ChannelMinMaxResult,
+    _FEASIBILITY_SLACK,
     DistortionBall,
     PairMinResult,
     SolverOptions,
+    _converged_value,
     _minimize_over_ball,
     _row_project,
     channel_from_output,
@@ -28,7 +29,14 @@ from .divopt import (
     min_max_divergence_over_channel,
     pairwise_min_divergence,
 )
-from .errors import ConstructionError, DegenerateGameError, DomainError, InfeasibleError, ShapeError
+from .errors import (
+    ConstructionError,
+    DegenerateGameError,
+    DomainError,
+    InfeasibleError,
+    ResourceError,
+    ShapeError,
+)
 from .prob import Channel, Distribution, DistortionMeasure, apply_channel, kl_divergence
 
 __all__ = [
@@ -43,7 +51,9 @@ __all__ = [
     "solve_nonaware_adversary",
 ]
 
-_FEASIBILITY_SLACK = 1e-9
+# Most sweeps over the moves the pattern search of solve_nonaware_adversary
+# makes at one step size.
+_PATTERN_SWEEP_CAP = 1000
 
 
 @dataclass(frozen=True, eq=False)
@@ -258,11 +268,12 @@ def min_pairwise_bhattacharyya(spec: GameSpec,
 
 @dataclass(frozen=True)
 class NonAwareBounds:
-    """Payoff bounds at a common channel choice.
+    """Payoff bounds at one common channel.
 
     `achievable` is what the decision maker can guarantee, `converse` what
-    no procedure can beat; achievable <= converse always. The channel comes
-    from a multistart heuristic, hence the flag.
+    no procedure can beat; achievable <= converse always. Both are exact at
+    `channel`, but the channel itself comes from a local search that need
+    not find the adversary's best common channel, hence `heuristic`.
     """
 
     achievable: float
@@ -296,8 +307,8 @@ def nonaware_achievable(p0: Distribution, p1: Distribution, channel: Channel,
     if weight <= 0:
         raise DomainError("weight must be positive")
     out0, out1 = _check_common_feasible(p0, p1, channel, delta, measure)
-    term0 = min_max_divergence_over_channel(out0, p0, p1, delta, measure, options).value
-    term1 = min_max_divergence_over_channel(out1, p0, p1, delta, measure, options).value
+    term0 = _converged_value(min_max_divergence_over_channel(out0, p0, p1, delta, measure, options))
+    term1 = _converged_value(min_max_divergence_over_channel(out1, p0, p1, delta, measure, options))
     return term0 + weight * term1
 
 
@@ -344,15 +355,14 @@ def solve_nonaware_adversary(p0: Distribution, p1: Distribution, delta: float,
     """Search for the common channel minimizing the achievable payoff.
 
     The outer problem is not known to be convex, so this is a multistart
-    pattern search: the identity, blends toward rank-one extremes, and
-    random feasible channels each seed a local descent on coarse inner
-    solves; the best candidate is re-scored at full accuracy.
+    pattern search over the entries of a binary channel: the identity,
+    blends toward rank-one extremes, and random feasible channels each seed
+    a descent along row moves with a halving step, scored by the exact
+    inner min-max solves. A step size whose sweeps keep improving past
+    their cap raises ResourceError.
     """
     if num_starts < 1:
         raise DomainError("num_starts must be positive")
-    opts = options or SolverOptions()
-    coarse = SolverOptions(tolerance=1e-7, max_iterations=1200,
-                           patience=3, initial_step=opts.initial_step)
     k = p0.size
     floor = 1e-9
     rng = np.random.default_rng(seed)
@@ -363,11 +373,11 @@ def solve_nonaware_adversary(p0: Distribution, p1: Distribution, delta: float,
                 return False
         return True
 
-    def score(a: np.ndarray, o: SolverOptions) -> float:
+    def score(a: np.ndarray) -> float:
         out0 = Distribution(p0.probs @ a)
         out1 = Distribution(p1.probs @ a)
-        term0 = min_max_divergence_over_channel(out0, p0, p1, delta, measure, o).value
-        term1 = min_max_divergence_over_channel(out1, p0, p1, delta, measure, o).value
+        term0 = min_max_divergence_over_channel(out0, p0, p1, delta, measure).value
+        term1 = min_max_divergence_over_channel(out1, p0, p1, delta, measure).value
         return term0 + weight * term1
 
     starts: list[np.ndarray] = [np.eye(k)]
@@ -396,25 +406,30 @@ def solve_nonaware_adversary(p0: Distribution, p1: Distribution, delta: float,
         a = _row_project(raw_start, floor)
         if not feasible(a):
             a = _row_project(np.eye(k), floor)
-        val = score(a, coarse)
+        val = score(a)
         h = 0.2
         while h >= 2e-3:
-            improved = True
-            while improved:
+            for _ in range(_PATTERN_SWEEP_CAP):
                 improved = False
                 for m in moves:
                     cand = _row_project(a + h * m, floor)
                     if not feasible(cand):
                         continue
-                    cval = score(cand, coarse)
+                    cval = score(cand)
                     if cval < val - 1e-12:
                         a, val = cand, cval
                         improved = True
+                if not improved:
+                    break
+            else:
+                raise ResourceError(
+                    f"pattern search still improving after {_PATTERN_SWEEP_CAP} sweeps at step {h}"
+                )
             h *= 0.5
         if val < best_val:
             best_val, best_a = val, a
 
     channel = Channel(best_a)
-    achievable = nonaware_achievable(p0, p1, channel, delta, measure, weight, opts)
+    achievable = nonaware_achievable(p0, p1, channel, delta, measure, weight, options)
     converse = nonaware_converse(p0, p1, channel, delta, measure, weight)
     return NonAwareBounds(achievable, converse, channel, True)

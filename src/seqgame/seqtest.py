@@ -19,6 +19,7 @@ from scipy.special import gammaincc, gammaln
 
 from .divopt import (
     SolverOptions,
+    _converged_value,
     min_divergence_over_common_channels,
     min_divergence_to_ball,
     min_max_divergence_over_channel,
@@ -326,6 +327,18 @@ def _nonaware_decide(branch: np.ndarray, gamma: float) -> int:
     return 0 if branch[0] >= branch[1] else 1
 
 
+def _branch_statistics(qhat: Distribution, p0: Distribution, p1: Distribution, delta: float,
+                       measure: DistortionMeasure,
+                       options: SolverOptions | None) -> np.ndarray:
+    """Evidence for each hypothesis: the divergence from qhat to everything
+    a common channel can make of the rival law."""
+    return np.array([
+        _converged_value(min_divergence_over_common_channels(
+            qhat, 1 - b, p0, p1, delta, measure, options))
+        for b in (0, 1)
+    ])
+
+
 def step_nonaware(state: NonAwareTestState, symbol: int, schedule: ThresholdSchedule,
                   p0: Distribution, p1: Distribution, delta: float,
                   measure: DistortionMeasure,
@@ -333,7 +346,8 @@ def step_nonaware(state: NonAwareTestState, symbol: int, schedule: ThresholdSche
     """One step of the binary common-channel test.
 
     Stops when the channel min-max statistic clears the threshold; the
-    decision then comes from the per-branch statistics.
+    decision then comes from the per-branch statistics. A channel solve that
+    hit its iteration cap raises ResourceError rather than decide.
     """
     if state.stopped is not None:
         raise StateError(f"test already stopped at {state.stopped}")
@@ -343,15 +357,13 @@ def step_nonaware(state: NonAwareTestState, symbol: int, schedule: ThresholdSche
     state.counts[sym] += 1
     state.num_samples += 1
     qhat = empirical_distribution(state.counts)
-    s_stat = min_max_divergence_over_channel(qhat, p0, p1, delta, measure, options).value
+    s_stat = _converged_value(
+        min_max_divergence_over_channel(qhat, p0, p1, delta, measure, options))
     state.minmax_statistic = s_stat
     gamma = schedule.value(state.num_samples)
     if s_stat < gamma:
         return None
-    branch = np.array([
-        min_divergence_over_common_channels(qhat, 1, p0, p1, delta, measure, options).value,
-        min_divergence_over_common_channels(qhat, 0, p0, p1, delta, measure, options).value,
-    ])
+    branch = _branch_statistics(qhat, p0, p1, delta, measure, options)
     state.branch_statistics = branch
     decision = _nonaware_decide(branch, gamma)
     state.stopped = (state.num_samples, decision)
@@ -366,7 +378,8 @@ def run_nonaware(stream: Iterable[int], schedule: ThresholdSchedule,
     """Run the common-channel test; semantics mirror run_aware.
 
     Trajectory rows carry the two branch statistics, which cost two extra
-    channel solves per evaluated step when recording is on.
+    channel solves per evaluated step when recording is on. A channel solve
+    that hit its iteration cap raises ResourceError rather than decide.
     """
     if schedule.num_hypotheses != 2:
         raise DomainError("the common-channel test is defined for two hypotheses")
@@ -377,12 +390,6 @@ def run_nonaware(stream: Iterable[int], schedule: ThresholdSchedule,
     state = NonAwareTestState.fresh()
     rows: list[TrajectoryRow] = []
     it = iter(stream)
-
-    def branch_stats(qhat: Distribution) -> np.ndarray:
-        return np.array([
-            min_divergence_over_common_channels(qhat, 1, p0, p1, delta, measure, options).value,
-            min_divergence_over_common_channels(qhat, 0, p0, p1, delta, measure, options).value,
-        ])
 
     while state.num_samples < cap:
         try:
@@ -398,11 +405,12 @@ def run_nonaware(stream: Iterable[int], schedule: ThresholdSchedule,
         if n % stride and n < cap:
             continue
         qhat = empirical_distribution(state.counts)
-        s_stat = min_max_divergence_over_channel(qhat, p0, p1, delta, measure, options).value
+        s_stat = _converged_value(
+            min_max_divergence_over_channel(qhat, p0, p1, delta, measure, options))
         state.minmax_statistic = s_stat
         gamma = schedule.value(n)
         if s_stat >= gamma:
-            branch = branch_stats(qhat)
+            branch = _branch_statistics(qhat, p0, p1, delta, measure, options)
             state.branch_statistics = branch
             decision = _nonaware_decide(branch, gamma)
             state.stopped = (n, decision)
@@ -410,7 +418,8 @@ def run_nonaware(stream: Iterable[int], schedule: ThresholdSchedule,
                 rows.append(TrajectoryRow(n, gamma, tuple(branch), True, decision))
             return TestOutcome(n, decision, False, tuple(rows) if record_trajectory else None)
         if record_trajectory:
-            rows.append(TrajectoryRow(n, gamma, tuple(branch_stats(qhat)), False, None))
+            branch = _branch_statistics(qhat, p0, p1, delta, measure, options)
+            rows.append(TrajectoryRow(n, gamma, tuple(branch), False, None))
     return TestOutcome(cap, None, True, tuple(rows) if record_trajectory else None)
 
 

@@ -18,6 +18,7 @@ from typing import Iterator
 import numpy as np
 from scipy.special import xlogy
 
+from .divopt import _FEASIBILITY_SLACK
 from .equilibrium import EquilibriumSolution, GameSpec, solve_aware_equilibrium
 from .errors import DomainError, InfeasibleError, ShapeError
 from .prob import Channel, Distribution
@@ -36,7 +37,6 @@ __all__ = [
 
 EQUILIBRIUM_ADVERSARY = "equilibrium"
 
-_FEASIBILITY_SLACK = 1e-9
 _BLOCK = 4096
 
 REPORT_COLUMNS = (
