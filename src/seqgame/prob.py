@@ -9,6 +9,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -77,6 +78,11 @@ class Distribution:
     def size(self) -> int:
         return int(self.probs.size)
 
+    @cached_property
+    def cumulative(self) -> tuple[float, ...]:
+        """Running sums of probs as Python floats, for inverse-CDF draws."""
+        return tuple(np.cumsum(self.probs).tolist())
+
     def is_fully_supported(self, floor: float = 1e-9) -> bool:
         """True when every symbol carries at least `floor` mass."""
         return bool(np.all(self.probs >= floor))
@@ -124,6 +130,11 @@ class Channel:
     @property
     def num_outputs(self) -> int:
         return int(self.rows.shape[1])
+
+    @cached_property
+    def cumulative_rows(self) -> tuple[tuple[float, ...], ...]:
+        """Running sums along each row as Python floats, for inverse-CDF draws."""
+        return tuple(tuple(row) for row in np.cumsum(self.rows, axis=1).tolist())
 
     @classmethod
     def identity(cls, size: int) -> "Channel":

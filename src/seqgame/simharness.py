@@ -3,13 +3,15 @@
 Each replication draws its randomness from a substream keyed by
 (seed, alpha index, hypothesis, replication index), so results do not
 depend on execution order and any single run can be reproduced in
-isolation. Binary alphabets run on a vectorized engine that matches the
-step-by-step test outcome for outcome.
+isolation. Binary alphabets run on a vectorized engine that stops on
+integer boundaries for the count of zeros, held per scenario and alpha,
+and matches the step-by-step test outcome for outcome.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -141,6 +143,17 @@ class ScenarioConfig:
             zeta=self.zeta,
         )
 
+    @cached_property
+    def _schedules(self) -> tuple[ThresholdSchedule, ...]:
+        return tuple(self.schedule_for(alpha) for alpha in self.alpha_grid)
+
+    @cached_property
+    def _boundary_tables(self) -> tuple["_BoundaryTable", ...]:
+        """Stopping boundaries of the binary engine, one table per alpha;
+        each stays empty until replications reach its blocks."""
+        intervals = tuple(ball.interval for ball in self.spec.balls)
+        return tuple(_BoundaryTable(s, intervals, self.cap) for s in self._schedules)
+
     def simulated_hypotheses(self) -> tuple[int, ...]:
         if self.true_hypothesis is not None:
             return (self.true_hypothesis,)
@@ -153,47 +166,15 @@ def sample_through_channel(source: Distribution, channel: Channel,
     channel row it selects. Consumes exactly two uniforms."""
     if source.size != channel.num_inputs:
         raise ShapeError("source alphabet does not match the channel input")
-    u = rng.random(2)
-    cums_in = np.cumsum(source.probs)
-    x = min(int(np.searchsorted(cums_in, u[0], side="right")), source.size - 1)
-    cums_row = np.cumsum(channel.rows[x])
-    return min(int(np.searchsorted(cums_row, u[1], side="right")), channel.num_outputs - 1)
+    u0, u1 = rng.random(2).tolist()
+    x = min(bisect_right(source.cumulative, u0), source.size - 1)
+    return min(bisect_right(channel.cumulative_rows[x], u1), channel.num_outputs - 1)
 
 
 def _channel_stream(source: Distribution, channel: Channel,
                     rng: np.random.Generator) -> Iterator[int]:
     while True:
         yield sample_through_channel(source, channel, rng)
-
-
-class _ThresholdBuffer:
-    """Threshold values 1..n from the scalar formula, grown on demand.
-
-    Keeping one scalar source of truth means the vectorized engine and the
-    step-by-step test compare against bit-identical thresholds.
-    """
-
-    def __init__(self, schedule: ThresholdSchedule) -> None:
-        self.schedule = schedule
-        self._values = np.empty(0)
-
-    def upto(self, n: int) -> np.ndarray:
-        cur = self._values
-        if cur.size < n:
-            new_len = max(8192, 2 * cur.size, n)
-            ext = np.array(
-                [self.schedule.value(k) for k in range(cur.size + 1, new_len + 1)]
-            )
-            cur = np.concatenate([cur, ext])
-            self._values = cur
-        return cur
-
-
-_threshold_buffers: dict[ThresholdSchedule, _ThresholdBuffer] = {}
-
-
-def _buffer_for(schedule: ThresholdSchedule) -> _ThresholdBuffer:
-    return _threshold_buffers.setdefault(schedule, _ThresholdBuffer(schedule))
 
 
 def _clamp_divergence(t: np.ndarray, lo: float, hi: float) -> np.ndarray:
@@ -203,46 +184,124 @@ def _clamp_divergence(t: np.ndarray, lo: float, hi: float) -> np.ndarray:
     return np.where(tc == t, 0.0, val)
 
 
+def _last_true(holds, steps: np.ndarray) -> np.ndarray:
+    """For each n in `steps`, the largest c in [-1, n] where holds(c) is
+    true, by integer bisection on all n at once. holds must be true then
+    false over c = 0..n; c = -1 counts as true and c = n + 1 as false."""
+    a = np.full(steps.shape, -1, dtype=np.int64)
+    b = steps + 1
+    while True:
+        gap = b - a > 1
+        if not gap.any():
+            return a
+        mid = np.where(gap, (a + b) >> 1, 0)
+        ok = holds(mid)
+        a = np.where(gap & ok, mid, a)
+        b = np.where(gap & ~ok, mid, b)
+
+
+def _count_boundaries(schedule: ThresholdSchedule,
+                      intervals: tuple[tuple[float, float], ...],
+                      first: int, last: int) -> tuple[np.ndarray, np.ndarray]:
+    """Stopping boundaries on the count of zeros at steps first..last.
+
+    With two symbols the statistic at step n depends only on the count c of
+    zeros. The divergence from Bernoulli(c/n) to ball j is convex in c/n
+    and zero on the ball's interval, and every threshold is positive, so
+    the counts that clear the threshold against ball j are
+    {c <= lower[j]} | {c >= upper[j]}, columns indexed by n - first. The
+    bisection evaluates the float expression of the engine, c/n through
+    the clamp divergence against ThresholdSchedule.value(n), so the
+    boundaries decide exactly as evaluating it at every count would.
+    """
+    steps = np.arange(first, last + 1, dtype=np.int64)
+    gamma = np.array([schedule.value(n) for n in range(first, last + 1)])
+    lower, upper = [], []
+    for lo, hi in intervals:
+        def below(c, lo=lo, hi=hi):
+            t = c / steps
+            return (t < lo) & (_clamp_divergence(t, lo, hi) >= gamma)
+
+        def not_above(c, lo=lo, hi=hi):
+            t = c / steps
+            return (t <= hi) | (_clamp_divergence(t, lo, hi) < gamma)
+
+        lower.append(_last_true(below, steps))
+        upper.append(_last_true(not_above, steps) + 1)
+    return np.array(lower), np.array(upper)
+
+
+class _BoundaryTable:
+    """The count boundaries of one alpha, one entry per engine block,
+    computed when a replication first reaches that block."""
+
+    def __init__(self, schedule: ThresholdSchedule,
+                 intervals: tuple[tuple[float, float], ...], cap: int) -> None:
+        self.schedule = schedule
+        self.intervals = intervals
+        self.cap = cap
+        self.dtype = np.int32 if cap < 2**31 else np.int64
+        self.blocks: list[tuple[np.ndarray, np.ndarray]] = []
+
+    def block(self, index: int) -> tuple[np.ndarray, np.ndarray]:
+        """Boundaries at steps index*_BLOCK + 1 .. min((index+1)*_BLOCK, cap)."""
+        while len(self.blocks) <= index:
+            first = len(self.blocks) * _BLOCK + 1
+            last = min(first + _BLOCK - 1, self.cap)
+            lower, upper = _count_boundaries(self.schedule, self.intervals, first, last)
+            self.blocks.append((lower.astype(self.dtype), upper.astype(self.dtype)))
+        return self.blocks[index]
+
+
+def _first_stop(zeros: np.ndarray, lower: np.ndarray,
+                upper: np.ndarray) -> tuple[int, int] | None:
+    """First column at which some hypothesis stops, and its decision.
+
+    Hypothesis i stops when the count clears the boundaries of every rival
+    ball j != i; when several do, the smallest index wins.
+    """
+    clears = [(zeros <= lo) | (zeros >= hi) for lo, hi in zip(lower, upper)]
+    if len(clears) == 2:
+        stops = clears[0] | clears[1]
+    else:
+        stops = np.sum(clears, axis=0) >= len(clears) - 1
+    if not stops.any():
+        return None
+    k = int(stops.argmax())
+    missed = [j for j, cleared in enumerate(clears) if not cleared[k]]
+    return k, missed[0] if missed else 0
+
+
 def _run_fast_binary(rng: np.random.Generator, source: Distribution, channel: Channel,
-                     spec: GameSpec, schedule: ThresholdSchedule,
-                     cap: int, stride: int) -> TestOutcome:
+                     table: _BoundaryTable, cap: int, stride: int) -> TestOutcome:
     """Blockwise engine for binary alphabets.
 
-    Consumes the same uniform stream as sample_through_channel and applies
-    the same clamp formula as the ball solver, so outcomes match the
-    step-by-step path exactly.
+    Consumes the same uniform stream as sample_through_channel and stops on
+    the count boundaries of `table`, so outcomes match the step-by-step
+    path exactly.
     """
-    cums_in = np.cumsum(source.probs)
-    cums_rows = np.cumsum(channel.rows, axis=1)
-    lo0, hi0 = spec.balls[0].interval
-    lo1, hi1 = spec.balls[1].interval
-    gammas = _buffer_for(schedule)
+    cut_in = source.cumulative[0]
+    (cut_zero, _), (cut_one, _) = channel.cumulative_rows
     count0 = 0
     done = 0
     while done < cap:
         block = min(_BLOCK, cap - done)
         u = rng.random((block, 2))
-        x = np.minimum(np.searchsorted(cums_in, u[:, 0], side="right"), 1)
-        rows = cums_rows[x]
-        y = np.minimum((rows <= u[:, 1, None]).sum(axis=1), 1)
-        zeros = np.cumsum(y == 0)
-        n = done + np.arange(1, block + 1)
-        evals = np.flatnonzero((n % stride == 0) | (n == cap))
-        if evals.size:
-            ne = n[evals]
-            t = (count0 + zeros[evals]) / ne
-            z0 = _clamp_divergence(t, lo1, hi1)
-            z1 = _clamp_divergence(t, lo0, hi0)
-            gam = gammas.upto(int(ne[-1]))[ne - 1]
-            hit0 = z0 >= gam
-            hit1 = z1 >= gam
-            idx = np.flatnonzero(hit0 | hit1)
-            if idx.size:
-                k = int(idx[0])
-                decision = 0 if hit0[k] else 1
-                return TestOutcome(int(ne[k]), decision, False, None)
-        count0 += int(zeros[-1])
+        lower, upper = table.block(done // _BLOCK)
+        zeros = np.cumsum(u[:, 1] < np.where(u[:, 0] >= cut_in, cut_one, cut_zero),
+                          dtype=lower.dtype)
+        zeros += count0
+        # evaluated steps: multiples of stride, then the cap; column j is step done + 1 + j
+        cols = slice(stride - 1 - done % stride, None, stride)
+        hit = _first_stop(zeros[cols], lower[:, cols], upper[:, cols])
+        if hit is not None:
+            return TestOutcome(done + 1 + cols.start + hit[0] * stride, hit[1], False, None)
         done += block
+        if done == cap and cap % stride:
+            hit = _first_stop(zeros[-1:], lower[:, -1:], upper[:, -1:])
+            if hit is not None:
+                return TestOutcome(cap, hit[1], False, None)
+        count0 = int(zeros[-1])
     return TestOutcome(cap, None, True, None)
 
 
@@ -256,14 +315,14 @@ def run_replication(config: ScenarioConfig, alpha: float, hypothesis: int,
     idx = config.alpha_index(alpha)
     seed_seq = np.random.SeedSequence([config.seed, idx, hypothesis, replication_index])
     rng = np.random.default_rng(seed_seq)
-    schedule = config.schedule_for(alpha)
     source = config.spec.hypotheses[hypothesis]
     channel = config.channels[hypothesis]
     if config.spec.alphabet_size == 2:
-        return _run_fast_binary(rng, source, channel, config.spec, schedule,
+        return _run_fast_binary(rng, source, channel, config._boundary_tables[idx],
                                 config.cap, config.stride)
     stream = _channel_stream(source, channel, rng)
-    return run_aware(stream, schedule, config.spec, cap=config.cap, stride=config.stride)
+    return run_aware(stream, config._schedules[idx], config.spec,
+                     cap=config.cap, stride=config.stride)
 
 
 @dataclass(frozen=True)

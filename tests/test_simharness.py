@@ -1,12 +1,21 @@
+import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
+import seqgame
+from seqgame import simharness
 from seqgame.equilibrium import GameSpec
-from seqgame.errors import DomainError, InfeasibleError, ShapeError
-from seqgame.prob import Channel, Distribution, DistortionMeasure
+from seqgame.errors import DomainError, InfeasibleError, SeqGameError, ShapeError
+from seqgame.prob import Channel, Distribution, DistortionMeasure, normalize
 from seqgame.seqtest import run_aware
 from seqgame.simharness import (
     EQUILIBRIUM_ADVERSARY,
@@ -18,6 +27,8 @@ from seqgame.simharness import (
     run_replication,
     sample_through_channel,
 )
+
+SRC = str(Path(seqgame.__file__).resolve().parents[1])
 
 
 @pytest.fixture(scope="module")
@@ -74,6 +85,26 @@ class TestSampleThroughChannel:
         assert got == again
         # both generators advanced in lockstep
         assert a.random() == b.random()
+
+    @pytest.mark.parametrize("probs, rows", [
+        ([0.38, 0.62], [[0.7781, 0.2219], [0.175, 0.825]]),
+        ([0.2, 0.3, 0.5], [[0.5, 0.25, 0.25], [0.0, 1.0, 0.0], [0.1, 0.1, 0.8]]),
+        ([1e-9, 1.0 - 1e-9], [[1.0, 0.0], [0.0, 1.0]]),
+    ])
+    def test_matches_inverse_cdf_on_sorted_sums(self, probs, rows):
+        """The inverse-CDF draw of np.searchsorted on the running sums,
+        capped at the last symbol, from the same two uniforms per draw."""
+        source, chan = Distribution(probs), Channel(np.array(rows))
+        got_rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
+        for _ in range(5000):
+            got = sample_through_channel(source, chan, got_rng)
+            u = ref_rng.random(2)
+            x = min(int(np.searchsorted(np.cumsum(source.probs), u[0], side="right")),
+                    source.size - 1)
+            row = np.cumsum(chan.rows[x])
+            ref = min(int(np.searchsorted(row, u[1], side="right")), chan.num_outputs - 1)
+            assert got == ref
+        assert got_rng.random() == ref_rng.random()
 
 
 class TestScenarioConfig:
@@ -260,3 +291,178 @@ class TestCsvAndSweep:
             wide_spec, (0.1,), 3, 2, adversary=base.solution.witness_channels
         )
         assert alpha_sweep(base) == alpha_sweep(explicit)
+
+
+def _stepwise(cfg: ScenarioConfig, alpha: float, hyp: int, rep: int):
+    """The per-sample test on the stream run_replication draws from."""
+    seq = np.random.SeedSequence([cfg.seed, cfg.alpha_index(alpha), hyp, rep])
+    stream = _channel_stream(cfg.spec.hypotheses[hyp], cfg.channels[hyp],
+                             np.random.default_rng(seq))
+    return run_aware(stream, cfg.schedule_for(alpha), cfg.spec, cap=cfg.cap,
+                     stride=cfg.stride)
+
+
+def _same_outcome(a, b) -> bool:
+    return (a.stopping_time, a.decision, a.timed_out) == (b.stopping_time, b.decision,
+                                                          b.timed_out)
+
+
+_BERNOULLI = GameSpec((Distribution([0.38, 0.62]), Distribution([0.5, 0.5])), 0.05,
+                      DistortionMeasure.TV_L1)
+
+
+@st.composite
+def _binary_scenarios(draw):
+    measure = draw(st.sampled_from(list(DistortionMeasure)))
+    p0 = draw(st.one_of(st.sampled_from([1e-9, 1e-6, 1e-3]), st.floats(0.02, 0.98)))
+    # close laws stop after thousands of samples, past the engine's first block
+    gap = draw(st.floats(0.01, 0.6))
+    p1 = p0 + gap if p0 + gap < 0.98 else p0 - gap
+    assume(p1 > 0.02)
+    top = 0.1 if measure is DistortionMeasure.TV_L1 else 0.01
+    delta = draw(st.one_of(st.just(0.0), st.just(1e-12), st.floats(1e-4, top)))
+    try:
+        spec = GameSpec((Distribution([p0, 1.0 - p0]), Distribution([p1, 1.0 - p1])),
+                        delta, measure)
+    except SeqGameError:
+        assume(False)
+    alpha = draw(st.floats(1e-6, 0.3))
+    cap = draw(st.sampled_from([1, 2, 37, 4095, 4096, 4097, 4096 + 1000]))
+    stride = draw(st.integers(1, 20))
+    seed = draw(st.integers(0, 2**16))
+    return ScenarioConfig(spec, (alpha,), 2, seed, cap=cap, stride=stride)
+
+
+class TestBinaryEngine:
+    @settings(max_examples=40, deadline=None)
+    @given(_binary_scenarios(), st.integers(0, 50))
+    @example(ScenarioConfig(_BERNOULLI, (0.001,), 2, 5, cap=5096, stride=7), 5)
+    @example(ScenarioConfig(_BERNOULLI, (1e-6,), 2, 6, cap=4097, stride=3), 0)
+    def test_matches_stepwise_path(self, cfg, rep):
+        """Random games, and two cases that reach the engine's second block:
+        a stop at 4,725 and a timeout at a cap on the stride, and a timeout
+        at a cap off the stride."""
+        (alpha,) = cfg.alpha_grid
+        for hyp in (0, 1):
+            assert _same_outcome(run_replication(cfg, alpha, hyp, rep),
+                                 _stepwise(cfg, alpha, hyp, rep))
+
+    def test_three_hypotheses_on_two_symbols(self):
+        """Each statistic is the divergence to the nearest rival ball, so the
+        middle hypothesis needs evidence against both of the others."""
+        spec = GameSpec(tuple(Distribution([p, 1.0 - p]) for p in (0.1, 0.5, 0.9)),
+                        0.02, DistortionMeasure.TV_L1)
+        cfg = ScenarioConfig(spec, (0.01,), 8, 3, stride=2)
+        for hyp in range(3):
+            for rep in range(8):
+                assert _same_outcome(run_replication(cfg, 0.01, hyp, rep),
+                                     _stepwise(cfg, 0.01, hyp, rep))
+
+
+class TestCountBoundaries:
+    @settings(max_examples=6, deadline=None)
+    @given(_binary_scenarios())
+    def test_match_brute_force(self, cfg):
+        """Every count c in 0..n clears the threshold against a ball exactly
+        when it lies outside (lower, upper), for every n up to 3,000."""
+        (alpha,) = cfg.alpha_grid
+        schedule = cfg.schedule_for(alpha)
+        intervals = tuple(ball.interval for ball in cfg.spec.balls)
+        last = 3000
+        lower, upper = simharness._count_boundaries(schedule, intervals, 1, last)
+        for n in range(1, last + 1):
+            c = np.arange(n + 1)
+            gamma = schedule.value(n)
+            for j, (lo, hi) in enumerate(intervals):
+                brute = simharness._clamp_divergence(c / n, lo, hi) >= gamma
+                table = (c <= lower[j, n - 1]) | (c >= upper[j, n - 1])
+                assert np.array_equal(brute, table), (n, j)
+
+        head = simharness._count_boundaries(schedule, intervals, 1, 1000)
+        tail = simharness._count_boundaries(schedule, intervals, 1001, last)
+        for whole, parts in zip((lower, upper), zip(head, tail)):
+            assert np.array_equal(whole, np.concatenate(parts, axis=1))
+
+    def test_blocks_grow_on_demand_and_stop_at_cap(self, wide_spec):
+        cfg = ScenarioConfig(wide_spec, (0.1,), 2, 0, cap=4096 + 904)
+        (table,) = cfg._boundary_tables
+        assert table.blocks == []
+        lower, upper = table.block(1)
+        assert len(table.blocks) == 2
+        assert lower.dtype == upper.dtype == np.int32
+        assert lower.shape == upper.shape == (2, 904)
+        schedule = cfg.schedule_for(0.1)
+        intervals = tuple(ball.interval for ball in wide_spec.balls)
+        whole = simharness._count_boundaries(schedule, intervals, 1, cfg.cap)
+        for got, ref in zip(zip(*table.blocks), whole):
+            assert np.array_equal(np.concatenate(got, axis=1), ref)
+
+    def test_wide_counts_above_int32(self, wide_spec):
+        cfg = ScenarioConfig(wide_spec, (0.1,), 2, 0, cap=2**31)
+        assert cfg._boundary_tables[0].dtype == np.int64
+
+
+def _pinned_game(measure: str) -> GameSpec:
+    if measure == "tv":
+        return GameSpec((Distribution([0.38, 0.62]), Distribution([0.5, 0.5])), 0.05,
+                        DistortionMeasure.TV_L1)
+    return GameSpec((normalize([0.9061, 0.09395]), Distribution([0.8481, 0.1519])), 0.001,
+                    DistortionMeasure.KL)
+
+
+# SHA-256 of each sweep's CSV, written by the per-sample-divergence engine
+# that the count boundaries replaced.
+PINNED_SWEEPS = {
+    ("tv", 1): "23a86eaed3d723f3dff79365d4157179d2cb1fbdfcc1b2f6d57e13303be1b090",
+    ("tv", 3): "d0f75a433ca26e0662cdd326f26f1911bbfabac5fec1d63b9609380bbe1b9079",
+    ("kl", 1): "35de699cbe237a3b3395cb371cb0bce154308e144836cbb6f203e0e030998f66",
+    ("kl", 3): "d781c27182909e4f239d31ad7889183d26229650ca04362a43ea1f06d22f445a",
+}
+
+
+@pytest.mark.parametrize("measure, stride", sorted(PINNED_SWEEPS))
+def test_sweep_csv_is_pinned(measure, stride):
+    cfg = ScenarioConfig(_pinned_game(measure), (0.2, 0.01), 25, 17, stride=stride)
+    text = alpha_sweep(cfg)
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_SWEEPS[measure, stride]
+
+
+class TestNoSharedState:
+    def test_no_module_level_cache(self):
+        caches = [name for name, value in vars(simharness).items()
+                  if not name.startswith("__") and isinstance(value, (dict, list, set))]
+        assert caches == []
+
+    def test_scenarios_do_not_leak_into_each_other(self):
+        """Two scenarios at one alpha with different balls, run in turn in one
+        process, give the CSVs each gives alone in a fresh interpreter; a
+        second run of a scenario gives its first CSV again."""
+        setups = {"narrow": 0.01, "wide": 0.08}
+        code = """
+import sys
+from seqgame import Distribution, DistortionMeasure, GameSpec
+from seqgame.simharness import ScenarioConfig, alpha_sweep
+spec = GameSpec((Distribution([0.38, 0.62]), Distribution([0.55, 0.45])),
+                float(sys.argv[1]), DistortionMeasure.TV_L1)
+sys.stdout.write(alpha_sweep(ScenarioConfig(spec, (0.05,), 20, 4, stride=2)))
+"""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+        alone = {}
+        for name, delta in setups.items():
+            done = subprocess.run([sys.executable, "-c", code, str(delta)], env=env,
+                                  capture_output=True, text=True, timeout=60)
+            assert done.returncode == 0, done.stderr
+            alone[name] = done.stdout
+        assert alone["narrow"] != alone["wide"]
+
+        configs = {
+            name: ScenarioConfig(
+                GameSpec((Distribution([0.38, 0.62]), Distribution([0.55, 0.45])),
+                         delta, DistortionMeasure.TV_L1),
+                (0.05,), 20, 4, stride=2)
+            for name, delta in setups.items()
+        }
+        for name in ("narrow", "wide", "narrow"):
+            assert monte_carlo(configs[name]).to_csv() == alone[name]
+        assert monte_carlo(configs["wide"]).to_csv() == alone["wide"]
