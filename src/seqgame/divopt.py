@@ -536,7 +536,27 @@ def min_divergence_to_ball(qhat, ball: DistortionBall,
         q, converged, iters = _tv_block_argmin(q0, ball), True, 0
     else:
         q, converged, iters = _kl_reach_argmin(q0, ball)
-    return BallMinResult(_kl_arrays(q0, q), Distribution(q), converged, iters)
+    return BallMinResult(_kl_arrays(q0, q), _floored_distribution(q, ball.floor),
+                         converged, iters)
+
+
+def _floored_distribution(q: np.ndarray, floor: float) -> Distribution:
+    """Distribution(q) for q >= floor entrywise, keeping every entry at or
+    above the floor.
+
+    The constructor divides by the sum, which rounding can leave an ulp
+    above one, and that drops floored entries just below the floor. Then
+    the largest entry gives up the excess, so the division can only raise
+    the entries.
+    """
+    arg = Distribution(q)
+    if arg.probs.min() >= floor:
+        return arg
+    q = q.copy()
+    k = int(np.argmax(q))
+    while q.sum() > 1.0:
+        q[k] -= max(q.sum() - 1.0, np.spacing(q[k]))
+    return Distribution(q)
 
 
 @dataclass(frozen=True)

@@ -132,20 +132,23 @@ class ThresholdSchedule:
             )
         if not (math.isfinite(self.constant) and self.constant > 0.0):
             raise ConstructionError(f"constant must be positive, got {self.constant}")
+        # the two logarithms that do not depend on n, computed once
+        object.__setattr__(self, "_log_ratio", math.log(self.constant / self.alpha))
+        object.__setattr__(self, "_log_rivals", math.log(self.num_hypotheses - 1.0))
 
     def value(self, n: int) -> float:
         if n < 1:
             raise DomainError(f"threshold is defined for n >= 1, got {n}")
-        extra = self.alphabet_size * math.log(n + 1.0) + math.log(self.num_hypotheses - 1.0)
-        return math.log(self.constant / self.alpha) / n + n ** (-self.zeta) + extra / n
+        extra = self.alphabet_size * math.log(n + 1.0) + self._log_rivals
+        return self._log_ratio / n + n ** (-self.zeta) + extra / n
 
     def values(self, n_max: int) -> np.ndarray:
         """Thresholds at n = 1..n_max as one vector."""
         if n_max < 1:
             raise DomainError(f"n_max must be >= 1, got {n_max}")
         n = np.arange(1, n_max + 1, dtype=float)
-        extra = self.alphabet_size * np.log(n + 1.0) + math.log(self.num_hypotheses - 1.0)
-        return math.log(self.constant / self.alpha) / n + n ** (-self.zeta) + extra / n
+        extra = self.alphabet_size * np.log(n + 1.0) + self._log_rivals
+        return self._log_ratio / n + n ** (-self.zeta) + extra / n
 
 
 @dataclass(frozen=True)

@@ -40,6 +40,8 @@ __all__ = [
 EQUILIBRIUM_ADVERSARY = "equilibrium"
 
 _BLOCK = 4096
+# spacing of the exactly searched steps that seed the boundary search
+_KNOT_SPACING = 128
 
 REPORT_COLUMNS = (
     "alpha", "log_inv_alpha", "hypothesis", "mean_T", "std_T", "stderr_T",
@@ -152,7 +154,8 @@ class ScenarioConfig:
         """Stopping boundaries of the binary engine, one table per alpha;
         each stays empty until replications reach its blocks."""
         intervals = tuple(ball.interval for ball in self.spec.balls)
-        return tuple(_BoundaryTable(s, intervals, self.cap) for s in self._schedules)
+        return tuple(_BoundaryTable(s, intervals, self.cap, self.stride)
+                     for s in self._schedules)
 
     def simulated_hypotheses(self) -> tuple[int, ...]:
         if self.true_hypothesis is not None:
@@ -185,71 +188,102 @@ def _clamp_divergence(t: np.ndarray, lo: float, hi: float) -> np.ndarray:
 
 
 def _last_true(holds, steps: np.ndarray) -> np.ndarray:
-    """For each n in `steps`, the largest c in [-1, n] where holds(c) is
-    true, by integer bisection on all n at once. holds must be true then
-    false over c = 0..n; c = -1 counts as true and c = n + 1 as false."""
-    a = np.full(steps.shape, -1, dtype=np.int64)
-    b = steps + 1
+    """For each n in the 2-D array `steps`, the largest c in [-1, n] where
+    holds(c, i) is true, i being the flat position of n in `steps`; holds
+    must be true then false over c = 0..n, and c = -1 counts as true and
+    c = n + 1 as false.
+
+    Exact answers at every _KNOT_SPACING-th column, interpolated along each
+    row, give every entry a guess g, and probes at g + 1, then g + 2 or g,
+    settle most entries before the bisection. Every probe narrows the
+    search whatever it returns, so a poor guess costs passes, never
+    exactness.
+    """
+    a = np.full(steps.size, -1, dtype=np.int64)
+    b = steps.ravel() + 1
+
+    def narrow(c: np.ndarray) -> None:
+        idx = np.flatnonzero((a < c) & (c < b))
+        c = c[idx]
+        ok = holds(c, idx)
+        a[idx[ok]] = c[ok]
+        b[idx[~ok]] = c[~ok]
+
+    width = steps.shape[1]
+    if width > _KNOT_SPACING:
+        knots = np.unique(np.r_[np.arange(0, width, _KNOT_SPACING), width - 1])
+        flat = (np.arange(steps.shape[0])[:, None] * width + knots).ravel()
+        exact = _last_true(lambda c, i: holds(c, flat[i]), steps[:, knots])
+        cols = np.arange(width)
+        guess = np.floor([np.interp(cols, knots, row) for row in exact]).astype(np.int64)
+        # most answers are g or g + 1, which two of these probes settle
+        for probe in (guess + 1, guess + 2, guess):
+            narrow(probe.ravel())
     while True:
         gap = b - a > 1
         if not gap.any():
-            return a
-        mid = np.where(gap, (a + b) >> 1, 0)
-        ok = holds(mid)
-        a = np.where(gap & ok, mid, a)
-        b = np.where(gap & ~ok, mid, b)
+            return a.reshape(steps.shape)
+        narrow(np.where(gap, (a + b) >> 1, -1))
 
 
 def _count_boundaries(schedule: ThresholdSchedule,
                       intervals: tuple[tuple[float, float], ...],
-                      first: int, last: int) -> tuple[np.ndarray, np.ndarray]:
-    """Stopping boundaries on the count of zeros at steps first..last.
+                      steps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stopping boundaries on the count of zeros at the given steps.
 
     With two symbols the statistic at step n depends only on the count c of
     zeros. The divergence from Bernoulli(c/n) to ball j is convex in c/n
     and zero on the ball's interval, and every threshold is positive, so
     the counts that clear the threshold against ball j are
-    {c <= lower[j]} | {c >= upper[j]}, columns indexed by n - first. The
-    bisection evaluates the float expression of the engine, c/n through
-    the clamp divergence against ThresholdSchedule.value(n), so the
-    boundaries decide exactly as evaluating it at every count would.
+    {c <= lower[j]} | {c >= upper[j]}, one column per step. The search
+    evaluates the float expression of the engine, c/n through the clamp
+    divergence against ThresholdSchedule.value(n), so the boundaries decide
+    exactly as evaluating it at every count would. Row 2j searches lower[j]
+    and row 2j + 1 searches upper[j] - 1.
     """
-    steps = np.arange(first, last + 1, dtype=np.int64)
-    gamma = np.array([schedule.value(n) for n in range(first, last + 1)])
-    lower, upper = [], []
-    for lo, hi in intervals:
-        def below(c, lo=lo, hi=hi):
-            t = c / steps
-            return (t < lo) & (_clamp_divergence(t, lo, hi) >= gamma)
+    rows = 2 * len(intervals)
+    n = np.tile(steps, rows)
+    gamma = np.tile([schedule.value(k) for k in steps.tolist()], rows)
+    lo, hi = (np.repeat(ends, 2 * steps.size) for ends in zip(*intervals))
+    side_low = np.tile(np.repeat([True, False], steps.size), len(intervals))
 
-        def not_above(c, lo=lo, hi=hi):
-            t = c / steps
-            return (t <= hi) | (_clamp_divergence(t, lo, hi) < gamma)
+    def holds(c, i):
+        t = c / n[i]
+        d = _clamp_divergence(t, lo[i], hi[i])
+        return np.where(side_low[i], (t < lo[i]) & (d >= gamma[i]),
+                        (t <= hi[i]) | (d < gamma[i]))
 
-        lower.append(_last_true(below, steps))
-        upper.append(_last_true(not_above, steps) + 1)
-    return np.array(lower), np.array(upper)
+    found = _last_true(holds, n.reshape(rows, steps.size))
+    return found[0::2], found[1::2] + 1
 
 
 class _BoundaryTable:
-    """The count boundaries of one alpha, one entry per engine block,
+    """The count boundaries of one alpha at the steps the test evaluates
+    (multiples of the stride, and the cap), one entry per engine block,
     computed when a replication first reaches that block."""
 
     def __init__(self, schedule: ThresholdSchedule,
-                 intervals: tuple[tuple[float, float], ...], cap: int) -> None:
+                 intervals: tuple[tuple[float, float], ...], cap: int, stride: int) -> None:
         self.schedule = schedule
         self.intervals = intervals
         self.cap = cap
-        self.dtype = np.int32 if cap < 2**31 else np.int64
-        self.blocks: list[tuple[np.ndarray, np.ndarray]] = []
+        self.stride = stride
+        # upper boundaries reach cap + 1
+        self.dtype = np.int32 if cap < 2**31 - 1 else np.int64
+        self.blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
 
-    def block(self, index: int) -> tuple[np.ndarray, np.ndarray]:
-        """Boundaries at steps index*_BLOCK + 1 .. min((index+1)*_BLOCK, cap)."""
+    def block(self, index: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Columns of the evaluated steps within block `index` (column j is
+        step index*_BLOCK + 1 + j), and the lower and upper boundaries there."""
         while len(self.blocks) <= index:
             first = len(self.blocks) * _BLOCK + 1
             last = min(first + _BLOCK - 1, self.cap)
-            lower, upper = _count_boundaries(self.schedule, self.intervals, first, last)
-            self.blocks.append((lower.astype(self.dtype), upper.astype(self.dtype)))
+            steps = np.arange(-(-first // self.stride) * self.stride, last + 1, self.stride)
+            if last == self.cap and self.cap % self.stride:
+                steps = np.append(steps, self.cap)
+            lower, upper = _count_boundaries(self.schedule, self.intervals, steps)
+            self.blocks.append((steps - first, lower.astype(self.dtype),
+                                upper.astype(self.dtype)))
         return self.blocks[index]
 
 
@@ -261,10 +295,7 @@ def _first_stop(zeros: np.ndarray, lower: np.ndarray,
     ball j != i; when several do, the smallest index wins.
     """
     clears = [(zeros <= lo) | (zeros >= hi) for lo, hi in zip(lower, upper)]
-    if len(clears) == 2:
-        stops = clears[0] | clears[1]
-    else:
-        stops = np.sum(clears, axis=0) >= len(clears) - 1
+    stops = np.sum(clears, axis=0) >= len(clears) - 1
     if not stops.any():
         return None
     k = int(stops.argmax())
@@ -273,7 +304,7 @@ def _first_stop(zeros: np.ndarray, lower: np.ndarray,
 
 
 def _run_fast_binary(rng: np.random.Generator, source: Distribution, channel: Channel,
-                     table: _BoundaryTable, cap: int, stride: int) -> TestOutcome:
+                     table: _BoundaryTable) -> TestOutcome:
     """Blockwise engine for binary alphabets.
 
     Consumes the same uniform stream as sample_through_channel and stops on
@@ -284,25 +315,18 @@ def _run_fast_binary(rng: np.random.Generator, source: Distribution, channel: Ch
     (cut_zero, _), (cut_one, _) = channel.cumulative_rows
     count0 = 0
     done = 0
-    while done < cap:
-        block = min(_BLOCK, cap - done)
-        u = rng.random((block, 2))
-        lower, upper = table.block(done // _BLOCK)
+    while done < table.cap:
+        u = rng.random((min(_BLOCK, table.cap - done), 2))
+        cols, lower, upper = table.block(done // _BLOCK)
         zeros = np.cumsum(u[:, 1] < np.where(u[:, 0] >= cut_in, cut_one, cut_zero),
                           dtype=lower.dtype)
         zeros += count0
-        # evaluated steps: multiples of stride, then the cap; column j is step done + 1 + j
-        cols = slice(stride - 1 - done % stride, None, stride)
-        hit = _first_stop(zeros[cols], lower[:, cols], upper[:, cols])
+        hit = _first_stop(zeros[cols], lower, upper)
         if hit is not None:
-            return TestOutcome(done + 1 + cols.start + hit[0] * stride, hit[1], False, None)
-        done += block
-        if done == cap and cap % stride:
-            hit = _first_stop(zeros[-1:], lower[:, -1:], upper[:, -1:])
-            if hit is not None:
-                return TestOutcome(cap, hit[1], False, None)
+            return TestOutcome(done + 1 + int(cols[hit[0]]), hit[1], False, None)
+        done += zeros.size
         count0 = int(zeros[-1])
-    return TestOutcome(cap, None, True, None)
+    return TestOutcome(table.cap, None, True, None)
 
 
 def run_replication(config: ScenarioConfig, alpha: float, hypothesis: int,
@@ -318,8 +342,7 @@ def run_replication(config: ScenarioConfig, alpha: float, hypothesis: int,
     source = config.spec.hypotheses[hypothesis]
     channel = config.channels[hypothesis]
     if config.spec.alphabet_size == 2:
-        return _run_fast_binary(rng, source, channel, config._boundary_tables[idx],
-                                config.cap, config.stride)
+        return _run_fast_binary(rng, source, channel, config._boundary_tables[idx])
     stream = _channel_stream(source, channel, rng)
     return run_aware(stream, config._schedules[idx], config.spec,
                      cap=config.cap, stride=config.stride)

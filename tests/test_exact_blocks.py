@@ -8,7 +8,7 @@ pattern descent from a feasible start (any K).
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from scipy.special import xlogy
 
@@ -93,6 +93,10 @@ PROPERTY_SETTINGS = settings(max_examples=40, deadline=None,
 
 @PROPERTY_SETTINGS
 @given(instances(zeros=True))
+# the argmin sums to an ulp above one, and rescaling it once put the floored entry below f
+@example((DistortionBall(Distribution([0.2, 0.2, 0.1, 0.1, 0.2, 0.2]), 0.5,
+                         DistortionMeasure.TV_L1),
+          np.array([2.0, 2.0, 2.0, 2.0, 1.0, 0.0]) / 9.0))
 def test_reach_is_feasible_and_beats_oracles(instance):
     ball, qhat = instance
     res = min_divergence_to_ball(qhat, ball)

@@ -369,7 +369,8 @@ class TestCountBoundaries:
         schedule = cfg.schedule_for(alpha)
         intervals = tuple(ball.interval for ball in cfg.spec.balls)
         last = 3000
-        lower, upper = simharness._count_boundaries(schedule, intervals, 1, last)
+        lower, upper = simharness._count_boundaries(schedule, intervals,
+                                                    np.arange(1, last + 1))
         for n in range(1, last + 1):
             c = np.arange(n + 1)
             gamma = schedule.value(n)
@@ -378,28 +379,38 @@ class TestCountBoundaries:
                 table = (c <= lower[j, n - 1]) | (c >= upper[j, n - 1])
                 assert np.array_equal(brute, table), (n, j)
 
-        head = simharness._count_boundaries(schedule, intervals, 1, 1000)
-        tail = simharness._count_boundaries(schedule, intervals, 1001, last)
+        head = simharness._count_boundaries(schedule, intervals, np.arange(1, 1001))
+        tail = simharness._count_boundaries(schedule, intervals, np.arange(1001, last + 1))
         for whole, parts in zip((lower, upper), zip(head, tail)):
             assert np.array_equal(whole, np.concatenate(parts, axis=1))
+        strided = np.arange(cfg.stride, last + 1, cfg.stride)
+        sparse = simharness._count_boundaries(schedule, intervals, strided)
+        for whole, part in zip((lower, upper), sparse):
+            assert np.array_equal(whole[:, strided - 1], part)
 
-    def test_blocks_grow_on_demand_and_stop_at_cap(self, wide_spec):
-        cfg = ScenarioConfig(wide_spec, (0.1,), 2, 0, cap=4096 + 904)
+    def test_blocks_hold_evaluated_steps_and_stop_at_cap(self, wide_spec):
+        """Multiples of the stride and the cap, grown block by block."""
+        cfg = ScenarioConfig(wide_spec, (0.1,), 2, 0, cap=4096 + 904, stride=7)
         (table,) = cfg._boundary_tables
         assert table.blocks == []
-        lower, upper = table.block(1)
+        cols, lower, upper = table.block(1)
         assert len(table.blocks) == 2
         assert lower.dtype == upper.dtype == np.int32
-        assert lower.shape == upper.shape == (2, 904)
+        assert np.array_equal(cols, np.r_[np.arange(4102, 5000, 7), 5000] - 4097)
+        assert lower.shape == upper.shape == (2, cols.size)
+        steps = np.r_[np.arange(7, 5000, 7), 5000]
+        assert np.array_equal(np.r_[table.blocks[0][0] + 1, cols + 4097], steps)
         schedule = cfg.schedule_for(0.1)
         intervals = tuple(ball.interval for ball in wide_spec.balls)
-        whole = simharness._count_boundaries(schedule, intervals, 1, cfg.cap)
-        for got, ref in zip(zip(*table.blocks), whole):
+        whole = simharness._count_boundaries(schedule, intervals, steps)
+        for got, ref in zip(zip(*(blk[1:] for blk in table.blocks)), whole):
             assert np.array_equal(np.concatenate(got, axis=1), ref)
 
-    def test_wide_counts_above_int32(self, wide_spec):
-        cfg = ScenarioConfig(wide_spec, (0.1,), 2, 0, cap=2**31)
-        assert cfg._boundary_tables[0].dtype == np.int64
+    def test_counts_past_int32_use_int64(self, wide_spec):
+        """Upper boundaries reach cap + 1, which must fit the table type."""
+        dtypes = [ScenarioConfig(wide_spec, (0.1,), 2, 0, cap=cap)._boundary_tables[0].dtype
+                  for cap in (2**31 - 2, 2**31 - 1)]
+        assert dtypes == [np.int32, np.int64]
 
 
 def _pinned_game(measure: str) -> GameSpec:
