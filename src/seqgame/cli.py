@@ -64,7 +64,6 @@ class RunConfig:
     channel: tuple[float, ...] | None = None
     channels: tuple[tuple[float, ...], ...] | None = None
     solver_tolerance: float | None = None
-    solver_max_iterations: int | None = None
 
 
 def _parse_float(key: str, raw: str) -> float:
@@ -126,7 +125,7 @@ def parse_run_config(text: str) -> RunConfig:
     known = set(hyp_keys) | set(chan_keys) | {
         "delta", "measure", "weights", "support_floor", "zeta", "alpha_grid",
         "replications", "seed", "cap", "stride", "true_hypothesis", "adversary",
-        "channel", "solver_tolerance", "solver_max_iterations",
+        "channel", "solver_tolerance",
     }
     unknown = sorted(set(pairs) - known)
     if unknown:
@@ -173,7 +172,6 @@ def parse_run_config(text: str) -> RunConfig:
         channel=opt("channel", _parse_float_list),
         channels=tuple(_parse_float_list(k, pairs[k]) for k in chan_keys) or None,
         solver_tolerance=opt("solver_tolerance", _parse_float),
-        solver_max_iterations=opt("solver_max_iterations", _parse_int),
     )
 
 
@@ -209,7 +207,6 @@ def dump_run_config(config: RunConfig) -> str:
         for i, rows in enumerate(config.channels):
             put(f"channel_{i}", rows)
     put("solver_tolerance", config.solver_tolerance)
-    put("solver_max_iterations", config.solver_max_iterations)
     return "\n".join(lines) + "\n"
 
 
@@ -243,15 +240,9 @@ def _build_channel(flat: tuple[float, ...], size: int) -> Channel:
 
 
 def build_solver_options(config: RunConfig) -> SolverOptions | None:
-    if config.solver_tolerance is None and config.solver_max_iterations is None:
+    if config.solver_tolerance is None:
         return None
-    base = SolverOptions()
-    return _wrap_config(
-        lambda: SolverOptions(
-            tolerance=config.solver_tolerance or base.tolerance,
-            max_iterations=config.solver_max_iterations or base.max_iterations,
-        )
-    )
+    return _wrap_config(lambda: SolverOptions(tolerance=config.solver_tolerance))
 
 
 def build_scenario(config: RunConfig, seed_override: int | None = None) -> ScenarioConfig:

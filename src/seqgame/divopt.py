@@ -1,11 +1,13 @@
 """Divergence minimization over distortion balls and channel sets.
 
-The reach `min D(qhat || q)` and the pairwise minimum `min D(q1 || q2)`
-over distortion balls are solved exactly from their KKT conditions: a
+The reach `min D(qhat || q)` over a distortion ball, and the argmin of
+`D(x || w)` over one, are solved exactly from their KKT conditions: a
 sorting water-fill for TV balls, and a mixture or an exponential tilt with
-one bisected scalar for KL balls. The Bhattacharyya blocks still run
-projected gradient. The binary common-channel min-max is solved in output
-coordinates by a golden-section search on one convex function.
+one bisected scalar for KL balls. Alternating these exact blocks solves the
+pairwise minimum `min D(q1 || q2)` over two balls here, and the
+Bhattacharyya separation in `equilibrium`. The binary common-channel
+min-max is solved in output coordinates by a golden-section search on one
+convex function.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import lambertw, xlogy
+from scipy.special import lambertw
 
 from .errors import DomainError, InfeasibleError, ResourceError, ShapeError
 from .prob import Channel, Distribution, DistortionMeasure, _kl_arrays
@@ -42,15 +44,15 @@ _BISECTION_CAP = 200
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Knobs shared by the iterative solvers."""
+    """Stopping rule of the two alternations, `pairwise_min_divergence` and
+    the Bhattacharyya separation: stop after `patience` rounds in a row
+    whose value drops by less than `tolerance` relative."""
 
     tolerance: float = 1e-10
-    max_iterations: int = 10_000
     patience: int = 5
-    initial_step: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.tolerance <= 0 or self.max_iterations < 1 or self.patience < 1:
+        if self.tolerance <= 0 or self.patience < 1:
             raise DomainError("solver options must be positive")
 
 
@@ -58,7 +60,10 @@ _DEFAULT_OPTIONS = SolverOptions()
 
 
 def _binary_kl(t: float, s: float) -> float:
-    """Binary KL with t allowed on the closed interval [0, 1]; s interior."""
+    """Binary KL with t and s on the closed interval [0, 1]; +inf where t
+    puts mass that s does not."""
+    if (t > 0.0 and s <= 0.0) or (t < 1.0 and s >= 1.0):
+        return math.inf
     value = t * math.log(t / s) if t > 0.0 else 0.0
     if t < 1.0:
         value += (1.0 - t) * math.log((1.0 - t) / (1.0 - s))
@@ -115,43 +120,26 @@ class DistortionBall:
             # sum|q - c| = 2|q0 - c0| for binary vectors
             lo, hi = c - self.radius / 2.0, c + self.radius / 2.0
         else:
-            lo = _bisect_kl_edge(c, self.radius, lo_cap, c, descending=True)
-            hi = _bisect_kl_edge(c, self.radius, c, hi_cap, descending=False)
+            lo = _bisect_kl_edge(c, self.radius, lo_cap)
+            hi = _bisect_kl_edge(c, self.radius, hi_cap)
         return max(lo, lo_cap), min(hi, hi_cap)
 
-    def project(self, point) -> np.ndarray:
-        """Euclidean projection onto the feasible set (Dykstra alternation)."""
-        y = np.asarray(point, dtype=float)
-        return _project_feasible(y, self)
 
-
-def _bisect_kl_edge(c: float, radius: float, lo: float, hi: float, descending: bool) -> float:
-    """Root of D(c || t) = radius on [lo, hi] where the map is monotone."""
-    g_far = _binary_kl(c, lo if descending else hi)
-    if g_far <= radius:
-        return lo if descending else hi
-    a, b = lo, hi
+def _bisect_kl_edge(c: float, radius: float, far: float) -> float:
+    """The t between c and `far` where D(c || t) reaches the radius, on its
+    feasible side; `far` itself when D(c || far) stays within the radius."""
+    if _binary_kl(c, far) <= radius:
+        return far
+    inside, outside = c, far
     for _ in range(200):
-        mid = 0.5 * (a + b)
-        if mid == a or mid == b:  # adjacent floats: no later step moves either
+        mid = 0.5 * (inside + outside)
+        if mid == inside or mid == outside:  # adjacent floats: no later step moves either
             break
-        g = _binary_kl(c, mid)
-        exceeded = g > radius
-        if descending:
-            if exceeded:
-                a = mid
-            else:
-                b = mid
+        if _binary_kl(c, mid) > radius:
+            outside = mid
         else:
-            if exceeded:
-                b = mid
-            else:
-                a = mid
-    return b if descending else a
-
-
-# ---------------------------------------------------------------------------
-# Euclidean projections
+            inside = mid
+    return inside
 
 
 def _project_simplex_floor(y: np.ndarray, floor: float) -> np.ndarray:
@@ -175,149 +163,12 @@ def _row_project(a: np.ndarray, floor: float) -> np.ndarray:
     return out
 
 
-def _project_l1_ball(y: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray:
-    if radius == 0.0:
-        return center.copy()
-    z = y - center
-    mag = np.abs(z)
-    if mag.sum() <= radius:
-        return y.copy()
-    u = np.sort(mag)[::-1]
-    css = np.cumsum(u)
-    idx = np.arange(1, u.size + 1)
-    theta_cand = (css - radius) / idx
-    rho = int(np.nonzero(u > theta_cand)[0][-1])
-    theta = theta_cand[rho]
-    return center + np.sign(z) * np.maximum(mag - theta, 0.0)
-
-
-def _project_kl_feasible(y: np.ndarray, center: np.ndarray, radius: float,
-                         floor: float) -> np.ndarray:
-    """Exact projection onto {x : sum x = 1, x >= floor, D(center || x) <= radius}.
-
-    Stationarity gives x_i = max(floor, ((y_i - lam) + sqrt((y_i - lam)^2
-    + 4 mu c_i)) / 2) with lam enforcing the sum and mu >= 0 the divergence
-    level. Both scalars come from nested bisections, so the result is
-    feasible to bisection precision rather than to an alternation tolerance.
-    A bracket that does not close within its cap raises ResourceError.
-    """
-    if radius == 0.0:
-        return center.copy()
-
-    def x_of(lam: float, mu: float) -> np.ndarray:
-        t = y - lam
-        return np.maximum(floor, 0.5 * (t + np.sqrt(t * t + 4.0 * mu * center)))
-
-    def widen(edge: float, mu: float, sign: float) -> float:
-        for _ in range(_BRACKET_CAP):
-            if sign * (x_of(edge, mu).sum() - 1.0) <= 0.0:
-                return edge
-            edge *= 2.0
-        raise ResourceError("sum multiplier bracket did not close")
-
-    def solve_lam(mu: float) -> np.ndarray:
-        lo = widen(-1.0, mu, -1.0)
-        hi = widen(1.0, mu, 1.0)
-        for _ in range(100):
-            mid = 0.5 * (lo + hi)
-            if x_of(mid, mu).sum() > 1.0:
-                lo = mid
-            else:
-                hi = mid
-        return x_of(0.5 * (lo + hi), mu)
-
-    def level(x: np.ndarray) -> float:
-        return float(xlogy(center, center / x).sum())
-
-    x = solve_lam(0.0)
-    if level(x) <= radius:
-        return x
-    mu_hi = 1e-10
-    for _ in range(_BRACKET_CAP):
-        if level(solve_lam(mu_hi)) <= radius:
-            break
-        mu_hi *= 8.0
-    else:
-        raise ResourceError("divergence multiplier bracket did not close")
-    mu_lo = 0.0
-    for _ in range(120):
-        mid = 0.5 * (mu_lo + mu_hi)
-        if level(solve_lam(mid)) > radius:
-            mu_lo = mid
-        else:
-            mu_hi = mid
-    return solve_lam(mu_hi)
-
-
-def _project_feasible(y: np.ndarray, ball: DistortionBall, max_cycles: int = 400) -> np.ndarray:
-    """Projection onto the ball intersected with the floored simplex.
-
-    The divergence ball case is solved exactly through its stationarity
-    conditions; alternating projections converge too slowly there because
-    the small sublevel set meets the simplex at a shallow angle. The
-    polyhedral case runs Dykstra alternation, ending on a simplex projection
-    so the floor and sum constraints hold exactly.
-    """
-    if ball.measure is DistortionMeasure.KL:
-        return _project_kl_feasible(y.astype(float), ball.center.probs,
-                                    ball.radius, ball.floor)
-    x = y.astype(float)
-    p = np.zeros_like(x)
-    q = np.zeros_like(x)
-    a = x
-    for _ in range(max_cycles):
-        b = _project_l1_ball(x + p, ball.center.probs, ball.radius)
-        p = x + p - b
-        a = _project_simplex_floor(b + q, ball.floor)
-        q = b + q - a
-        if np.max(np.abs(a - b)) <= 1e-13:
-            break
-        x = a
-    return a
-
-
-# ---------------------------------------------------------------------------
-# Projected gradient descent over a single ball
-
-
 @dataclass(frozen=True)
 class BallMinResult:
     value: float
     argmin: Distribution
     converged: bool
     iterations: int
-
-
-def _minimize_over_ball(value_fn, grad_fn, ball: DistortionBall, options: SolverOptions,
-                        x0: np.ndarray | None = None) -> tuple[float, np.ndarray, bool, int]:
-    x = _project_feasible(ball.center.probs if x0 is None else np.asarray(x0, float), ball)
-    f = value_fn(x)
-    step = options.initial_step
-    quiet = 0
-    iters = 0
-    for iters in range(1, options.max_iterations + 1):
-        g = grad_fn(x)
-        step = min(step * 2.0, 1e6)
-        accepted = False
-        while step > 1e-16:
-            cand = _project_feasible(x - step * g, ball)
-            delta = cand - x
-            norm2 = float(np.dot(delta, delta))
-            if norm2 == 0.0:
-                break
-            fc = value_fn(cand)
-            if fc <= f + float(np.dot(g, delta)) + norm2 / (2.0 * step):
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
-            return f, x, True, iters
-        rel = (f - fc) / max(abs(f), 1e-300)
-        x, f = cand, fc
-        quiet = quiet + 1 if rel < options.tolerance else 0
-        if quiet >= options.patience:
-            return f, x, True, iters
-    return f, x, False, iters
 
 
 # ---------------------------------------------------------------------------
@@ -334,8 +185,9 @@ def _upper_level(w: np.ndarray, c: np.ndarray, mass: float) -> float:
     ratio = np.divide(w, c, out=np.where(w > 0.0, math.inf, 0.0), where=c > 0.0)
     order = np.argsort(-ratio)
     levels = np.cumsum(w[order]) / (np.cumsum(c[order]) + mass)
-    k = int(np.nonzero(ratio[order] > levels)[0][-1])
-    return float(levels[k])
+    above = np.nonzero(ratio[order] > levels)[0]
+    # a mass below the rounding of c leaves no ratio above its level: the top ratio
+    return float(levels[above[-1] if above.size else 0])
 
 
 def _floor_fill(v: np.ndarray, floor: float) -> np.ndarray:

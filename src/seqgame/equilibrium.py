@@ -17,12 +17,12 @@ from functools import cached_property
 import numpy as np
 
 from .divopt import (
+    _BISECTION_CAP,
     _FEASIBILITY_SLACK,
     DistortionBall,
     PairMinResult,
     SolverOptions,
     _converged_value,
-    _minimize_over_ball,
     _row_project,
     channel_from_output,
     min_divergence_to_ball,
@@ -204,46 +204,68 @@ def equilibrium_payoff(exponents, weights) -> float:
     return float(np.dot(e, w))
 
 
+def _geometric_step(x: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
+    """B(x, y) = -log sum(sqrt(x y)), never below zero, and the q that
+    minimizes D(q || x) + D(q || y), the normalized sqrt(x y). Disjoint
+    supports give B = +inf and, as q, their mixture."""
+    root = np.sqrt(x * y)
+    coeff = float(root.sum())
+    if coeff == 0.0:
+        return math.inf, 0.5 * (x + y)
+    return max(0.0, -math.log(coeff)), root / coeff
+
+
 def _bhattacharyya_pair_min(ball_a: DistortionBall, ball_b: DistortionBall,
                             options: SolverOptions) -> float:
-    """Smallest Bhattacharyya distance between laws of two balls."""
-    if ball_a.size == 2:
-        a1, b1 = ball_a.interval
-        a2, b2 = ball_b.interval
-        if max(a1, a2) <= min(b1, b2):
-            return 0.0
-        t1, t2 = (b1, a2) if b1 < a2 else (a1, b2)
-        coeff = math.sqrt(t1 * t2) + math.sqrt((1.0 - t1) * (1.0 - t2))
-        return -math.log(coeff)
+    """Smallest Bhattacharyya distance between laws of two balls.
 
-    qb = ball_b.project(ball_b.center.probs)
-    qa = ball_a.project(ball_a.center.probs)
-    best = math.inf
+    Binary balls take the facing ends of their intervals. Larger alphabets
+    minimize D(q || x) + D(q || y), which is 2 B(x, y) at its best q and
+    jointly convex in (q, x, y), one exact block at a time (Csiszar &
+    Tusnady): x and y are the reaches of q, and q is the normalized
+    sqrt(x y). From the centers on, each cycle runs two such rounds and
+    extrapolates log q along them (SQUAREM, Varadhan & Roland 2008), so that
+    nearly touching balls do not creep; the extrapolated round is kept only
+    if it does better. Cycles stop as the rounds of `pairwise_min_divergence`
+    do; hitting the cycle cap, or a reach block its own, raises ResourceError.
+    """
+    if ball_a.size == 2:  # the facing ends of the intervals, as for the divergence
+        pair = pairwise_min_divergence(ball_a, ball_b)
+        laws = (pair.argmin_first.probs, pair.argmin_second.probs)
+        return 0.0 if pair.value == 0.0 else _geometric_step(*laws)[0]
+
+    def advance(q: np.ndarray) -> tuple[float, np.ndarray]:
+        reaches = [min_divergence_to_ball(q, ball) for ball in (ball_a, ball_b)]
+        if not all(r.converged for r in reaches):
+            raise ResourceError("a reach block of the Bhattacharyya alternation hit its cap")
+        return _geometric_step(*(r.argmin.probs for r in reaches))
+
+    best, q = _geometric_step(ball_a.center.probs, ball_b.center.probs)
     quiet = 0
-    for _ in range(200):
-        def value_a(x, other=qb):
-            return -math.log(float(np.sqrt(x * other).sum()))
-
-        def grad_a(x, other=qb):
-            coeff = float(np.sqrt(x * other).sum())
-            return -0.5 * np.sqrt(other / x) / coeff
-
-        _, qa, _, _ = _minimize_over_ball(value_a, grad_a, ball_a, options, x0=qa)
-
-        def value_b(x, other=qa):
-            return -math.log(float(np.sqrt(x * other).sum()))
-
-        def grad_b(x, other=qa):
-            coeff = float(np.sqrt(x * other).sum())
-            return -0.5 * np.sqrt(other / x) / coeff
-
-        value, qb, _, _ = _minimize_over_ball(value_b, grad_b, ball_b, options, x0=qb)
+    for _ in range(_BISECTION_CAP):
+        _, q1 = advance(q)
+        value, q2 = advance(q1)
+        if value == math.inf:  # after a round, only when both balls are single points
+            return value
+        with np.errstate(divide="ignore", invalid="ignore"):  # zero entries: no step
+            logs = np.log([q, q1, q2])
+            step, bend = logs[1] - logs[0], logs[2] - 2.0 * logs[1] + logs[0]
+            step_norm, bend_norm = np.linalg.norm(step), np.linalg.norm(bend)
+        if step_norm > bend_norm > 0.0:  # a step of alpha <= 1 gives back q2
+            alpha = step_norm / bend_norm
+            t = logs[0] + 2.0 * alpha * step + alpha * alpha * bend
+            e = np.exp(t - t.max())
+            trial, q3 = advance(e / e.sum())
+            if trial <= value:
+                value, q2 = trial, q3
+        q = q2
         rel = (best - value) / max(abs(best), 1e-300)
+        # the running minimum: rounding can leave the rounds cycling near zero
         best = min(best, value)
         quiet = quiet + 1 if rel < options.tolerance else 0
         if quiet >= options.patience:
-            break
-    return best
+            return best
+    raise ResourceError(f"Bhattacharyya alternation still moving after {_BISECTION_CAP} cycles")
 
 
 def min_pairwise_bhattacharyya(spec: GameSpec,
@@ -354,12 +376,13 @@ def solve_nonaware_adversary(p0: Distribution, p1: Distribution, delta: float,
                              num_starts: int = 32, seed: int = 0) -> NonAwareBounds:
     """Search for the common channel minimizing the achievable payoff.
 
-    The outer problem is not known to be convex, so this is a multistart
-    pattern search over the entries of a binary channel: the identity,
-    blends toward rank-one extremes, and random feasible channels each seed
-    a descent along row moves with a halving step, scored by the exact
-    inner min-max solves. A step size whose sweeps keep improving past
-    their cap raises ResourceError.
+    A multistart local pattern search over the entries of a binary
+    channel: the identity, blends toward rank-one extremes, and random
+    feasible channels each seed a descent along row moves with a halving
+    step, scored by the exact inner min-max solves. Each descent stops at
+    the first channel no move of the smallest step improves, which can lie
+    short of the best common channel, most often with few starts. A step
+    size whose sweeps keep improving past their cap raises ResourceError.
     """
     if num_starts < 1:
         raise DomainError("num_starts must be positive")

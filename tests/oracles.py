@@ -7,6 +7,7 @@ check them.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -17,18 +18,23 @@ from seqgame.errors import DomainError, InfeasibleError, ResourceError
 from seqgame.prob import Channel, Distribution, DistortionMeasure
 
 
+@functools.lru_cache(maxsize=None)
 def simplex_lattice(size: int, resolution: int) -> np.ndarray:
-    """All integer vectors of the given size summing to `resolution`."""
+    """All integer vectors of the given size summing to `resolution`; the
+    array is cached, so it is read-only."""
     if size < 1 or resolution < 0:
         raise DomainError("size must be >= 1 and resolution >= 0")
     if size == 1:
-        return np.array([[resolution]], dtype=np.int64)
-    blocks = []
-    for first in range(resolution + 1):
-        sub = simplex_lattice(size - 1, resolution - first)
-        head = np.full((sub.shape[0], 1), first, dtype=np.int64)
-        blocks.append(np.hstack([head, sub]))
-    return np.vstack(blocks)
+        out = np.array([[resolution]], dtype=np.int64)
+    else:
+        blocks = []
+        for first in range(resolution + 1):
+            sub = simplex_lattice(size - 1, resolution - first)
+            head = np.full((sub.shape[0], 1), first, dtype=np.int64)
+            blocks.append(np.hstack([head, sub]))
+        out = np.vstack(blocks)
+    out.setflags(write=False)
+    return out
 
 
 def ball_lattice(ball: DistortionBall, step: float, max_points: int = 4_000_000) -> np.ndarray:

@@ -80,7 +80,6 @@ class TestParseRunConfig:
             "stride = 2",
             "true_hypothesis = 1",
             "solver_tolerance = 1e-9",
-            "solver_max_iterations = 500",
         ])
         cfg = parse_run_config(text)
         assert cfg.weights == (2.0, 0.5)
@@ -92,7 +91,6 @@ class TestParseRunConfig:
         assert cfg.stride == 2
         assert cfg.true_hypothesis == 1
         assert cfg.solver_tolerance == 1e-9
-        assert cfg.solver_max_iterations == 500
 
     def test_common_channel(self):
         text = MINIMAL + "adversary = channels\nchannel = 0.9, 0.1, 0.05, 0.95\n"
@@ -119,6 +117,7 @@ class TestParseRunConfig:
         "channel = 1.0, 0.0, 0.0, 1.0",  # channels require the marker
         "replications = 2.5",
         "delta = soon",
+        "solver_max_iterations = 500",  # no solver reads an iteration cap
     ])
     def test_rejects(self, mutation):
         with pytest.raises(ConfigError):
@@ -193,7 +192,8 @@ class TestBuilders:
         cfg = parse_run_config(MINIMAL + "solver_tolerance = 1e-8\n")
         opts = build_solver_options(cfg)
         assert opts.tolerance == 1e-8
-        assert opts.max_iterations == 10_000
+        with pytest.raises(ConfigError):  # not replaced by the default
+            build_solver_options(parse_run_config(MINIMAL + "solver_tolerance = 0\n"))
 
     def test_build_scenario(self):
         scenario = build_scenario(parse_run_config(SIMULATE))

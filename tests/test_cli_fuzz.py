@@ -41,6 +41,11 @@ JUNK = ("", "abc", "0", "-1", "2", "0.5", "nan", "inf", "-inf", "1e-300",
         "0.5, 0.5", "1, 0", "0.3, 0.3, 0.3", "1,,2", "=", "tv_l1", "kl", "channels")
 KEYS = tuple(BASE) + ("weights", "support_floor", "zeta", "stride", "true_hypothesis",
                       "adversary", "channel", "channel_0", "hypothesis_2", "mystery")
+# laws with zero entries, which only a zero support floor admits
+ZERO_LAWS = {
+    2: ("0.0, 1.0", "1, 0"),
+    3: ("0, 0.5, 0.5", "0.3, 0.0, 0.7", "0, 0, 1"),
+}
 
 
 def _render(pairs: dict[str, str], extra_lines: list[str]) -> str:
@@ -53,6 +58,11 @@ def _configs(draw):
     if draw(st.booleans()):
         pairs.update(TERNARY)
     pairs["measure"] = draw(st.sampled_from(["tv_l1", "kl"]))
+    if draw(st.booleans()):
+        pairs["support_floor"] = draw(st.sampled_from(["0", "0.0"]))
+        laws = [k for k in pairs if k.startswith("hypothesis_")]
+        for key in draw(st.lists(st.sampled_from(laws), max_size=len(laws), unique=True)):
+            pairs[key] = draw(st.sampled_from(ZERO_LAWS[len(laws)]))
     for key in draw(st.lists(st.sampled_from(KEYS), max_size=3)):
         if draw(st.booleans()):
             pairs.pop(key, None)

@@ -22,12 +22,7 @@ from seqgame import (
     min_max_divergence_over_channel,
     pairwise_min_divergence,
 )
-from seqgame import divopt
-from seqgame.divopt import (
-    _project_feasible,
-    _project_l1_ball,
-    _project_simplex_floor,
-)
+from seqgame.divopt import _project_simplex_floor
 
 from oracles import (
     ball_lattice,
@@ -45,7 +40,7 @@ def test_solver_options_validation():
     with pytest.raises(DomainError):
         SolverOptions(tolerance=0.0)
     with pytest.raises(DomainError):
-        SolverOptions(max_iterations=0)
+        SolverOptions(patience=0)
 
 
 class TestDistortionBall:
@@ -118,49 +113,6 @@ class TestProjections:
             assert np.all(x >= floor - 1e-12)
             others = floor + rng.dirichlet(np.ones(4), size=400) * (1.0 - 4 * floor)
             assert np.linalg.norm(x - y) <= _closest_of(y, others) + 1e-9
-
-    def test_l1_ball_projection(self, rng):
-        center = np.array([0.25, 0.25, 0.25, 0.25])
-        for _ in range(20):
-            y = center + rng.normal(size=4) * 0.3
-            x = _project_l1_ball(y, center, 0.2)
-            assert np.abs(x - center).sum() <= 0.2 + 1e-10
-            inside = center + rng.normal(size=(500, 4)) * 0.05
-            inside = inside[np.abs(inside - center).sum(axis=1) <= 0.2]
-            if inside.shape[0]:
-                assert np.linalg.norm(x - y) <= _closest_of(y, inside) + 1e-9
-
-    def test_l1_ball_noop_inside(self):
-        center = np.array([0.5, 0.5])
-        y = np.array([0.52, 0.48])
-        assert np.allclose(_project_l1_ball(y, center, 0.1), y)
-
-    def test_dykstra_lands_in_both_sets(self, rng):
-        ball = DistortionBall(Distribution([0.5, 0.3, 0.2]), 0.05, DistortionMeasure.TV_L1)
-        for _ in range(10):
-            y = rng.normal(size=3)
-            x = _project_feasible(y, ball)
-            assert x.sum() == pytest.approx(1.0, abs=1e-9)
-            assert np.all(x >= ball.floor - 1e-12)
-            assert ball.distortion(x) <= ball.radius + 1e-8
-
-    def test_ball_project_idempotent(self):
-        ball = DistortionBall(Distribution([0.5, 0.3, 0.2]), 0.05, DistortionMeasure.KL)
-        x = ball.project(np.array([0.8, 0.1, 0.1]))
-        again = ball.project(x)
-        assert np.allclose(x, again, atol=1e-7)
-
-    @pytest.mark.parametrize("measure", list(DistortionMeasure))
-    def test_zero_radius_projects_to_center(self, measure):
-        ball = DistortionBall(Distribution([0.5, 0.3, 0.2]), 0.0, measure)
-        x = ball.project(np.array([0.1, 0.1, 0.8]))
-        assert np.allclose(x, ball.center.probs, rtol=0.0, atol=1e-15)
-
-    def test_kl_projection_bracket_cap_raises(self, monkeypatch):
-        monkeypatch.setattr(divopt, "_BRACKET_CAP", 1)
-        ball = DistortionBall(Distribution([0.5, 0.3, 0.2]), 0.05, DistortionMeasure.KL)
-        with pytest.raises(ResourceError):
-            ball.project(np.array([5.0, 5.0, 5.0]))
 
 
 class TestMinDivergenceToBall:

@@ -1,8 +1,12 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
+from seqgame import equilibrium
 from seqgame.divopt import DistortionBall, SolverOptions
 from seqgame.equilibrium import (
     GameSpec,
@@ -19,6 +23,7 @@ from seqgame.errors import (
     DegenerateGameError,
     DomainError,
     InfeasibleError,
+    ResourceError,
     ShapeError,
 )
 from seqgame.prob import (
@@ -34,6 +39,30 @@ from oracles import ball_lattice
 # closest facing points of the two Bernoulli balls [0.355, 0.405], [0.475, 0.525]
 E_01 = binary_kl(0.405, 0.475)
 E_10 = binary_kl(0.475, 0.405)
+
+TERNARY = ((0.6, 0.25, 0.15), (0.2, 0.6, 0.2), (0.2, 0.2, 0.6))
+# Lattice pitch per alphabet size, coarser for larger alphabets so that each
+# ball lattice stays at most a few hundred points.
+LATTICE_STEP = {3: 0.01, 4: 0.025, 5: 0.05, 6: 0.1}
+
+
+@st.composite
+def _lattice_ball_pairs(draw):
+    """Two balls of one measure whose centers lie on the lattice of pitch
+    LATTICE_STEP[size], with every entry at least one pitch."""
+    size = draw(st.integers(min_value=3, max_value=6))
+    measure = draw(st.sampled_from(list(DistortionMeasure)))
+    n = round(1.0 / LATTICE_STEP[size])
+    top = 0.3 if measure is DistortionMeasure.TV_L1 else 0.05
+    balls = []
+    for _ in range(2):
+        w = np.array(draw(st.lists(st.floats(min_value=0.05, max_value=1.0),
+                                   min_size=size, max_size=size)))
+        counts = 1 + np.floor(w / w.sum() * (n - size))
+        counts[np.argmax(counts)] += n - counts.sum()
+        radius = draw(st.floats(min_value=0.0, max_value=top))
+        balls.append(DistortionBall(Distribution(counts / n), radius, measure))
+    return balls
 
 
 class TestGameSpec:
@@ -208,6 +237,38 @@ class TestBhattacharyya:
         grid = float(-np.log(coeff.max()))
         assert got <= grid + 1e-9
         assert grid - got <= 3.0 * step
+
+    @pytest.mark.parametrize("measure, delta, pinned", [
+        ("tv_l1", 0.1, (0.0510649779869086, 0.0767955176043674, 0.0601536434902207)),
+        ("kl", 0.01, (0.0432808586169129, 0.0709816360394801, 0.0535234644693901)),
+    ])
+    def test_ternary_pairs_pinned(self, measure, delta, pinned):
+        # values of the projected-gradient solver this one replaced
+        balls = [DistortionBall(Distribution(h), delta, DistortionMeasure(measure))
+                 for h in TERNARY]
+        got = [_bhattacharyya_pair_min(a, b, SolverOptions())
+               for a, b in itertools.combinations(balls, 2)]
+        assert got == pytest.approx(pinned, rel=1e-9)
+
+    @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(_lattice_ball_pairs())
+    # a TV radius far below the rounding of the center's entries
+    @example([DistortionBall(Distribution([0.34, 0.33, 0.33]), 0.0, DistortionMeasure.TV_L1),
+              DistortionBall(Distribution([0.41, 0.39, 0.2]), 1e-83, DistortionMeasure.TV_L1)])
+    def test_matches_lattice_oracle(self, balls):
+        step = LATTICE_STEP[balls[0].size]
+        got = _bhattacharyya_pair_min(*balls, SolverOptions())
+        pts0, pts1 = (ball_lattice(b, step) for b in balls)
+        coeff = np.sqrt(pts0) @ np.sqrt(pts1).T
+        grid = float(-np.log(min(coeff.max(), 1.0)))
+        assert got <= grid + 1e-9
+        assert grid - got <= 4.0 * step
+
+    def test_round_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(equilibrium, "_BISECTION_CAP", 1)
+        a, b = (DistortionBall(Distribution(h), 0.01, DistortionMeasure.KL) for h in TERNARY[:2])
+        with pytest.raises(ResourceError):
+            _bhattacharyya_pair_min(a, b, SolverOptions())
 
 
 class TestNonAware:

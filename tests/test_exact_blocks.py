@@ -97,6 +97,10 @@ PROPERTY_SETTINGS = settings(max_examples=40, deadline=None,
 @example((DistortionBall(Distribution([0.2, 0.2, 0.1, 0.1, 0.2, 0.2]), 0.5,
                          DistortionMeasure.TV_L1),
           np.array([2.0, 2.0, 2.0, 2.0, 1.0, 0.0]) / 9.0))
+# half the radius vanishes against the center's entries, and the water-fill
+# level search once found no ratio above its level
+@example((DistortionBall(Distribution([0.41, 0.39, 0.2]), 1e-17, DistortionMeasure.TV_L1),
+          np.array([0.34, 0.33, 0.33])))
 def test_reach_is_feasible_and_beats_oracles(instance):
     ball, qhat = instance
     res = min_divergence_to_ball(qhat, ball)

@@ -284,7 +284,7 @@ class TestNonAwareDecision:
 class TestRunNonAware:
     P0 = Distribution([0.1, 0.9])
     P1 = Distribution([0.9, 0.1])
-    COARSE = SolverOptions(tolerance=1e-6, max_iterations=400, patience=2)
+    COARSE = SolverOptions(tolerance=1e-6, patience=2)
 
     def test_decides_true_hypothesis(self, rng):
         sched = ThresholdSchedule(0.2, 2, 2)

@@ -1,4 +1,5 @@
-"""A zero distortion budget on a ternary alphabet.
+"""A zero distortion budget on a ternary alphabet, and on a binary one
+with a zero support floor.
 
 Every adversary is then pinned to its hypothesis, so each pairwise minimum
 is the plain divergence between two hypotheses. Each case runs in a fresh
@@ -76,3 +77,17 @@ got = _bhattacharyya_pair_min(DistortionBall(a, 0.0, m), DistortionBall(b, 0.0, 
 print(json.dumps([got, bhattacharyya(a, b)]))
 """)
     assert got == pytest.approx(plain, rel=1e-12)
+
+
+@pytest.mark.parametrize("command", ["solve", "simulate", "sweep"])
+def test_zero_floor_binary_exits_cleanly(command, tmp_path):
+    """A hypothesis with a zero entry under support_floor = 0: one rival
+    ball is the point (0, 1), so its divergence from the other is +inf."""
+    cfg = tmp_path / "game.cfg"
+    cfg.write_text("hypothesis_0 = 0.0, 1.0\nhypothesis_1 = 0.5, 0.5\ndelta = 0.0\n"
+                   "measure = tv_l1\nsupport_floor = 0.0\n"
+                   "alpha_grid = 0.1\nreplications = 2\nseed = 3\ncap = 300\n")
+    done = _run(["-m", "seqgame.cli", command, "--config", str(cfg),
+                 "--out", str(tmp_path / "out.csv")], cwd=tmp_path)
+    assert done.returncode in (0, 3), done.stderr
+    assert "Traceback" not in done.stderr
