@@ -20,7 +20,7 @@ import numpy as np
 from scipy.special import lambertw
 
 from .errors import DomainError, InfeasibleError, ResourceError, ShapeError
-from .prob import Channel, Distribution, DistortionMeasure, _kl_arrays
+from .prob import Channel, Distribution, DistortionMeasure, _kl_arrays, _kl_rows
 
 __all__ = [
     "SolverOptions",
@@ -177,30 +177,43 @@ class BallMinResult:
 # Over a ball with center p, radius r and floor f, the reach argmin of
 # D(w || q) and the argmin of D(x || w) solve KKT systems with one or two
 # scalar multipliers. Sorting finds the TV multipliers; a capped bisection
-# finds the KL one. Each solver returns (argmin, converged, iterations).
+# finds the KL one. Each solver takes an (R, K) array of rows w and solves
+# every row on its own: a row's result does not depend on the other rows.
 
 
-def _upper_level(w: np.ndarray, c: np.ndarray, mass: float) -> float:
-    """The level h > 0 with sum((w/h - c)_+) = mass > 0, by sorting w/c."""
-    ratio = np.divide(w, c, out=np.where(w > 0.0, math.inf, 0.0), where=c > 0.0)
-    order = np.argsort(-ratio)
-    levels = np.cumsum(w[order]) / (np.cumsum(c[order]) + mass)
-    above = np.nonzero(ratio[order] > levels)[0]
-    # a mass below the rounding of c leaves no ratio above its level: the top ratio
-    return float(levels[above[-1] if above.size else 0])
+def _upper_level(w: np.ndarray, c: np.ndarray, ratio: np.ndarray, mass: float) -> np.ndarray:
+    """Per row of w, the level h > 0 with sum((w/h - c)_+) = mass > 0, by
+    sorting the ratio w/c."""
+    order = (-ratio).argsort(axis=1)
+    rows = np.arange(w.shape[0])[:, None]
+    levels = w[rows, order].cumsum(axis=1) / (c[order].cumsum(axis=1) + mass)
+    above = ratio[rows, order] > levels
+    # the top ratio always counts: a mass below the rounding of c leaves no
+    # ratio above its level
+    above[:, 0] = True
+    return levels[rows[:, 0], w.shape[1] - 1 - above[:, ::-1].argmax(axis=1)]
 
 
 def _floor_fill(v: np.ndarray, floor: float) -> np.ndarray:
-    """max(floor, v/lam) with lam making the sum one; v >= 0 with some mass."""
-    x = v / v.sum()
-    if x.min() >= floor:
-        return x
-    lam = _upper_level(x, np.full(x.size, floor), 1.0 - x.size * floor)
-    return np.maximum(floor, x / lam)
+    """Per row, max(floor, v/lam) with lam making the sum one; rows of v are
+    nonnegative with some mass."""
+    x = v / v.sum(axis=1, keepdims=True)
+    if x.min() < floor:
+        low = x.min(axis=1) < floor
+        size = x.shape[1]
+        y = x[low]
+        lam = _upper_level(y, np.full(size, floor), y / floor, 1.0 - size * floor)
+        x[low] = np.maximum(floor, y / lam[:, None])
+    return x
+
+
+# Most (row, knot, symbol) entries one knot scan of the TV solver holds.
+_SCAN_ENTRIES = 1 << 18
 
 
 def _tv_block_argmin(w: np.ndarray, ball: DistortionBall) -> np.ndarray:
-    """The common argmin over a TV ball of D(w || q) and of D(q || w).
+    """Per row of w, the common argmin over a TV ball of D(w || q) and of
+    D(q || w).
 
     With rho = w/p, both optima take q_i = w_i/h where rho_i > h,
     q_i = max(f, w_i/l) where rho_i < l, and q_i = p_i otherwise. The up
@@ -209,80 +222,122 @@ def _tv_block_argmin(w: np.ndarray, ball: DistortionBall) -> np.ndarray:
     floor binds.
     """
     p, floor, mass = ball.center.probs, ball.floor, 0.5 * ball.radius
+    n, size = w.shape
     if mass == 0.0:
-        return p.copy()
-    rho = np.divide(w, p, out=np.where(w > 0.0, math.inf, 0.0), where=p > 0.0)
-    high = _upper_level(w, p, mass)
-
-    # The mass below p is continuous and increasing in l, with knots where a
-    # symbol leaves p (rho) and where it reaches the floor (sigma).
-    sigma = w / floor if floor > 0.0 else np.where(w > 0.0, math.inf, 0.0)
-    knots = np.unique(np.concatenate([rho, sigma, [math.inf]]))[:, None]
-    floored = sigma <= knots
-    free = (rho < knots) & ~floored
+        return np.tile(p, (n, 1))
+    step = max(1, _SCAN_ENTRIES // (size * (2 * size + 1)))
+    if n > step:
+        return np.concatenate([_tv_block_argmin(w[i:i + step], ball) for i in range(0, n, step)])
+    room = p - floor
     with np.errstate(divide="ignore", invalid="ignore"):
-        below = np.where(floored, p - floor, np.where(free, p - w / knots, 0.0)).sum(axis=1)
-    reached = np.nonzero(below >= mass)[0]
-    if reached.size == 0:
-        return _floor_fill(w, floor)
-    j = int(reached[0])
-    q = p.copy()
-    if j == 0:
-        # Symbols with w_i = 0 alone can give up r/2 at l -> 0; the objective
-        # ignores them, so shrink them in proportion to their room above f.
-        zero = w == 0.0
-        q[zero] -= mass * (p[zero] - floor) / (p[zero] - floor).sum()
-    else:
-        low_knot = knots[j - 1, 0]
-        floored, free = sigma <= low_knot, (rho <= low_knot) & (sigma > low_knot)
-        slope = float(w[free].sum())
-        low = slope / ((p[floored] - floor).sum() + p[free].sum() - mass)
-        if low > high:
-            return _floor_fill(w, floor)
-        down = rho < low
-        q[down] = np.maximum(floor, w[down] / low)
-    up = rho > high
-    q[up] = w[up] / high
+        # x/0 is inf for x > 0, and nan, made 0, for x = 0
+        rho, sigma = np.fmax(w / p, 0.0), np.fmax(w / floor, 0.0)
+        high = _upper_level(w, p, rho, mass)[:, None]
+
+        # The mass that level l moves below p, sum(clip(p - w/l, 0, p - f)),
+        # is continuous and nondecreasing in l, with knots where a symbol
+        # leaves p (rho) and where it reaches the floor (sigma). At l = 0,
+        # w_i = 0 gives nan, which fmin makes p_i - f.
+        knots = np.concatenate([rho, sigma, np.full((n, 1), math.inf)], axis=1)
+        knots.sort(axis=1)
+        moved = np.fmax(np.fmin(p - w[:, None, :] / knots[:, :, None], room), 0.0).sum(axis=2)
+        reached = moved >= mass
+        # Between the knot below the first that moves r/2 and that knot, the
+        # moved mass is A - B/l. When the first knot (l = 0) does, the knot
+        # below wraps to the last (l = inf), which gives B = 0 and low = 0.
+        low_knot = knots[np.arange(n), reached.argmax(axis=1) - 1][:, None]
+        # sigma >= rho, so the floored symbols are among those below low_knot
+        below, floored = rho <= low_knot, sigma <= low_knot
+        low = ((w * (below ^ floored)).sum(axis=1)
+               / ((np.where(floored, room, p) * below).sum(axis=1) - mass))[:, None]
+        q = np.where(rho > high, w / high, np.where(rho < low, np.fmax(w / low, floor), p))
+        first = reached[:, 0]
+        if first.any():
+            # Symbols with w_i = 0 alone give up r/2 as l -> 0; the objective
+            # ignores them, so shrink them in proportion to their room above f.
+            gone = np.where(w[first] == 0.0, room, 0.0)
+            shrunk = np.where(gone > 0.0, p - mass * gone / gone.sum(axis=1, keepdims=True), p)
+            q[first] = np.where(rho[first] > high[first], q[first], shrunk)
+    fill = ~reached[:, -1] | (low > high)[:, 0]
+    if fill.any():
+        q[fill] = _floor_fill(w[fill], floor)
     return q
 
 
-def _bisect_level(point, level, radius: float, lo: float, hi: float) -> tuple[np.ndarray, bool, int]:
-    """Bisect a parameter between an infeasible `lo` and a feasible `hi`
-    until level(point(s)) = radius; returns the feasible end's point."""
+def _bisect_level(point, level, radius: float, lo: np.ndarray,
+                  hi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Bisect, for each row, a parameter between an infeasible `lo` and a
+    feasible `hi` until level(point(s, rows)) = radius.
+
+    point(s, rows) gives the points at parameters s of the listed rows, and
+    level their levels. Every row stops on its own when its bracket is a few
+    ulps wide, or at the cap; returns the points at the feasible ends, which
+    rows stopped before the cap, and each row's steps.
+    """
+    n = lo.size
+    rows, hi = np.arange(n), np.array(hi, dtype=float)
+    a, b = np.array(lo, dtype=float), hi.copy()
+    converged, steps = np.zeros(n, dtype=bool), np.full(n, _BISECTION_CAP)
+    width = 4.0 * np.finfo(float).eps
+    # brackets stay inside the first ones, so no row stops before its gap is this small
+    near = width * max(1.0, float(np.abs(a).max()), float(np.abs(b).max()))
     for it in range(1, _BISECTION_CAP + 1):
-        mid = 0.5 * (lo + hi)
-        if level(point(mid)) <= radius:
-            hi = mid
-        else:
-            lo = mid
-        if abs(hi - lo) <= 4.0 * np.finfo(float).eps * max(1.0, abs(lo), abs(hi)):
-            return point(hi), True, it
-    return point(hi), False, _BISECTION_CAP
+        mid = 0.5 * (a + b)
+        inside = level(point(mid, rows)) <= radius
+        a, b = np.where(inside, a, mid), np.where(inside, mid, b)
+        gap = np.abs(b - a)
+        if gap.min() > near:
+            continue
+        done = gap <= width * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
+        if done.any():
+            stopped = rows[done]
+            hi[stopped], converged[stopped], steps[stopped] = b[done], True, it
+            rows, a, b = rows[~done], a[~done], b[~done]
+            if rows.size == 0:
+                break
+    hi[rows] = b
+    return point(hi, np.arange(n)), converged, steps
 
 
-def _kl_reach_argmin(w: np.ndarray, ball: DistortionBall) -> tuple[np.ndarray, bool, int]:
-    """argmin of D(w || q) over a KL ball: the floored mixture of w and p.
+def _kl_from(p: np.ndarray):
+    """The map from an (R, K) array q to D(p || q_r) for each row, +inf
+    where q_r misses the support of p (with a divide warning)."""
+    # take keeps the rows contiguous, and with them the summation order of each row
+    support = np.flatnonzero(p > 0.0)
+    ps = p[support]
+    log_ps = np.log(ps)
+    return lambda q: np.vecdot(ps, log_ps - np.log(q.take(support, axis=1)))
+
+
+def _kl_reach_argmin(w: np.ndarray, ball: DistortionBall) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per row, argmin of D(w || q) over a KL ball: the floored mixture of
+    w and p.
 
     Stationarity gives q = (1-t) w + t p (Csiszar's mixture form), with t
     bisected on D(p || q(t)) = r. The bisection runs on log(1-t) so that a
     tiny radius keeps full relative precision in the weight on w.
     """
     p, floor, radius = ball.center.probs, ball.floor, ball.radius
+    n = w.shape[0]
+    converged, steps = np.ones(n, dtype=bool), np.zeros(n, dtype=int)
     if radius == 0.0:
-        return p.copy(), True, 0
+        return np.tile(p, (n, 1)), converged, steps
+    level = _kl_from(p)
 
-    def mixture(s: float) -> np.ndarray:
-        u = math.exp(s)
-        return _floor_fill(u * w + (1.0 - u) * p, floor)
+    def mixture(s: np.ndarray, v: np.ndarray) -> np.ndarray:
+        u = np.exp(s)[:, None]
+        return _floor_fill(u * v + (1.0 - u) * p, floor)
 
-    def level(q: np.ndarray) -> float:
-        return _kl_arrays(p, q)
-
-    q = mixture(0.0)  # w itself, floored
-    if level(q) <= radius:
-        return q, True, 0
-    # at the smallest normal weight the mixture is p to rounding: feasible
-    return _bisect_level(mixture, level, radius, 0.0, math.log(np.finfo(float).tiny))
+    with np.errstate(divide="ignore"):  # q = 0 on the support of p: D = inf
+        q = mixture(np.zeros(n), w)  # w itself, floored
+        out = np.flatnonzero(level(q) > radius)
+        if out.size:
+            far = w[out]
+            # at the smallest normal weight the mixture is p to rounding: feasible
+            q[out], converged[out], steps[out] = _bisect_level(
+                lambda s, rows: mixture(s, far[rows]), level, radius,
+                np.zeros(out.size), np.full(out.size, math.log(np.finfo(float).tiny)))
+    return q, converged, steps
 
 
 def _lambertw_exp(y: np.ndarray) -> np.ndarray:
@@ -316,26 +371,24 @@ def _kl_tilt_argmin(w: np.ndarray, ball: DistortionBall) -> tuple[np.ndarray, bo
         log_ratio = np.where(p > 0.0, np.log(p) - np.log(w), -math.inf)
     top = float(log_ratio.max())
 
-    def tilt(s: float) -> np.ndarray:
-        lw = _lambertw_exp(s + log_ratio)
-        return _floor_fill(w * np.exp(lw - lw.max()), floor)
+    def tilt(s: np.ndarray, rows=None) -> np.ndarray:
+        lw = _lambertw_exp(s[:, None] + log_ratio)
+        return _floor_fill(w * np.exp(lw - lw.max(axis=1, keepdims=True)), floor)
 
-    def level(x: np.ndarray) -> float:
-        return _kl_arrays(p, x)
-
+    level = _kl_from(p)  # w > 0 on the support of p, so x is too
     lo = -40.0 - top  # c p_i / w_i < e^-40: x equals w to rounding
-    x = tilt(lo)
-    if level(x) <= radius:
-        return x, True, 0
+    x = tilt(np.array([lo]))
+    if level(x)[0] <= radius:
+        return x[0], True, 0
     hi = 1.0 - lo
     for widen in range(1, _BRACKET_CAP + 1):
-        if level(tilt(hi)) <= radius:
+        if level(tilt(np.array([hi])))[0] <= radius:
             break
         lo, hi = hi, 2.0 * hi
     else:
         return p.copy(), False, _BRACKET_CAP
-    x, converged, steps = _bisect_level(tilt, level, radius, lo, hi)
-    return x, converged, widen + steps
+    x, converged, steps = _bisect_level(tilt, level, radius, np.array([lo]), np.array([hi]))
+    return x[0], bool(converged[0]), widen + int(steps[0])
 
 
 def _first_block_argmin(w: np.ndarray, ball: DistortionBall) -> tuple[np.ndarray, bool, int]:
@@ -343,7 +396,7 @@ def _first_block_argmin(w: np.ndarray, ball: DistortionBall) -> tuple[np.ndarray
     if ball.contains(w, slack=0.0):
         return w, True, 0
     if ball.measure is DistortionMeasure.TV_L1:
-        return _tv_block_argmin(w, ball), True, 0
+        return _tv_block_argmin(w[None, :], ball)[0], True, 0
     return _kl_tilt_argmin(w, ball)
 
 
@@ -356,6 +409,33 @@ def channel_from_output(source: Distribution, output: Distribution) -> Channel:
     if source.size != output.size:
         raise ShapeError("source and output must share one alphabet")
     return Channel(np.tile(output.probs, (source.size, 1)))
+
+
+def _ball_reach(q0: np.ndarray, ball: DistortionBall) -> tuple[np.ndarray, np.ndarray,
+                                                               np.ndarray, np.ndarray]:
+    """The reach of every row of the (R, K) array q0: argmins, values,
+    whether each solve converged, and its bisection steps. Rows inside the
+    ball are their own argmin, at value zero."""
+    n = q0.shape[0]
+    if ball.size == 2:
+        lo, hi = ball.interval
+        t = q0[:, 0].tolist()
+        tc = [min(max(a, lo), hi) for a in t]
+        values = np.array([0.0 if b == a else _binary_kl(a, b) for a, b in zip(t, tc)])
+        tc = np.array(tc)
+        return np.column_stack([tc, 1.0 - tc]), values, np.ones(n, dtype=bool), np.zeros(n, dtype=int)
+
+    p = ball.center.probs
+    if ball.measure is DistortionMeasure.TV_L1:
+        distortion = np.abs(q0 - p).sum(axis=1)
+        solved, converged, steps = _tv_block_argmin(q0, ball), np.ones(n, dtype=bool), np.zeros(n, dtype=int)
+    else:
+        distortion = _kl_rows(p, q0)
+        solved, converged, steps = _kl_reach_argmin(q0, ball)
+    inside = (distortion <= ball.radius) & (q0.min(axis=1) >= ball.floor) & (q0.sum(axis=1) == 1.0)
+    # D(q0 || q0) is exactly zero
+    q = np.where(inside[:, None], q0, solved)
+    return q, _kl_rows(q0, q), converged | inside, np.where(inside, 0, steps)
 
 
 def min_divergence_to_ball(qhat, ball: DistortionBall,
@@ -372,24 +452,9 @@ def min_divergence_to_ball(qhat, ball: DistortionBall,
     q0 = qhat.probs if isinstance(qhat, Distribution) else np.asarray(qhat, dtype=float)
     if q0.shape != ball.center.probs.shape:
         raise ShapeError("qhat alphabet does not match the ball center")
-
-    if ball.size == 2:
-        lo, hi = ball.interval
-        t = float(q0[0])
-        tc = min(max(t, lo), hi)
-        value = 0.0 if tc == t else _binary_kl(t, tc)
-        arg = Distribution(np.array([tc, 1.0 - tc]))
-        return BallMinResult(value, arg, True, 0)
-
-    if ball.contains(q0, slack=0.0):
-        return BallMinResult(0.0, Distribution(q0), True, 0)
-
-    if ball.measure is DistortionMeasure.TV_L1:
-        q, converged, iters = _tv_block_argmin(q0, ball), True, 0
-    else:
-        q, converged, iters = _kl_reach_argmin(q0, ball)
-    return BallMinResult(_kl_arrays(q0, q), _floored_distribution(q, ball.floor),
-                         converged, iters)
+    q, value, converged, steps = _ball_reach(q0[None, :], ball)
+    return BallMinResult(float(value[0]), _floored_distribution(q[0], ball.floor),
+                         bool(converged[0]), int(steps[0]))
 
 
 def _floored_distribution(q: np.ndarray, floor: float) -> Distribution:
@@ -429,7 +494,9 @@ def pairwise_min_divergence(ball_first: DistortionBall, ball_second: DistortionB
     block is solved exactly: the q1 step is an I-projection of q2 onto the
     first ball, the q2 step the reach of q1 into the second. `iterations`
     counts alternation steps plus the blocks' bisection steps; `converged`
-    is False when the alternation or any block hit its cap.
+    is False when the alternation or any block hit its cap. The rounds stop
+    on their running minimum, whose value (never below zero) and argmins are
+    returned.
     """
     opts = options or _DEFAULT_OPTIONS
     if ball_first.size != ball_second.size:
@@ -458,7 +525,7 @@ def pairwise_min_divergence(ball_first: DistortionBall, ball_second: DistortionB
 
     q1 = ball_first.center.probs
     q2 = ball_second.center.probs
-    best = _kl_arrays(q1, q2)
+    best, best_pair = _kl_arrays(q1, q2), (q1, q2)
     quiet = 0
     converged = False
     blocks_converged = True
@@ -471,12 +538,14 @@ def pairwise_min_divergence(ball_first: DistortionBall, ball_second: DistortionB
         blocks_converged &= first_ok and inner.converged
         value = inner.value
         rel = (best - value) / max(abs(best), 1e-300)
-        best = value
+        # the running minimum: rounding can leave the rounds cycling near zero
+        if value <= best:
+            best, best_pair = value, (q1, q2)
         quiet = quiet + 1 if rel < opts.tolerance else 0
         if quiet >= opts.patience:
             converged = True
             break
-    return PairMinResult(best, Distribution(q1), Distribution(q2),
+    return PairMinResult(max(best, 0.0), Distribution(best_pair[0]), Distribution(best_pair[1]),
                          converged and blocks_converged, total_iters)
 
 

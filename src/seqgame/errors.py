@@ -26,7 +26,9 @@ class InfeasibleError(SeqGameError):
 
 
 class ResourceError(SeqGameError):
-    """A brute-force enumeration would exceed the configured size limit."""
+    """A capped loop ran out of steps (a solver's bracket, bisection or
+    alternation, or a series certificate), or an oracle's enumeration would
+    exceed its size limit."""
 
 
 class DegenerateGameError(SeqGameError):

@@ -195,6 +195,15 @@ def _kl_arrays(p: np.ndarray, q: np.ndarray) -> float:
     return float(np.dot(ps, np.log(ps) - np.log(q[support])))
 
 
+def _kl_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """D(p_r || q_r) along the last axis of two broadcastable arrays of
+    nonnegative entries, with the 0*log(0) = 0 convention; +inf where q_r
+    misses the support of p_r, as `_kl_arrays` gives."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(p > 0.0, np.log(p) - np.log(q), 0.0)
+    return np.vecdot(p, terms)
+
+
 def kl_divergence(p, q) -> float:
     """D(p || q) in nats; +inf when q misses part of p's support."""
     parr = p.probs if isinstance(p, Distribution) else _as_float_array(p, "p")

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 from typing import Iterable
 
 import numpy as np
@@ -19,15 +20,16 @@ from scipy.special import gammaincc, gammaln
 
 from .divopt import (
     SolverOptions,
+    _ball_reach,
     _converged_value,
     min_divergence_over_common_channels,
-    min_divergence_to_ball,
     min_max_divergence_over_channel,
 )
 from .equilibrium import GameSpec
 from .errors import (
     ConstructionError,
     DomainError,
+    EmptySequenceError,
     ResourceError,
     ShapeError,
     StateError,
@@ -212,17 +214,29 @@ def evidence_statistics(counts: np.ndarray, spec: GameSpec,
 
     statistic[i] = min over j != i of the divergence from the empirical
     distribution of `counts` to ball j. Zero whenever the empirical law is
-    inside some rival ball.
+    inside some rival ball. `counts` is one count vector, or an (R, K)
+    array with one count vector per row, which gives an (R, M) array; each
+    row equals the call on that row alone, bit for bit.
     """
-    qhat = empirical_distribution(counts)
-    dists = np.array(
-        [min_divergence_to_ball(qhat, ball, options).value for ball in spec.balls]
-    )
-    order = np.argsort(dists, kind="stable")
-    smallest, second = dists[order[0]], dists[order[1]]
-    out = np.full(spec.num_hypotheses, smallest)
-    out[order[0]] = second
-    return out
+    arr = np.asarray(counts)
+    if arr.ndim not in (1, 2) or arr.shape[-1] != spec.alphabet_size:
+        raise ShapeError(f"counts must be K or R x K with K = {spec.alphabet_size}, "
+                         f"got shape {arr.shape}")
+    rows = np.atleast_2d(arr)
+    if np.any(rows < 0) or not np.allclose(rows, np.round(rows)):
+        raise ConstructionError("counts must be nonnegative integers")
+    totals = rows.sum(axis=1, keepdims=True)
+    if np.any(totals == 0):
+        raise EmptySequenceError("cannot form an empirical distribution from zero samples")
+    # as empirical_distribution does: divide by the total, then by the sum
+    qhat = rows / totals.astype(float)
+    qhat = qhat / qhat.sum(axis=1, keepdims=True)
+    dists = np.column_stack([_ball_reach(qhat, ball)[1] for ball in spec.balls])
+    order = np.argsort(dists, axis=1, kind="stable")
+    index = np.arange(rows.shape[0])
+    out = np.repeat(dists[index, order[:, 0]][:, None], spec.num_hypotheses, axis=1)
+    out[index, order[:, 0]] = dists[index, order[:, 1]]
+    return out if arr.ndim == 2 else out[0]
 
 
 def _check_symbol(symbol: int, alphabet_size: int) -> int:
@@ -230,6 +244,47 @@ def _check_symbol(symbol: int, alphabet_size: int) -> int:
     if not 0 <= sym < alphabet_size:
         raise DomainError(f"symbol {symbol} outside alphabet of size {alphabet_size}")
     return sym
+
+
+def _symbol_codes(symbols: list, alphabet_size: int) -> tuple[np.ndarray, DomainError | None]:
+    """The symbols before the first one outside the alphabet, as codes, and
+    the error that symbol raises; None when every symbol is valid."""
+    try:
+        codes = np.asarray(symbols)
+    except (TypeError, ValueError, OverflowError):  # ragged, or beyond int64
+        codes = None
+    if codes is None or codes.dtype.kind not in "iu":  # not plain integers: one at a time
+        out = []
+        for symbol in symbols:
+            try:
+                out.append(_check_symbol(symbol, alphabet_size))
+            except DomainError as exc:
+                return np.array(out, dtype=np.int64), exc
+            except (TypeError, ValueError, OverflowError):
+                return np.array(out, dtype=np.int64), DomainError(f"symbol {symbol!r} is not an integer")
+        return np.array(out, dtype=np.int64), None
+    bad = (codes < 0) | (codes >= alphabet_size)
+    if not bad.any():
+        return codes.astype(np.int64, copy=False), None
+    i = int(bad.argmax())
+    return (codes[:i].astype(np.int64),
+            DomainError(f"symbol {symbols[i]} outside alphabet of size {alphabet_size}"))
+
+
+def _evaluate(counts: np.ndarray, steps: list[int], schedule: ThresholdSchedule,
+              spec: GameSpec, options: SolverOptions | None
+              ) -> tuple[np.ndarray, list[float], tuple[int, int] | None]:
+    """Statistics and thresholds at the given steps, one row of counts per
+    step, and the first (row, decision) at which a statistic clears its
+    threshold; the smallest index decides among several."""
+    z = evidence_statistics(counts, spec, options)
+    gammas = [schedule.value(n) for n in steps]
+    hits = z >= np.array(gammas)[:, None]
+    stops = hits.any(axis=1)
+    if not stops.any():
+        return z, gammas, None
+    row = int(stops.argmax())
+    return z, gammas, (row, int(hits[row].argmax()))
 
 
 def step_aware(state: AwareTestState, symbol: int, schedule: ThresholdSchedule,
@@ -244,14 +299,18 @@ def step_aware(state: AwareTestState, symbol: int, schedule: ThresholdSchedule,
     sym = _check_symbol(symbol, spec.alphabet_size)
     state.counts[sym] += 1
     state.num_samples += 1
-    z = evidence_statistics(state.counts, spec, options)
-    state.statistics = z
-    hits = np.flatnonzero(z >= schedule.value(state.num_samples))
-    if hits.size == 0:
+    z, _, stop = _evaluate(state.counts[None, :], [state.num_samples], schedule, spec, options)
+    state.statistics = z[0]
+    if stop is None:
         return None
-    decision = int(hits[0])
-    state.stopped = (state.num_samples, decision)
-    return decision
+    state.stopped = (state.num_samples, stop[1])
+    return stop[1]
+
+
+# Evaluated steps in the first chunk run_aware reads; each chunk doubles it.
+_CHUNK_STEPS = 16
+# Most symbols one chunk reads.
+_CHUNK_SYMBOLS = 4096
 
 
 def run_aware(stream: Iterable[int], schedule: ThresholdSchedule, spec: GameSpec,
@@ -263,37 +322,55 @@ def run_aware(stream: Iterable[int], schedule: ThresholdSchedule, spec: GameSpec
     cap), trading at most stride-1 extra samples for speed. Reaching the cap
     yields a timed-out outcome; an exhausted stream is an error because no
     decision of any kind was reached.
+
+    The stream is read in chunks that end on evaluated steps: 16 of them
+    at first, twice as many in each next chunk, and at most 4,096 symbols;
+    one `evidence_statistics` call covers a chunk. Outcomes, errors and
+    trajectories are those of feeding the symbols one at a time, but the
+    stream is read up to the end of the chunk in which the test stops.
     """
     if cap < 1:
         raise DomainError(f"cap must be >= 1, got {cap}")
     if stride < 1:
         raise DomainError(f"stride must be >= 1, got {stride}")
-    state = AwareTestState.fresh(spec.alphabet_size)
+    size = spec.alphabet_size
+    counts = np.zeros(size, dtype=np.int64)
+    one_hot = np.eye(size, dtype=np.int64)
     rows: list[TrajectoryRow] = []
     it = iter(stream)
-    while state.num_samples < cap:
-        try:
-            symbol = next(it)
-        except StopIteration:
-            raise StreamExhaustedError(
-                f"stream ended after {state.num_samples} symbols with no decision"
-            ) from None
-        sym = _check_symbol(symbol, spec.alphabet_size)
-        state.counts[sym] += 1
-        state.num_samples += 1
-        n = state.num_samples
-        if n % stride and n < cap:
-            continue
-        z = evidence_statistics(state.counts, spec, options)
-        state.statistics = z
-        gamma = schedule.value(n)
-        hits = np.flatnonzero(z >= gamma)
-        decision = int(hits[0]) if hits.size else None
-        if record_trajectory:
-            rows.append(TrajectoryRow(n, gamma, tuple(z), decision is not None, decision))
-        if decision is not None:
-            state.stopped = (n, decision)
-            return TestOutcome(n, decision, False, tuple(rows) if record_trajectory else None)
+    n = 0
+    evaluations = _CHUNK_STEPS
+    while n < cap:
+        end = min((n // stride + evaluations) * stride, cap)
+        if end - n > _CHUNK_SYMBOLS:  # the last evaluated step that fits, if any
+            last_step = (n + _CHUNK_SYMBOLS) // stride * stride
+            end = last_step if last_step > n else n + _CHUNK_SYMBOLS
+        symbols = list(islice(it, end - n))
+        codes, error = _symbol_codes(symbols, size)
+        if error is None and len(symbols) < end - n:
+            error = StreamExhaustedError(
+                f"stream ended after {n + len(symbols)} symbols with no decision")
+        read = n + codes.size
+        steps = list(range((n // stride + 1) * stride, read + 1, stride))
+        if read == cap and cap % stride:
+            steps.append(cap)
+        if steps:
+            tallies = counts + one_hot[codes].cumsum(axis=0)[np.array(steps) - n - 1]
+            z, gammas, stop = _evaluate(tallies, steps, schedule, spec, options)
+            last = len(steps) if stop is None else stop[0] + 1
+            if record_trajectory:
+                for r in range(last):
+                    decision = stop[1] if stop is not None and r == stop[0] else None
+                    rows.append(TrajectoryRow(steps[r], gammas[r], tuple(z[r]),
+                                              decision is not None, decision))
+            if stop is not None:
+                return TestOutcome(steps[stop[0]], stop[1], False,
+                                   tuple(rows) if record_trajectory else None)
+        if error is not None:
+            raise error
+        counts += np.bincount(codes, minlength=size)
+        n = read
+        evaluations *= 2
     return TestOutcome(cap, None, True, tuple(rows) if record_trajectory else None)
 
 

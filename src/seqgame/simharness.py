@@ -164,26 +164,45 @@ class ScenarioConfig:
 
 
 def sample_through_channel(source: Distribution, channel: Channel,
-                           rng: np.random.Generator) -> int:
+                           rng: np.random.Generator, size: int | None = None) -> int | np.ndarray:
     """Draw one input symbol from `source`, then the output through the
-    channel row it selects. Consumes exactly two uniforms."""
+    channel row it selects. Consumes exactly two uniforms per symbol.
+
+    With `size`, draws that many symbols as an integer array from the same
+    uniforms in the same order as `size` single draws, and gives the same
+    symbols.
+    """
     if source.size != channel.num_inputs:
         raise ShapeError("source alphabet does not match the channel input")
-    u0, u1 = rng.random(2).tolist()
-    x = min(bisect_right(source.cumulative, u0), source.size - 1)
-    return min(bisect_right(channel.cumulative_rows[x], u1), channel.num_outputs - 1)
+    if size is None:
+        u0, u1 = rng.random(2).tolist()
+        x = min(bisect_right(source.cumulative, u0), source.size - 1)
+        return min(bisect_right(channel.cumulative_rows[x], u1), channel.num_outputs - 1)
+    u = rng.random((size, 2))
+    x = np.minimum(np.searchsorted(source.cumulative, u[:, 0], side="right"), source.size - 1)
+    y = np.empty(size, dtype=np.int64)
+    for a, cumulative in enumerate(channel.cumulative_rows):
+        sel = x == a
+        y[sel] = np.searchsorted(cumulative, u[sel, 1], side="right")
+    return np.minimum(y, channel.num_outputs - 1)
 
 
 def _channel_stream(source: Distribution, channel: Channel,
                     rng: np.random.Generator) -> Iterator[int]:
+    """Symbols through the channel, drawn in blocks of 256 that double up
+    to _BLOCK."""
+    size = 256
     while True:
-        yield sample_through_channel(source, channel, rng)
+        yield from sample_through_channel(source, channel, rng, size).tolist()
+        size = min(2 * size, _BLOCK)
 
 
 def _clamp_divergence(t: np.ndarray, lo: float, hi: float) -> np.ndarray:
     """Divergence from Bernoulli(t) to its clamp onto [lo, hi], elementwise."""
     tc = np.clip(t, lo, hi)
-    val = xlogy(t, t / tc) + xlogy(1.0 - t, (1.0 - t) / (1.0 - tc))
+    # where the clamp is exact, a zero end gives 0/0; np.where drops it
+    with np.errstate(divide="ignore", invalid="ignore"):
+        val = xlogy(t, t / tc) + xlogy(1.0 - t, (1.0 - t) / (1.0 - tc))
     return np.where(tc == t, 0.0, val)
 
 

@@ -1,21 +1,32 @@
 """Brute-force oracles for the tests: lattice searches over balls and
-binary channels, and a pattern descent on the simplex.
+binary channels, a pattern descent on the simplex, and the aware test fed
+one symbol at a time.
 
-They are independent of the solvers in `seqgame.divopt` and exist only to
-check them.
+They are independent of the solvers in `seqgame.divopt` and of the chunked
+loop of `seqgame.seqtest.run_aware`, and exist only to check them.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from typing import Iterable
 
 import numpy as np
 from scipy.special import xlogy
 
-from seqgame.divopt import DistortionBall
-from seqgame.errors import DomainError, InfeasibleError, ResourceError
+from seqgame.divopt import DistortionBall, SolverOptions
+from seqgame.equilibrium import GameSpec
+from seqgame.errors import DomainError, InfeasibleError, ResourceError, StreamExhaustedError
 from seqgame.prob import Channel, Distribution, DistortionMeasure
+from seqgame.seqtest import (
+    AwareTestState,
+    TestOutcome,
+    ThresholdSchedule,
+    TrajectoryRow,
+    _check_symbol,
+    evidence_statistics,
+)
 
 
 @functools.lru_cache(maxsize=None)
@@ -134,3 +145,41 @@ def refine_simplex_min(objective, start, initial_step: float = 0.1,
                 improved = False
         h *= 0.5
     return best, x
+
+
+def run_aware_stepwise(stream: Iterable[int], schedule: ThresholdSchedule, spec: GameSpec,
+                       options: SolverOptions | None = None, cap: int = 1_000_000,
+                       stride: int = 1, record_trajectory: bool = False) -> TestOutcome:
+    """The universal test fed one symbol at a time, one evidence call per
+    evaluated step: the loop `run_aware` ran before it read chunks."""
+    if cap < 1:
+        raise DomainError(f"cap must be >= 1, got {cap}")
+    if stride < 1:
+        raise DomainError(f"stride must be >= 1, got {stride}")
+    state = AwareTestState.fresh(spec.alphabet_size)
+    rows: list[TrajectoryRow] = []
+    it = iter(stream)
+    while state.num_samples < cap:
+        try:
+            symbol = next(it)
+        except StopIteration:
+            raise StreamExhaustedError(
+                f"stream ended after {state.num_samples} symbols with no decision"
+            ) from None
+        sym = _check_symbol(symbol, spec.alphabet_size)
+        state.counts[sym] += 1
+        state.num_samples += 1
+        n = state.num_samples
+        if n % stride and n < cap:
+            continue
+        z = evidence_statistics(state.counts, spec, options)
+        state.statistics = z
+        gamma = schedule.value(n)
+        hits = np.flatnonzero(z >= gamma)
+        decision = int(hits[0]) if hits.size else None
+        if record_trajectory:
+            rows.append(TrajectoryRow(n, gamma, tuple(z), decision is not None, decision))
+        if decision is not None:
+            state.stopped = (n, decision)
+            return TestOutcome(n, decision, False, tuple(rows) if record_trajectory else None)
+    return TestOutcome(cap, None, True, tuple(rows) if record_trajectory else None)

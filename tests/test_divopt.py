@@ -210,6 +210,22 @@ class TestPairwiseMinDivergence:
         assert res.converged
 
 
+    @pytest.mark.parametrize("draw", [67, 130])
+    def test_overlapping_balls_stop_on_running_minimum(self, draw):
+        """Two of 200 random overlapping TV pairs once cycled at rounding
+        level, around zero, until the round cap."""
+        rng = np.random.default_rng(7)
+        for _ in range(draw + 1):
+            k = int(rng.integers(3, 7))
+            first, second = rng.uniform(0.2, 1, k), rng.uniform(0.2, 1, k)
+            radius = rng.uniform(0.002, 0.3)
+        balls = [DistortionBall(Distribution(c / c.sum()), radius, DistortionMeasure.TV_L1)
+                 for c in (first, second)]
+        got = pairwise_min_divergence(*balls)
+        assert got.converged
+        assert got.value == 0.0
+
+
 class TestChannelMinMax:
     def test_zero_budget_reduces_to_plain_divergence(self):
         q = Distribution([0.3, 0.7])

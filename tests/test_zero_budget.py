@@ -91,3 +91,17 @@ def test_zero_floor_binary_exits_cleanly(command, tmp_path):
                  "--out", str(tmp_path / "out.csv")], cwd=tmp_path)
     assert done.returncode in (0, 3), done.stderr
     assert "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_zero_floor_binary_runs_without_warnings(command, tmp_path):
+    """The binary engine on a zero-floor game, where a clamp onto an end of
+    the interval at 0 or 1 divides 0 by 0 before np.where drops it."""
+    cfg = tmp_path / "game.cfg"
+    cfg.write_text("hypothesis_0 = 0.0, 1.0\nhypothesis_1 = 0.5, 0.5\ndelta = 0.0\n"
+                   "measure = tv_l1\nsupport_floor = 0.0\n"
+                   "alpha_grid = 0.05\nreplications = 3\nseed = 0\n")
+    done = _run(["-m", "seqgame.cli", command, "--config", str(cfg),
+                 "--out", str(tmp_path / "out.csv")], cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert "RuntimeWarning" not in done.stderr
