@@ -325,8 +325,8 @@ def _kl_reach_argmin(w: np.ndarray, ball: DistortionBall) -> tuple[np.ndarray, n
     level = _kl_from(p)
 
     def mixture(s: np.ndarray, v: np.ndarray) -> np.ndarray:
-        u = np.exp(s)[:, None]
-        return _floor_fill(u * v + (1.0 - u) * p, floor)
+        # expm1 keeps the weight on p to full relative precision when s is near 0
+        return _floor_fill(np.exp(s)[:, None] * v - np.expm1(s)[:, None] * p, floor)
 
     with np.errstate(divide="ignore"):  # q = 0 on the support of p: D = inf
         q = mixture(np.zeros(n), w)  # w itself, floored
@@ -628,6 +628,96 @@ class _CommonChannelSet:
         return Channel(np.array([[u, 1.0 - u], [v, 1.0 - v]]))
 
 
+class _ChannelGame:
+    """The binary common-channel game of (p0, p1, delta, measure, floor).
+
+    The channel set comes in two orderings of the two laws: `_region(b)`
+    puts p_b first, so its range of x is what the channels make of p_b.
+    Each ordering is built once, on first use. Every solve takes the
+    target t = qhat[0].
+    """
+
+    def __init__(self, p0: Distribution, p1: Distribution, delta: float,
+                 measure: DistortionMeasure, floor: float = 1e-9) -> None:
+        pa, pb = p0.probs, p1.probs
+        if pa.shape != pb.shape:
+            raise ShapeError("qhat, p0, p1 must share one alphabet")
+        if pa.size != 2:
+            raise ShapeError("the common-channel min-max applies to binary alphabets only")
+        if not delta >= 0.0:  # also rejects NaN
+            raise DomainError("delta must be nonnegative")
+        if np.any(pa <= 0.0) or np.any(pb <= 0.0):
+            raise DomainError("both hypothesis laws must have full support")
+        self._laws = [(float(p.probs[0]), DistortionBall(p, delta, measure, floor).interval)
+                      for p in (p0, p1)]
+        self._regions: list[_CommonChannelSet | None] = [None, None]
+
+    def _region(self, first: int) -> _CommonChannelSet:
+        if self._regions[first] is None:
+            (w, own), (v, rival) = self._laws[first], self._laws[1 - first]
+            self._regions[first] = _CommonChannelSet(w, v - w, own, rival)
+        return self._regions[first]
+
+    def _clamp(self, t: float, target: int) -> float:
+        region = self._region(target)
+        return min(max(t, region.x_lo), region.x_hi)
+
+    def _objective(self, t: float):
+        """The min-max objective h(x) = max(D(t || x), min over feasible y
+        of D(t || y))."""
+        best_y = self._region(0).best_y
+
+        def h(x: float) -> float:
+            _, y = best_y(x, t)
+            return max(_binary_kl(t, x), _binary_kl(t, y))
+
+        return h
+
+    def reach(self, t: float, target: int) -> float:
+        """min over feasible channels of D(t || (p_target A)[0]): one
+        branch, a clamp of t onto the output range of p_target."""
+        return _binary_kl(t, self._clamp(t, target))
+
+    def upper(self, t: float) -> float:
+        """The min-max objective at the clamp of t for p0, a feasible
+        channel; by weak duality at least the min-max value, which is at
+        least each `reach`."""
+        return self._objective(t)(self._clamp(t, 0))
+
+    def single(self, t: float, target: int) -> ChannelMinMaxResult:
+        """`reach` with the channel that attains it."""
+        region = self._region(target)
+        x = self._clamp(t, target)
+        s, _ = region.best_y(x, t)
+        return ChannelMinMaxResult(_binary_kl(t, x), region.channel(x, s), True, 0)
+
+    def minmax(self, t: float) -> ChannelMinMaxResult:
+        """min over feasible channels of the larger branch divergence: a
+        golden-section search on the convex objective h; `iterations` counts
+        its steps, and `converged` is False when it hit the cap."""
+        region, h = self._region(0), self._objective(t)
+        # golden section: the bracket [lo, hi] keeps the minimizer of convex h
+        lo, hi = region.x_lo, region.x_hi
+        mid_lo, mid_hi = hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo)
+        h_lo, h_hi = h(mid_lo), h(mid_hi)
+        converged, steps, width = False, 0, 4.0 * np.finfo(float).eps
+        for steps in range(1, _BISECTION_CAP + 1):
+            if hi - lo <= width:
+                converged = True
+                break
+            if h_lo <= h_hi:
+                hi, mid_hi, h_hi = mid_hi, mid_lo, h_lo
+                mid_lo = hi - _GOLDEN * (hi - lo)
+                h_lo = h(mid_lo)
+            else:
+                lo, mid_lo, h_lo = mid_lo, mid_hi, h_hi
+                mid_hi = lo + _GOLDEN * (hi - lo)
+                h_hi = h(mid_hi)
+        value, x = min((h_lo, mid_lo), (h_hi, mid_hi))
+        s, _ = region.best_y(x, t)
+        return ChannelMinMaxResult(value, region.channel(x, s), converged, steps)
+
+
 def min_max_divergence_over_channel(qhat, p0: Distribution, p1: Distribution, delta: float,
                                     measure: DistortionMeasure,
                                     options: SolverOptions | None = None,
@@ -648,58 +738,14 @@ def min_max_divergence_over_channel(qhat, p0: Distribution, p1: Distribution, de
     accepted for a uniform signature. Larger alphabets raise ShapeError.
     """
     q = qhat.probs if isinstance(qhat, Distribution) else np.asarray(qhat, dtype=float)
-    pa, pb = p0.probs, p1.probs
-    if q.shape != pa.shape or pa.shape != pb.shape:
+    if q.shape != p0.probs.shape:
         raise ShapeError("qhat, p0, p1 must share one alphabet")
-    if pa.size != 2:
-        raise ShapeError("the common-channel min-max applies to binary alphabets only")
-    if not delta >= 0.0:  # also rejects NaN
-        raise DomainError("delta must be nonnegative")
-    if np.any(pa <= 0.0) or np.any(pb <= 0.0):
-        raise DomainError("both hypothesis laws must have full support")
+    game = _ChannelGame(p0, p1, delta, measure, floor)
     if not branches or any(b not in (0, 1) for b in branches):
         raise DomainError("branches must be a nonempty subset of (0, 1)")
-    laws = (p0, p1)
-    if set(branches) == {1}:
-        laws = (p1, p0)  # the channel set is symmetric in the two laws
-    first, second = (DistortionBall(p, delta, measure, floor) for p in laws)
-    w = float(first.center.probs[0])
-    region = _CommonChannelSet(w, float(second.center.probs[0]) - w,
-                               first.interval, second.interval)
-    target = float(q[0])
-
-    def divergence(t: float) -> float:
-        return _binary_kl(target, t)
-
     if len(set(branches)) == 1:
-        x = min(max(target, region.x_lo), region.x_hi)
-        s, _ = region.best_y(x, target)
-        return ChannelMinMaxResult(divergence(x), region.channel(x, s), True, 0)
-
-    def h(x: float) -> float:
-        _, y = region.best_y(x, target)
-        return max(divergence(x), divergence(y))
-
-    # golden section: the bracket [lo, hi] keeps the minimizer of convex h
-    lo, hi = region.x_lo, region.x_hi
-    mid_lo, mid_hi = hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo)
-    h_lo, h_hi = h(mid_lo), h(mid_hi)
-    converged, steps, width = False, 0, 4.0 * np.finfo(float).eps
-    for steps in range(1, _BISECTION_CAP + 1):
-        if hi - lo <= width:
-            converged = True
-            break
-        if h_lo <= h_hi:
-            hi, mid_hi, h_hi = mid_hi, mid_lo, h_lo
-            mid_lo = hi - _GOLDEN * (hi - lo)
-            h_lo = h(mid_lo)
-        else:
-            lo, mid_lo, h_lo = mid_lo, mid_hi, h_hi
-            mid_hi = lo + _GOLDEN * (hi - lo)
-            h_hi = h(mid_hi)
-    value, x = min((h_lo, mid_lo), (h_hi, mid_hi))
-    s, _ = region.best_y(x, target)
-    return ChannelMinMaxResult(value, region.channel(x, s), converged, steps)
+        return game.single(float(q[0]), branches[0])
+    return game.minmax(float(q[0]))
 
 
 def min_divergence_over_common_channels(qhat, target: int, p0: Distribution, p1: Distribution,

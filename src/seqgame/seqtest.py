@@ -18,19 +18,14 @@ from typing import Iterable
 import numpy as np
 from scipy.special import gammaincc, gammaln
 
-from .divopt import (
-    SolverOptions,
-    _ball_reach,
-    _converged_value,
-    min_divergence_over_common_channels,
-    min_max_divergence_over_channel,
-)
+from .divopt import SolverOptions, _ball_reach, _ChannelGame, _converged_value
 from .equilibrium import GameSpec
 from .errors import (
     ConstructionError,
     DomainError,
     EmptySequenceError,
     ResourceError,
+    SeqGameError,
     ShapeError,
     StateError,
     StreamExhaustedError,
@@ -271,6 +266,19 @@ def _symbol_codes(symbols: list, alphabet_size: int) -> tuple[np.ndarray, Domain
             DomainError(f"symbol {symbols[i]} outside alphabet of size {alphabet_size}"))
 
 
+def _read(it, count: int, read: int, size: int) -> tuple[np.ndarray, SeqGameError | None]:
+    """The next `count` symbols of the iterator as codes, `read` symbols
+    into the stream, and the error that ends the run before the last of
+    them: an invalid symbol (the codes stop before it) or the end of the
+    stream; None when all `count` are valid."""
+    symbols = list(islice(it, count))
+    codes, error = _symbol_codes(symbols, size)
+    if error is None and len(symbols) < count:
+        error = StreamExhaustedError(
+            f"stream ended after {read + len(symbols)} symbols with no decision")
+    return codes, error
+
+
 def _evaluate(counts: np.ndarray, steps: list[int], schedule: ThresholdSchedule,
               spec: GameSpec, options: SolverOptions | None
               ) -> tuple[np.ndarray, list[float], tuple[int, int] | None]:
@@ -345,11 +353,7 @@ def run_aware(stream: Iterable[int], schedule: ThresholdSchedule, spec: GameSpec
         if end - n > _CHUNK_SYMBOLS:  # the last evaluated step that fits, if any
             last_step = (n + _CHUNK_SYMBOLS) // stride * stride
             end = last_step if last_step > n else n + _CHUNK_SYMBOLS
-        symbols = list(islice(it, end - n))
-        codes, error = _symbol_codes(symbols, size)
-        if error is None and len(symbols) < end - n:
-            error = StreamExhaustedError(
-                f"stream ended after {n + len(symbols)} symbols with no decision")
+        codes, error = _read(it, end - n, n, size)
         read = n + codes.size
         steps = list(range((n // stride + 1) * stride, read + 1, stride))
         if read == cap and cap % stride:
@@ -398,25 +402,50 @@ class NonAwareTestState:
         return cls(np.zeros(2, dtype=np.int64))
 
 
-def _nonaware_decide(branch: np.ndarray, gamma: float) -> int:
+def _nonaware_decide(branch, gamma: float) -> int:
     """Branch whose evidence clears gamma; conflicts fall back to the larger
     statistic and then the smaller index."""
-    hold = branch >= gamma
+    hold = (branch[0] >= gamma, branch[1] >= gamma)
     if hold[0] != hold[1]:
         return 0 if hold[0] else 1
     return 0 if branch[0] >= branch[1] else 1
 
 
-def _branch_statistics(qhat: Distribution, p0: Distribution, p1: Distribution, delta: float,
-                       measure: DistortionMeasure,
-                       options: SolverOptions | None) -> np.ndarray:
-    """Evidence for each hypothesis: the divergence from qhat to everything
-    a common channel can make of the rival law."""
-    return np.array([
-        _converged_value(min_divergence_over_common_channels(
-            qhat, 1 - b, p0, p1, delta, measure, options))
-        for b in (0, 1)
-    ])
+def _evidence(game: _ChannelGame, t: float) -> tuple[float, float]:
+    """Evidence for each hypothesis: the divergence from qhat = (t, 1 - t)
+    to everything a common channel can make of the rival law."""
+    return game.reach(t, 1), game.reach(t, 0)
+
+
+def _first_share(zeros: int, ones: int) -> float:
+    """qhat[0] of the counts as `empirical_distribution` forms it: each
+    count over the total, then divided by their sum."""
+    total = zeros + ones
+    a, b = zeros / total, ones / total
+    return a / (a + b)
+
+
+# Relative margin by which a duality bound must clear the threshold to
+# decide a step of the common-channel test without the min-max search. It
+# covers the rounding of the bounds and of the search's value, which near
+# an output at the support floor reaches about 1e-8 relative.
+_BOUND_MARGIN = 1e-6
+
+
+def _minmax_clears(game: _ChannelGame, t: float, gamma: float,
+                   evidence: tuple[float, float]) -> bool:
+    """Whether the channel min-max statistic at t reaches gamma.
+
+    By weak duality the larger evidence bounds the statistic from below and
+    `game.upper` from above; the golden-section search runs only when
+    neither bound clears gamma by the margin, and raises ResourceError if
+    it hit its cap.
+    """
+    if max(evidence) >= gamma * (1.0 + _BOUND_MARGIN):
+        return True
+    if game.upper(t) < gamma * (1.0 - _BOUND_MARGIN):
+        return False
+    return _converged_value(game.minmax(t)) >= gamma
 
 
 def step_nonaware(state: NonAwareTestState, symbol: int, schedule: ThresholdSchedule,
@@ -426,26 +455,27 @@ def step_nonaware(state: NonAwareTestState, symbol: int, schedule: ThresholdSche
     """One step of the binary common-channel test.
 
     Stops when the channel min-max statistic clears the threshold; the
-    decision then comes from the per-branch statistics. A channel solve that
-    hit its iteration cap raises ResourceError rather than decide.
+    decision then comes from the per-branch statistics. The statistic is
+    always solved in full, since the state reports it, so a channel solve
+    that hit its iteration cap raises ResourceError rather than decide.
     """
     if state.stopped is not None:
         raise StateError(f"test already stopped at {state.stopped}")
     if schedule.num_hypotheses != 2:
         raise DomainError("the common-channel test is defined for two hypotheses")
+    game = _ChannelGame(p0, p1, delta, measure)
     sym = _check_symbol(symbol, 2)
     state.counts[sym] += 1
     state.num_samples += 1
-    qhat = empirical_distribution(state.counts)
-    s_stat = _converged_value(
-        min_max_divergence_over_channel(qhat, p0, p1, delta, measure, options))
+    t = float(empirical_distribution(state.counts).probs[0])
+    s_stat = _converged_value(game.minmax(t))
     state.minmax_statistic = s_stat
     gamma = schedule.value(state.num_samples)
     if s_stat < gamma:
         return None
-    branch = _branch_statistics(qhat, p0, p1, delta, measure, options)
-    state.branch_statistics = branch
-    decision = _nonaware_decide(branch, gamma)
+    evidence = _evidence(game, t)
+    state.branch_statistics = np.array(evidence)
+    decision = _nonaware_decide(evidence, gamma)
     state.stopped = (state.num_samples, decision)
     return decision
 
@@ -457,9 +487,16 @@ def run_nonaware(stream: Iterable[int], schedule: ThresholdSchedule,
                  record_trajectory: bool = False) -> TestOutcome:
     """Run the common-channel test; semantics mirror run_aware.
 
-    Trajectory rows carry the two branch statistics, which cost two extra
-    channel solves per evaluated step when recording is on. A channel solve
-    that hit its iteration cap raises ResourceError rather than decide.
+    The channel game is built once per run. The stream is read a stride
+    at a time (at most 4,096 symbols per read), exactly up to the next
+    evaluated step, so the run reads no symbol past its stop; as in
+    run_aware, an invalid symbol raises DomainError once the rest of its
+    read has been consumed. At each evaluated step the larger branch
+    statistic bounds the min-max statistic from below, and its objective
+    at one feasible channel from above; the min-max search runs only when
+    neither bound decides, and a search that hit its iteration cap raises
+    ResourceError rather than decide. Trajectory rows carry the two branch
+    statistics.
     """
     if schedule.num_hypotheses != 2:
         raise DomainError("the common-channel test is defined for two hypotheses")
@@ -467,39 +504,29 @@ def run_nonaware(stream: Iterable[int], schedule: ThresholdSchedule,
         raise DomainError(f"cap must be >= 1, got {cap}")
     if stride < 1:
         raise DomainError(f"stride must be >= 1, got {stride}")
-    state = NonAwareTestState.fresh()
+    game = _ChannelGame(p0, p1, delta, measure)
     rows: list[TrajectoryRow] = []
     it = iter(stream)
-
-    while state.num_samples < cap:
-        try:
-            symbol = next(it)
-        except StopIteration:
-            raise StreamExhaustedError(
-                f"stream ended after {state.num_samples} symbols with no decision"
-            ) from None
-        sym = _check_symbol(symbol, 2)
-        state.counts[sym] += 1
-        state.num_samples += 1
-        n = state.num_samples
+    n = ones = 0
+    while n < cap:
+        # up to the next evaluated step, at most _CHUNK_SYMBOLS at a time
+        end = min((n // stride + 1) * stride, cap, n + _CHUNK_SYMBOLS)
+        codes, error = _read(it, end - n, n, 2)
+        if error is not None:
+            raise error
+        n, ones = end, ones + int(codes.sum())
         if n % stride and n < cap:
             continue
-        qhat = empirical_distribution(state.counts)
-        s_stat = _converged_value(
-            min_max_divergence_over_channel(qhat, p0, p1, delta, measure, options))
-        state.minmax_statistic = s_stat
+        t = _first_share(n - ones, ones)
         gamma = schedule.value(n)
-        if s_stat >= gamma:
-            branch = _branch_statistics(qhat, p0, p1, delta, measure, options)
-            state.branch_statistics = branch
-            decision = _nonaware_decide(branch, gamma)
-            state.stopped = (n, decision)
+        evidence = _evidence(game, t)
+        if _minmax_clears(game, t, gamma, evidence):
+            decision = _nonaware_decide(evidence, gamma)
             if record_trajectory:
-                rows.append(TrajectoryRow(n, gamma, tuple(branch), True, decision))
+                rows.append(TrajectoryRow(n, gamma, evidence, True, decision))
             return TestOutcome(n, decision, False, tuple(rows) if record_trajectory else None)
         if record_trajectory:
-            branch = _branch_statistics(qhat, p0, p1, delta, measure, options)
-            rows.append(TrajectoryRow(n, gamma, tuple(branch), False, None))
+            rows.append(TrajectoryRow(n, gamma, evidence, False, None))
     return TestOutcome(cap, None, True, tuple(rows) if record_trajectory else None)
 
 

@@ -168,16 +168,19 @@ def sample_through_channel(source: Distribution, channel: Channel,
     """Draw one input symbol from `source`, then the output through the
     channel row it selects. Consumes exactly two uniforms per symbol.
 
-    With `size`, draws that many symbols as an integer array from the same
-    uniforms in the same order as `size` single draws, and gives the same
-    symbols.
+    The single draw reads the cached running sums of the source and of the
+    channel rows once, and maps its two uniforms with `bisect_right`,
+    capped at the last symbol. With `size`, draws that many symbols as an
+    integer array from the same uniforms in the same order as `size` single
+    draws, and gives the same symbols.
     """
-    if source.size != channel.num_inputs:
+    cumulative, rows = source.cumulative, channel.cumulative_rows
+    if len(cumulative) != len(rows):
         raise ShapeError("source alphabet does not match the channel input")
     if size is None:
         u0, u1 = rng.random(2).tolist()
-        x = min(bisect_right(source.cumulative, u0), source.size - 1)
-        return min(bisect_right(channel.cumulative_rows[x], u1), channel.num_outputs - 1)
+        row = rows[min(bisect_right(cumulative, u0), len(cumulative) - 1)]
+        return min(bisect_right(row, u1), len(row) - 1)
     u = rng.random((size, 2))
     x = np.minimum(np.searchsorted(source.cumulative, u[:, 0], side="right"), source.size - 1)
     y = np.empty(size, dtype=np.int64)

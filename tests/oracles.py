@@ -1,9 +1,10 @@
 """Brute-force oracles for the tests: lattice searches over balls and
-binary channels, a pattern descent on the simplex, and the aware test fed
-one symbol at a time.
+binary channels, a pattern descent on the simplex, and the aware and
+common-channel tests fed one symbol at a time.
 
-They are independent of the solvers in `seqgame.divopt` and of the chunked
-loop of `seqgame.seqtest.run_aware`, and exist only to check them.
+They are independent of the solvers in `seqgame.divopt`, of the chunked
+loop of `seqgame.seqtest.run_aware` and of the bounded, stride-reading loop
+of `seqgame.seqtest.run_nonaware`, and exist only to check them.
 """
 
 from __future__ import annotations
@@ -15,16 +16,24 @@ from typing import Iterable
 import numpy as np
 from scipy.special import xlogy
 
-from seqgame.divopt import DistortionBall, SolverOptions
+from seqgame.divopt import (
+    DistortionBall,
+    SolverOptions,
+    _converged_value,
+    min_divergence_over_common_channels,
+    min_max_divergence_over_channel,
+)
 from seqgame.equilibrium import GameSpec
 from seqgame.errors import DomainError, InfeasibleError, ResourceError, StreamExhaustedError
-from seqgame.prob import Channel, Distribution, DistortionMeasure
+from seqgame.prob import Channel, Distribution, DistortionMeasure, empirical_distribution
 from seqgame.seqtest import (
     AwareTestState,
+    NonAwareTestState,
     TestOutcome,
     ThresholdSchedule,
     TrajectoryRow,
     _check_symbol,
+    _nonaware_decide,
     evidence_statistics,
 )
 
@@ -182,4 +191,66 @@ def run_aware_stepwise(stream: Iterable[int], schedule: ThresholdSchedule, spec:
         if decision is not None:
             state.stopped = (n, decision)
             return TestOutcome(n, decision, False, tuple(rows) if record_trajectory else None)
+    return TestOutcome(cap, None, True, tuple(rows) if record_trajectory else None)
+
+
+def _branch_statistics(qhat: Distribution, p0: Distribution, p1: Distribution, delta: float,
+                       measure: DistortionMeasure,
+                       options: SolverOptions | None) -> np.ndarray:
+    """Evidence for each hypothesis: the divergence from qhat to everything
+    a common channel can make of the rival law."""
+    return np.array([
+        _converged_value(min_divergence_over_common_channels(
+            qhat, 1 - b, p0, p1, delta, measure, options))
+        for b in (0, 1)
+    ])
+
+
+def run_nonaware_stepwise(stream: Iterable[int], schedule: ThresholdSchedule,
+                          p0: Distribution, p1: Distribution, delta: float,
+                          measure: DistortionMeasure, options: SolverOptions | None = None,
+                          cap: int = 1_000_000, stride: int = 1,
+                          record_trajectory: bool = False) -> TestOutcome:
+    """The common-channel test fed one symbol at a time, with the full
+    channel min-max solve at every evaluated step: the loop `run_nonaware`
+    ran before it screened steps with the duality bounds."""
+    if schedule.num_hypotheses != 2:
+        raise DomainError("the common-channel test is defined for two hypotheses")
+    if cap < 1:
+        raise DomainError(f"cap must be >= 1, got {cap}")
+    if stride < 1:
+        raise DomainError(f"stride must be >= 1, got {stride}")
+    state = NonAwareTestState.fresh()
+    rows: list[TrajectoryRow] = []
+    it = iter(stream)
+
+    while state.num_samples < cap:
+        try:
+            symbol = next(it)
+        except StopIteration:
+            raise StreamExhaustedError(
+                f"stream ended after {state.num_samples} symbols with no decision"
+            ) from None
+        sym = _check_symbol(symbol, 2)
+        state.counts[sym] += 1
+        state.num_samples += 1
+        n = state.num_samples
+        if n % stride and n < cap:
+            continue
+        qhat = empirical_distribution(state.counts)
+        s_stat = _converged_value(
+            min_max_divergence_over_channel(qhat, p0, p1, delta, measure, options))
+        state.minmax_statistic = s_stat
+        gamma = schedule.value(n)
+        if s_stat >= gamma:
+            branch = _branch_statistics(qhat, p0, p1, delta, measure, options)
+            state.branch_statistics = branch
+            decision = _nonaware_decide(branch, gamma)
+            state.stopped = (n, decision)
+            if record_trajectory:
+                rows.append(TrajectoryRow(n, gamma, tuple(branch), True, decision))
+            return TestOutcome(n, decision, False, tuple(rows) if record_trajectory else None)
+        if record_trajectory:
+            branch = _branch_statistics(qhat, p0, p1, delta, measure, options)
+            rows.append(TrajectoryRow(n, gamma, tuple(branch), False, None))
     return TestOutcome(cap, None, True, tuple(rows) if record_trajectory else None)

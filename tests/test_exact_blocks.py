@@ -3,9 +3,11 @@
 Over alphabets of 3 to 6 symbols and both measures, the reach argmin of
 D(qhat || q) and the argmin of D(x || w) must lie in the ball, clear the
 floor, and reach a value no higher than a lattice search (K = 3) or a
-pattern descent from a feasible start (any K).
+pattern descent from a feasible start (any K). Just outside a KL ball the
+reach value is checked against a 40-digit solve.
 """
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -140,3 +142,42 @@ def test_ternary_kl_game_pairwise_minima_pinned():
     results = list(spec.pairwise_minima.values())
     assert [r.value for r in results] == pytest.approx(pinned, rel=1e-9)
     assert all(r.converged for r in results)
+
+
+def _mp_kl(a, b):
+    return mpmath.fsum(x * mpmath.log(x / y) for x, y in zip(a, b) if x > 0)
+
+
+def _mp_kl_reach(w: np.ndarray, p: np.ndarray, radius: float):
+    """min D(w || q) over the KL ball of radius r about p, for w outside
+    it: D(w || q(t)) at the mixture q(t) = (1 - t) w + t p on the
+    boundary, D(p || q(t)) = r, with t bisected at 40 digits."""
+    with mpmath.workdps(40):
+        w_mp, p_mp = [mpmath.mpf(float(x)) for x in w], [mpmath.mpf(float(x)) for x in p]
+
+        def mix(t):
+            return [(1 - t) * a + t * b for a, b in zip(w_mp, p_mp)]
+
+        lo, hi = mpmath.mpf(0), mpmath.mpf(1)
+        for _ in range(160):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if _mp_kl(p_mp, mix(mid)) > radius else (lo, mid)
+        return float(_mp_kl(w_mp, mix(hi)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(size=st.integers(3, 5), seed=st.integers(0, 2**32 - 1),
+       log_gap=st.floats(-9.0, -2.0))
+def test_kl_reach_near_the_boundary_matches_mpmath(size, seed, log_gap):
+    """w lies just outside the ball, so the weight on the center ranges
+    over about 1e-10 to 1e-2 and the value down to 1e-18. The value is a
+    sum of log differences of nearly equal laws, which floats carry to a
+    few 1e-16 absolute; it must match to 1e-15 plus 1e-12 relative."""
+    rng = np.random.default_rng(seed)
+    p, w = rng.dirichlet(np.full(size, 3.0)), rng.dirichlet(np.full(size, 3.0))
+    radius = float(np.dot(p, np.log(p / w))) * (1.0 - 10.0**log_gap)
+    ball = DistortionBall(Distribution(p), radius, DistortionMeasure.KL, floor=0.0)
+    res = min_divergence_to_ball(Distribution(w), ball)
+    assert res.converged and res.iterations > 0
+    assert res.value == pytest.approx(_mp_kl_reach(w, ball.center.probs, radius),
+                                      rel=1e-12, abs=1e-15)

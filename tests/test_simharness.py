@@ -90,6 +90,14 @@ class TestSampleThroughChannel:
         ([0.38, 0.62], [[0.7781, 0.2219], [0.175, 0.825]]),
         ([0.2, 0.3, 0.5], [[0.5, 0.25, 0.25], [0.0, 1.0, 0.0], [0.1, 0.1, 0.8]]),
         ([1e-9, 1.0 - 1e-9], [[1.0, 0.0], [0.0, 1.0]]),
+        ([0.1, 0.0, 0.6, 0.3], [[0.0, 0.5, 0.5, 0.0], [0.25, 0.25, 0.25, 0.25],
+                                [0.7, 0.0, 0.0, 0.3], [0.0, 0.0, 0.0, 1.0]]),
+        ([0.0, 0.2, 0.2, 0.0, 0.6], [[0.2, 0.2, 0.2, 0.2, 0.2], [0.0, 0.0, 1.0, 0.0, 0.0],
+                                     [0.5, 0.0, 0.0, 0.0, 0.5], [1.0, 0.0, 0.0, 0.0, 0.0],
+                                     [0.0, 0.3, 0.0, 0.7, 0.0]]),
+        ([0.3, 0.0, 0.0, 0.4, 0.0, 0.3], [[0.0, 1 / 3, 0.0, 1 / 3, 0.0, 1 / 3]] * 3
+                                          + [[0.5, 0.0, 0.0, 0.0, 0.0, 0.5]] * 2
+                                          + [[0.0, 0.0, 0.0, 0.0, 0.0, 1.0]]),
     ])
     def test_matches_inverse_cdf_on_sorted_sums(self, probs, rows):
         """The inverse-CDF draw of np.searchsorted on the running sums,
