@@ -271,8 +271,8 @@ def _bisect_level(point, level, radius: float, lo: np.ndarray,
 
     point(s, rows) gives the points at parameters s of the listed rows, and
     level their levels. Every row stops on its own when its bracket is a few
-    ulps wide, or at the cap; returns the points at the feasible ends, which
-    rows stopped before the cap, and each row's steps.
+    ulps wide, or at the cap; returns the points at the feasible ends, those
+    ends, which rows stopped before the cap, and each row's steps.
     """
     n = lo.size
     rows, hi = np.arange(n), np.array(hi, dtype=float)
@@ -296,7 +296,7 @@ def _bisect_level(point, level, radius: float, lo: np.ndarray,
             if rows.size == 0:
                 break
     hi[rows] = b
-    return point(hi, np.arange(n)), converged, steps
+    return point(hi, np.arange(n)), hi, converged, steps
 
 
 def _kl_from(p: np.ndarray):
@@ -309,9 +309,10 @@ def _kl_from(p: np.ndarray):
     return lambda q: np.vecdot(ps, log_ps - np.log(q.take(support, axis=1)))
 
 
-def _kl_reach_argmin(w: np.ndarray, ball: DistortionBall) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _kl_reach_argmin(w: np.ndarray,
+                     ball: DistortionBall) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Per row, argmin of D(w || q) over a KL ball: the floored mixture of
-    w and p.
+    w and p, and the weight t on p (zero where w itself, floored, is in).
 
     Stationarity gives q = (1-t) w + t p (Csiszar's mixture form), with t
     bisected on D(p || q(t)) = r. The bisection runs on log(1-t) so that a
@@ -321,7 +322,7 @@ def _kl_reach_argmin(w: np.ndarray, ball: DistortionBall) -> tuple[np.ndarray, n
     n = w.shape[0]
     converged, steps = np.ones(n, dtype=bool), np.zeros(n, dtype=int)
     if radius == 0.0:
-        return np.tile(p, (n, 1)), converged, steps
+        return np.tile(p, (n, 1)), np.ones(n), converged, steps
     level = _kl_from(p)
 
     def mixture(s: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -331,13 +332,15 @@ def _kl_reach_argmin(w: np.ndarray, ball: DistortionBall) -> tuple[np.ndarray, n
     with np.errstate(divide="ignore"):  # q = 0 on the support of p: D = inf
         q = mixture(np.zeros(n), w)  # w itself, floored
         out = np.flatnonzero(level(q) > radius)
+        weight = np.zeros(n)
         if out.size:
             far = w[out]
             # at the smallest normal weight the mixture is p to rounding: feasible
-            q[out], converged[out], steps[out] = _bisect_level(
+            q[out], s, converged[out], steps[out] = _bisect_level(
                 lambda s, rows: mixture(s, far[rows]), level, radius,
                 np.zeros(out.size), np.full(out.size, math.log(np.finfo(float).tiny)))
-    return q, converged, steps
+            weight[out] = -np.expm1(s)
+    return q, weight, converged, steps
 
 
 def _lambertw_exp(y: np.ndarray) -> np.ndarray:
@@ -387,7 +390,7 @@ def _kl_tilt_argmin(w: np.ndarray, ball: DistortionBall) -> tuple[np.ndarray, bo
         lo, hi = hi, 2.0 * hi
     else:
         return p.copy(), False, _BRACKET_CAP
-    x, converged, steps = _bisect_level(tilt, level, radius, np.array([lo]), np.array([hi]))
+    x, _, converged, steps = _bisect_level(tilt, level, radius, np.array([lo]), np.array([hi]))
     return x[0], bool(converged[0]), widen + int(steps[0])
 
 
@@ -426,16 +429,28 @@ def _ball_reach(q0: np.ndarray, ball: DistortionBall) -> tuple[np.ndarray, np.nd
         return np.column_stack([tc, 1.0 - tc]), values, np.ones(n, dtype=bool), np.zeros(n, dtype=int)
 
     p = ball.center.probs
+    weight = None
     if ball.measure is DistortionMeasure.TV_L1:
         distortion = np.abs(q0 - p).sum(axis=1)
         solved, converged, steps = _tv_block_argmin(q0, ball), np.ones(n, dtype=bool), np.zeros(n, dtype=int)
     else:
         distortion = _kl_rows(p, q0)
-        solved, converged, steps = _kl_reach_argmin(q0, ball)
+        solved, weight, converged, steps = _kl_reach_argmin(q0, ball)
     inside = (distortion <= ball.radius) & (q0.min(axis=1) >= ball.floor) & (q0.sum(axis=1) == 1.0)
     # D(q0 || q0) is exactly zero
     q = np.where(inside[:, None], q0, solved)
-    return q, _kl_rows(q0, q), converged | inside, np.where(inside, 0, steps)
+    values = _kl_rows(q0, q)
+    if weight is not None:
+        # Off the floor q is the mixture w + t (p - w), so D(w || q) is
+        # -sum w log1p(t (p - w) / w): near the boundary, where t is tiny,
+        # this keeps the relative precision that the log differences lose.
+        mix = np.flatnonzero(~inside & (weight > 0.0) & (weight < 1.0)
+                             & (solved.min(axis=1) > ball.floor))
+        w, t = q0[mix], weight[mix, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            terms = np.where(w > 0.0, np.log1p(t * (p - w) / w), 0.0)
+        values[mix] = -np.vecdot(w, terms)
+    return q, values, converged | inside, np.where(inside, 0, steps)
 
 
 def min_divergence_to_ball(qhat, ball: DistortionBall,

@@ -209,48 +209,59 @@ def _clamp_divergence(t: np.ndarray, lo: float, hi: float) -> np.ndarray:
     return np.where(tc == t, 0.0, val)
 
 
-def _last_true(holds, steps: np.ndarray) -> np.ndarray:
+def _last_true(holds, steps: np.ndarray, guess: np.ndarray | None = None) -> np.ndarray:
     """For each n in the 2-D array `steps`, the largest c in [-1, n] where
-    holds(c, i) is true, i being the flat position of n in `steps`; holds
-    must be true then false over c = 0..n, and c = -1 counts as true and
-    c = n + 1 as false.
+    holds(c, i) is true, i being the flat positions in `steps` of the
+    entries probed, or a full slice when every entry is; holds must be true
+    then false over c = 0..n, and c = -1 counts as true and c = n + 1 as
+    false.
 
     Exact answers at every _KNOT_SPACING-th column, interpolated along each
-    row, give every entry a guess g, and probes at g + 1, then g + 2 or g,
-    settle most entries before the bisection. Every probe narrows the
-    search whatever it returns, so a poor guess costs passes, never
-    exactness.
+    row, give every entry a guess g; `guess`, when given, serves the knots
+    the same way, and without one they bisect. Most answers are g or g + 1:
+    a probe at g + 1, then one step from it the way it points, settles
+    both. Each other entry gallops on in doubling steps until it brackets
+    its answer, then bisects, and only the entries still open are probed.
+    A poor guess costs passes, never exactness.
     """
-    a = np.full(steps.size, -1, dtype=np.int64)
-    b = steps.ravel() + 1
-
-    def narrow(c: np.ndarray) -> None:
-        idx = np.flatnonzero((a < c) & (c < b))
-        c = c[idx]
-        ok = holds(c, idx)
-        a[idx[ok]] = c[ok]
-        b[idx[~ok]] = c[~ok]
-
     width = steps.shape[1]
     if width > _KNOT_SPACING:
         knots = np.unique(np.r_[np.arange(0, width, _KNOT_SPACING), width - 1])
         flat = (np.arange(steps.shape[0])[:, None] * width + knots).ravel()
-        exact = _last_true(lambda c, i: holds(c, flat[i]), steps[:, knots])
+        exact = _last_true(lambda c, i: holds(c, flat[i]), steps[:, knots],
+                           None if guess is None else guess[:, knots])
         cols = np.arange(width)
         guess = np.floor([np.interp(cols, knots, row) for row in exact]).astype(np.int64)
-        # most answers are g or g + 1, which two of these probes settle
-        for probe in (guess + 1, guess + 2, guess):
-            narrow(probe.ravel())
+    n = steps.ravel()
+    top = int(n.max(initial=0)) + 1
+    a, b, found = np.full(n.size, -1), n + 1, np.empty(n.size, dtype=np.int64)
+    if guess is None:
+        # a reach as wide as any bracket makes every probe a midpoint
+        up, reach = np.ones(n.size, dtype=bool), top
+    else:
+        c = np.clip(guess.ravel() + 1, 0, n)
+        up = holds(c, slice(None))
+        a, b, reach = np.where(up, c, a), np.where(up, b, c), 1
+    idx = np.arange(n.size)
     while True:
-        gap = b - a > 1
-        if not gap.any():
-            return a.reshape(steps.shape)
-        narrow(np.where(gap, (a + b) >> 1, -1))
+        done = b - a == 1
+        if done.any():
+            found[idx[done]] = a[done]
+            idx, a, b, up = idx[~done], a[~done], b[~done], up[~done]
+        if not idx.size:
+            return found.reshape(steps.shape)
+        mid = (a + b) >> 1
+        # every probe lies strictly inside its bracket
+        c = np.where(up, np.minimum(a + reach, mid), np.maximum(b - reach, mid))
+        ok = holds(c, idx if idx.size < n.size else slice(None))
+        a, b = np.where(ok, c, a), np.where(ok, b, c)
+        reach = min(2 * reach, top)
 
 
 def _count_boundaries(schedule: ThresholdSchedule,
-                      intervals: tuple[tuple[float, float], ...],
-                      steps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                      intervals: tuple[tuple[float, float], ...], steps: np.ndarray,
+                      seed: tuple[int, np.ndarray, np.ndarray] | None = None,
+                      ) -> tuple[np.ndarray, np.ndarray]:
     """Stopping boundaries on the count of zeros at the given steps.
 
     With two symbols the statistic at step n depends only on the count c of
@@ -262,10 +273,16 @@ def _count_boundaries(schedule: ThresholdSchedule,
     divergence against ThresholdSchedule.value(n), so the boundaries decide
     exactly as evaluating it at every count would. Row 2j searches lower[j]
     and row 2j + 1 searches upper[j] - 1.
+
+    `seed` holds the boundaries (n0, lower, upper) at an earlier step. Near
+    an interval end e the divergence grows as (t - e)^2, so each boundary
+    fraction keeps its distance to e in proportion to sqrt(gamma(n)); that
+    guess seeds the knots of the search and moves no boundary.
     """
     rows = 2 * len(intervals)
+    thresholds = np.array([schedule.value(k) for k in steps.tolist()])
     n = np.tile(steps, rows)
-    gamma = np.tile([schedule.value(k) for k in steps.tolist()], rows)
+    gamma = np.tile(thresholds, rows)
     lo, hi = (np.repeat(ends, 2 * steps.size) for ends in zip(*intervals))
     side_low = np.tile(np.repeat([True, False], steps.size), len(intervals))
 
@@ -275,14 +292,22 @@ def _count_boundaries(schedule: ThresholdSchedule,
         return np.where(side_low[i], (t < lo[i]) & (d >= gamma[i]),
                         (t <= hi[i]) | (d < gamma[i]))
 
-    found = _last_true(holds, n.reshape(rows, steps.size))
+    guess = None
+    if seed is not None:
+        n0, lower0, upper0 = seed
+        ends = np.ravel(intervals)[:, None]
+        start = (np.column_stack([lower0, upper0 - 1]).ravel()[:, None] + 0.5) / n0
+        ratio = np.sqrt(thresholds / schedule.value(n0))
+        guess = np.floor(steps * (ends + (start - ends) * ratio)).astype(np.int64)
+    found = _last_true(holds, n.reshape(rows, steps.size), guess)
     return found[0::2], found[1::2] + 1
 
 
 class _BoundaryTable:
     """The count boundaries of one alpha at the steps the test evaluates
     (multiples of the stride, and the cap), one entry per engine block,
-    computed when a replication first reaches that block."""
+    computed when a replication first reaches that block. Each block seeds
+    its search with the last boundaries of the block before it."""
 
     def __init__(self, schedule: ThresholdSchedule,
                  intervals: tuple[tuple[float, float], ...], cap: int, stride: int) -> None:
@@ -292,58 +317,84 @@ class _BoundaryTable:
         self.stride = stride
         # upper boundaries reach cap + 1
         self.dtype = np.int32 if cap < 2**31 - 1 else np.int64
-        self.blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        self.blocks: list[tuple[np.ndarray, ...]] = []
 
-    def block(self, index: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Columns of the evaluated steps within block `index` (column j is
-        step index*_BLOCK + 1 + j), and the lower and upper boundaries there."""
+    def block(self, index: int) -> tuple[np.ndarray, ...]:
+        """The evaluated steps within block `index`, as (cols, lower, upper,
+        band_lower, band_upper, pick).
+
+        Column j is step index*_BLOCK + 1 + j; lower and upper are the
+        boundaries of each ball there. Row p of the bands belongs to the
+        p-th pair (j, k), j < k, of balls: a count strictly between the
+        pair's larger lower and smaller upper boundary clears neither ball.
+        `pick` selects the columns from a block of counts: a slice while
+        they are evenly spaced, so the engine reads them through a view,
+        and `cols` itself once the cap adds an off-stride column.
+        """
         while len(self.blocks) <= index:
             first = len(self.blocks) * _BLOCK + 1
             last = min(first + _BLOCK - 1, self.cap)
-            steps = np.arange(-(-first // self.stride) * self.stride, last + 1, self.stride)
+            start = -(-first // self.stride) * self.stride
+            steps = np.arange(start, last + 1, self.stride)
+            pick = slice(start - first, last + 1 - first, self.stride)
             if last == self.cap and self.cap % self.stride:
                 steps = np.append(steps, self.cap)
-            lower, upper = _count_boundaries(self.schedule, self.intervals, steps)
-            self.blocks.append((steps - first, lower.astype(self.dtype),
-                                upper.astype(self.dtype)))
+                pick = steps - first
+            seed = None
+            if self.blocks and self.blocks[-1][0].size:
+                before, lower, upper = self.blocks[-1][:3]
+                seed = (first - _BLOCK + int(before[-1]), lower[:, -1], upper[:, -1])
+            lower, upper = (b.astype(self.dtype) for b in
+                            _count_boundaries(self.schedule, self.intervals, steps, seed))
+            j, k = np.triu_indices(len(lower), 1)
+            self.blocks.append((steps - first, lower, upper, np.maximum(lower[j], lower[k]),
+                                np.minimum(upper[j], upper[k]), pick))
         return self.blocks[index]
 
 
-def _first_stop(zeros: np.ndarray, lower: np.ndarray,
-                upper: np.ndarray) -> tuple[int, int] | None:
+def _band_stop(zeros: np.ndarray, lower: np.ndarray, upper: np.ndarray,
+               band_lower: np.ndarray, band_upper: np.ndarray) -> tuple[int, int] | None:
     """First column at which some hypothesis stops, and its decision.
 
     Hypothesis i stops when the count clears the boundaries of every rival
-    ball j != i; when several do, the smallest index wins.
+    ball j != i, so some hypothesis stops exactly when at most one ball is
+    left uncleared: when the count lies outside the band of every pair of
+    balls. The decision is the uncleared ball, or 0 when every ball is
+    cleared, since the smallest stopping index wins.
     """
-    clears = [(zeros <= lo) | (zeros >= hi) for lo, hi in zip(lower, upper)]
-    stops = np.sum(clears, axis=0) >= len(clears) - 1
+    if len(band_lower) == 1:
+        stops = (zeros <= band_lower[0]) | (zeros >= band_upper[0])
+    else:
+        stops = ((zeros <= band_lower) | (zeros >= band_upper)).all(axis=0)
     if not stops.any():
         return None
     k = int(stops.argmax())
-    missed = [j for j, cleared in enumerate(clears) if not cleared[k]]
-    return k, missed[0] if missed else 0
+    z = zeros[k]
+    return k, int(((lower[:, k] < z) & (z < upper[:, k])).argmax())
 
 
 def _run_fast_binary(rng: np.random.Generator, source: Distribution, channel: Channel,
                      table: _BoundaryTable) -> TestOutcome:
     """Blockwise engine for binary alphabets.
 
-    Consumes the same uniform stream as sample_through_channel and stops on
-    the count boundaries of `table`, so outcomes match the step-by-step
-    path exactly.
+    Consumes the same uniform stream as sample_through_channel, counts the
+    zeros of each block with one cumulative sum, and stops at the first
+    evaluated step whose count leaves the continuation band of every pair
+    of balls in `table`, so outcomes match the step-by-step path exactly.
     """
     cut_in = source.cumulative[0]
-    (cut_zero, _), (cut_one, _) = channel.cumulative_rows
+    # P(output 0 | input 0) and P(output 0 | input 1)
+    cuts = np.array([row[0] for row in channel.cumulative_rows])
     count0 = 0
     done = 0
     while done < table.cap:
         u = rng.random((min(_BLOCK, table.cap - done), 2))
-        cols, lower, upper = table.block(done // _BLOCK)
-        zeros = np.cumsum(u[:, 1] < np.where(u[:, 0] >= cut_in, cut_one, cut_zero),
-                          dtype=lower.dtype)
-        zeros += count0
-        hit = _first_stop(zeros[cols], lower, upper)
+        cols, lower, upper, band_lower, band_upper, pick = table.block(done // _BLOCK)
+        inputs = (u[:, 0] >= cut_in).view(np.int8)
+        zeros = (u[:, 1] < cuts.take(inputs)).cumsum(dtype=lower.dtype)
+        if count0:
+            zeros += count0
+        hit = _band_stop(zeros[pick], lower, upper, band_lower, band_upper)
         if hit is not None:
             return TestOutcome(done + 1 + int(cols[hit[0]]), hit[1], False, None)
         done += zeros.size

@@ -1,10 +1,12 @@
 """Brute-force oracles for the tests: lattice searches over balls and
-binary channels, a pattern descent on the simplex, and the aware and
-common-channel tests fed one symbol at a time.
+binary channels, a pattern descent on the simplex, the aware and
+common-channel tests fed one symbol at a time, and the binary engine's
+stop rule counted ball by ball.
 
 They are independent of the solvers in `seqgame.divopt`, of the chunked
-loop of `seqgame.seqtest.run_aware` and of the bounded, stride-reading loop
-of `seqgame.seqtest.run_nonaware`, and exist only to check them.
+loop of `seqgame.seqtest.run_aware`, of the bounded, stride-reading loop
+of `seqgame.seqtest.run_nonaware` and of the continuation bands of
+`seqgame.simharness`, and exist only to check them.
 """
 
 from __future__ import annotations
@@ -254,3 +256,19 @@ def run_nonaware_stepwise(stream: Iterable[int], schedule: ThresholdSchedule,
             branch = _branch_statistics(qhat, p0, p1, delta, measure, options)
             rows.append(TrajectoryRow(n, gamma, tuple(branch), False, None))
     return TestOutcome(cap, None, True, tuple(rows) if record_trajectory else None)
+
+
+def _first_stop(zeros: np.ndarray, lower: np.ndarray,
+                upper: np.ndarray) -> tuple[int, int] | None:
+    """First column at which some hypothesis stops, and its decision.
+
+    Hypothesis i stops when the count clears the boundaries of every rival
+    ball j != i; when several do, the smallest index wins.
+    """
+    clears = [(zeros <= lo) | (zeros >= hi) for lo, hi in zip(lower, upper)]
+    stops = np.sum(clears, axis=0) >= len(clears) - 1
+    if not stops.any():
+        return None
+    k = int(stops.argmax())
+    missed = [j for j, cleared in enumerate(clears) if not cleared[k]]
+    return k, missed[0] if missed else 0

@@ -181,3 +181,24 @@ def test_kl_reach_near_the_boundary_matches_mpmath(size, seed, log_gap):
     assert res.converged and res.iterations > 0
     assert res.value == pytest.approx(_mp_kl_reach(w, ball.center.probs, radius),
                                       rel=1e-12, abs=1e-15)
+
+
+@settings(max_examples=60, deadline=None)
+@given(size=st.integers(3, 5), seed=st.integers(0, 2**32 - 1),
+       log_gap=st.floats(-9.0, -1.0))
+@example(size=3, seed=0, log_gap=-9.0)
+@example(size=5, seed=1, log_gap=-7.0)
+def test_kl_reach_keeps_relative_precision_near_the_boundary(size, seed, log_gap):
+    """The value, down to about 1e-18, to 1e-9 relative beyond what the
+    rounding of the ball's boundary allows: the value grows as the square
+    of g = D(p || w) - r, so the level's float rounding, a few 1e-15,
+    moves it by twice that over g, relative."""
+    rng = np.random.default_rng(seed)
+    p, w = rng.dirichlet(np.full(size, 3.0)), rng.dirichlet(np.full(size, 3.0))
+    outside = float(np.dot(p, np.log(p / w)))
+    radius = outside * (1.0 - 10.0**log_gap)
+    ball = DistortionBall(Distribution(p), radius, DistortionMeasure.KL, floor=0.0)
+    res = min_divergence_to_ball(Distribution(w), ball)
+    ref = _mp_kl_reach(w, ball.center.probs, radius)
+    assert res.converged
+    assert abs(res.value - ref) <= ref * (1e-9 + 1e-13 / (outside - radius))

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import os
 import subprocess
@@ -27,6 +28,8 @@ from seqgame.simharness import (
     run_replication,
     sample_through_channel,
 )
+
+from oracles import _first_stop
 
 SRC = str(Path(seqgame.__file__).resolve().parents[1])
 
@@ -317,6 +320,8 @@ def _same_outcome(a, b) -> bool:
 
 _BERNOULLI = GameSpec((Distribution([0.38, 0.62]), Distribution([0.5, 0.5])), 0.05,
                       DistortionMeasure.TV_L1)
+_THREE_ON_TWO = GameSpec(tuple(Distribution([p, 1.0 - p]) for p in (0.1, 0.5, 0.9)), 0.02,
+                         DistortionMeasure.TV_L1)
 
 
 @st.composite
@@ -366,6 +371,74 @@ class TestBinaryEngine:
                 assert _same_outcome(run_replication(cfg, 0.01, hyp, rep),
                                      _stepwise(cfg, 0.01, hyp, rep))
 
+    def test_blocks_without_an_evaluated_step(self):
+        """A stride longer than a block leaves whole blocks with nothing
+        to check; the engine samples through them."""
+        cfg = ScenarioConfig(_BERNOULLI, (0.001,), 2, 5, cap=12001, stride=5000)
+        assert cfg._boundary_tables[0].block(0)[0].size == 0
+        for hyp in (0, 1):
+            for rep in (0, 1):
+                assert _same_outcome(run_replication(cfg, 0.001, hyp, rep),
+                                     _stepwise(cfg, 0.001, hyp, rep))
+
+    @pytest.mark.parametrize("stride, cap", [(3, 61), (4, 70)])
+    def test_three_hypotheses_with_a_cap_off_the_stride(self, stride, cap):
+        """Three pairs of balls go through the band check's `all`, and the
+        cap's off-stride column makes the block read its counts through a
+        gather; runs stop before the cap and time out at it."""
+        cfg = ScenarioConfig(_THREE_ON_TWO, (0.01,), 8, 3, cap=cap, stride=stride)
+        cols, lower, upper, band_lower, band_upper, pick = cfg._boundary_tables[0].block(0)
+        assert band_lower.shape == band_upper.shape == (3, cols.size)
+        assert cols[-1] == cap - 1 and np.array_equal(pick, cols)
+        outcomes = []
+        for hyp in range(3):
+            for rep in range(8):
+                fast = run_replication(cfg, 0.01, hyp, rep)
+                assert _same_outcome(fast, _stepwise(cfg, 0.01, hyp, rep))
+                outcomes.append(fast)
+        assert any(o.timed_out for o in outcomes)
+        assert any(not o.timed_out for o in outcomes)
+
+
+@st.composite
+def _boundary_columns(draw):
+    """Counts at a few columns and the boundaries of M = 2..4 balls there,
+    drawn from -1 to n + 1 so that they may meet, cross, or clear nothing."""
+    balls, width, n = draw(st.integers(2, 4)), draw(st.integers(1, 12)), draw(st.integers(1, 12))
+
+    def ints(shape, lo, hi):
+        size = math.prod(shape)
+        return np.array(draw(st.lists(st.integers(lo, hi), min_size=size, max_size=size)),
+                        dtype=np.int32).reshape(shape)
+
+    return ints((width,), 0, n), ints((balls, width), -1, n + 1), ints((balls, width), -1, n + 1)
+
+
+def _no_stop(balls: int, width: int, n: int):
+    return (np.arange(width, dtype=np.int32) % (n + 1), np.full((balls, width), -1, np.int32),
+            np.full((balls, width), n + 1, np.int32))
+
+
+class TestBandStop:
+    @settings(max_examples=300, deadline=None)
+    @given(_boundary_columns())
+    @example(_no_stop(2, 5, 4))
+    @example(_no_stop(4, 3, 1))
+    @example((np.array([2, 2, 3], np.int32), np.array([[2, 1, 3], [2, 4, 3]], np.int32),
+              np.array([[2, 1, 3], [0, 3, 4]], np.int32)))
+    @example((np.array([1, 1], np.int32), np.array([[0, 1], [0, 0], [2, 0]], np.int32),
+              np.array([[2, 2], [2, 3], [1, 2]], np.int32)))
+    def test_matches_ball_by_ball_count(self, columns):
+        """The first column outside every pair's band, and the ball left
+        uncleared there, are those of counting the cleared balls; among
+        the examples, no stop at all, and equal and crossing boundaries."""
+        zeros, lower, upper = columns
+        pairs = list(itertools.combinations(range(len(lower)), 2))
+        band_lower = np.array([np.maximum(lower[j], lower[k]) for j, k in pairs])
+        band_upper = np.array([np.minimum(upper[j], upper[k]) for j, k in pairs])
+        assert (simharness._band_stop(zeros, lower, upper, band_lower, band_upper)
+                == _first_stop(zeros, lower, upper))
+
 
 class TestCountBoundaries:
     @settings(max_examples=6, deadline=None)
@@ -396,13 +469,31 @@ class TestCountBoundaries:
         for whole, part in zip((lower, upper), sparse):
             assert np.array_equal(whole[:, strided - 1], part)
 
+    @settings(max_examples=10, deadline=None)
+    @given(_binary_scenarios(), st.integers(1, 5000), st.integers(-50, 50))
+    def test_a_seed_moves_no_boundary(self, cfg, n0, shift):
+        """A seed only orders the probes: the boundaries after step n0 are
+        the same with none, with the true ones at n0, and with wrong ones."""
+        (alpha,) = cfg.alpha_grid
+        schedule = cfg.schedule_for(alpha)
+        intervals = tuple(ball.interval for ball in cfg.spec.balls)
+        lower, upper = simharness._count_boundaries(schedule, intervals,
+                                                    np.arange(n0, n0 + 1001))
+        steps = np.arange(n0 + 1, n0 + 1001)
+        for seed in ((n0, lower[:, 0], upper[:, 0]), (n0, lower[:, 0] + shift, upper[:, 0])):
+            seeded = simharness._count_boundaries(schedule, intervals, steps, seed)
+            assert np.array_equal(seeded[0], lower[:, 1:])
+            assert np.array_equal(seeded[1], upper[:, 1:])
+
     def test_blocks_hold_evaluated_steps_and_stop_at_cap(self, wide_spec):
         """Multiples of the stride and the cap, grown block by block."""
         cfg = ScenarioConfig(wide_spec, (0.1,), 2, 0, cap=4096 + 904, stride=7)
         (table,) = cfg._boundary_tables
         assert table.blocks == []
-        cols, lower, upper = table.block(1)
+        cols, lower, upper, band_lower, band_upper, _ = table.block(1)
         assert len(table.blocks) == 2
+        assert np.array_equal(band_lower, np.maximum(lower[:1], lower[1:]))
+        assert np.array_equal(band_upper, np.minimum(upper[:1], upper[1:]))
         assert lower.dtype == upper.dtype == np.int32
         assert np.array_equal(cols, np.r_[np.arange(4102, 5000, 7), 5000] - 4097)
         assert lower.shape == upper.shape == (2, cols.size)
@@ -444,6 +535,17 @@ def test_sweep_csv_is_pinned(measure, stride):
     cfg = ScenarioConfig(_pinned_game(measure), (0.2, 0.01), 25, 17, stride=stride)
     text = alpha_sweep(cfg)
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED_SWEEPS[measure, stride]
+
+
+# SHA-256 of a three-hypothesis binary sweep's CSV, written by the engine
+# that checked every ball's boundaries before the continuation bands.
+PINNED_THREE_HYPOTHESIS_SWEEP = "23edc4841833685a256bde7519ccd905a49d5656cf966601dec355207cfbe1f3"
+
+
+def test_three_hypothesis_sweep_csv_is_pinned():
+    cfg = ScenarioConfig(_THREE_ON_TWO, (0.2, 0.01), 25, 17, cap=5000, stride=3)
+    text = alpha_sweep(cfg)
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_THREE_HYPOTHESIS_SWEEP
 
 
 class TestNoSharedState:
