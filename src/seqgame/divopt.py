@@ -6,8 +6,8 @@ sorting water-fill for TV balls, and a mixture or an exponential tilt with
 one bisected scalar for KL balls. Alternating these exact blocks solves the
 pairwise minimum `min D(q1 || q2)` over two balls here, and the
 Bhattacharyya separation in `equilibrium`. The binary common-channel
-min-max is solved in output coordinates by a golden-section search on one
-convex function.
+min-max has a closed form in output coordinates: the larger of the clamps
+of qhat[0] onto the two laws' ranges of outputs over the common channels.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 from scipy.special import lambertw
 
-from .errors import DomainError, InfeasibleError, ResourceError, ShapeError
+from .errors import DomainError, InfeasibleError, ShapeError
 from .prob import Channel, Distribution, DistortionMeasure, _kl_arrays, _kl_rows
 
 __all__ = [
@@ -140,27 +140,6 @@ def _bisect_kl_edge(c: float, radius: float, far: float) -> float:
         else:
             inside = mid
     return inside
-
-
-def _project_simplex_floor(y: np.ndarray, floor: float) -> np.ndarray:
-    """Projection onto {x : sum x = 1, x >= floor} via the sorting method."""
-    k = y.size
-    mass = 1.0 - k * floor
-    z = y - floor
-    u = np.sort(z)[::-1]
-    css = np.cumsum(u) - mass
-    idx = np.arange(1, k + 1)
-    cond = u - css / idx > 0
-    rho = int(np.nonzero(cond)[0][-1])
-    theta = css[rho] / (rho + 1.0)
-    return np.maximum(z - theta, 0.0) + floor
-
-
-def _row_project(a: np.ndarray, floor: float) -> np.ndarray:
-    out = np.empty_like(a)
-    for i in range(a.shape[0]):
-        out[i] = _project_simplex_floor(a[i], floor)
-    return out
 
 
 @dataclass(frozen=True)
@@ -585,17 +564,6 @@ class ChannelMinMaxResult:
     iterations: int
 
 
-def _converged_value(result: ChannelMinMaxResult) -> float:
-    """The value of a min-max solve; ResourceError if its search hit the cap."""
-    if not result.converged:
-        raise ResourceError(f"channel min-max search hit its cap after {result.iterations} steps")
-    return result.value
-
-
-# Shrink factor of a golden-section bracket per step.
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
 class _CommonChannelSet:
     """The binary channels that keep both laws inside their balls, as
     slices in s over the feasible output range [x_lo, x_hi] of p0."""
@@ -677,80 +645,72 @@ class _ChannelGame:
         region = self._region(target)
         return min(max(t, region.x_lo), region.x_hi)
 
-    def _objective(self, t: float):
-        """The min-max objective h(x) = max(D(t || x), min over feasible y
-        of D(t || y))."""
-        best_y = self._region(0).best_y
-
-        def h(x: float) -> float:
-            _, y = best_y(x, t)
-            return max(_binary_kl(t, x), _binary_kl(t, y))
-
-        return h
-
     def reach(self, t: float, target: int) -> float:
         """min over feasible channels of D(t || (p_target A)[0]): one
         branch, a clamp of t onto the output range of p_target."""
         return _binary_kl(t, self._clamp(t, target))
 
-    def upper(self, t: float) -> float:
-        """The min-max objective at the clamp of t for p0, a feasible
-        channel; by weak duality at least the min-max value, which is at
-        least each `reach`."""
-        return self._objective(t)(self._clamp(t, 0))
-
     def single(self, t: float, target: int) -> ChannelMinMaxResult:
-        """`reach` with the channel that attains it."""
+        """`reach` with the channel that attains it: the clamp x, and the
+        y of its slice closest to t."""
         region = self._region(target)
         x = self._clamp(t, target)
         s, _ = region.best_y(x, t)
         return ChannelMinMaxResult(_binary_kl(t, x), region.channel(x, s), True, 0)
 
     def minmax(self, t: float) -> ChannelMinMaxResult:
-        """min over feasible channels of the larger branch divergence: a
-        golden-section search on the convex objective h; `iterations` counts
-        its steps, and `converged` is False when it hit the cap."""
-        region, h = self._region(0), self._objective(t)
-        # golden section: the bracket [lo, hi] keeps the minimizer of convex h
-        lo, hi = region.x_lo, region.x_hi
-        mid_lo, mid_hi = hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo)
-        h_lo, h_hi = h(mid_lo), h(mid_hi)
-        converged, steps, width = False, 0, 4.0 * np.finfo(float).eps
-        for steps in range(1, _BISECTION_CAP + 1):
-            if hi - lo <= width:
-                converged = True
-                break
-            if h_lo <= h_hi:
-                hi, mid_hi, h_hi = mid_hi, mid_lo, h_lo
-                mid_lo = hi - _GOLDEN * (hi - lo)
-                h_lo = h(mid_lo)
-            else:
-                lo, mid_lo, h_lo = mid_lo, mid_hi, h_hi
-                mid_hi = lo + _GOLDEN * (hi - lo)
-                h_hi = h(mid_hi)
-        value, x = min((h_lo, mid_lo), (h_hi, mid_hi))
-        s, _ = region.best_y(x, t)
-        return ChannelMinMaxResult(value, region.channel(x, s), converged, steps)
+        """min over feasible channels of the larger branch divergence: the
+        single branch with the larger reach, whose channel also keeps the
+        other branch within it (see `min_max_divergence_over_channel`)."""
+        return self.single(t, 0 if self.reach(t, 0) >= self.reach(t, 1) else 1)
+
+    def facing_ends(self) -> Channel:
+        """A feasible channel whose outputs of p0 and p1 lie nearest each
+        other: both at the middle of the overlap of their ranges, else at
+        the facing ends of the ranges."""
+        region, rival = self._region(0), self._region(1)
+        lo, hi = max(region.x_lo, rival.x_lo), min(region.x_hi, rival.x_hi)
+        if lo <= hi:
+            return region.channel(0.5 * (lo + hi), 0.0)
+        x, y = (region.x_hi, rival.x_lo) if region.x_hi < rival.x_lo else (region.x_lo, rival.x_hi)
+        s, _ = region.best_y(x, y)
+        return region.channel(x, s)
 
 
 def min_max_divergence_over_channel(qhat, p0: Distribution, p1: Distribution, delta: float,
-                                    measure: DistortionMeasure,
-                                    options: SolverOptions | None = None,
-                                    floor: float = 1e-9,
+                                    measure: DistortionMeasure, floor: float = 1e-9,
                                     branches: tuple[int, ...] = (0, 1)) -> ChannelMinMaxResult:
     """Minimize max over `branches` of D(qhat || p_b A) over binary channels
     A with d(p0, p0 A) <= delta and d(p1, p1 A) <= delta.
 
-    Solved in output coordinates: the channels map affinely onto a polygon
-    of output pairs (x, y) = ((p0 A)[0], (p1 A)[0]) inside the product of
-    the two balls' intervals, whose floor keeps every output law at least
-    `floor` entrywise. One branch is a clamp of qhat[0] onto the polygon's
-    range. For both branches, h(x) = max(D(qhat || x), min over feasible
-    y of D(qhat || y)) is convex, because minimizing a jointly convex
-    function over some of its variables keeps it convex; a golden-section
-    search on x finds its minimum to float precision, and `iterations`
-    counts its steps. The solve has no tolerance to tune; `options` is
-    accepted for a uniform signature. Larger alphabets raise ShapeError.
+    Solved in output coordinates and in closed form. A channel
+    [[u, 1-u], [v, 1-v]] sends (p0, p1) to (x, y) = ((p0 A)[0], (p1 A)[0]).
+    Over u, v in [0, 1] these points form a parallelogram
+    {L(x) <= y <= U(x)} with (0, 0) and (1, 1) among its corners; L and U
+    are nondecreasing, and L(x) <= x <= U(x). The feasible set P is
+    the parallelogram within I0 x I1, the intervals of the two balls,
+    whose floor keeps every output law at least `floor` entrywise. One
+    branch b is a clamp of t = qhat[0] onto the range of P in its
+    coordinate.
+
+    Both branches together give M, the larger of the two clamp
+    divergences: no channel does better than either clamp, and some
+    channel reaches M. Let J = {z : D(t || z) <= M}, an interval around t
+    that holds both clamps, and suppose P missed J x J. Since the diagonal
+    lies in the parallelogram, A = I0 & J and B = I1 & J would be
+    disjoint; they hold the clamps, so neither is empty. If A < B, every x
+    in A has U(x) < min B, else (x, min B) would lie in P and in J x J.
+    The clamp x* of p0 lies in A, and a point (x*, y') of P gives
+    min I1 <= y' < min B, so min B = min J <= max A, against A < B. The
+    case B < A is symmetric.
+
+    The channel returned sits at the clamp of the larger branch, with the
+    other output the point of its slice of P closest to t. That point lies
+    in J: say p0's branch is the larger, with clamp x* >= t (the other
+    cases are symmetric), so that x* = max J. The slice is
+    [max(L(x*), min I1), min(U(x*), max I1)], and the other clamp y* lies
+    in I1 and in J, so the slice starts at or below x* and ends at or above
+    min J. It meets J, which holds t. Larger alphabets raise ShapeError.
     """
     q = qhat.probs if isinstance(qhat, Distribution) else np.asarray(qhat, dtype=float)
     if q.shape != p0.probs.shape:
@@ -765,7 +725,6 @@ def min_max_divergence_over_channel(qhat, p0: Distribution, p1: Distribution, de
 
 def min_divergence_over_common_channels(qhat, target: int, p0: Distribution, p1: Distribution,
                                         delta: float, measure: DistortionMeasure,
-                                        options: SolverOptions | None = None,
                                         floor: float = 1e-9) -> ChannelMinMaxResult:
     """Minimize D(qhat || p_target A) over channels feasible for both laws.
 
@@ -776,5 +735,5 @@ def min_divergence_over_common_channels(qhat, target: int, p0: Distribution, p1:
     if target not in (0, 1):
         raise DomainError("target selects one of the two laws, 0 or 1")
     return min_max_divergence_over_channel(
-        qhat, p0, p1, delta, measure, options=options, floor=floor, branches=(target,),
+        qhat, p0, p1, delta, measure, floor=floor, branches=(target,),
     )

@@ -22,8 +22,7 @@ from .divopt import (
     DistortionBall,
     PairMinResult,
     SolverOptions,
-    _converged_value,
-    _row_project,
+    _ChannelGame,
     channel_from_output,
     min_divergence_to_ball,
     min_max_divergence_over_channel,
@@ -50,11 +49,6 @@ __all__ = [
     "nonaware_converse",
     "solve_nonaware_adversary",
 ]
-
-# Most sweeps over the moves the pattern search of solve_nonaware_adversary
-# makes at one step size.
-_PATTERN_SWEEP_CAP = 1000
-
 
 @dataclass(frozen=True, eq=False)
 class GameSpec:
@@ -294,18 +288,21 @@ class NonAwareBounds:
 
     `achievable` is what the decision maker can guarantee, `converse` what
     no procedure can beat; achievable <= converse always. Both are exact at
-    `channel`, but the channel itself comes from a local search that need
-    not find the adversary's best common channel, hence `heuristic`.
+    `channel`.
     """
 
     achievable: float
     converse: float
     channel: Channel
-    heuristic: bool
 
 
-def _check_common_feasible(p0: Distribution, p1: Distribution, channel: Channel,
-                           delta: float, measure: DistortionMeasure) -> tuple[Distribution, Distribution]:
+def _common_outputs(p0: Distribution, p1: Distribution, channel: Channel, delta: float,
+                    measure: DistortionMeasure) -> tuple[Distribution, Distribution,
+                                                         float, float]:
+    """The output laws of a common channel and their divergences
+    D(out0 || out1) and D(out1 || out0), never below zero (nearly equal
+    laws can round to -1e-17); InfeasibleError if the channel breaks the
+    budget."""
     out0 = apply_channel(p0, channel)
     out1 = apply_channel(p1, channel)
     d0 = measure.evaluate(p0, out0)
@@ -314,23 +311,29 @@ def _check_common_feasible(p0: Distribution, p1: Distribution, channel: Channel,
         raise InfeasibleError(
             f"channel distorts the hypotheses by ({d0:.3e}, {d1:.3e}), budget {delta}"
         )
-    return out0, out1
+    return out0, out1, max(0.0, kl_divergence(out0, out1)), max(0.0, kl_divergence(out1, out0))
 
 
 def nonaware_achievable(p0: Distribution, p1: Distribution, channel: Channel,
                         delta: float, measure: DistortionMeasure,
-                        weight: float = 1.0,
-                        options: SolverOptions | None = None) -> float:
+                        weight: float = 1.0) -> float:
     """Guaranteed payoff when one common channel perturbs both hypotheses.
 
     Each term is the worst divergence the decision maker can still force
     between the observed law and everything a common channel can produce.
+    The given channel is one of those, and makes the rival's output law,
+    so a term is at most the divergence between the two output laws. The
+    smaller of the two is kept, with that divergence as `nonaware_converse`
+    takes it, so that rounding never lifts the bound above the converse
+    where the two are equal; nor does it take a term below zero.
     """
     if weight <= 0:
         raise DomainError("weight must be positive")
-    out0, out1 = _check_common_feasible(p0, p1, channel, delta, measure)
-    term0 = _converged_value(min_max_divergence_over_channel(out0, p0, p1, delta, measure, options))
-    term1 = _converged_value(min_max_divergence_over_channel(out1, p0, p1, delta, measure, options))
+    out0, out1, d01, d10 = _common_outputs(p0, p1, channel, delta, measure)
+    term0, term1 = (
+        max(0.0, min(min_max_divergence_over_channel(out, p0, p1, delta, measure).value, d))
+        for out, d in ((out0, d01), (out1, d10))
+    )
     return term0 + weight * term1
 
 
@@ -340,8 +343,8 @@ def nonaware_converse(p0: Distribution, p1: Distribution, channel: Channel,
     """Upper bound on any procedure's payoff at a common channel."""
     if weight <= 0:
         raise DomainError("weight must be positive")
-    out0, out1 = _check_common_feasible(p0, p1, channel, delta, measure)
-    return kl_divergence(out0, out1) + weight * kl_divergence(out1, out0)
+    _, _, d01, d10 = _common_outputs(p0, p1, channel, delta, measure)
+    return d01 + weight * d10
 
 
 def _max_feasible_blend(p0: Distribution, p1: Distribution, target: np.ndarray,
@@ -372,87 +375,30 @@ def _max_feasible_blend(p0: Distribution, p1: Distribution, target: np.ndarray,
 
 def solve_nonaware_adversary(p0: Distribution, p1: Distribution, delta: float,
                              measure: DistortionMeasure, weight: float = 1.0,
-                             options: SolverOptions | None = None,
-                             num_starts: int = 32, seed: int = 0) -> NonAwareBounds:
-    """Search for the common channel minimizing the achievable payoff.
+                             num_starts: int = 1) -> NonAwareBounds:
+    """The common channel minimizing the achievable payoff, in closed form.
 
-    A multistart local pattern search over the entries of a binary
-    channel: the identity, blends toward rank-one extremes, and random
-    feasible channels each seed a descent along row moves with a halving
-    step, scored by the exact inner min-max solves. Each descent stops at
-    the first channel no move of the smallest step improves, which can lie
-    short of the best common channel, most often with few starts. A step
-    size whose sweeps keep improving past their cap raises ResourceError.
+    The payoff at a channel depends only on its outputs (x, y) of p0 and
+    p1: it is S(x) + weight S(y), where S(t), the channel min-max
+    statistic at t, is the larger of the clamp divergences of t onto the
+    ranges Px and Py of x and y over the feasible set P (see
+    `min_max_divergence_over_channel`). Where Px and Py overlap at z, the
+    channel with outputs (z, z) pays zero. Otherwise say Px < Py, with
+    a = max Px and b = min Py. Then S(x) = D(x || b) on Px and
+    S(y) = D(y || a) on Py, each least at (a, b). That point is feasible:
+    the diagonal lies in the parallelogram of all channels, so I0 and I1
+    are disjoint too, and P = {y <= U(x)} within I0 x I1 with U
+    nondecreasing. A channel with output b of p1 has an output x' <= a of
+    p0, so b <= U(x') <= U(a). The payoff there is
+    D(a || b) + weight D(b || a), which is also the converse. The case
+    Py < Px is symmetric.
+
+    `num_starts` is validated and otherwise ignored: there is no search to
+    restart.
     """
     if num_starts < 1:
         raise DomainError("num_starts must be positive")
-    k = p0.size
-    floor = 1e-9
-    rng = np.random.default_rng(seed)
-
-    def feasible(a: np.ndarray) -> bool:
-        for p in (p0, p1):
-            if measure.evaluate(p.probs, p.probs @ a) > delta:
-                return False
-        return True
-
-    def score(a: np.ndarray) -> float:
-        out0 = Distribution(p0.probs @ a)
-        out1 = Distribution(p1.probs @ a)
-        term0 = min_max_divergence_over_channel(out0, p0, p1, delta, measure).value
-        term1 = min_max_divergence_over_channel(out1, p0, p1, delta, measure).value
-        return term0 + weight * term1
-
-    starts: list[np.ndarray] = [np.eye(k)]
-    extremes = [np.tile(np.eye(k)[s], (k, 1)) for s in range(k)]
-    extremes.append(np.tile(0.5 * (p0.probs + p1.probs), (k, 1)))
-    for target in extremes:
-        starts.append(_max_feasible_blend(p0, p1, target, delta, measure))
-    while len(starts) < num_starts:
-        rows = rng.dirichlet(np.ones(k), size=k)
-        starts.append(_max_feasible_blend(p0, p1, rows, delta, measure))
-    starts = starts[:num_starts]
-
-    moves = []
-    for row in range(k):
-        for a_sym in range(k):
-            for b_sym in range(k):
-                if a_sym != b_sym:
-                    m = np.zeros((k, k))
-                    m[row, a_sym] += 1.0
-                    m[row, b_sym] -= 1.0
-                    moves.append(m)
-
-    best_val = math.inf
-    best_a = np.eye(k)
-    for raw_start in starts:
-        a = _row_project(raw_start, floor)
-        if not feasible(a):
-            a = _row_project(np.eye(k), floor)
-        val = score(a)
-        h = 0.2
-        while h >= 2e-3:
-            for _ in range(_PATTERN_SWEEP_CAP):
-                improved = False
-                for m in moves:
-                    cand = _row_project(a + h * m, floor)
-                    if not feasible(cand):
-                        continue
-                    cval = score(cand)
-                    if cval < val - 1e-12:
-                        a, val = cand, cval
-                        improved = True
-                if not improved:
-                    break
-            else:
-                raise ResourceError(
-                    f"pattern search still improving after {_PATTERN_SWEEP_CAP} sweeps at step {h}"
-                )
-            h *= 0.5
-        if val < best_val:
-            best_val, best_a = val, a
-
-    channel = Channel(best_a)
-    achievable = nonaware_achievable(p0, p1, channel, delta, measure, weight, options)
+    channel = _ChannelGame(p0, p1, delta, measure).facing_ends()
+    achievable = nonaware_achievable(p0, p1, channel, delta, measure, weight)
     converse = nonaware_converse(p0, p1, channel, delta, measure, weight)
-    return NonAwareBounds(achievable, converse, channel, True)
+    return NonAwareBounds(achievable, converse, channel)

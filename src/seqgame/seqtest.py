@@ -18,7 +18,7 @@ from typing import Iterable
 import numpy as np
 from scipy.special import gammaincc, gammaln
 
-from .divopt import SolverOptions, _ball_reach, _ChannelGame, _converged_value
+from .divopt import SolverOptions, _ball_reach, _ChannelGame
 from .equilibrium import GameSpec
 from .errors import (
     ConstructionError,
@@ -425,39 +425,14 @@ def _first_share(zeros: int, ones: int) -> float:
     return a / (a + b)
 
 
-# Relative margin by which a duality bound must clear the threshold to
-# decide a step of the common-channel test without the min-max search. It
-# covers the rounding of the bounds and of the search's value, which near
-# an output at the support floor reaches about 1e-8 relative.
-_BOUND_MARGIN = 1e-6
-
-
-def _minmax_clears(game: _ChannelGame, t: float, gamma: float,
-                   evidence: tuple[float, float]) -> bool:
-    """Whether the channel min-max statistic at t reaches gamma.
-
-    By weak duality the larger evidence bounds the statistic from below and
-    `game.upper` from above; the golden-section search runs only when
-    neither bound clears gamma by the margin, and raises ResourceError if
-    it hit its cap.
-    """
-    if max(evidence) >= gamma * (1.0 + _BOUND_MARGIN):
-        return True
-    if game.upper(t) < gamma * (1.0 - _BOUND_MARGIN):
-        return False
-    return _converged_value(game.minmax(t)) >= gamma
-
-
 def step_nonaware(state: NonAwareTestState, symbol: int, schedule: ThresholdSchedule,
                   p0: Distribution, p1: Distribution, delta: float,
-                  measure: DistortionMeasure,
-                  options: SolverOptions | None = None) -> int | None:
+                  measure: DistortionMeasure) -> int | None:
     """One step of the binary common-channel test.
 
-    Stops when the channel min-max statistic clears the threshold; the
-    decision then comes from the per-branch statistics. The statistic is
-    always solved in full, since the state reports it, so a channel solve
-    that hit its iteration cap raises ResourceError rather than decide.
+    Stops when the channel min-max statistic, the larger branch statistic,
+    clears the threshold; the decision then comes from the per-branch
+    statistics.
     """
     if state.stopped is not None:
         raise StateError(f"test already stopped at {state.stopped}")
@@ -468,12 +443,11 @@ def step_nonaware(state: NonAwareTestState, symbol: int, schedule: ThresholdSche
     state.counts[sym] += 1
     state.num_samples += 1
     t = float(empirical_distribution(state.counts).probs[0])
-    s_stat = _converged_value(game.minmax(t))
-    state.minmax_statistic = s_stat
-    gamma = schedule.value(state.num_samples)
-    if s_stat < gamma:
-        return None
     evidence = _evidence(game, t)
+    state.minmax_statistic = max(evidence)
+    gamma = schedule.value(state.num_samples)
+    if state.minmax_statistic < gamma:
+        return None
     state.branch_statistics = np.array(evidence)
     decision = _nonaware_decide(evidence, gamma)
     state.stopped = (state.num_samples, decision)
@@ -482,8 +456,7 @@ def step_nonaware(state: NonAwareTestState, symbol: int, schedule: ThresholdSche
 
 def run_nonaware(stream: Iterable[int], schedule: ThresholdSchedule,
                  p0: Distribution, p1: Distribution, delta: float,
-                 measure: DistortionMeasure, options: SolverOptions | None = None,
-                 cap: int = 1_000_000, stride: int = 1,
+                 measure: DistortionMeasure, cap: int = 1_000_000, stride: int = 1,
                  record_trajectory: bool = False) -> TestOutcome:
     """Run the common-channel test; semantics mirror run_aware.
 
@@ -491,12 +464,9 @@ def run_nonaware(stream: Iterable[int], schedule: ThresholdSchedule,
     at a time (at most 4,096 symbols per read), exactly up to the next
     evaluated step, so the run reads no symbol past its stop; as in
     run_aware, an invalid symbol raises DomainError once the rest of its
-    read has been consumed. At each evaluated step the larger branch
-    statistic bounds the min-max statistic from below, and its objective
-    at one feasible channel from above; the min-max search runs only when
-    neither bound decides, and a search that hit its iteration cap raises
-    ResourceError rather than decide. Trajectory rows carry the two branch
-    statistics.
+    read has been consumed. An evaluated step stops the run when the
+    larger branch statistic, which is the channel min-max statistic,
+    clears the threshold. Trajectory rows carry the two branch statistics.
     """
     if schedule.num_hypotheses != 2:
         raise DomainError("the common-channel test is defined for two hypotheses")
@@ -520,7 +490,7 @@ def run_nonaware(stream: Iterable[int], schedule: ThresholdSchedule,
         t = _first_share(n - ones, ones)
         gamma = schedule.value(n)
         evidence = _evidence(game, t)
-        if _minmax_clears(game, t, gamma, evidence):
+        if max(evidence) >= gamma:
             decision = _nonaware_decide(evidence, gamma)
             if record_trajectory:
                 rows.append(TrajectoryRow(n, gamma, evidence, True, decision))

@@ -21,7 +21,6 @@ from scipy.special import xlogy
 from seqgame.divopt import (
     DistortionBall,
     SolverOptions,
-    _converged_value,
     min_divergence_over_common_channels,
     min_max_divergence_over_channel,
 )
@@ -197,25 +196,23 @@ def run_aware_stepwise(stream: Iterable[int], schedule: ThresholdSchedule, spec:
 
 
 def _branch_statistics(qhat: Distribution, p0: Distribution, p1: Distribution, delta: float,
-                       measure: DistortionMeasure,
-                       options: SolverOptions | None) -> np.ndarray:
+                       measure: DistortionMeasure) -> np.ndarray:
     """Evidence for each hypothesis: the divergence from qhat to everything
     a common channel can make of the rival law."""
     return np.array([
-        _converged_value(min_divergence_over_common_channels(
-            qhat, 1 - b, p0, p1, delta, measure, options))
+        min_divergence_over_common_channels(qhat, 1 - b, p0, p1, delta, measure).value
         for b in (0, 1)
     ])
 
 
 def run_nonaware_stepwise(stream: Iterable[int], schedule: ThresholdSchedule,
                           p0: Distribution, p1: Distribution, delta: float,
-                          measure: DistortionMeasure, options: SolverOptions | None = None,
-                          cap: int = 1_000_000, stride: int = 1,
+                          measure: DistortionMeasure, cap: int = 1_000_000, stride: int = 1,
                           record_trajectory: bool = False) -> TestOutcome:
-    """The common-channel test fed one symbol at a time, with the full
-    channel min-max solve at every evaluated step: the loop `run_nonaware`
-    ran before it screened steps with the duality bounds."""
+    """The common-channel test fed one symbol at a time, solving the public
+    channel min-max on the empirical law at every evaluated step;
+    `run_nonaware` instead reads a stride at a time, forms qhat[0] from two
+    counts and builds its channel game once per run."""
     if schedule.num_hypotheses != 2:
         raise DomainError("the common-channel test is defined for two hypotheses")
     if cap < 1:
@@ -240,12 +237,11 @@ def run_nonaware_stepwise(stream: Iterable[int], schedule: ThresholdSchedule,
         if n % stride and n < cap:
             continue
         qhat = empirical_distribution(state.counts)
-        s_stat = _converged_value(
-            min_max_divergence_over_channel(qhat, p0, p1, delta, measure, options))
+        s_stat = min_max_divergence_over_channel(qhat, p0, p1, delta, measure).value
         state.minmax_statistic = s_stat
         gamma = schedule.value(n)
         if s_stat >= gamma:
-            branch = _branch_statistics(qhat, p0, p1, delta, measure, options)
+            branch = _branch_statistics(qhat, p0, p1, delta, measure)
             state.branch_statistics = branch
             decision = _nonaware_decide(branch, gamma)
             state.stopped = (n, decision)
@@ -253,7 +249,7 @@ def run_nonaware_stepwise(stream: Iterable[int], schedule: ThresholdSchedule,
                 rows.append(TrajectoryRow(n, gamma, tuple(branch), True, decision))
             return TestOutcome(n, decision, False, tuple(rows) if record_trajectory else None)
         if record_trajectory:
-            branch = _branch_statistics(qhat, p0, p1, delta, measure, options)
+            branch = _branch_statistics(qhat, p0, p1, delta, measure)
             rows.append(TrajectoryRow(n, gamma, tuple(branch), False, None))
     return TestOutcome(cap, None, True, tuple(rows) if record_trajectory else None)
 

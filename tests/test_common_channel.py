@@ -1,22 +1,24 @@
-"""The binary common-channel min-max, its callers, and their caps.
+"""The binary common-channel min-max, the common-channel search, and
+their callers.
 
-The exact output-coordinate solve is checked against a brute-force grid
-over binary channels [[a, 1-a], [1-b, b]] on random games, and pinned on
-the benchmark's game, where the earlier barrier solver overstated it.
-`run_nonaware`, which reads its stream a stride at a time and runs the
-min-max search only where the duality bounds cannot decide, is checked
-against the per-symbol loop with the full solve in `oracles.py`.
+The closed-form solve is checked against a brute-force grid over binary
+channels [[a, 1-a], [1-b, b]] on random games, against the larger of the
+two clamp divergences at every t, and pinned on the benchmark's game, where
+an earlier barrier solver overstated it. The facing-ends channel of
+`solve_nonaware_adversary` is checked against a grid of its objective.
+`run_nonaware`, which reads its stream a stride at a time, is checked
+against the per-symbol loop in `oracles.py`.
 """
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import xlogy
 
-from seqgame import divopt, equilibrium
+from seqgame import divopt
 from seqgame.divopt import (
     _FEASIBILITY_SLACK,
     DistortionBall,
@@ -25,11 +27,10 @@ from seqgame.divopt import (
     min_divergence_over_common_channels,
     min_max_divergence_over_channel,
 )
-from seqgame.equilibrium import nonaware_achievable, solve_nonaware_adversary
+from seqgame.equilibrium import nonaware_achievable, nonaware_converse, solve_nonaware_adversary
 from seqgame.errors import DomainError, ResourceError, ShapeError, StreamExhaustedError
 from seqgame.prob import Channel, Distribution, DistortionMeasure, empirical_distribution
 from seqgame.seqtest import (
-    _BOUND_MARGIN,
     NonAwareTestState,
     ThresholdSchedule,
     _first_share,
@@ -158,60 +159,56 @@ def _alpha_at(gamma: float, n: int) -> float:
 
 
 class TestIterationCaps:
-    """A min-max search that hits its cap reports it, and no caller turns
-    the unconverged value into a decision or a bound."""
+    """No common-channel solve iterates: with every bisection capped at
+    one step, the solves still converge and the test still decides."""
 
     @pytest.fixture
     def capped(self, monkeypatch):
         monkeypatch.setattr(divopt, "_BISECTION_CAP", 1)
 
-    def test_solve_reports_cap(self, capped):
+    def test_minmax_needs_no_search(self, capped):
         res = min_max_divergence_over_channel(
             Distribution([0.44, 0.56]), P0, P1, 0.05, DistortionMeasure.TV_L1)
-        assert not res.converged
-        assert res.iterations == 1
+        assert res.converged
+        assert res.iterations == 0
 
     def test_single_branch_needs_no_search(self, capped):
         res = min_divergence_over_common_channels(
             Distribution([0.44, 0.56]), 0, P0, P1, 0.05, DistortionMeasure.TV_L1)
         assert res.converged
 
-    def test_run_nonaware_raises(self, capped):
-        # Twenty zeros put t = 1 at every step. Alpha puts the threshold at
-        # step 20 midway between the two bounds, inside the margin of both,
-        # so only the capped search can decide that step.
-        n, t = 20, 1.0
+    @pytest.mark.parametrize("side", [-1.0, 1.0])
+    def test_run_nonaware_stops_at_the_larger_clamp(self, capped, side):
+        # Twenty zeros put t = 1 at step 20; a threshold a hair below the
+        # larger clamp divergence stops the run there, one a hair above
+        # does not.
+        n = 20
         game = _ChannelGame(P0, P1, 0.05, DistortionMeasure.TV_L1)
-        lower, upper = max(game.reach(t, 0), game.reach(t, 1)), game.upper(t)
-        gamma = 0.5 * (lower + upper)
-        assert lower < gamma * (1.0 + _BOUND_MARGIN) and upper >= gamma * (1.0 - _BOUND_MARGIN)
+        gamma = max(game.reach(1.0, 0), game.reach(1.0, 1)) * (1.0 + side * 1e-9)
         sched = ThresholdSchedule(alpha=_alpha_at(gamma, n), num_hypotheses=2, alphabet_size=2)
-        assert sched.value(n) == pytest.approx(gamma, rel=1e-12)
-        with pytest.raises(ResourceError):
-            run_nonaware(iter([0] * n), sched, P0, P1, 0.05, DistortionMeasure.TV_L1)
+        assert sched.value(n) == pytest.approx(gamma, rel=1e-11)
+        out = run_nonaware(iter([0] * n), sched, P0, P1, 0.05, DistortionMeasure.TV_L1,
+                           cap=n, stride=n)
+        assert out.timed_out == (side > 0.0)
+        assert out.stopping_time == n
+
+    def test_step_nonaware_needs_no_search(self, capped):
+        sched = ThresholdSchedule(alpha=0.1, num_hypotheses=2, alphabet_size=2)
+        state = NonAwareTestState.fresh()
+        assert step_nonaware(state, 0, sched, P0, P1, 0.05, DistortionMeasure.TV_L1) is None
+        assert state.minmax_statistic == max(
+            _ChannelGame(P0, P1, 0.05, DistortionMeasure.TV_L1).reach(1.0, b) for b in (0, 1))
+
+    def test_achievable_bound_needs_no_search(self, capped):
+        ach = nonaware_achievable(P0, P1, Channel.identity(2), 0.05, DistortionMeasure.TV_L1)
+        assert ach == pytest.approx(0.03670848617543383, rel=1e-6)
 
     def test_run_nonaware_bounds_decide_without_search(self, capped):
-        # the bounds decide every step of this input, so no capped value
-        # decides and the run reads the stream to its end
+        # the larger clamp decides every step of this input, and none
+        # stops, so the run reads the stream to its end
         sched = ThresholdSchedule(alpha=0.1, num_hypotheses=2, alphabet_size=2)
         with pytest.raises(StreamExhaustedError, match="after 20 symbols"):
             run_nonaware(iter([0, 1] * 10), sched, P0, P1, 0.05, DistortionMeasure.TV_L1)
-
-    def test_step_nonaware_raises(self, capped):
-        sched = ThresholdSchedule(alpha=0.1, num_hypotheses=2, alphabet_size=2)
-        with pytest.raises(ResourceError):
-            step_nonaware(NonAwareTestState.fresh(), 0, sched, P0, P1, 0.05,
-                          DistortionMeasure.TV_L1)
-
-    def test_achievable_bound_raises(self, capped):
-        with pytest.raises(ResourceError):
-            nonaware_achievable(P0, P1, Channel.identity(2), 0.05, DistortionMeasure.TV_L1)
-
-    def test_pattern_search_sweep_cap(self, monkeypatch):
-        # from the identity, the first sweep at the widest step improves
-        monkeypatch.setattr(equilibrium, "_PATTERN_SWEEP_CAP", 1)
-        with pytest.raises(ResourceError):
-            solve_nonaware_adversary(P0, P1, 0.05, DistortionMeasure.TV_L1, num_starts=1)
 
 
 def _law(p: float) -> Distribution:
@@ -220,19 +217,87 @@ def _law(p: float) -> Distribution:
 
 @settings(max_examples=150, deadline=None)
 @given(_games())
-def test_duality_bounds_hold(game):
-    """The larger branch value <= the min-max value <= the objective at the
-    clamp, within 1e-12 relative; a binary divergence near zero carries
-    the rounding of its two canceling terms, about 1e-16, so values below
-    1e-3 compare to 1e-15."""
+def test_minmax_is_the_larger_clamp(game):
+    """The min-max value is exactly the larger of the two clamp
+    divergences, and its channel is feasible for both balls and attains it."""
     measure, p0, p1, delta, q0, _ = game
-    channel_game = _ChannelGame(_law(p0), _law(p1), delta, measure)
+    laws = (_law(p0), _law(p1))
+    channel_game = _ChannelGame(*laws, delta, measure)
     res = channel_game.minmax(q0)
-    assert res.converged
-    lower = max(channel_game.reach(q0, 0), channel_game.reach(q0, 1))
-    upper = channel_game.upper(q0)
-    assert lower <= res.value + 1e-12 * max(res.value, 1e-3)
-    assert res.value <= upper + 1e-12 * max(upper, 1e-3)
+    assert res.converged and res.iterations == 0
+    assert res.value == max(channel_game.reach(q0, 0), channel_game.reach(q0, 1))
+    reached = []
+    for p in laws:
+        out = p.probs @ res.channel.rows
+        assert np.all(out >= FLOOR - _FEASIBILITY_SLACK)
+        assert measure.evaluate(p.probs, out) <= delta + _FEASIBILITY_SLACK
+        reached.append(float(_binary_kl(q0, out[0])))
+    assert max(reached) == pytest.approx(res.value, rel=1e-9, abs=1e-12)
+
+
+def _larger_clamp(game: _ChannelGame, t: np.ndarray) -> np.ndarray:
+    """The min-max statistic at every entry of t, as the larger clamp
+    divergence onto the two output ranges."""
+    with np.errstate(divide="ignore"):
+        return np.max([_binary_kl(t, np.clip(t, r.x_lo, r.x_hi))
+                       for r in (game._region(0), game._region(1))], axis=0)
+
+
+# the benchmark game, whose output ranges are separated
+@example((DistortionMeasure.TV_L1, 0.38, 0.5, 0.05, 0.5, (0, 1)), 1.0)
+# overlapping ranges
+@example((DistortionMeasure.TV_L1, 0.38, 0.5, 0.2, 0.5, (0, 1)), 2.5)
+@example((DistortionMeasure.KL, 0.3, 0.35, 0.02, 0.5, (0, 1)), 0.5)
+# p0 = p1
+@example((DistortionMeasure.KL, 0.3, 0.3, 0.0, 0.5, (0, 1)), 1.0)
+# the output laws' divergences, and the statistic, round below zero
+@example((DistortionMeasure.KL, 0.41635715791842365, 0.4639752355616323, 0.04422607658090565,
+          0.5, (0, 1)), 0.3124923751441946)
+@example((DistortionMeasure.TV_L1, 0.41005022862785295, 0.41005022862785295, 0.0,
+          0.5, (0, 1)), 5.22633705567591)
+@settings(max_examples=60, deadline=None)
+@given(_games(), st.floats(0.1, 10.0))
+def test_search_matches_channel_grid_oracle(game, weight):
+    """The facing-ends channel is feasible, pays no more than any channel
+    of a grid, and its achievable bound stays within the converse as floats.
+
+    The grid scores each channel by S(x) + weight S(y) with S the larger
+    clamp, which the two tests above check against the min-max."""
+    measure, p0, p1, delta, _, _ = game
+    laws = (_law(p0), _law(p1))
+    bounds = solve_nonaware_adversary(*laws, delta, measure, weight)
+    assert 0.0 <= bounds.achievable <= bounds.converse
+    for p in laws:
+        out = p.probs @ bounds.channel.rows
+        assert np.all(out >= FLOOR - _FEASIBILITY_SLACK)
+        assert measure.evaluate(p.probs, out) <= delta + _FEASIBILITY_SLACK
+
+    channel_game = _ChannelGame(*laws, delta, measure)
+
+    def feasible(a, b):
+        return np.all([(_distortion(measure, p.probs[0], t) <= delta)
+                       & (t >= FLOOR) & (t <= 1.0 - FLOOR)
+                       for p in laws for t in [_outputs(a, b, p)]], axis=0)
+
+    def objective(a, b):
+        x, y = (_outputs(a, b, p) for p in laws)
+        return _larger_clamp(channel_game, x) + weight * _larger_clamp(channel_game, y)
+
+    # the identity channel is on the grid, so the grid is never empty
+    oracle, _ = grid_oracle_min_channels(objective, feasible, step=GRID_STEP)
+    assert bounds.achievable <= oracle * (1.0 + 1e-12) + 1e-15
+
+
+def test_achievable_within_converse_at_the_facing_ends():
+    """At the benchmark game's facing ends, (0.405, 0.475), the two bounds
+    are equal in exact arithmetic; rounding once put the achievable bound
+    2e-16 above the converse."""
+    rows = np.linalg.solve(np.array([P0.probs, P1.probs]), [0.38 + 0.025, 0.5 - 0.025])
+    channel = Channel(np.column_stack([rows, 1.0 - rows]))
+    args = (P0, P1, channel, 0.05, DistortionMeasure.TV_L1)
+    achievable, converse = nonaware_achievable(*args), nonaware_converse(*args)
+    assert achievable == pytest.approx(0.0199213615917475, rel=1e-12)
+    assert achievable <= converse
 
 
 @pytest.mark.parametrize("total", [1, 2, 3, 7, 10, 1023, 1024, 3391, 10**6 + 1])

@@ -22,7 +22,6 @@ from seqgame import (
     min_max_divergence_over_channel,
     pairwise_min_divergence,
 )
-from seqgame.divopt import _project_simplex_floor
 
 from oracles import (
     ball_lattice,
@@ -86,33 +85,6 @@ class TestDistortionBall:
         ball = DistortionBall(Distribution([0.2, 0.3, 0.5]), 0.1, DistortionMeasure.TV_L1)
         with pytest.raises(ShapeError):
             ball.interval
-
-
-def _closest_of(y, candidates):
-    d = np.linalg.norm(candidates - y, axis=1)
-    return d.min()
-
-
-class TestProjections:
-    def test_simplex_floor_binary_closed_form(self, rng):
-        floor = 1e-6
-        for _ in range(50):
-            y = rng.normal(size=2) * 2.0
-            x = _project_simplex_floor(y, floor)
-            # K=2: shift both coordinates equally, then clip at the floor
-            t = np.clip(y[0] + (1.0 - y.sum()) / 2.0, floor, 1.0 - floor)
-            assert x[0] == pytest.approx(t, abs=1e-12)
-            assert x.sum() == pytest.approx(1.0, abs=1e-12)
-
-    def test_simplex_floor_beats_random_feasible(self, rng):
-        floor = 1e-4
-        for _ in range(20):
-            y = rng.normal(size=4)
-            x = _project_simplex_floor(y, floor)
-            assert x.sum() == pytest.approx(1.0, abs=1e-10)
-            assert np.all(x >= floor - 1e-12)
-            others = floor + rng.dirichlet(np.ones(4), size=400) * (1.0 - 4 * floor)
-            assert np.linalg.norm(x - y) <= _closest_of(y, others) + 1e-9
 
 
 class TestMinDivergenceToBall:

@@ -311,7 +311,6 @@ class TestNonAware:
         aware = solve_aware_equilibrium(bernoulli_spec).payoff
         assert bounds.achievable >= aware - 1e-6
         assert bounds.achievable <= bounds.converse + 1e-9
-        assert bounds.heuristic
         for p in (p0, p1):
             out = apply_channel(p, bounds.channel)
             assert bernoulli_spec.measure.evaluate(p, out) <= bernoulli_spec.delta + 1e-9

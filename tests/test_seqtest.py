@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from seqgame.divopt import SolverOptions
 from seqgame.equilibrium import GameSpec
 from seqgame.errors import (
     ConstructionError,
@@ -284,14 +283,12 @@ class TestNonAwareDecision:
 class TestRunNonAware:
     P0 = Distribution([0.1, 0.9])
     P1 = Distribution([0.9, 0.1])
-    COARSE = SolverOptions(tolerance=1e-6, patience=2)
 
     def test_decides_true_hypothesis(self, rng):
         sched = ThresholdSchedule(0.2, 2, 2)
         stream = (rng.random(500) < 0.9).astype(int)  # law (0.1, 0.9)
         out = run_nonaware(
             iter(stream), sched, self.P0, self.P1, 0.05, DistortionMeasure.TV_L1,
-            options=self.COARSE,
         )
         assert out.decision == 0
         assert not out.timed_out
@@ -307,7 +304,7 @@ class TestRunNonAware:
         while decision is None:
             decision = step_nonaware(
                 state, next(stream), sched, self.P0, self.P1, 0.05,
-                DistortionMeasure.TV_L1, options=self.COARSE,
+                DistortionMeasure.TV_L1,
             )
         assert state.minmax_statistic >= max(state.branch_statistics) - 1e-6
         assert state.stopped == (state.num_samples, decision)
@@ -317,7 +314,7 @@ class TestRunNonAware:
         stream = (rng.random(500) < 0.9).astype(int)
         out = run_nonaware(
             iter(stream), sched, self.P0, self.P1, 0.05, DistortionMeasure.TV_L1,
-            options=self.COARSE, record_trajectory=True,
+            record_trajectory=True,
         )
         assert len(out.trajectory[-1].statistics) == 2
         assert out.trajectory[-1].stopped
@@ -335,7 +332,7 @@ class TestRunNonAware:
         sched = ThresholdSchedule(0.2, 2, 2)
         out = run_nonaware(
             iter([0, 1] * 5), sched, self.P0, self.P1, 0.05,
-            DistortionMeasure.TV_L1, options=self.COARSE, cap=4,
+            DistortionMeasure.TV_L1, cap=4,
         )
         assert out.timed_out and out.decision is None
 
