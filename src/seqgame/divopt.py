@@ -61,13 +61,14 @@ _DEFAULT_OPTIONS = SolverOptions()
 
 def _binary_kl(t: float, s: float) -> float:
     """Binary KL with t and s on the closed interval [0, 1]; +inf where t
-    puts mass that s does not."""
+    puts mass that s does not. Clamped at zero, which the two terms can
+    round below when s is a few ulps from t."""
     if (t > 0.0 and s <= 0.0) or (t < 1.0 and s >= 1.0):
         return math.inf
     value = t * math.log(t / s) if t > 0.0 else 0.0
     if t < 1.0:
         value += (1.0 - t) * math.log((1.0 - t) / (1.0 - s))
-    return value
+    return max(value, 0.0)
 
 
 @dataclass(frozen=True, eq=False)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice
+from itertools import islice, repeat
 from typing import Iterable
 
 import numpy as np
@@ -52,23 +52,48 @@ __all__ = [
 _MAX_TERMS = 1 << 30
 
 
-def _tail_integral(a: float, s: float) -> float:
-    """Integral of exp(-x^s) from a to infinity, via u = x^s."""
+def _tail_bracket(n: int, s: float) -> tuple[float, float]:
+    """Bounds (lower, upper) on the sum of f(x) = exp(-x^s) over x > n.
+
+    Euler-Maclaurin at a = n + 1 writes that tail as the integral of f from
+    a to infinity, plus f(a)/2 - f1(a)/12 + f3(a)/720 + R, where fk is the
+    k-th derivative of f and R has the sign of f5. For 0 < s < 1, x^s is
+    a Bernstein function, so f is completely monotone and every odd
+    derivative of f is <= 0 on (0, inf). So f3 and f5 share a sign, and
+    the remainder after the f1 term, f3(a)/720 + R, has the sign of
+    f3(a)/720 and is no larger in size: the tail lies between
+    upper + f3(a)/720 and upper = integral + f(a)/2 - f1(a)/12.
+
+    With g = a^s, g1 = s g/a, g2 = (s-1) g1/a and g3 = (s-2) g2/a, the
+    derivatives are f1 = -g1 f and f3 = (-g1^3 + 3 g1 g2 - g3) f. The
+    integral is Gamma(1/s) Q(1/s, g)/s, via u = x^s.
+    """
     log_gamma = gammaln(1.0 / s)
     if log_gamma > 700.0:
         raise ResourceError(f"tail certificate overflows for decay exponent {s}")
-    return math.exp(log_gamma) * float(gammaincc(1.0 / s, a**s)) / s
+    a = n + 1.0
+    g = a**s
+    f = math.exp(-g)
+    g1 = s * g / a
+    g2 = (s - 1.0) * g1 / a
+    g3 = (s - 2.0) * g2 / a
+    f1 = -g1 * f
+    f3 = (-g1**3 + 3.0 * g1 * g2 - g3) * f
+    integral = math.exp(log_gamma) * float(gammaincc(1.0 / s, g)) / s
+    upper = integral + 0.5 * f - f1 / 12.0
+    return upper + f3 / 720.0, upper
 
 
 @lru_cache(maxsize=None)
 def threshold_constant(zeta: float, abs_tol: float = 1e-9) -> float:
     """Sum of exp(-n^(1-zeta)) over n >= 1, certified to within abs_tol.
 
-    Partial sum plus an integral bracket on the tail. The summand is
-    decreasing and convex, so the midpoint rule bounds the tail from above
-    and the right-endpoint rule with a trapezoid correction from below; the
-    truncation point doubles until the bracket is tighter than abs_tol and
-    the bracket midpoint is taken.
+    A partial sum of N terms plus the Euler-Maclaurin bracket on the tail
+    of `_tail_bracket`, which is -f3(N + 1)/720 wide. N starts at 1,024
+    and doubles until the bracket is tighter than abs_tol, and the bracket
+    midpoint is taken. The certificate covers the truncation only: float
+    rounding in the partial sum and in the incomplete gamma function,
+    about 1e-15 of the value, lies outside it.
     """
     if not 0.0 < zeta < 1.0:
         raise DomainError(f"zeta must lie in (0, 1), got {zeta}")
@@ -77,16 +102,14 @@ def threshold_constant(zeta: float, abs_tol: float = 1e-9) -> float:
     s = 1.0 - zeta
     chunk_sums: list[float] = []
     covered = 0
-    target = 1 << 13
+    target = 1 << 10
     while True:
         while covered < target:
             stop = min(covered + (1 << 20), target)
             grid = np.arange(covered + 1, stop + 1, dtype=float)
             chunk_sums.append(math.fsum(np.exp(-(grid**s))))
             covered = stop
-        f_next = math.exp(-float(covered + 1) ** s)
-        lower = _tail_integral(covered + 1.0, s) + 0.5 * f_next
-        upper = _tail_integral(covered + 0.5, s)
+        lower, upper = _tail_bracket(covered, s)
         if upper - lower <= abs_tol:
             return math.fsum(chunk_sums) + 0.5 * (lower + upper)
         if target >= _MAX_TERMS:
@@ -139,13 +162,26 @@ class ThresholdSchedule:
         extra = self.alphabet_size * math.log(n + 1.0) + self._log_rivals
         return self._log_ratio / n + n ** (-self.zeta) + extra / n
 
+    def at(self, steps) -> np.ndarray:
+        """Thresholds at the given steps, equal to value(n) at each, bit for bit.
+
+        The logarithm and the power go through `math.log` and `pow`, the
+        calls `value` makes, since numpy's may differ in the last bit; the
+        rest of the formula runs in numpy in the same order as `value`.
+        """
+        n = np.asarray(steps, dtype=float).ravel()
+        if n.size and n.min() < 1.0:
+            raise DomainError(f"threshold is defined for n >= 1, got {n.min():g}")
+        logs = np.fromiter(map(math.log, (n + 1.0).tolist()), float, n.size)
+        powers = np.fromiter(map(pow, n.tolist(), repeat(-self.zeta)), float, n.size)
+        extra = self.alphabet_size * logs + self._log_rivals
+        return self._log_ratio / n + powers + extra / n
+
     def values(self, n_max: int) -> np.ndarray:
         """Thresholds at n = 1..n_max as one vector."""
         if n_max < 1:
             raise DomainError(f"n_max must be >= 1, got {n_max}")
-        n = np.arange(1, n_max + 1, dtype=float)
-        extra = self.alphabet_size * np.log(n + 1.0) + self._log_rivals
-        return self._log_ratio / n + n ** (-self.zeta) + extra / n
+        return self.at(np.arange(1, n_max + 1))
 
 
 @dataclass(frozen=True)
@@ -286,13 +322,13 @@ def _evaluate(counts: np.ndarray, steps: list[int], schedule: ThresholdSchedule,
     step, and the first (row, decision) at which a statistic clears its
     threshold; the smallest index decides among several."""
     z = evidence_statistics(counts, spec, options)
-    gammas = [schedule.value(n) for n in steps]
-    hits = z >= np.array(gammas)[:, None]
+    gammas = schedule.at(steps)
+    hits = z >= gammas[:, None]
     stops = hits.any(axis=1)
     if not stops.any():
-        return z, gammas, None
+        return z, gammas.tolist(), None
     row = int(stops.argmax())
-    return z, gammas, (row, int(hits[row].argmax()))
+    return z, gammas.tolist(), (row, int(hits[row].argmax()))
 
 
 def step_aware(state: AwareTestState, symbol: int, schedule: ThresholdSchedule,

@@ -270,9 +270,9 @@ def _count_boundaries(schedule: ThresholdSchedule,
     the counts that clear the threshold against ball j are
     {c <= lower[j]} | {c >= upper[j]}, one column per step. The search
     evaluates the float expression of the engine, c/n through the clamp
-    divergence against ThresholdSchedule.value(n), so the boundaries decide
-    exactly as evaluating it at every count would. Row 2j searches lower[j]
-    and row 2j + 1 searches upper[j] - 1.
+    divergence against ThresholdSchedule.value(n) (which `at` gives bit for
+    bit), so the boundaries decide exactly as evaluating it at every count
+    would. Row 2j searches lower[j] and row 2j + 1 searches upper[j] - 1.
 
     `seed` holds the boundaries (n0, lower, upper) at an earlier step. Near
     an interval end e the divergence grows as (t - e)^2, so each boundary
@@ -280,7 +280,7 @@ def _count_boundaries(schedule: ThresholdSchedule,
     guess seeds the knots of the search and moves no boundary.
     """
     rows = 2 * len(intervals)
-    thresholds = np.array([schedule.value(k) for k in steps.tolist()])
+    thresholds = schedule.at(steps)
     n = np.tile(steps, rows)
     gamma = np.tile(thresholds, rows)
     lo, hi = (np.repeat(ends, 2 * steps.size) for ends in zip(*intervals))

@@ -392,3 +392,49 @@ class TestStreamEdges:
         stop, taken = _run(run_nonaware_stepwise, symbols, *self.ARGS, stride=7)
         symbols[stop.stopping_time] = 2
         assert _run(run_nonaware, symbols, *self.ARGS, stride=7) == (stop, taken)
+
+
+@st.composite
+def _grid_games(draw):
+    """Binary games on a decimal grid, whose interval and output-range ends
+    lie within a few ulps of count shares k/1000."""
+    measure = draw(st.sampled_from(list(DistortionMeasure)))
+    p0 = draw(st.integers(5, 95)) / 100
+    p1 = p0 if draw(st.booleans()) else draw(st.integers(5, 95)) / 100
+    top = 200 if measure is DistortionMeasure.TV_L1 else 20
+    delta = draw(st.integers(0, top)) / 1000
+    return measure, p0, p1, delta
+
+
+def _nudged(x: float, ulps: int) -> float:
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.copysign(math.inf, ulps))
+    return x
+
+
+@settings(max_examples=150, deadline=None)
+@given(game=_grid_games(), ulps=st.integers(-4, 4))
+@example(game=(DistortionMeasure.TV_L1, 0.1, 0.1, 0.05), ulps=0)
+@example(game=(DistortionMeasure.KL, 0.3, 0.3, 0.0), ulps=1)
+def test_no_divergence_rounds_below_zero(game, ulps):
+    """Reach values a few ulps off every interval and output-range end, and
+    the trajectory statistics of `run_nonaware` at count shares next to
+    those ends, are never negative (two nearby floats once gave -7e-17)."""
+    measure, p0, p1, delta = game
+    laws = (_law(p0), _law(p1))
+    channel_game = _ChannelGame(*laws, delta, measure)
+    sched = ThresholdSchedule(0.3, 2, 2)
+    for b, law in enumerate(laws):
+        ball = DistortionBall(law, delta, measure)
+        for end in ball.interval:
+            t = min(max(_nudged(end, ulps), 0.0), 1.0)
+            assert divopt.min_divergence_to_ball(_law(t), ball).value >= 0.0
+        region = channel_game._region(b)
+        for end in (region.x_lo, region.x_hi):
+            t = min(max(_nudged(end, ulps), 0.0), 1.0)
+            assert channel_game.reach(t, b) >= 0.0
+            zeros = round(end * 1000)
+            if 0 < zeros < 1000:
+                out = run_nonaware([0] * zeros + [1] * (1000 - zeros), sched, *laws, delta,
+                                   measure, cap=1000, stride=1000, record_trajectory=True)
+                assert min(out.trajectory[-1].statistics) >= 0.0

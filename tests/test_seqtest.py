@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -20,6 +21,7 @@ from seqgame.seqtest import (
     ThresholdSchedule,
     TrajectoryRow,
     _nonaware_decide,
+    _tail_bracket,
     evidence_statistics,
     run_aware,
     run_msprt,
@@ -34,6 +36,22 @@ from seqgame.seqtest import (
 C_085 = 2593.3325570093630302
 C_05 = 1.6704068179663398297
 GEOMETRIC_LIMIT = 0.5819767068693265  # decay exponent -> 1 leaves sum exp(-n)
+
+
+def _mp_tail(n: int, s: float) -> mpmath.mpf:
+    """Sum of exp(-k^s) over k > n to 40 digits: 2,000 terms summed, and
+    Euler-Maclaurin to the f11 term beyond them, where each next term is
+    smaller by a factor of about (2 pi L)^2 at L > 2,000."""
+    with mpmath.workdps(40):
+        sf = mpmath.mpf(s)
+        f = lambda x: mpmath.exp(-x**sf)  # noqa: E731
+        far = mpmath.mpf(n + 2001)
+        tail = mpmath.fsum(f(mpmath.mpf(k)) for k in range(n + 1, n + 2001))
+        tail += mpmath.gammainc(1 / sf, far**sf) / sf + f(far) / 2
+        for k in range(1, 7):
+            tail -= (mpmath.bernoulli(2 * k) / mpmath.factorial(2 * k)
+                     * mpmath.diff(f, far, 2 * k - 1))
+        return tail
 
 
 @pytest.fixture(scope="module")
@@ -73,6 +91,19 @@ class TestThresholdConstant:
         with pytest.raises(ResourceError):
             threshold_constant(0.999999)
 
+    def test_within_float_rounding_of_the_frozen_value(self):
+        # the truncation is certified to 1e-9; what is left is rounding
+        assert abs(threshold_constant(0.85) - C_085) <= 2e-11
+
+    @pytest.mark.parametrize("zeta", [0.3, 0.5, 0.85, 0.95])
+    @pytest.mark.parametrize("n", [8, 64, 1024])
+    def test_tail_bracket_holds_the_tail(self, zeta, n):
+        lower, upper = _tail_bracket(n, 1.0 - zeta)
+        tail = _mp_tail(n, 1.0 - zeta)
+        # the bracket is exact in real arithmetic; allow float rounding
+        assert lower <= tail * (1 + mpmath.mpf(1e-14))
+        assert upper >= tail * (1 - mpmath.mpf(1e-14))
+
 
 class TestThresholdSchedule:
     def test_hand_formula_at_one(self):
@@ -97,6 +128,20 @@ class TestThresholdSchedule:
         assert vals.shape == (500,)
         scalar = np.array([sched.value(n) for n in range(1, 501)])
         np.testing.assert_allclose(vals, scalar, rtol=1e-13)
+
+    @pytest.mark.parametrize("alphabet_size", [2, 3])
+    def test_vector_form_equals_scalar_bit_for_bit(self, alphabet_size):
+        sched = ThresholdSchedule(math.exp(-8), 2, alphabet_size)
+        steps = np.arange(1, 10**6 + 1)
+        scalar = np.fromiter(map(sched.value, steps.tolist()), float, steps.size)
+        np.testing.assert_array_equal(sched.at(steps), scalar)
+        np.testing.assert_array_equal(sched.values(10**6), scalar)
+
+    def test_vector_form_rejects_steps_below_one(self):
+        sched = ThresholdSchedule(0.05, 2, 2)
+        assert sched.at([]).shape == (0,)
+        with pytest.raises(DomainError):
+            sched.at([3, 0])
 
     def test_decays_toward_zero(self):
         sched = ThresholdSchedule(alpha=0.05, num_hypotheses=2, alphabet_size=2)
