@@ -42,7 +42,6 @@ from .errors import (
     ResourceError,
     SeqGameError,
     ShapeError,
-    StateError,
     StreamExhaustedError,
 )
 from .prob import (
@@ -58,9 +57,7 @@ from .prob import (
     normalize,
 )
 from .seqtest import (
-    AwareTestState,
     MsprtConfig,
-    NonAwareTestState,
     TestOutcome,
     ThresholdSchedule,
     TrajectoryRow,
@@ -68,8 +65,6 @@ from .seqtest import (
     run_aware,
     run_msprt,
     run_nonaware,
-    step_aware,
-    step_nonaware,
     threshold_constant,
     trajectory_csv,
 )
@@ -122,15 +117,11 @@ __all__ = [
     # seqtest
     "threshold_constant",
     "ThresholdSchedule",
-    "AwareTestState",
-    "NonAwareTestState",
     "TestOutcome",
     "TrajectoryRow",
     "trajectory_csv",
     "evidence_statistics",
-    "step_aware",
     "run_aware",
-    "step_nonaware",
     "run_nonaware",
     "MsprtConfig",
     "run_msprt",
@@ -151,7 +142,6 @@ __all__ = [
     "InfeasibleError",
     "ResourceError",
     "DegenerateGameError",
-    "StateError",
     "StreamExhaustedError",
     "ConfigError",
     "EmptyDataError",

@@ -86,7 +86,7 @@ class DistortionBall:
     floor: float = 1e-9
 
     def __post_init__(self) -> None:
-        if self.radius < 0:
+        if not self.radius >= 0:  # also rejects NaN
             raise DomainError(f"radius must be nonnegative, got {self.radius!r}")
         if not (0.0 <= self.floor < 1.0 / self.center.size):
             raise DomainError("floor must satisfy 0 <= floor < 1/K")
@@ -433,8 +433,7 @@ def _ball_reach(q0: np.ndarray, ball: DistortionBall) -> tuple[np.ndarray, np.nd
     return q, values, converged | inside, np.where(inside, 0, steps)
 
 
-def min_divergence_to_ball(qhat, ball: DistortionBall,
-                           options: SolverOptions | None = None) -> BallMinResult:
+def min_divergence_to_ball(qhat, ball: DistortionBall) -> BallMinResult:
     """Minimize D(qhat || q) over the ball; the reach of one adversary.
 
     Value is zero exactly when qhat itself is feasible. Binary alphabets
@@ -442,7 +441,7 @@ def min_divergence_to_ball(qhat, ball: DistortionBall,
     solve the KKT conditions exactly: a sorting water-fill for TV balls,
     and for KL balls the mixture of qhat and the center with its weight
     bisected. `iterations` counts bisection steps. The solve has no
-    tolerance to tune; `options` is accepted for a uniform signature.
+    tolerance to tune.
     """
     q0 = qhat.probs if isinstance(qhat, Distribution) else np.asarray(qhat, dtype=float)
     if q0.shape != ball.center.probs.shape:

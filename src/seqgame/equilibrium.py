@@ -82,12 +82,12 @@ class GameSpec:
             for j in range(i + 1, len(hyps)):
                 if np.max(np.abs(hyps[i].probs - hyps[j].probs)) <= 1e-12:
                     raise ConstructionError(f"hypotheses {i} and {j} coincide")
-        if self.delta < 0:
+        if not self.delta >= 0:  # also rejects NaN
             raise DomainError("delta must be nonnegative")
         weights = tuple(self.weights) if self.weights else (1.0,) * len(hyps)
         if len(weights) != len(hyps):
             raise ShapeError("need one weight per hypothesis")
-        if any(w <= 0 for w in weights):
+        if any(not w > 0 for w in weights):
             raise DomainError("weights must be positive")
         object.__setattr__(self, "hypotheses", hyps)
         object.__setattr__(self, "weights", weights)
@@ -176,7 +176,7 @@ def solve_aware_equilibrium(spec: GameSpec,
     for i in range(m):
         for j in range(m):
             if i != j:
-                res = min_divergence_to_ball(q_star[i], spec.balls[j], options)
+                res = min_divergence_to_ball(q_star[i], spec.balls[j])
                 matrix[i, j] = res.value
                 converged &= res.converged
     exponents = matrix.min(axis=1)
@@ -193,7 +193,7 @@ def equilibrium_payoff(exponents, weights) -> float:
     w = np.asarray(weights, dtype=float)
     if e.shape != w.shape:
         raise ShapeError("exponents and weights must have matching lengths")
-    if np.any(w <= 0):
+    if not np.all(w > 0):
         raise DomainError("weights must be positive")
     return float(np.dot(e, w))
 
@@ -303,6 +303,8 @@ def _common_outputs(p0: Distribution, p1: Distribution, channel: Channel, delta:
     D(out0 || out1) and D(out1 || out0), never below zero (nearly equal
     laws can round to -1e-17); InfeasibleError if the channel breaks the
     budget."""
+    if not delta >= 0:  # also rejects NaN
+        raise DomainError("delta must be nonnegative")
     out0 = apply_channel(p0, channel)
     out1 = apply_channel(p1, channel)
     d0 = measure.evaluate(p0, out0)
@@ -327,7 +329,7 @@ def nonaware_achievable(p0: Distribution, p1: Distribution, channel: Channel,
     takes it, so that rounding never lifts the bound above the converse
     where the two are equal; nor does it take a term below zero.
     """
-    if weight <= 0:
+    if not weight > 0:
         raise DomainError("weight must be positive")
     out0, out1, d01, d10 = _common_outputs(p0, p1, channel, delta, measure)
     term0, term1 = (
@@ -341,36 +343,10 @@ def nonaware_converse(p0: Distribution, p1: Distribution, channel: Channel,
                       delta: float, measure: DistortionMeasure,
                       weight: float = 1.0) -> float:
     """Upper bound on any procedure's payoff at a common channel."""
-    if weight <= 0:
+    if not weight > 0:
         raise DomainError("weight must be positive")
     _, _, d01, d10 = _common_outputs(p0, p1, channel, delta, measure)
     return d01 + weight * d10
-
-
-def _max_feasible_blend(p0: Distribution, p1: Distribution, target: np.ndarray,
-                        delta: float, measure: DistortionMeasure) -> np.ndarray:
-    """Largest blend (1-t) I + t target staying inside the common budget."""
-    k = p0.size
-    eye = np.eye(k)
-
-    def feasible(t: float) -> bool:
-        a = (1.0 - t) * eye + t * target
-        for p in (p0, p1):
-            if measure.evaluate(p.probs, p.probs @ a) > delta:
-                return False
-        return True
-
-    lo, hi = 0.0, 1.0
-    if feasible(1.0):
-        return target.copy()
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            lo = mid
-        else:
-            hi = mid
-    t = 0.9 * lo
-    return (1.0 - t) * eye + t * target
 
 
 def solve_nonaware_adversary(p0: Distribution, p1: Distribution, delta: float,

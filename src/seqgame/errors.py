@@ -35,10 +35,6 @@ class DegenerateGameError(SeqGameError):
     """The distortion budget lets adversaries make hypotheses indistinguishable."""
 
 
-class StateError(SeqGameError):
-    """A sequential test was driven after it had already stopped."""
-
-
 class StreamExhaustedError(SeqGameError):
     """A sample stream ended before the sequential test reached a decision."""
 

@@ -10,6 +10,7 @@ share the same outcome type.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice, repeat
@@ -18,7 +19,7 @@ from typing import Iterable
 import numpy as np
 from scipy.special import gammaincc, gammaln
 
-from .divopt import SolverOptions, _ball_reach, _ChannelGame
+from .divopt import _ball_reach, _ChannelGame
 from .equilibrium import GameSpec
 from .errors import (
     ConstructionError,
@@ -27,23 +28,18 @@ from .errors import (
     ResourceError,
     SeqGameError,
     ShapeError,
-    StateError,
     StreamExhaustedError,
 )
-from .prob import Distribution, DistortionMeasure, empirical_distribution
+from .prob import Distribution, DistortionMeasure
 
 __all__ = [
     "threshold_constant",
     "ThresholdSchedule",
-    "AwareTestState",
-    "NonAwareTestState",
     "TestOutcome",
     "TrajectoryRow",
     "trajectory_csv",
     "evidence_statistics",
-    "step_aware",
     "run_aware",
-    "step_nonaware",
     "run_nonaware",
     "MsprtConfig",
     "run_msprt",
@@ -177,12 +173,6 @@ class ThresholdSchedule:
         extra = self.alphabet_size * logs + self._log_rivals
         return self._log_ratio / n + powers + extra / n
 
-    def values(self, n_max: int) -> np.ndarray:
-        """Thresholds at n = 1..n_max as one vector."""
-        if n_max < 1:
-            raise DomainError(f"n_max must be >= 1, got {n_max}")
-        return self.at(np.arange(1, n_max + 1))
-
 
 @dataclass(frozen=True)
 class TrajectoryRow:
@@ -224,22 +214,7 @@ def trajectory_csv(trajectory: Iterable[TrajectoryRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass
-class AwareTestState:
-    """Mutable per-run state: symbol tallies and the current statistics."""
-
-    counts: np.ndarray
-    num_samples: int = 0
-    statistics: np.ndarray | None = None
-    stopped: tuple[int, int] | None = None
-
-    @classmethod
-    def fresh(cls, alphabet_size: int) -> "AwareTestState":
-        return cls(np.zeros(alphabet_size, dtype=np.int64))
-
-
-def evidence_statistics(counts: np.ndarray, spec: GameSpec,
-                        options: SolverOptions | None = None) -> np.ndarray:
+def evidence_statistics(counts: np.ndarray, spec: GameSpec) -> np.ndarray:
     """Per-hypothesis evidence: distance from the empirical law to the
     nearest rival reachable set.
 
@@ -254,7 +229,10 @@ def evidence_statistics(counts: np.ndarray, spec: GameSpec,
         raise ShapeError(f"counts must be K or R x K with K = {spec.alphabet_size}, "
                          f"got shape {arr.shape}")
     rows = np.atleast_2d(arr)
-    if np.any(rows < 0) or not np.allclose(rows, np.round(rows)):
+    kind = rows.dtype.kind
+    whole = kind in "iu" or (kind in "fb" and np.isfinite(rows).all()
+                             and np.allclose(rows, np.round(rows)))
+    if not whole or np.any(rows < 0):
         raise ConstructionError("counts must be nonnegative integers")
     totals = rows.sum(axis=1, keepdims=True)
     if np.any(totals == 0):
@@ -268,6 +246,12 @@ def evidence_statistics(counts: np.ndarray, spec: GameSpec,
     out = np.repeat(dists[index, order[:, 0]][:, None], spec.num_hypotheses, axis=1)
     out[index, order[:, 0]] = dists[index, order[:, 1]]
     return out if arr.ndim == 2 else out[0]
+
+
+def _check_limits(**limits: int) -> None:
+    for name, value in limits.items():
+        if not isinstance(value, numbers.Integral) or value < 1:
+            raise DomainError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 def _check_symbol(symbol: int, alphabet_size: int) -> int:
@@ -316,12 +300,11 @@ def _read(it, count: int, read: int, size: int) -> tuple[np.ndarray, SeqGameErro
 
 
 def _evaluate(counts: np.ndarray, steps: list[int], schedule: ThresholdSchedule,
-              spec: GameSpec, options: SolverOptions | None
-              ) -> tuple[np.ndarray, list[float], tuple[int, int] | None]:
+              spec: GameSpec) -> tuple[np.ndarray, list[float], tuple[int, int] | None]:
     """Statistics and thresholds at the given steps, one row of counts per
     step, and the first (row, decision) at which a statistic clears its
     threshold; the smallest index decides among several."""
-    z = evidence_statistics(counts, spec, options)
+    z = evidence_statistics(counts, spec)
     gammas = schedule.at(steps)
     hits = z >= gammas[:, None]
     stops = hits.any(axis=1)
@@ -331,26 +314,6 @@ def _evaluate(counts: np.ndarray, steps: list[int], schedule: ThresholdSchedule,
     return z, gammas.tolist(), (row, int(hits[row].argmax()))
 
 
-def step_aware(state: AwareTestState, symbol: int, schedule: ThresholdSchedule,
-               spec: GameSpec, options: SolverOptions | None = None) -> int | None:
-    """Feed one symbol; return the decided hypothesis or None to continue.
-
-    The first statistic to clear the threshold stops the run; if several
-    clear it at the same step the smallest index wins.
-    """
-    if state.stopped is not None:
-        raise StateError(f"test already stopped at {state.stopped}")
-    sym = _check_symbol(symbol, spec.alphabet_size)
-    state.counts[sym] += 1
-    state.num_samples += 1
-    z, _, stop = _evaluate(state.counts[None, :], [state.num_samples], schedule, spec, options)
-    state.statistics = z[0]
-    if stop is None:
-        return None
-    state.stopped = (state.num_samples, stop[1])
-    return stop[1]
-
-
 # Evaluated steps in the first chunk run_aware reads; each chunk doubles it.
 _CHUNK_STEPS = 16
 # Most symbols one chunk reads.
@@ -358,8 +321,8 @@ _CHUNK_SYMBOLS = 4096
 
 
 def run_aware(stream: Iterable[int], schedule: ThresholdSchedule, spec: GameSpec,
-              options: SolverOptions | None = None, cap: int = 1_000_000,
-              stride: int = 1, record_trajectory: bool = False) -> TestOutcome:
+              cap: int = 1_000_000, stride: int = 1,
+              record_trajectory: bool = False) -> TestOutcome:
     """Run the universal test on a symbol stream until it stops.
 
     The stopping condition is evaluated every `stride` samples (and at the
@@ -373,10 +336,7 @@ def run_aware(stream: Iterable[int], schedule: ThresholdSchedule, spec: GameSpec
     trajectories are those of feeding the symbols one at a time, but the
     stream is read up to the end of the chunk in which the test stops.
     """
-    if cap < 1:
-        raise DomainError(f"cap must be >= 1, got {cap}")
-    if stride < 1:
-        raise DomainError(f"stride must be >= 1, got {stride}")
+    _check_limits(cap=cap, stride=stride)
     size = spec.alphabet_size
     counts = np.zeros(size, dtype=np.int64)
     one_hot = np.eye(size, dtype=np.int64)
@@ -396,7 +356,7 @@ def run_aware(stream: Iterable[int], schedule: ThresholdSchedule, spec: GameSpec
             steps.append(cap)
         if steps:
             tallies = counts + one_hot[codes].cumsum(axis=0)[np.array(steps) - n - 1]
-            z, gammas, stop = _evaluate(tallies, steps, schedule, spec, options)
+            z, gammas, stop = _evaluate(tallies, steps, schedule, spec)
             last = len(steps) if stop is None else stop[0] + 1
             if record_trajectory:
                 for r in range(last):
@@ -416,26 +376,6 @@ def run_aware(stream: Iterable[int], schedule: ThresholdSchedule, spec: GameSpec
 
 # ---------------------------------------------------------------------------
 # Common-channel (non-aware adversary) test, binary hypotheses
-
-
-@dataclass
-class NonAwareTestState:
-    """State of the common-channel test: tallies plus the latest statistics.
-
-    minmax_statistic drives stopping; branch_statistics[b] is the evidence
-    for hypothesis b (divergence to everything a common channel can produce
-    from the rival) and drives the decision.
-    """
-
-    counts: np.ndarray
-    num_samples: int = 0
-    minmax_statistic: float | None = None
-    branch_statistics: np.ndarray | None = None
-    stopped: tuple[int, int] | None = None
-
-    @classmethod
-    def fresh(cls) -> "NonAwareTestState":
-        return cls(np.zeros(2, dtype=np.int64))
 
 
 def _nonaware_decide(branch, gamma: float) -> int:
@@ -461,35 +401,6 @@ def _first_share(zeros: int, ones: int) -> float:
     return a / (a + b)
 
 
-def step_nonaware(state: NonAwareTestState, symbol: int, schedule: ThresholdSchedule,
-                  p0: Distribution, p1: Distribution, delta: float,
-                  measure: DistortionMeasure) -> int | None:
-    """One step of the binary common-channel test.
-
-    Stops when the channel min-max statistic, the larger branch statistic,
-    clears the threshold; the decision then comes from the per-branch
-    statistics.
-    """
-    if state.stopped is not None:
-        raise StateError(f"test already stopped at {state.stopped}")
-    if schedule.num_hypotheses != 2:
-        raise DomainError("the common-channel test is defined for two hypotheses")
-    game = _ChannelGame(p0, p1, delta, measure)
-    sym = _check_symbol(symbol, 2)
-    state.counts[sym] += 1
-    state.num_samples += 1
-    t = float(empirical_distribution(state.counts).probs[0])
-    evidence = _evidence(game, t)
-    state.minmax_statistic = max(evidence)
-    gamma = schedule.value(state.num_samples)
-    if state.minmax_statistic < gamma:
-        return None
-    state.branch_statistics = np.array(evidence)
-    decision = _nonaware_decide(evidence, gamma)
-    state.stopped = (state.num_samples, decision)
-    return decision
-
-
 def run_nonaware(stream: Iterable[int], schedule: ThresholdSchedule,
                  p0: Distribution, p1: Distribution, delta: float,
                  measure: DistortionMeasure, cap: int = 1_000_000, stride: int = 1,
@@ -506,10 +417,7 @@ def run_nonaware(stream: Iterable[int], schedule: ThresholdSchedule,
     """
     if schedule.num_hypotheses != 2:
         raise DomainError("the common-channel test is defined for two hypotheses")
-    if cap < 1:
-        raise DomainError(f"cap must be >= 1, got {cap}")
-    if stride < 1:
-        raise DomainError(f"stride must be >= 1, got {stride}")
+    _check_limits(cap=cap, stride=stride)
     game = _ChannelGame(p0, p1, delta, measure)
     rows: list[TrajectoryRow] = []
     it = iter(stream)
@@ -589,8 +497,7 @@ def run_msprt(stream: Iterable[int], hypotheses: tuple[Distribution, ...],
     probs = np.stack([h.probs for h in hyps])
     if np.any(probs <= 0.0):
         raise DomainError("hypotheses must have full support")
-    if cap < 1:
-        raise DomainError(f"cap must be >= 1, got {cap}")
+    _check_limits(cap=cap)
     logs = np.log(probs)
     loglik = np.zeros(m)
     not_diag = ~np.eye(m, dtype=bool)

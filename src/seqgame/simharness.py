@@ -11,6 +11,7 @@ and matches the step-by-step test outcome for outcome.
 from __future__ import annotations
 
 import math
+import numbers
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
@@ -24,7 +25,7 @@ from .divopt import _FEASIBILITY_SLACK
 from .equilibrium import EquilibriumSolution, GameSpec, solve_aware_equilibrium
 from .errors import DomainError, InfeasibleError, ShapeError
 from .prob import Channel, Distribution
-from .seqtest import TestOutcome, ThresholdSchedule, run_aware
+from .seqtest import TestOutcome, ThresholdSchedule, _check_limits, run_aware
 
 __all__ = [
     "EQUILIBRIUM_ADVERSARY",
@@ -81,8 +82,7 @@ class ScenarioConfig:
             raise DomainError("replications must be >= 1")
         if self.seed < 0:
             raise DomainError("seed must be a nonnegative integer")
-        if self.cap < 1 or self.stride < 1:
-            raise DomainError("cap and stride must be >= 1")
+        _check_limits(cap=self.cap, stride=self.stride)
         if not 0.0 < self.zeta < 1.0:
             raise DomainError(f"zeta must lie in (0, 1), got {self.zeta}")
         if self.true_hypothesis is not None and not (
@@ -181,6 +181,8 @@ def sample_through_channel(source: Distribution, channel: Channel,
         u0, u1 = rng.random(2).tolist()
         row = rows[min(bisect_right(cumulative, u0), len(cumulative) - 1)]
         return min(bisect_right(row, u1), len(row) - 1)
+    if not isinstance(size, numbers.Integral) or size < 0:
+        raise DomainError(f"size must be a nonnegative integer, got {size!r}")
     u = rng.random((size, 2))
     x = np.minimum(np.searchsorted(source.cumulative, u[:, 0], side="right"), source.size - 1)
     y = np.empty(size, dtype=np.int64)

@@ -1,7 +1,7 @@
 """Brute-force oracles for the tests: lattice searches over balls and
 binary channels, a pattern descent on the simplex, the aware and
-common-channel tests fed one symbol at a time, and the binary engine's
-stop rule counted ball by ball.
+common-channel tests fed one symbol at a time, the binary engine's stop
+rule counted ball by ball, and random feasible common channels.
 
 They are independent of the solvers in `seqgame.divopt`, of the chunked
 loop of `seqgame.seqtest.run_aware`, of the bounded, stride-reading loop
@@ -20,7 +20,6 @@ from scipy.special import xlogy
 
 from seqgame.divopt import (
     DistortionBall,
-    SolverOptions,
     min_divergence_over_common_channels,
     min_max_divergence_over_channel,
 )
@@ -28,8 +27,6 @@ from seqgame.equilibrium import GameSpec
 from seqgame.errors import DomainError, InfeasibleError, ResourceError, StreamExhaustedError
 from seqgame.prob import Channel, Distribution, DistortionMeasure, empirical_distribution
 from seqgame.seqtest import (
-    AwareTestState,
-    NonAwareTestState,
     TestOutcome,
     ThresholdSchedule,
     TrajectoryRow,
@@ -158,39 +155,36 @@ def refine_simplex_min(objective, start, initial_step: float = 0.1,
 
 
 def run_aware_stepwise(stream: Iterable[int], schedule: ThresholdSchedule, spec: GameSpec,
-                       options: SolverOptions | None = None, cap: int = 1_000_000,
-                       stride: int = 1, record_trajectory: bool = False) -> TestOutcome:
+                       cap: int = 1_000_000, stride: int = 1,
+                       record_trajectory: bool = False) -> TestOutcome:
     """The universal test fed one symbol at a time, one evidence call per
     evaluated step: the loop `run_aware` ran before it read chunks."""
     if cap < 1:
         raise DomainError(f"cap must be >= 1, got {cap}")
     if stride < 1:
         raise DomainError(f"stride must be >= 1, got {stride}")
-    state = AwareTestState.fresh(spec.alphabet_size)
+    counts = np.zeros(spec.alphabet_size, dtype=np.int64)
     rows: list[TrajectoryRow] = []
     it = iter(stream)
-    while state.num_samples < cap:
+    n = 0
+    while n < cap:
         try:
             symbol = next(it)
         except StopIteration:
             raise StreamExhaustedError(
-                f"stream ended after {state.num_samples} symbols with no decision"
+                f"stream ended after {n} symbols with no decision"
             ) from None
-        sym = _check_symbol(symbol, spec.alphabet_size)
-        state.counts[sym] += 1
-        state.num_samples += 1
-        n = state.num_samples
+        counts[_check_symbol(symbol, spec.alphabet_size)] += 1
+        n += 1
         if n % stride and n < cap:
             continue
-        z = evidence_statistics(state.counts, spec, options)
-        state.statistics = z
+        z = evidence_statistics(counts, spec)
         gamma = schedule.value(n)
         hits = np.flatnonzero(z >= gamma)
         decision = int(hits[0]) if hits.size else None
         if record_trajectory:
             rows.append(TrajectoryRow(n, gamma, tuple(z), decision is not None, decision))
         if decision is not None:
-            state.stopped = (n, decision)
             return TestOutcome(n, decision, False, tuple(rows) if record_trajectory else None)
     return TestOutcome(cap, None, True, tuple(rows) if record_trajectory else None)
 
@@ -219,32 +213,27 @@ def run_nonaware_stepwise(stream: Iterable[int], schedule: ThresholdSchedule,
         raise DomainError(f"cap must be >= 1, got {cap}")
     if stride < 1:
         raise DomainError(f"stride must be >= 1, got {stride}")
-    state = NonAwareTestState.fresh()
+    counts = np.zeros(2, dtype=np.int64)
     rows: list[TrajectoryRow] = []
     it = iter(stream)
-
-    while state.num_samples < cap:
+    n = 0
+    while n < cap:
         try:
             symbol = next(it)
         except StopIteration:
             raise StreamExhaustedError(
-                f"stream ended after {state.num_samples} symbols with no decision"
+                f"stream ended after {n} symbols with no decision"
             ) from None
-        sym = _check_symbol(symbol, 2)
-        state.counts[sym] += 1
-        state.num_samples += 1
-        n = state.num_samples
+        counts[_check_symbol(symbol, 2)] += 1
+        n += 1
         if n % stride and n < cap:
             continue
-        qhat = empirical_distribution(state.counts)
+        qhat = empirical_distribution(counts)
         s_stat = min_max_divergence_over_channel(qhat, p0, p1, delta, measure).value
-        state.minmax_statistic = s_stat
         gamma = schedule.value(n)
         if s_stat >= gamma:
             branch = _branch_statistics(qhat, p0, p1, delta, measure)
-            state.branch_statistics = branch
             decision = _nonaware_decide(branch, gamma)
-            state.stopped = (n, decision)
             if record_trajectory:
                 rows.append(TrajectoryRow(n, gamma, tuple(branch), True, decision))
             return TestOutcome(n, decision, False, tuple(rows) if record_trajectory else None)
@@ -268,3 +257,29 @@ def _first_stop(zeros: np.ndarray, lower: np.ndarray,
     k = int(stops.argmax())
     missed = [j for j, cleared in enumerate(clears) if not cleared[k]]
     return k, missed[0] if missed else 0
+
+
+def _max_feasible_blend(p0: Distribution, p1: Distribution, target: np.ndarray,
+                        delta: float, measure: DistortionMeasure) -> np.ndarray:
+    """Largest blend (1-t) I + t target staying inside the common budget."""
+    k = p0.size
+    eye = np.eye(k)
+
+    def feasible(t: float) -> bool:
+        a = (1.0 - t) * eye + t * target
+        for p in (p0, p1):
+            if measure.evaluate(p.probs, p.probs @ a) > delta:
+                return False
+        return True
+
+    lo, hi = 0.0, 1.0
+    if feasible(1.0):
+        return target.copy()
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if feasible(mid):
+            lo = mid
+        else:
+            hi = mid
+    t = 0.9 * lo
+    return (1.0 - t) * eye + t * target

@@ -16,7 +16,6 @@ from seqgame.divopt import (
     min_max_divergence_over_channel,
 )
 from seqgame.equilibrium import (
-    _max_feasible_blend,
     nonaware_achievable,
     nonaware_converse,
     solve_aware_equilibrium,
@@ -34,7 +33,7 @@ from seqgame.prob import (
 from seqgame.seqtest import ThresholdSchedule, threshold_constant
 from seqgame.simharness import ScenarioConfig, alpha_sweep, monte_carlo
 
-from oracles import refine_simplex_min
+from oracles import _max_feasible_blend, refine_simplex_min
 
 # series sum for decay exponent 0.85, frozen from a 30-digit bracket
 C_ORACLE = 2593.3325570093630302

@@ -340,6 +340,13 @@ class TestMain:
         assert main(["solve", "--config", cfg]) == 3
         capsys.readouterr()
 
+    @pytest.mark.parametrize("measure", ["tv_l1", "kl"])
+    def test_exit_code_nan_budget(self, tmp_path, capsys, measure):
+        text = MINIMAL.replace("delta = 0.05", "delta = nan")
+        cfg = self.write(tmp_path, text.replace("measure = tv_l1", f"measure = {measure}"))
+        assert main(["solve", "--config", cfg]) == 2
+        assert "delta must be nonnegative" in capsys.readouterr().err
+
     def test_exit_code_io(self, tmp_path, capsys):
         assert main(["solve", "--config", str(tmp_path / "absent.cfg")]) == 4
         capsys.readouterr()

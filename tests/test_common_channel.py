@@ -30,13 +30,7 @@ from seqgame.divopt import (
 from seqgame.equilibrium import nonaware_achievable, nonaware_converse, solve_nonaware_adversary
 from seqgame.errors import DomainError, ResourceError, ShapeError, StreamExhaustedError
 from seqgame.prob import Channel, Distribution, DistortionMeasure, empirical_distribution
-from seqgame.seqtest import (
-    NonAwareTestState,
-    ThresholdSchedule,
-    _first_share,
-    run_nonaware,
-    step_nonaware,
-)
+from seqgame.seqtest import ThresholdSchedule, _first_share, run_nonaware
 
 from oracles import grid_oracle_min_channels, run_nonaware_stepwise
 
@@ -191,13 +185,6 @@ class TestIterationCaps:
                            cap=n, stride=n)
         assert out.timed_out == (side > 0.0)
         assert out.stopping_time == n
-
-    def test_step_nonaware_needs_no_search(self, capped):
-        sched = ThresholdSchedule(alpha=0.1, num_hypotheses=2, alphabet_size=2)
-        state = NonAwareTestState.fresh()
-        assert step_nonaware(state, 0, sched, P0, P1, 0.05, DistortionMeasure.TV_L1) is None
-        assert state.minmax_statistic == max(
-            _ChannelGame(P0, P1, 0.05, DistortionMeasure.TV_L1).reach(1.0, b) for b in (0, 1))
 
     def test_achievable_bound_needs_no_search(self, capped):
         ach = nonaware_achievable(P0, P1, Channel.identity(2), 0.05, DistortionMeasure.TV_L1)

@@ -65,6 +65,21 @@ def _lattice_ball_pairs(draw):
     return balls
 
 
+_P = (Distribution([0.2, 0.8]), Distribution([0.8, 0.2]))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: DistortionBall(_P[0], math.nan, DistortionMeasure.KL).interval,
+    lambda: GameSpec(_P, 0.05, DistortionMeasure.TV_L1, weights=(math.nan, 1.0)),
+    lambda: nonaware_converse(*_P, Channel.identity(2), math.nan, DistortionMeasure.TV_L1),
+    lambda: GameSpec(_P, math.nan, DistortionMeasure.TV_L1),
+    lambda: GameSpec(_P, math.nan, DistortionMeasure.KL),
+], ids=["ball-radius", "spec-weight", "converse-delta", "spec-delta-tv", "spec-delta-kl"])
+def test_nan_budget_or_weight_is_a_domain_error(build):
+    with pytest.raises(DomainError):
+        build()
+
+
 class TestGameSpec:
     def test_basic_shape(self, bernoulli_spec):
         assert bernoulli_spec.num_hypotheses == 2

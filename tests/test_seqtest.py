@@ -10,14 +10,11 @@ from seqgame.errors import (
     DomainError,
     ResourceError,
     ShapeError,
-    StateError,
     StreamExhaustedError,
 )
 from seqgame.prob import Distribution, DistortionMeasure, binary_kl
 from seqgame.seqtest import (
-    AwareTestState,
     MsprtConfig,
-    NonAwareTestState,
     ThresholdSchedule,
     TrajectoryRow,
     _nonaware_decide,
@@ -26,8 +23,6 @@ from seqgame.seqtest import (
     run_aware,
     run_msprt,
     run_nonaware,
-    step_aware,
-    step_nonaware,
     threshold_constant,
     trajectory_csv,
 )
@@ -124,7 +119,7 @@ class TestThresholdSchedule:
 
     def test_vectorized_matches_scalar(self):
         sched = ThresholdSchedule(alpha=0.1, num_hypotheses=2, alphabet_size=2)
-        vals = sched.values(500)
+        vals = sched.at(np.arange(1, 501))
         assert vals.shape == (500,)
         scalar = np.array([sched.value(n) for n in range(1, 501)])
         np.testing.assert_allclose(vals, scalar, rtol=1e-13)
@@ -135,7 +130,6 @@ class TestThresholdSchedule:
         steps = np.arange(1, 10**6 + 1)
         scalar = np.fromiter(map(sched.value, steps.tolist()), float, steps.size)
         np.testing.assert_array_equal(sched.at(steps), scalar)
-        np.testing.assert_array_equal(sched.values(10**6), scalar)
 
     def test_vector_form_rejects_steps_below_one(self):
         sched = ThresholdSchedule(0.05, 2, 2)
@@ -146,7 +140,7 @@ class TestThresholdSchedule:
     def test_decays_toward_zero(self):
         sched = ThresholdSchedule(alpha=0.05, num_hypotheses=2, alphabet_size=2)
         assert sched.value(10**6) < 1e-2 * sched.value(100)
-        assert np.all(np.diff(sched.values(300)) < 0)
+        assert np.all(np.diff(sched.at(np.arange(1, 301))) < 0)
 
     def test_explicit_constant(self):
         sched = ThresholdSchedule(0.05, 2, 2, constant=10.0)
@@ -170,8 +164,6 @@ class TestThresholdSchedule:
         sched = ThresholdSchedule(0.05, 2, 2)
         with pytest.raises(DomainError):
             sched.value(0)
-        with pytest.raises(DomainError):
-            sched.values(0)
 
     def test_hashable(self):
         a = ThresholdSchedule(0.05, 2, 2)
@@ -198,6 +190,12 @@ class TestEvidenceStatistics:
         assert z[0] == pytest.approx(binary_kl(0.44, 0.475), rel=1e-10)
         assert z[1] == pytest.approx(binary_kl(0.44, 0.405), rel=1e-10)
 
+    @pytest.mark.parametrize("counts", [[np.inf, 1.0], [np.nan, 1.0], [0.5, 1.0], [-1, 2],
+                                        ["1", "2"]])
+    def test_rejects_counts_that_are_not_counts(self, bernoulli_spec, counts):
+        with pytest.raises(ConstructionError):
+            evidence_statistics(np.array(counts), bernoulli_spec)
+
     def test_three_hypotheses(self):
         spec = GameSpec(
             (
@@ -215,42 +213,6 @@ class TestEvidenceStatistics:
         assert z[0] == pytest.approx(d1, rel=1e-10)
         assert z[1] == pytest.approx(d0, rel=1e-10)
         assert z[2] == pytest.approx(d0, rel=1e-10)
-
-
-class TestStepAware:
-    def test_no_stop_at_small_n(self, bernoulli_spec):
-        state = AwareTestState.fresh(2)
-        sched = ThresholdSchedule(0.05, 2, 2)
-        assert step_aware(state, 0, sched, bernoulli_spec) is None
-        assert state.num_samples == 1
-        assert state.statistics is not None
-        assert state.stopped is None
-
-    def test_stopped_state_refuses_more(self, bernoulli_spec):
-        state = AwareTestState.fresh(2)
-        state.stopped = (5, 0)
-        with pytest.raises(StateError):
-            step_aware(state, 0, ThresholdSchedule(0.05, 2, 2), bernoulli_spec)
-
-    def test_symbol_validation(self, bernoulli_spec):
-        state = AwareTestState.fresh(2)
-        with pytest.raises(DomainError):
-            step_aware(state, 2, ThresholdSchedule(0.05, 2, 2), bernoulli_spec)
-
-    def test_tie_breaks_to_smallest_index(self):
-        # mirrored hypotheses with zero budget: a balanced type gives exactly
-        # equal statistics, so both clear the threshold together
-        spec = GameSpec(
-            (Distribution([0.25, 0.75]), Distribution([0.75, 0.25])),
-            0.0,
-            DistortionMeasure.TV_L1,
-        )
-        sched = ThresholdSchedule(0.4, 2, 2)
-        state = AwareTestState(np.array([149, 150], dtype=np.int64), 299)
-        decision = step_aware(state, 0, sched, spec)
-        assert state.statistics[0] == state.statistics[1]
-        assert decision == 0
-        assert state.stopped == (300, 0)
 
 
 class TestRunAware:
@@ -303,6 +265,27 @@ class TestRunAware:
         assert out.decision is None
         assert out.stopping_time == 6
 
+    def test_no_stop_at_small_n(self, bernoulli_spec):
+        out = run_aware(iter([0]), ThresholdSchedule(0.05, 2, 2), bernoulli_spec,
+                        cap=1, record_trajectory=True)
+        assert out.timed_out and out.stopping_time == 1
+        assert not out.trajectory[0].stopped
+
+    def test_tie_breaks_to_smallest_index(self):
+        # mirrored hypotheses with zero budget: a balanced type gives exactly
+        # equal statistics, so both clear the threshold together
+        spec = GameSpec(
+            (Distribution([0.25, 0.75]), Distribution([0.75, 0.25])),
+            0.0,
+            DistortionMeasure.TV_L1,
+        )
+        sched = ThresholdSchedule(0.4, 2, 2)
+        out = run_aware(iter([1] * 150 + [0] * 150), sched, spec, cap=300, stride=300,
+                        record_trajectory=True)
+        last = out.trajectory[-1]
+        assert last.statistics[0] == last.statistics[1] >= last.threshold
+        assert (out.stopping_time, out.decision) == (300, 0)
+
     def test_parameter_validation(self, wide_spec):
         sched = ThresholdSchedule(0.1, 2, 2)
         with pytest.raises(DomainError):
@@ -311,6 +294,10 @@ class TestRunAware:
             run_aware(iter([0]), sched, wide_spec, stride=0)
         with pytest.raises(DomainError):
             run_aware(iter([3]), sched, wide_spec)
+        with pytest.raises(DomainError):
+            run_aware(iter([0] * 10), sched, wide_spec, cap=1.5)
+        with pytest.raises(DomainError):
+            run_aware(iter([0] * 10), sched, wide_spec, stride=2.5)
 
 
 class TestNonAwareDecision:
@@ -339,21 +326,6 @@ class TestRunNonAware:
         assert not out.timed_out
         assert out.stopping_time < 100
 
-    def test_minmax_dominates_branches(self, rng):
-        """The stopping statistic is a min of a max, so it can never fall
-        below either branch minimum (up to solver slack)."""
-        sched = ThresholdSchedule(0.2, 2, 2)
-        state = NonAwareTestState.fresh()
-        stream = iter((rng.random(500) < 0.9).astype(int))
-        decision = None
-        while decision is None:
-            decision = step_nonaware(
-                state, next(stream), sched, self.P0, self.P1, 0.05,
-                DistortionMeasure.TV_L1,
-            )
-        assert state.minmax_statistic >= max(state.branch_statistics) - 1e-6
-        assert state.stopped == (state.num_samples, decision)
-
     def test_trajectory_records_branches(self, rng):
         sched = ThresholdSchedule(0.2, 2, 2)
         stream = (rng.random(500) < 0.9).astype(int)
@@ -369,9 +341,14 @@ class TestRunNonAware:
         sched = ThresholdSchedule(0.2, 3, 2)
         with pytest.raises(DomainError):
             run_nonaware(iter([0]), sched, self.P0, self.P1, 0.05, DistortionMeasure.TV_L1)
-        state = NonAwareTestState.fresh()
+
+    @pytest.mark.parametrize("limits", [{"cap": 0}, {"cap": 1.5}, {"stride": 0},
+                                        {"stride": 2.5}])
+    def test_parameter_validation(self, limits):
+        sched = ThresholdSchedule(0.2, 2, 2)
         with pytest.raises(DomainError):
-            step_nonaware(state, 0, sched, self.P0, self.P1, 0.05, DistortionMeasure.TV_L1)
+            run_nonaware(iter([0] * 10), sched, self.P0, self.P1, 0.05,
+                         DistortionMeasure.TV_L1, **limits)
 
     def test_cap_times_out(self):
         sched = ThresholdSchedule(0.2, 2, 2)
@@ -438,6 +415,8 @@ class TestRunMsprt:
             run_msprt(iter([0]), (Distribution([1.0, 0.0]), self.P[1]), cfg)
         with pytest.raises(DomainError):
             run_msprt(iter([0]), self.P, cfg, cap=0)
+        with pytest.raises(DomainError):
+            run_msprt(iter([0] * 10), self.P, cfg, cap=1.5)
         with pytest.raises(StreamExhaustedError):
             run_msprt(iter([0, 1]), self.P, cfg)
 

@@ -59,6 +59,11 @@ class TestSampleThroughChannel:
         res = stats.chisquare(counts, f_exp=4000 * source.probs)
         assert res.pvalue > 1e-3
 
+    @pytest.mark.parametrize("size", [-1, 2.5])
+    def test_bad_size_is_a_domain_error(self, rng, size):
+        with pytest.raises(DomainError):
+            sample_through_channel(Distribution([0.3, 0.7]), Channel(np.eye(2)), rng, size)
+
     def test_rank_one_forces_output(self, rng):
         source = Distribution([0.3, 0.7])
         sink = Channel(np.array([[0.0, 1.0], [0.0, 1.0]]))
@@ -134,6 +139,9 @@ class TestScenarioConfig:
             ScenarioConfig(wide_spec, (0.1,), 10, 0, true_hypothesis=2)
         with pytest.raises(DomainError):
             ScenarioConfig(wide_spec, (0.1,), 10, 0, adversary="worst")
+        for limits in ({"cap": 0}, {"cap": 2.5}, {"stride": 0}, {"stride": 1.5}):
+            with pytest.raises(DomainError):
+                ScenarioConfig(wide_spec, (0.1,), 10, 0, **limits)
 
     def test_channel_adversary_checked(self, wide_spec):
         with pytest.raises(ShapeError):
