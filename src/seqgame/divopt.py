@@ -157,21 +157,25 @@ class BallMinResult:
 # Over a ball with center p, radius r and floor f, the reach argmin of
 # D(w || q) and the argmin of D(x || w) solve KKT systems with one or two
 # scalar multipliers. Sorting finds the TV multipliers; a capped bisection
-# finds the KL one. Each solver takes an (R, K) array of rows w and solves
-# every row on its own: a row's result does not depend on the other rows.
+# finds the KL one. The balls of one game differ only in their centers, so
+# each solver takes an (R, K) array of rows w with an (R, K) array of
+# centers p, and solves every row against its own center: a row's result
+# does not depend on the other rows.
 
 
 def _upper_level(w: np.ndarray, c: np.ndarray, ratio: np.ndarray, mass: float) -> np.ndarray:
     """Per row of w, the level h > 0 with sum((w/h - c)_+) = mass > 0, by
-    sorting the ratio w/c."""
+    sorting the ratio w/c; c holds one row per row of w."""
+    n, size = w.shape
+    # flat positions of each row's entries in decreasing ratio, for three gathers
     order = (-ratio).argsort(axis=1)
-    rows = np.arange(w.shape[0])[:, None]
-    levels = w[rows, order].cumsum(axis=1) / (c[order].cumsum(axis=1) + mass)
-    above = ratio[rows, order] > levels
+    order += np.arange(0, n * size, size)[:, None]
+    levels = w.take(order).cumsum(axis=1) / (c.take(order).cumsum(axis=1) + mass)
+    above = ratio.take(order) > levels
     # the top ratio always counts: a mass below the rounding of c leaves no
     # ratio above its level
     above[:, 0] = True
-    return levels[rows[:, 0], w.shape[1] - 1 - above[:, ::-1].argmax(axis=1)]
+    return levels[np.arange(n), size - 1 - above[:, ::-1].argmax(axis=1)]
 
 
 def _floor_fill(v: np.ndarray, floor: float) -> np.ndarray:
@@ -180,9 +184,9 @@ def _floor_fill(v: np.ndarray, floor: float) -> np.ndarray:
     x = v / v.sum(axis=1, keepdims=True)
     if x.min() < floor:
         low = x.min(axis=1) < floor
-        size = x.shape[1]
         y = x[low]
-        lam = _upper_level(y, np.full(size, floor), y / floor, 1.0 - size * floor)
+        with np.errstate(over="ignore"):  # y/f is inf for a subnormal f, as y/0 would be
+            lam = _upper_level(y, np.full_like(y, floor), y / floor, 1.0 - x.shape[1] * floor)
         x[low] = np.maximum(floor, y / lam[:, None])
     return x
 
@@ -191,9 +195,10 @@ def _floor_fill(v: np.ndarray, floor: float) -> np.ndarray:
 _SCAN_ENTRIES = 1 << 18
 
 
-def _tv_block_argmin(w: np.ndarray, ball: DistortionBall) -> np.ndarray:
-    """Per row of w, the common argmin over a TV ball of D(w || q) and of
-    D(q || w).
+def _tv_block_argmin(w: np.ndarray, p: np.ndarray, floor: float, mass: float) -> np.ndarray:
+    """Per row of w, the common argmin of D(w || q) and of D(q || w) over
+    the TV ball with that row of p as center, radius 2 mass and floor f
+    (`floor`).
 
     With rho = w/p, both optima take q_i = w_i/h where rho_i > h,
     q_i = max(f, w_i/l) where rho_i < l, and q_i = p_i otherwise. The up
@@ -201,16 +206,17 @@ def _tv_block_argmin(w: np.ndarray, ball: DistortionBall) -> np.ndarray:
     independent water-fills. When l > h the budget is slack and only the
     floor binds.
     """
-    p, floor, mass = ball.center.probs, ball.floor, 0.5 * ball.radius
     n, size = w.shape
     if mass == 0.0:
-        return np.tile(p, (n, 1))
+        return p.copy()
     step = max(1, _SCAN_ENTRIES // (size * (2 * size + 1)))
     if n > step:
-        return np.concatenate([_tv_block_argmin(w[i:i + step], ball) for i in range(0, n, step)])
+        return np.concatenate([_tv_block_argmin(w[i:i + step], p[i:i + step], floor, mass)
+                               for i in range(0, n, step)])
     room = p - floor
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # x/0 is inf for x > 0, and nan, made 0, for x = 0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # x/0 is inf for x > 0, and nan, made 0, for x = 0; x over a
+        # subnormal floor may overflow to inf too
         rho, sigma = np.fmax(w / p, 0.0), np.fmax(w / floor, 0.0)
         high = _upper_level(w, p, rho, mass)[:, None]
 
@@ -220,7 +226,8 @@ def _tv_block_argmin(w: np.ndarray, ball: DistortionBall) -> np.ndarray:
         # w_i = 0 gives nan, which fmin makes p_i - f.
         knots = np.concatenate([rho, sigma, np.full((n, 1), math.inf)], axis=1)
         knots.sort(axis=1)
-        moved = np.fmax(np.fmin(p - w[:, None, :] / knots[:, :, None], room), 0.0).sum(axis=2)
+        moved = np.fmax(np.fmin(p[:, None, :] - w[:, None, :] / knots[:, :, None], room[:, None, :]),
+                        0.0).sum(axis=2)
         reached = moved >= mass
         # Between the knot below the first that moves r/2 and that knot, the
         # moved mass is A - B/l. When the first knot (l = 0) does, the knot
@@ -235,8 +242,9 @@ def _tv_block_argmin(w: np.ndarray, ball: DistortionBall) -> np.ndarray:
         if first.any():
             # Symbols with w_i = 0 alone give up r/2 as l -> 0; the objective
             # ignores them, so shrink them in proportion to their room above f.
-            gone = np.where(w[first] == 0.0, room, 0.0)
-            shrunk = np.where(gone > 0.0, p - mass * gone / gone.sum(axis=1, keepdims=True), p)
+            gone = np.where(w[first] == 0.0, room[first], 0.0)
+            shrunk = np.where(gone > 0.0, p[first] - mass * gone / gone.sum(axis=1, keepdims=True),
+                              p[first])
             q[first] = np.where(rho[first] > high[first], q[first], shrunk)
     fill = ~reached[:, -1] | (low > high)[:, 0]
     if fill.any():
@@ -247,15 +255,17 @@ def _tv_block_argmin(w: np.ndarray, ball: DistortionBall) -> np.ndarray:
 def _bisect_level(point, level, radius: float, lo: np.ndarray,
                   hi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Bisect, for each row, a parameter between an infeasible `lo` and a
-    feasible `hi` until level(point(s, rows)) = radius.
+    feasible `hi` until level(point(s, rows), rows) = radius.
 
     point(s, rows) gives the points at parameters s of the listed rows, and
-    level their levels. Every row stops on its own when its bracket is a few
-    ulps wide, or at the cap; returns the points at the feasible ends, those
-    ends, which rows stopped before the cap, and each row's steps.
+    level(q, rows) the levels of those points. Every row stops on its own
+    when its bracket is a few ulps wide, or at the cap; returns the points
+    at the feasible ends, those ends, which rows stopped before the cap,
+    and each row's steps.
     """
     n = lo.size
-    rows, hi = np.arange(n), np.array(hi, dtype=float)
+    # a slice selects every row as views, until the first row stops
+    rows, index, hi = slice(None), np.arange(n), np.array(hi, dtype=float)
     a, b = np.array(lo, dtype=float), hi.copy()
     converged, steps = np.zeros(n, dtype=bool), np.full(n, _BISECTION_CAP)
     width = 4.0 * np.finfo(float).eps
@@ -263,61 +273,63 @@ def _bisect_level(point, level, radius: float, lo: np.ndarray,
     near = width * max(1.0, float(np.abs(a).max()), float(np.abs(b).max()))
     for it in range(1, _BISECTION_CAP + 1):
         mid = 0.5 * (a + b)
-        inside = level(point(mid, rows)) <= radius
+        inside = level(point(mid, rows), rows) <= radius
         a, b = np.where(inside, a, mid), np.where(inside, mid, b)
         gap = np.abs(b - a)
         if gap.min() > near:
             continue
         done = gap <= width * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
         if done.any():
-            stopped = rows[done]
+            stopped = index[done]
             hi[stopped], converged[stopped], steps[stopped] = b[done], True, it
-            rows, a, b = rows[~done], a[~done], b[~done]
+            rows = index = index[~done]
+            a, b = a[~done], b[~done]
             if rows.size == 0:
                 break
-    hi[rows] = b
-    return point(hi, np.arange(n)), hi, converged, steps
+    hi[index] = b
+    return point(hi, slice(None)), hi, converged, steps
 
 
 def _kl_from(p: np.ndarray):
-    """The map from an (R, K) array q to D(p || q_r) for each row, +inf
-    where q_r misses the support of p (with a divide warning)."""
-    # take keeps the rows contiguous, and with them the summation order of each row
-    support = np.flatnonzero(p > 0.0)
-    ps = p[support]
-    log_ps = np.log(ps)
-    return lambda q: np.vecdot(ps, log_ps - np.log(q.take(support, axis=1)))
+    """The map from an array q and the rows of the (R, K) array p that its
+    rows pair with to D(p_r || q_r) for each row, +inf where q_r misses the
+    support of p_r (with a divide warning)."""
+    support = p > 0.0
+    log_p = np.log(p, out=np.zeros_like(p), where=support)
+    # off the support both logs read 0, so the term is an exact zero, which
+    # leaves the running sum as it was
+    return lambda q, rows: np.vecdot(p[rows], log_p[rows] - np.log(q, out=np.zeros(q.shape),
+                                                                   where=support[rows]))
 
 
-def _kl_reach_argmin(w: np.ndarray,
-                     ball: DistortionBall) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Per row, argmin of D(w || q) over a KL ball: the floored mixture of
-    w and p, and the weight t on p (zero where w itself, floored, is in).
+def _kl_reach_argmin(w: np.ndarray, p: np.ndarray, floor: float,
+                     radius: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per row, argmin of D(w || q) over the KL ball around that row of p:
+    the floored mixture of w and p, and the weight t on p (zero where w
+    itself, floored, is in).
 
     Stationarity gives q = (1-t) w + t p (Csiszar's mixture form), with t
     bisected on D(p || q(t)) = r. The bisection runs on log(1-t) so that a
     tiny radius keeps full relative precision in the weight on w.
     """
-    p, floor, radius = ball.center.probs, ball.floor, ball.radius
     n = w.shape[0]
     converged, steps = np.ones(n, dtype=bool), np.zeros(n, dtype=int)
     if radius == 0.0:
-        return np.tile(p, (n, 1)), np.ones(n), converged, steps
-    level = _kl_from(p)
+        return p.copy(), np.ones(n), converged, steps
 
-    def mixture(s: np.ndarray, v: np.ndarray) -> np.ndarray:
+    def mixture(s: np.ndarray, v: np.ndarray, c: np.ndarray) -> np.ndarray:
         # expm1 keeps the weight on p to full relative precision when s is near 0
-        return _floor_fill(np.exp(s)[:, None] * v - np.expm1(s)[:, None] * p, floor)
+        return _floor_fill(np.exp(s)[:, None] * v - np.expm1(s)[:, None] * c, floor)
 
     with np.errstate(divide="ignore"):  # q = 0 on the support of p: D = inf
-        q = mixture(np.zeros(n), w)  # w itself, floored
-        out = np.flatnonzero(level(q) > radius)
+        q = mixture(np.zeros(n), w, p)  # w itself, floored
+        out = np.flatnonzero(_kl_rows(p, q) > radius)
         weight = np.zeros(n)
         if out.size:
-            far = w[out]
+            far, centers = w[out], p[out]
             # at the smallest normal weight the mixture is p to rounding: feasible
             q[out], s, converged[out], steps[out] = _bisect_level(
-                lambda s, rows: mixture(s, far[rows]), level, radius,
+                lambda s, rows: mixture(s, far[rows], centers[rows]), _kl_from(centers), radius,
                 np.zeros(out.size), np.full(out.size, math.log(np.finfo(float).tiny)))
             weight[out] = -np.expm1(s)
     return q, weight, converged, steps
@@ -358,14 +370,14 @@ def _kl_tilt_argmin(w: np.ndarray, ball: DistortionBall) -> tuple[np.ndarray, bo
         lw = _lambertw_exp(s[:, None] + log_ratio)
         return _floor_fill(w * np.exp(lw - lw.max(axis=1, keepdims=True)), floor)
 
-    level = _kl_from(p)  # w > 0 on the support of p, so x is too
+    level = _kl_from(p[None, :])  # w > 0 on the support of p, so x is too
     lo = -40.0 - top  # c p_i / w_i < e^-40: x equals w to rounding
     x = tilt(np.array([lo]))
-    if level(x)[0] <= radius:
+    if level(x, 0)[0] <= radius:
         return x[0], True, 0
     hi = 1.0 - lo
     for widen in range(1, _BRACKET_CAP + 1):
-        if level(tilt(np.array([hi])))[0] <= radius:
+        if level(tilt(np.array([hi])), 0)[0] <= radius:
             break
         lo, hi = hi, 2.0 * hi
     else:
@@ -379,7 +391,8 @@ def _first_block_argmin(w: np.ndarray, ball: DistortionBall) -> tuple[np.ndarray
     if ball.contains(w, slack=0.0):
         return w, True, 0
     if ball.measure is DistortionMeasure.TV_L1:
-        return _tv_block_argmin(w[None, :], ball)[0], True, 0
+        return _tv_block_argmin(w[None, :], ball.center.probs[None, :], ball.floor,
+                                0.5 * ball.radius)[0], True, 0
     return _kl_tilt_argmin(w, ball)
 
 
@@ -394,42 +407,45 @@ def channel_from_output(source: Distribution, output: Distribution) -> Channel:
     return Channel(np.tile(output.probs, (source.size, 1)))
 
 
-def _ball_reach(q0: np.ndarray, ball: DistortionBall) -> tuple[np.ndarray, np.ndarray,
-                                                               np.ndarray, np.ndarray]:
-    """The reach of every row of the (R, K) array q0: argmins, values,
-    whether each solve converged, and its bisection steps. Rows inside the
-    ball are their own argmin, at value zero."""
-    n = q0.shape[0]
+def _ball_reach(q0: np.ndarray, balls: tuple[DistortionBall, ...]) -> tuple[np.ndarray, np.ndarray,
+                                                                           np.ndarray, np.ndarray]:
+    """The reach of every row of the (R, K) array q0 into each ball, in one
+    solve: argmins, values, whether each solve converged, and its bisection
+    steps, as (M R)-row arrays that list the R rows of ball 0 first. The
+    balls share their measure, radius and floor. Rows inside a ball are
+    their own argmin there, at value zero."""
+    ball, n = balls[0], len(balls) * q0.shape[0]
+    converged, steps = np.ones(n, dtype=bool), np.zeros(n, dtype=int)
     if ball.size == 2:
-        lo, hi = ball.interval
         t = q0[:, 0].tolist()
-        tc = [min(max(a, lo), hi) for a in t]
-        values = np.array([0.0 if b == a else _binary_kl(a, b) for a, b in zip(t, tc)])
+        tc = [min(max(a, lo), hi) for lo, hi in (b.interval for b in balls) for a in t]
+        values = np.array([0.0 if b == a else _binary_kl(a, b) for a, b in zip(t * len(balls), tc)])
         tc = np.array(tc)
-        return np.column_stack([tc, 1.0 - tc]), values, np.ones(n, dtype=bool), np.zeros(n, dtype=int)
+        return np.column_stack([tc, 1.0 - tc]), values, converged, steps
 
-    p = ball.center.probs
+    w = np.concatenate([q0] * len(balls))
+    p = np.array([b.center.probs for b in balls]).repeat(q0.shape[0], axis=0)
     weight = None
     if ball.measure is DistortionMeasure.TV_L1:
-        distortion = np.abs(q0 - p).sum(axis=1)
-        solved, converged, steps = _tv_block_argmin(q0, ball), np.ones(n, dtype=bool), np.zeros(n, dtype=int)
+        distortion = np.abs(w - p).sum(axis=1)
+        solved = _tv_block_argmin(w, p, ball.floor, 0.5 * ball.radius)
     else:
-        distortion = _kl_rows(p, q0)
-        solved, weight, converged, steps = _kl_reach_argmin(q0, ball)
-    inside = (distortion <= ball.radius) & (q0.min(axis=1) >= ball.floor) & (q0.sum(axis=1) == 1.0)
+        distortion = _kl_rows(p, w)
+        solved, weight, converged, steps = _kl_reach_argmin(w, p, ball.floor, ball.radius)
+    inside = (distortion <= ball.radius) & (w.min(axis=1) >= ball.floor) & (w.sum(axis=1) == 1.0)
     # D(q0 || q0) is exactly zero
-    q = np.where(inside[:, None], q0, solved)
-    values = _kl_rows(q0, q)
+    q = np.where(inside[:, None], w, solved)
+    values = _kl_rows(w, q)
     if weight is not None:
         # Off the floor q is the mixture w + t (p - w), so D(w || q) is
         # -sum w log1p(t (p - w) / w): near the boundary, where t is tiny,
         # this keeps the relative precision that the log differences lose.
         mix = np.flatnonzero(~inside & (weight > 0.0) & (weight < 1.0)
                              & (solved.min(axis=1) > ball.floor))
-        w, t = q0[mix], weight[mix, None]
+        v, t = w[mix], weight[mix, None]
         with np.errstate(divide="ignore", invalid="ignore"):
-            terms = np.where(w > 0.0, np.log1p(t * (p - w) / w), 0.0)
-        values[mix] = -np.vecdot(w, terms)
+            terms = np.where(v > 0.0, np.log1p(t * (p[mix] - v) / v), 0.0)
+        values[mix] = -np.vecdot(v, terms)
     return q, values, converged | inside, np.where(inside, 0, steps)
 
 
@@ -446,7 +462,7 @@ def min_divergence_to_ball(qhat, ball: DistortionBall) -> BallMinResult:
     q0 = qhat.probs if isinstance(qhat, Distribution) else np.asarray(qhat, dtype=float)
     if q0.shape != ball.center.probs.shape:
         raise ShapeError("qhat alphabet does not match the ball center")
-    q, value, converged, steps = _ball_reach(q0[None, :], ball)
+    q, value, converged, steps = _ball_reach(q0[None, :], (ball,))
     return BallMinResult(float(value[0]), _floored_distribution(q[0], ball.floor),
                          bool(converged[0]), int(steps[0]))
 

@@ -222,7 +222,8 @@ def evidence_statistics(counts: np.ndarray, spec: GameSpec) -> np.ndarray:
     distribution of `counts` to ball j. Zero whenever the empirical law is
     inside some rival ball. `counts` is one count vector, or an (R, K)
     array with one count vector per row, which gives an (R, M) array; each
-    row equals the call on that row alone, bit for bit.
+    row equals the call on that row alone, bit for bit. One reach solve
+    covers every row and ball, each row against its own ball's center.
     """
     arr = np.asarray(counts)
     if arr.ndim not in (1, 2) or arr.shape[-1] != spec.alphabet_size:
@@ -240,7 +241,7 @@ def evidence_statistics(counts: np.ndarray, spec: GameSpec) -> np.ndarray:
     # as empirical_distribution does: divide by the total, then by the sum
     qhat = rows / totals.astype(float)
     qhat = qhat / qhat.sum(axis=1, keepdims=True)
-    dists = np.column_stack([_ball_reach(qhat, ball)[1] for ball in spec.balls])
+    dists = _ball_reach(qhat, spec.balls)[1].reshape(spec.num_hypotheses, -1).T
     order = np.argsort(dists, axis=1, kind="stable")
     index = np.arange(rows.shape[0])
     out = np.repeat(dists[index, order[:, 0]][:, None], spec.num_hypotheses, axis=1)

@@ -184,11 +184,9 @@ def sample_through_channel(source: Distribution, channel: Channel,
     if not isinstance(size, numbers.Integral) or size < 0:
         raise DomainError(f"size must be a nonnegative integer, got {size!r}")
     u = rng.random((size, 2))
-    x = np.minimum(np.searchsorted(source.cumulative, u[:, 0], side="right"), source.size - 1)
-    y = np.empty(size, dtype=np.int64)
-    for a, cumulative in enumerate(channel.cumulative_rows):
-        sel = x == a
-        y[sel] = np.searchsorted(cumulative, u[sel, 1], side="right")
+    x = np.minimum(np.searchsorted(cumulative, u[:, 0], side="right"), len(cumulative) - 1)
+    # the running sums never decrease, so counting those <= u1 is the search
+    y = (np.asarray(rows)[x] <= u[:, 1:]).sum(axis=1)
     return np.minimum(y, channel.num_outputs - 1)
 
 

@@ -1,9 +1,11 @@
 """Brute-force oracles for the tests: lattice searches over balls and
-binary channels, a pattern descent on the simplex, the aware and
-common-channel tests fed one symbol at a time, the binary engine's stop
-rule counted ball by ball, and random feasible common channels.
+binary channels, a pattern descent on the simplex, the evidence statistic
+solved ball by ball, the aware and common-channel tests fed one symbol at
+a time, the binary engine's stop rule counted ball by ball, and random
+feasible common channels.
 
-They are independent of the solvers in `seqgame.divopt`, of the chunked
+They are independent of the solvers in `seqgame.divopt`, of the stacked
+reach solve of `seqgame.seqtest.evidence_statistics`, of the chunked
 loop of `seqgame.seqtest.run_aware`, of the bounded, stride-reading loop
 of `seqgame.seqtest.run_nonaware` and of the continuation bands of
 `seqgame.simharness`, and exist only to check them.
@@ -20,6 +22,7 @@ from scipy.special import xlogy
 
 from seqgame.divopt import (
     DistortionBall,
+    _ball_reach,
     min_divergence_over_common_channels,
     min_max_divergence_over_channel,
 )
@@ -152,6 +155,17 @@ def refine_simplex_min(objective, start, initial_step: float = 0.1,
                 improved = False
         h *= 0.5
     return best, x
+
+
+def evidence_by_ball(counts: np.ndarray, balls: tuple[DistortionBall, ...]) -> np.ndarray:
+    """`evidence_statistics` on an (R, K) array of counts with one reach
+    solve per ball, the loop that the stacked solve replaced: column j
+    holds the reach of each row into ball j, and entry (r, i) is the least
+    of row r's reaches into the balls other than i."""
+    qhat = counts / counts.sum(axis=1, keepdims=True).astype(float)
+    qhat = qhat / qhat.sum(axis=1, keepdims=True)
+    dists = np.column_stack([_ball_reach(qhat, (ball,))[1] for ball in balls])
+    return np.column_stack([np.delete(dists, i, axis=1).min(axis=1) for i in range(len(balls))])
 
 
 def run_aware_stepwise(stream: Iterable[int], schedule: ThresholdSchedule, spec: GameSpec,

@@ -3,31 +3,37 @@
 `run_aware` reads its stream in chunks and evaluates every step of a
 chunk with one batched `evidence_statistics` call; `run_aware_stepwise` in
 `oracles.py` is the per-symbol loop it replaced. Both must stop, decide,
-raise and record alike, and a batched evidence call must equal its one-row
-calls bit for bit.
+raise and record alike. A batched evidence call must equal its one-row
+calls bit for bit, and its one stacked reach solve must equal the solves
+ball by ball of `evidence_by_ball`.
 """
 
 import functools
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from seqgame import (
     Distribution,
+    DistortionBall,
     DistortionMeasure,
     DomainError,
     GameSpec,
     StreamExhaustedError,
     ThresholdSchedule,
     evidence_statistics,
+    min_divergence_to_ball,
     run_aware,
 )
+from seqgame import divopt, seqtest
+from seqgame.errors import InfeasibleError
 from seqgame.prob import Channel
 from seqgame.simharness import _channel_stream
 
-from oracles import run_aware_stepwise
+from oracles import evidence_by_ball, run_aware_stepwise
 
 CAPS = (1, 15, 16, 17, 255, 256, 257, 4097)
 
@@ -155,3 +161,87 @@ def test_batched_evidence_equals_one_row_calls(measure, delta, size):
     for row, z in zip(counts, batched):
         one = evidence_statistics(row, spec)
         assert np.array_equal(z, one)
+
+
+@dataclass(frozen=True)
+class _Balls:
+    """What `evidence_statistics` reads of a GameSpec, without the check
+    that the balls lie apart: the solver must hold on any balls."""
+
+    balls: tuple[DistortionBall, ...]
+
+    @property
+    def num_hypotheses(self) -> int:
+        return len(self.balls)
+
+    @property
+    def alphabet_size(self) -> int:
+        return self.balls[0].size
+
+
+@st.composite
+def _ball_sets(draw):
+    size, count = draw(st.integers(3, 5)), draw(st.integers(2, 4))
+    measure = draw(st.sampled_from(list(DistortionMeasure)))
+    top = 0.5 if measure is DistortionMeasure.TV_L1 else 0.05
+    radius = draw(st.one_of(st.sampled_from([0.0, 1e-12]), st.floats(1e-4, top)))
+    floor = draw(st.one_of(st.just(0.0), st.just(np.nextafter(1.0 / size, 0.0)),
+                           st.floats(0.0, 1.0 / size, exclude_max=True)))
+    balls = []
+    for _ in range(count):
+        # integer weights give zero entries and ties, which the floor lifts
+        weights = np.array(draw(st.lists(st.integers(0, 12), min_size=size, max_size=size)))
+        if weights.sum() == 0:
+            weights[0] = 1
+        center = floor + (1.0 - size * floor) * weights / weights.sum()
+        try:
+            balls.append(DistortionBall(Distribution(center), radius, measure, floor))
+        except InfeasibleError:  # rounding dropped an entry below the floor
+            assume(False)
+    return _Balls(tuple(balls))
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(spec=_ball_sets(), rows=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+def test_stacked_evidence_equals_the_per_ball_oracle(spec, rows, seed):
+    rng, shape = np.random.default_rng(seed), (rows, spec.alphabet_size)
+    counts = rng.integers(0, 9, shape) * rng.integers(0, 2, shape)
+    counts[counts.sum(axis=1) == 0, 0] = 1
+    got, want = evidence_statistics(counts, spec), evidence_by_ball(counts, spec.balls)
+    assert got.tobytes() == want.tobytes()
+    # the one-ball entry point is the stacked solve on one row and ball
+    qhat = counts / counts.sum(axis=1, keepdims=True)
+    reach = divopt._ball_reach(qhat, spec.balls)[1].reshape(len(spec.balls), rows)
+    for r in {0, rows - 1}:
+        for j, ball in enumerate(spec.balls):
+            assert min_divergence_to_ball(qhat[r], ball).value == reach[j, r]
+
+
+@pytest.mark.parametrize("measure, delta", [("tv_l1", 0.05), ("kl", 0.01)])
+@pytest.mark.parametrize("count", [2, 3, 4])
+def test_one_reach_solve_per_evidence_call(monkeypatch, measure, delta, count):
+    """Every ball's reach comes from one call of the reach solver, which
+    makes one call of the block solver of its measure."""
+    spec = _spec(4, count, measure, delta)  # set-up solves its pairs before the count
+    counts = np.random.default_rng(count).integers(0, 9, (16, 4)) + 1
+    calls = []
+    for module, name in ((seqtest, "_ball_reach"), (divopt, "_tv_block_argmin"),
+                         (divopt, "_kl_reach_argmin"), (divopt, "min_divergence_to_ball")):
+        def counted(*args, _real=getattr(module, name), _name=name):
+            calls.append(_name)
+            return _real(*args)
+        monkeypatch.setattr(module, name, counted)
+    evidence_statistics(counts, spec)
+    block = "_tv_block_argmin" if measure == "tv_l1" else "_kl_reach_argmin"
+    assert sorted(calls) == sorted(["_ball_reach", block])
+
+
+def test_stacked_evidence_equals_the_oracle_across_scan_chunks(monkeypatch):
+    """The TV solver splits long stacks of rows into knot scans of bounded
+    size; with five rows per scan, the 48 stacked rows of three balls
+    cross scans in the middle of a ball's rows."""
+    spec = _spec(4, 3, "tv_l1", 0.05)
+    counts = np.random.default_rng(1).integers(0, 9, (16, 4)) + 1
+    monkeypatch.setattr(divopt, "_SCAN_ENTRIES", 5 * 4 * (2 * 4 + 1))
+    got = evidence_statistics(counts, spec)
+    assert got.tobytes() == evidence_by_ball(counts, spec.balls).tobytes()

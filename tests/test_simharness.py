@@ -50,6 +50,22 @@ def wide_config(wide_spec):
     )
 
 
+# Source laws and channels with zero entries and tied running sums.
+SAMPLER_LAWS = [
+    ([0.38, 0.62], [[0.7781, 0.2219], [0.175, 0.825]]),
+    ([0.2, 0.3, 0.5], [[0.5, 0.25, 0.25], [0.0, 1.0, 0.0], [0.1, 0.1, 0.8]]),
+    ([1e-9, 1.0 - 1e-9], [[1.0, 0.0], [0.0, 1.0]]),
+    ([0.1, 0.0, 0.6, 0.3], [[0.0, 0.5, 0.5, 0.0], [0.25, 0.25, 0.25, 0.25],
+                            [0.7, 0.0, 0.0, 0.3], [0.0, 0.0, 0.0, 1.0]]),
+    ([0.0, 0.2, 0.2, 0.0, 0.6], [[0.2, 0.2, 0.2, 0.2, 0.2], [0.0, 0.0, 1.0, 0.0, 0.0],
+                                 [0.5, 0.0, 0.0, 0.0, 0.5], [1.0, 0.0, 0.0, 0.0, 0.0],
+                                 [0.0, 0.3, 0.0, 0.7, 0.0]]),
+    ([0.3, 0.0, 0.0, 0.4, 0.0, 0.3], [[0.0, 1 / 3, 0.0, 1 / 3, 0.0, 1 / 3]] * 3
+                                      + [[0.5, 0.0, 0.0, 0.0, 0.0, 0.5]] * 2
+                                      + [[0.0, 0.0, 0.0, 0.0, 0.0, 1.0]]),
+]
+
+
 class TestSampleThroughChannel:
     def test_identity_preserves_law(self, rng):
         source = Distribution([0.3, 0.7])
@@ -94,19 +110,7 @@ class TestSampleThroughChannel:
         # both generators advanced in lockstep
         assert a.random() == b.random()
 
-    @pytest.mark.parametrize("probs, rows", [
-        ([0.38, 0.62], [[0.7781, 0.2219], [0.175, 0.825]]),
-        ([0.2, 0.3, 0.5], [[0.5, 0.25, 0.25], [0.0, 1.0, 0.0], [0.1, 0.1, 0.8]]),
-        ([1e-9, 1.0 - 1e-9], [[1.0, 0.0], [0.0, 1.0]]),
-        ([0.1, 0.0, 0.6, 0.3], [[0.0, 0.5, 0.5, 0.0], [0.25, 0.25, 0.25, 0.25],
-                                [0.7, 0.0, 0.0, 0.3], [0.0, 0.0, 0.0, 1.0]]),
-        ([0.0, 0.2, 0.2, 0.0, 0.6], [[0.2, 0.2, 0.2, 0.2, 0.2], [0.0, 0.0, 1.0, 0.0, 0.0],
-                                     [0.5, 0.0, 0.0, 0.0, 0.5], [1.0, 0.0, 0.0, 0.0, 0.0],
-                                     [0.0, 0.3, 0.0, 0.7, 0.0]]),
-        ([0.3, 0.0, 0.0, 0.4, 0.0, 0.3], [[0.0, 1 / 3, 0.0, 1 / 3, 0.0, 1 / 3]] * 3
-                                          + [[0.5, 0.0, 0.0, 0.0, 0.0, 0.5]] * 2
-                                          + [[0.0, 0.0, 0.0, 0.0, 0.0, 1.0]]),
-    ])
+    @pytest.mark.parametrize("probs, rows", SAMPLER_LAWS)
     def test_matches_inverse_cdf_on_sorted_sums(self, probs, rows):
         """The inverse-CDF draw of np.searchsorted on the running sums,
         capped at the last symbol, from the same two uniforms per draw."""
@@ -121,6 +125,18 @@ class TestSampleThroughChannel:
             ref = min(int(np.searchsorted(row, u[1], side="right")), chan.num_outputs - 1)
             assert got == ref
         assert got_rng.random() == ref_rng.random()
+
+    @pytest.mark.parametrize("probs, rows", SAMPLER_LAWS)
+    @pytest.mark.parametrize("size", [0, 1, 255, 4096])
+    def test_block_equals_single_draws(self, probs, rows, size):
+        """A block of `size` symbols is `size` single draws, and leaves the
+        generator where they leave it."""
+        source, chan = Distribution(probs), Channel(np.array(rows))
+        block_rng, single_rng = np.random.default_rng(size), np.random.default_rng(size)
+        block = sample_through_channel(source, chan, block_rng, size)
+        singles = [sample_through_channel(source, chan, single_rng) for _ in range(size)]
+        assert block.tolist() == singles
+        assert block_rng.bit_generator.state == single_rng.bit_generator.state
 
 
 class TestScenarioConfig:
@@ -554,6 +570,24 @@ def test_three_hypothesis_sweep_csv_is_pinned():
     cfg = ScenarioConfig(_THREE_ON_TWO, (0.2, 0.01), 25, 17, cap=5000, stride=3)
     text = alpha_sweep(cfg)
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED_THREE_HYPOTHESIS_SWEEP
+
+
+_TERNARY_LAWS = (Distribution([0.6, 0.25, 0.15]), Distribution([0.2, 0.6, 0.2]),
+                 Distribution([0.2, 0.2, 0.6]))
+
+# SHA-256 of each ternary sweep's CSV, written by the engine that solved
+# the reach of each ball on its own.
+PINNED_TERNARY_SWEEPS = {
+    (DistortionMeasure.TV_L1, 0.1): "abd29ec297fe454bb3a8f3a77f8b9312f9e49d3d9fbd36798afa745c4d406f75",
+    (DistortionMeasure.KL, 0.01): "da14648849a1b993a23bb83f665b9bfc42f98bbc19b5260dfbf328836529ebb3",
+}
+
+
+@pytest.mark.parametrize("measure, delta", list(PINNED_TERNARY_SWEEPS))
+def test_ternary_sweep_csv_is_pinned(measure, delta):
+    cfg = ScenarioConfig(GameSpec(_TERNARY_LAWS, delta, measure), (0.2, 0.01), 25, 17, stride=16)
+    text = alpha_sweep(cfg)
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_TERNARY_SWEEPS[measure, delta]
 
 
 class TestNoSharedState:
