@@ -51,22 +51,17 @@ from .prob import (
     apply_channel,
     bhattacharyya,
     binary_kl,
-    empirical_distribution,
     kl_divergence,
-    log_likelihood_ratio,
     normalize,
 )
 from .seqtest import (
-    MsprtConfig,
     TestOutcome,
     ThresholdSchedule,
     TrajectoryRow,
     evidence_statistics,
     run_aware,
-    run_msprt,
     run_nonaware,
     threshold_constant,
-    trajectory_csv,
 )
 from .simharness import (
     ReportRow,
@@ -91,8 +86,6 @@ __all__ = [
     "kl_divergence",
     "binary_kl",
     "bhattacharyya",
-    "empirical_distribution",
-    "log_likelihood_ratio",
     # divopt
     "SolverOptions",
     "DistortionBall",
@@ -119,12 +112,9 @@ __all__ = [
     "ThresholdSchedule",
     "TestOutcome",
     "TrajectoryRow",
-    "trajectory_csv",
     "evidence_statistics",
     "run_aware",
     "run_nonaware",
-    "MsprtConfig",
-    "run_msprt",
     # simharness
     "ScenarioConfig",
     "ReportRow",

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import lambertw
+from scipy.special import lambertw, xlogy
 
 from .errors import DomainError, InfeasibleError, ShapeError
 from .prob import Channel, Distribution, DistortionMeasure, _kl_arrays, _kl_rows
@@ -71,6 +71,17 @@ def _binary_kl(t: float, s: float) -> float:
     return max(value, 0.0)
 
 
+def _clamp_divergence(t: np.ndarray, lo, hi) -> np.ndarray:
+    """`_binary_kl` from each t to its clamp onto [lo, hi], elementwise and
+    equal to it bit for bit: zero where the clamp leaves t as it is."""
+    tc, s = np.minimum(np.maximum(t, lo), hi), 1.0 - t
+    # where the clamp is exact the terms are zero, or 0/0 at t = 0 or 1;
+    # fmax makes that nan, and any rounding below zero, exactly zero
+    with np.errstate(divide="ignore", invalid="ignore"):
+        val = xlogy(t, t / tc) + xlogy(s, s / (1.0 - tc))
+    return np.fmax(val, 0.0, out=val)
+
+
 @dataclass(frozen=True, eq=False)
 class DistortionBall:
     """All distributions within a distortion budget of a center.
@@ -106,9 +117,7 @@ class DistortionBall:
         arr = point.probs if isinstance(point, Distribution) else np.asarray(point, dtype=float)
         if arr.shape != self.center.probs.shape:
             raise ShapeError("point alphabet does not match the ball center")
-        if abs(arr.sum() - 1.0) > slack or np.any(arr < self.floor - slack):
-            return False
-        return self.measure.evaluate(self.center.probs, arr) <= self.radius + slack
+        return bool(_inside(arr, self.center.probs, self, slack))
 
     @cached_property
     def interval(self) -> tuple[float, float]:
@@ -124,6 +133,18 @@ class DistortionBall:
             lo = _bisect_kl_edge(c, self.radius, lo_cap)
             hi = _bisect_kl_edge(c, self.radius, hi_cap)
         return max(lo, lo_cap), min(hi, hi_cap)
+
+
+def _inside(w: np.ndarray, p: np.ndarray, ball: DistortionBall, slack: float) -> np.ndarray:
+    """Whether each row of w (its last axis) lies in the ball with the
+    measure, radius and floor of `ball` around the matching row of p, each
+    bound relaxed by slack."""
+    if ball.measure is DistortionMeasure.TV_L1:
+        distortion = np.abs(w - p).sum(axis=-1)
+    else:
+        distortion = _kl_rows(p, w)
+    return ((distortion <= ball.radius + slack) & (w.min(axis=-1) >= ball.floor - slack)
+            & (np.abs(w.sum(axis=-1) - 1.0) <= slack))
 
 
 def _bisect_kl_edge(c: float, radius: float, far: float) -> float:
@@ -388,7 +409,7 @@ def _kl_tilt_argmin(w: np.ndarray, ball: DistortionBall) -> tuple[np.ndarray, bo
 
 def _first_block_argmin(w: np.ndarray, ball: DistortionBall) -> tuple[np.ndarray, bool, int]:
     """argmin of D(x || w) over x in the ball."""
-    if ball.contains(w, slack=0.0):
+    if _inside(w, ball.center.probs, ball, 0.0):
         return w, True, 0
     if ball.measure is DistortionMeasure.TV_L1:
         return _tv_block_argmin(w[None, :], ball.center.probs[None, :], ball.floor,
@@ -417,22 +438,21 @@ def _ball_reach(q0: np.ndarray, balls: tuple[DistortionBall, ...]) -> tuple[np.n
     ball, n = balls[0], len(balls) * q0.shape[0]
     converged, steps = np.ones(n, dtype=bool), np.zeros(n, dtype=int)
     if ball.size == 2:
-        t = q0[:, 0].tolist()
-        tc = [min(max(a, lo), hi) for lo, hi in (b.interval for b in balls) for a in t]
-        values = np.array([0.0 if b == a else _binary_kl(a, b) for a, b in zip(t * len(balls), tc)])
-        tc = np.array(tc)
-        return np.column_stack([tc, 1.0 - tc]), values, converged, steps
+        # each ball's interval ends as an (M, 1) column against the R rows
+        lo, hi = np.array([b.interval for b in balls]).T[:, :, None]
+        t = q0[:, 0]
+        tc = np.minimum(np.maximum(t, lo), hi).ravel()
+        return (np.column_stack([tc, 1.0 - tc]), _clamp_divergence(t, lo, hi).ravel(),
+                converged, steps)
 
     w = np.concatenate([q0] * len(balls))
     p = np.array([b.center.probs for b in balls]).repeat(q0.shape[0], axis=0)
     weight = None
     if ball.measure is DistortionMeasure.TV_L1:
-        distortion = np.abs(w - p).sum(axis=1)
         solved = _tv_block_argmin(w, p, ball.floor, 0.5 * ball.radius)
     else:
-        distortion = _kl_rows(p, w)
         solved, weight, converged, steps = _kl_reach_argmin(w, p, ball.floor, ball.radius)
-    inside = (distortion <= ball.radius) & (w.min(axis=1) >= ball.floor) & (w.sum(axis=1) == 1.0)
+    inside = _inside(w, p, ball, 0.0)
     # D(q0 || q0) is exactly zero
     q = np.where(inside[:, None], w, solved)
     values = _kl_rows(w, q)

@@ -13,12 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    ConstructionError,
-    DomainError,
-    EmptySequenceError,
-    ShapeError,
-)
+from .errors import ConstructionError, DomainError, ShapeError
 
 __all__ = [
     "Distribution",
@@ -29,8 +24,6 @@ __all__ = [
     "kl_divergence",
     "binary_kl",
     "bhattacharyya",
-    "empirical_distribution",
-    "log_likelihood_ratio",
 ]
 
 # A freshly normalized vector should sum to 1 up to accumulated rounding.
@@ -237,40 +230,3 @@ def bhattacharyya(p, q) -> float:
         raise DomainError("bhattacharyya requires strictly positive entries")
     coeff = float(np.sqrt(parr * qarr).sum())
     return -math.log(coeff)
-
-
-def empirical_distribution(counts) -> Distribution:
-    """The type of a sample, given per-symbol counts."""
-    arr = np.asarray(counts)
-    if arr.ndim != 1:
-        raise ShapeError(f"counts must be one-dimensional, got shape {arr.shape}")
-    if arr.size == 0:
-        raise ConstructionError("counts must have at least one entry")
-    if np.any(arr < 0) or not np.allclose(arr, np.round(arr)):
-        raise ConstructionError("counts must be nonnegative integers")
-    total = arr.sum()
-    if total == 0:
-        raise EmptySequenceError("cannot form an empirical distribution from zero samples")
-    return Distribution(arr / float(total))
-
-
-def log_likelihood_ratio(counts, p: Distribution, q: Distribution) -> float:
-    """Cumulative log-likelihood ratio sum counts[a] * log(p[a] / q[a]).
-
-    Returns +inf when the sample hits a symbol with q-mass zero but positive
-    p-mass, -inf in the mirror case, and nan when both masses vanish on an
-    observed symbol.
-    """
-    arr = np.asarray(counts, dtype=float)
-    if arr.shape != p.probs.shape or arr.shape != q.probs.shape:
-        raise ShapeError("counts and distributions must share one alphabet")
-    observed = arr > 0.0
-    pm = p.probs[observed]
-    qm = q.probs[observed]
-    if np.any((pm == 0.0) & (qm == 0.0)):
-        return math.nan
-    if np.any(qm == 0.0):
-        return math.inf
-    if np.any(pm == 0.0):
-        return -math.inf
-    return float(np.dot(arr[observed], np.log(pm) - np.log(qm)))

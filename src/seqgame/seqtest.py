@@ -3,8 +3,7 @@
 The universal test tracks, for each hypothesis, the divergence from the
 running empirical distribution to the nearest rival reachable set, and
 stops when any such statistic clears a shrinking threshold. A variant for
-the common-channel adversary and a classical likelihood-ratio baseline
-share the same outcome type.
+the common-channel adversary shares the same outcome type.
 """
 
 from __future__ import annotations
@@ -37,12 +36,9 @@ __all__ = [
     "ThresholdSchedule",
     "TestOutcome",
     "TrajectoryRow",
-    "trajectory_csv",
     "evidence_statistics",
     "run_aware",
     "run_nonaware",
-    "MsprtConfig",
-    "run_msprt",
 ]
 
 _MAX_TERMS = 1 << 30
@@ -93,7 +89,7 @@ def threshold_constant(zeta: float, abs_tol: float = 1e-9) -> float:
     """
     if not 0.0 < zeta < 1.0:
         raise DomainError(f"zeta must lie in (0, 1), got {zeta}")
-    if abs_tol <= 0.0:
+    if not abs_tol > 0.0:  # also rejects NaN, which no bracket would ever meet
         raise DomainError("abs_tol must be positive")
     s = 1.0 - zeta
     chunk_sums: list[float] = []
@@ -197,23 +193,6 @@ class TestOutcome:
     trajectory: tuple[TrajectoryRow, ...] | None = None
 
 
-def trajectory_csv(trajectory: Iterable[TrajectoryRow]) -> str:
-    """Render recorded rows as CSV: step, threshold, statistics, stop flag."""
-    rows = list(trajectory)
-    if not rows:
-        raise DomainError("nothing recorded")
-    width = len(rows[0].statistics)
-    header = "n,gamma_n," + ",".join(f"z_{i}" for i in range(width)) + ",stopped_flag,decision"
-    lines = [header]
-    for row in rows:
-        stats = ",".join(format(v, ".12g") for v in row.statistics)
-        decision = "" if row.decision is None else str(row.decision)
-        lines.append(
-            f"{row.step},{format(row.threshold, '.12g')},{stats},{int(row.stopped)},{decision}"
-        )
-    return "\n".join(lines) + "\n"
-
-
 def evidence_statistics(counts: np.ndarray, spec: GameSpec) -> np.ndarray:
     """Per-hypothesis evidence: distance from the empirical law to the
     nearest rival reachable set.
@@ -238,7 +217,8 @@ def evidence_statistics(counts: np.ndarray, spec: GameSpec) -> np.ndarray:
     totals = rows.sum(axis=1, keepdims=True)
     if np.any(totals == 0):
         raise EmptySequenceError("cannot form an empirical distribution from zero samples")
-    # as empirical_distribution does: divide by the total, then by the sum
+    # each count over the total, then over the sum of those shares, as
+    # Distribution(counts / total) rescales them
     qhat = rows / totals.astype(float)
     qhat = qhat / qhat.sum(axis=1, keepdims=True)
     dists = _ball_reach(qhat, spec.balls)[1].reshape(spec.num_hypotheses, -1).T
@@ -395,8 +375,8 @@ def _evidence(game: _ChannelGame, t: float) -> tuple[float, float]:
 
 
 def _first_share(zeros: int, ones: int) -> float:
-    """qhat[0] of the counts as `empirical_distribution` forms it: each
-    count over the total, then divided by their sum."""
+    """qhat[0] of the counts as `evidence_statistics` forms it: each count
+    over the total, then divided by their sum."""
     total = zeros + ones
     a, b = zeros / total, ones / total
     return a / (a + b)
@@ -443,80 +423,3 @@ def run_nonaware(stream: Iterable[int], schedule: ThresholdSchedule,
         if record_trajectory:
             rows.append(TrajectoryRow(n, gamma, evidence, False, None))
     return TestOutcome(cap, None, True, tuple(rows) if record_trajectory else None)
-
-
-# ---------------------------------------------------------------------------
-# Classical matrix likelihood-ratio baseline
-
-
-@dataclass(frozen=True)
-class MsprtConfig:
-    """Boundary matrix for the pairwise likelihood-ratio test.
-
-    Off-diagonal entries are the thresholds the log-likelihood ratios must
-    reach; the diagonal is zero by convention.
-    """
-
-    boundaries: np.ndarray
-
-    def __post_init__(self) -> None:
-        b = np.asarray(self.boundaries, dtype=float)
-        if b.ndim != 2 or b.shape[0] != b.shape[1]:
-            raise ShapeError(f"boundary matrix must be square, got {b.shape}")
-        if b.shape[0] < 2:
-            raise ShapeError("need at least two hypotheses")
-        if not np.all(np.isfinite(b)):
-            raise ConstructionError("boundaries must be finite")
-        if np.any(np.diag(b) != 0.0):
-            raise ConstructionError("diagonal boundaries must be zero")
-        off = b[~np.eye(b.shape[0], dtype=bool)]
-        if np.any(off <= 0.0):
-            raise ConstructionError("off-diagonal boundaries must be positive")
-        b = b.copy()
-        b.setflags(write=False)
-        object.__setattr__(self, "boundaries", b)
-
-    @property
-    def num_hypotheses(self) -> int:
-        return int(self.boundaries.shape[0])
-
-
-def run_msprt(stream: Iterable[int], hypotheses: tuple[Distribution, ...],
-              config: MsprtConfig, cap: int = 1_000_000) -> TestOutcome:
-    """Accept the first hypothesis whose log-likelihood ratio against every
-    rival reaches that rival's boundary.
-
-    Hypotheses must have full support so the ratios stay finite.
-    """
-    hyps = tuple(hypotheses)
-    m = len(hyps)
-    if m != config.num_hypotheses:
-        raise ShapeError("boundary matrix size must match the hypothesis count")
-    size = hyps[0].size
-    if any(h.size != size for h in hyps):
-        raise ShapeError("all hypotheses must share one alphabet")
-    probs = np.stack([h.probs for h in hyps])
-    if np.any(probs <= 0.0):
-        raise DomainError("hypotheses must have full support")
-    _check_limits(cap=cap)
-    logs = np.log(probs)
-    loglik = np.zeros(m)
-    not_diag = ~np.eye(m, dtype=bool)
-    n = 0
-    it = iter(stream)
-    while n < cap:
-        try:
-            symbol = next(it)
-        except StopIteration:
-            raise StreamExhaustedError(
-                f"stream ended after {n} symbols with no decision"
-            ) from None
-        sym = _check_symbol(symbol, size)
-        loglik += logs[:, sym]
-        n += 1
-        ratios = loglik[:, None] - loglik[None, :]
-        accept = np.all((ratios >= config.boundaries) | ~not_diag, axis=1)
-        hits = np.flatnonzero(accept)
-        if hits.size:
-            return TestOutcome(n, int(hits[0]), False, None)
-    return TestOutcome(cap, None, True, None)

@@ -19,9 +19,8 @@ from pathlib import Path
 from typing import Iterator
 
 import numpy as np
-from scipy.special import xlogy
 
-from .divopt import _FEASIBILITY_SLACK
+from .divopt import _FEASIBILITY_SLACK, _clamp_divergence
 from .equilibrium import EquilibriumSolution, GameSpec, solve_aware_equilibrium
 from .errors import DomainError, InfeasibleError, ShapeError
 from .prob import Channel, Distribution
@@ -78,11 +77,9 @@ class ScenarioConfig:
         if any(not 0.0 < a < 1.0 for a in grid):
             raise DomainError("alpha values must lie in (0, 1)")
         object.__setattr__(self, "alpha_grid", grid)
-        if self.replications < 1:
-            raise DomainError("replications must be >= 1")
-        if self.seed < 0:
-            raise DomainError("seed must be a nonnegative integer")
-        _check_limits(cap=self.cap, stride=self.stride)
+        _check_limits(replications=self.replications, cap=self.cap, stride=self.stride)
+        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise DomainError(f"seed must be a nonnegative integer, got {self.seed!r}")
         if not 0.0 < self.zeta < 1.0:
             raise DomainError(f"zeta must lie in (0, 1), got {self.zeta}")
         if self.true_hypothesis is not None and not (
@@ -198,15 +195,6 @@ def _channel_stream(source: Distribution, channel: Channel,
     while True:
         yield from sample_through_channel(source, channel, rng, size).tolist()
         size = min(2 * size, _BLOCK)
-
-
-def _clamp_divergence(t: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    """Divergence from Bernoulli(t) to its clamp onto [lo, hi], elementwise."""
-    tc = np.clip(t, lo, hi)
-    # where the clamp is exact, a zero end gives 0/0; np.where drops it
-    with np.errstate(divide="ignore", invalid="ignore"):
-        val = xlogy(t, t / tc) + xlogy(1.0 - t, (1.0 - t) / (1.0 - tc))
-    return np.where(tc == t, 0.0, val)
 
 
 def _last_true(holds, steps: np.ndarray, guess: np.ndarray | None = None) -> np.ndarray:

@@ -1,8 +1,8 @@
 """Brute-force oracles for the tests: lattice searches over balls and
-binary channels, a pattern descent on the simplex, the evidence statistic
-solved ball by ball, the aware and common-channel tests fed one symbol at
-a time, the binary engine's stop rule counted ball by ball, and random
-feasible common channels.
+binary channels, a pattern descent on the simplex, the type of a sample,
+the evidence statistic solved ball by ball, the aware and common-channel
+tests fed one symbol at a time, the binary engine's stop rule counted ball
+by ball, and random feasible common channels.
 
 They are independent of the solvers in `seqgame.divopt`, of the stacked
 reach solve of `seqgame.seqtest.evidence_statistics`, of the chunked
@@ -27,8 +27,16 @@ from seqgame.divopt import (
     min_max_divergence_over_channel,
 )
 from seqgame.equilibrium import GameSpec
-from seqgame.errors import DomainError, InfeasibleError, ResourceError, StreamExhaustedError
-from seqgame.prob import Channel, Distribution, DistortionMeasure, empirical_distribution
+from seqgame.errors import (
+    ConstructionError,
+    DomainError,
+    EmptySequenceError,
+    InfeasibleError,
+    ResourceError,
+    ShapeError,
+    StreamExhaustedError,
+)
+from seqgame.prob import Channel, Distribution, DistortionMeasure
 from seqgame.seqtest import (
     TestOutcome,
     ThresholdSchedule,
@@ -155,6 +163,21 @@ def refine_simplex_min(objective, start, initial_step: float = 0.1,
                 improved = False
         h *= 0.5
     return best, x
+
+
+def empirical_distribution(counts) -> Distribution:
+    """The type of a sample, given per-symbol counts."""
+    arr = np.asarray(counts)
+    if arr.ndim != 1:
+        raise ShapeError(f"counts must be one-dimensional, got shape {arr.shape}")
+    if arr.size == 0:
+        raise ConstructionError("counts must have at least one entry")
+    if np.any(arr < 0) or not np.allclose(arr, np.round(arr)):
+        raise ConstructionError("counts must be nonnegative integers")
+    total = arr.sum()
+    if total == 0:
+        raise EmptySequenceError("cannot form an empirical distribution from zero samples")
+    return Distribution(arr / float(total))
 
 
 def evidence_by_ball(counts: np.ndarray, balls: tuple[DistortionBall, ...]) -> np.ndarray:

@@ -29,10 +29,10 @@ from seqgame.divopt import (
 )
 from seqgame.equilibrium import nonaware_achievable, nonaware_converse, solve_nonaware_adversary
 from seqgame.errors import DomainError, ResourceError, ShapeError, StreamExhaustedError
-from seqgame.prob import Channel, Distribution, DistortionMeasure, empirical_distribution
+from seqgame.prob import Channel, Distribution, DistortionMeasure
 from seqgame.seqtest import ThresholdSchedule, _first_share, run_nonaware
 
-from oracles import grid_oracle_min_channels, run_nonaware_stepwise
+from oracles import empirical_distribution, grid_oracle_min_channels, run_nonaware_stepwise
 
 P0 = Distribution([0.38, 0.62])
 P1 = Distribution([0.5, 0.5])

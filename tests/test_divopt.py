@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import xlogy
 
 from seqgame import (
@@ -22,6 +24,7 @@ from seqgame import (
     min_max_divergence_over_channel,
     pairwise_min_divergence,
 )
+from seqgame.divopt import _binary_kl, _clamp_divergence
 
 from oracles import (
     ball_lattice,
@@ -33,6 +36,40 @@ from oracles import (
 
 E_01 = binary_kl(0.405, 0.475)  # hypothesis-0 exponent of the Bernoulli instance
 E_10 = binary_kl(0.475, 0.405)
+
+
+def _ulps(x: float, k: int) -> float:
+    """x moved k floats up (k > 0) or down (k < 0)."""
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.copysign(math.inf, k))
+    return x
+
+
+@st.composite
+def _clamps(draw):
+    """An interval of a binary ball, TV or KL, and points to clamp onto it:
+    free points in [0, 1] and points a few ulps from either end, or from 0
+    and 1."""
+    measure = draw(st.sampled_from(list(DistortionMeasure)))
+    floor = draw(st.sampled_from([0.0, 1e-9, 1e-3]))
+    c = draw(st.floats(0.002, 0.998))
+    radius = draw(st.sampled_from([0.0, 1e-12]) | st.floats(1e-9, 0.5))
+    lo, hi = DistortionBall(Distribution([c, 1.0 - c]), radius, measure, floor).interval
+    near = draw(st.lists(st.tuples(st.sampled_from([lo, hi, 0.0, 1.0]), st.integers(-4, 4)),
+                         max_size=8))
+    free = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8))
+    return lo, hi, [min(max(_ulps(e, k), 0.0), 1.0) for e, k in near] + free
+
+
+@settings(max_examples=300, deadline=None)
+@given(_clamps())
+def test_clamp_divergence_is_binary_kl_bit_for_bit(case):
+    """The vector clamp divergence takes its logs through scipy, the scalar
+    one through math; the two may differ only if those logs do."""
+    lo, hi, points = case
+    got = _clamp_divergence(np.array(points), lo, hi)
+    want = np.array([_binary_kl(t, min(max(t, lo), hi)) for t in points])
+    assert np.array_equal(got.view(np.int64), want.view(np.int64)), (got, want)
 
 
 def test_solver_options_validation():
@@ -67,6 +104,13 @@ class TestDistortionBall:
         ball = DistortionBall(Distribution([0.5, 0.5]), 0.05, DistortionMeasure.TV_L1)
         assert ball.contains(np.array([0.475, 0.525]))
         assert not ball.contains(np.array([0.4, 0.6]))
+        # the default slack admits rounding past the boundary; slack 0 does not
+        edge = np.array([0.475 - 1e-10, 0.525 + 1e-10])
+        assert ball.contains(edge) and not ball.contains(edge, slack=0.0)
+        kl = DistortionBall(Distribution([0.5, 0.5]), 0.01, DistortionMeasure.KL)
+        assert kl.contains(np.array([0.55, 0.45])) and not kl.contains(np.array([0.6, 0.4]))
+        with pytest.raises(ShapeError):
+            ball.contains(np.array([0.2, 0.3, 0.5]))
 
     def test_zero_radius(self):
         ball = DistortionBall(Distribution([0.3, 0.7]), 0.0, DistortionMeasure.TV_L1)

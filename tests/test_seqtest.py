@@ -1,4 +1,5 @@
 import math
+import time
 
 import mpmath
 import numpy as np
@@ -9,22 +10,17 @@ from seqgame.errors import (
     ConstructionError,
     DomainError,
     ResourceError,
-    ShapeError,
     StreamExhaustedError,
 )
 from seqgame.prob import Distribution, DistortionMeasure, binary_kl
 from seqgame.seqtest import (
-    MsprtConfig,
     ThresholdSchedule,
-    TrajectoryRow,
     _nonaware_decide,
     _tail_bracket,
     evidence_statistics,
     run_aware,
-    run_msprt,
     run_nonaware,
     threshold_constant,
-    trajectory_csv,
 )
 
 # series sums frozen from a 30-digit arbitrary-precision bracket
@@ -80,6 +76,16 @@ class TestThresholdConstant:
                 threshold_constant(zeta)
         with pytest.raises(DomainError):
             threshold_constant(0.5, 0.0)
+
+    def test_nan_tolerance_refused_at_once(self):
+        # no bracket is ever within a NaN tolerance, so the sum would double
+        # toward 2^30 terms before its resource check
+        start = time.perf_counter()
+        with pytest.raises(DomainError):
+            threshold_constant(0.85, math.nan)
+        with pytest.raises(DomainError):
+            ThresholdSchedule(0.05, 2, 2, constant_tolerance=math.nan)
+        assert time.perf_counter() - start < 1.0
 
     def test_extreme_zeta_refused(self):
         # the tail certificate would need a gamma factor beyond float range
@@ -357,88 +363,3 @@ class TestRunNonAware:
             DistortionMeasure.TV_L1, cap=4,
         )
         assert out.timed_out and out.decision is None
-
-
-class TestMsprtConfig:
-    def test_valid(self):
-        cfg = MsprtConfig(np.array([[0.0, 3.0], [2.0, 0.0]]))
-        assert cfg.num_hypotheses == 2
-        with pytest.raises(ValueError):
-            cfg.boundaries[0, 1] = 5.0  # frozen storage
-
-    def test_validation(self):
-        with pytest.raises(ShapeError):
-            MsprtConfig(np.zeros((2, 3)))
-        with pytest.raises(ShapeError):
-            MsprtConfig(np.zeros((1, 1)))
-        with pytest.raises(ConstructionError):
-            MsprtConfig(np.array([[0.0, np.inf], [3.0, 0.0]]))
-        with pytest.raises(ConstructionError):
-            MsprtConfig(np.array([[1.0, 3.0], [3.0, 0.0]]))
-        with pytest.raises(ConstructionError):
-            MsprtConfig(np.array([[0.0, -3.0], [3.0, 0.0]]))
-
-
-class TestRunMsprt:
-    P = (Distribution([0.3, 0.7]), Distribution([0.7, 0.3]))
-
-    def test_mostly_correct_and_wald_time(self, rng):
-        b = math.log(1.0 / 0.05)
-        cfg = MsprtConfig(np.array([[0.0, b], [b, 0.0]]))
-        times, correct = [], 0
-        for _ in range(100):
-            stream = (rng.random(2000) < 0.7).astype(int)  # law (0.3, 0.7)
-            out = run_msprt(iter(stream), self.P, cfg)
-            correct += out.decision == 0
-            times.append(out.stopping_time)
-        assert correct >= 90
-        # first-order Wald estimate: boundary over drift, plus overshoot
-        drift = binary_kl(0.3, 0.7)
-        assert b / drift <= np.mean(times) <= (b + 2.0) / drift + 2.0
-
-    def test_three_hypotheses(self, rng):
-        hyps = (
-            Distribution([0.2, 0.8]),
-            Distribution([0.5, 0.5]),
-            Distribution([0.8, 0.2]),
-        )
-        cfg = MsprtConfig(np.where(np.eye(3), 0.0, 4.0))
-        stream = (rng.random(5000) < 0.2).astype(int)  # law (0.8, 0.2)
-        out = run_msprt(iter(stream), hyps, cfg)
-        assert out.decision == 2
-
-    def test_validation(self):
-        cfg = MsprtConfig(np.array([[0.0, 3.0], [3.0, 0.0]]))
-        with pytest.raises(ShapeError):
-            run_msprt(iter([0]), (self.P[0],), cfg)
-        with pytest.raises(DomainError):
-            run_msprt(iter([0]), (Distribution([1.0, 0.0]), self.P[1]), cfg)
-        with pytest.raises(DomainError):
-            run_msprt(iter([0]), self.P, cfg, cap=0)
-        with pytest.raises(DomainError):
-            run_msprt(iter([0] * 10), self.P, cfg, cap=1.5)
-        with pytest.raises(StreamExhaustedError):
-            run_msprt(iter([0, 1]), self.P, cfg)
-
-    def test_timeout(self):
-        big = MsprtConfig(np.array([[0.0, 500.0], [500.0, 0.0]]))
-        out = run_msprt(iter([0, 1] * 20), self.P, big, cap=10)
-        assert out.timed_out and out.stopping_time == 10
-
-
-class TestTrajectoryCsv:
-    def test_layout(self):
-        rows = [
-            TrajectoryRow(1, 1.5, (0.25, 0.1), False, None),
-            TrajectoryRow(2, 1.25, (1.3, 0.1), True, 0),
-        ]
-        text = trajectory_csv(rows)
-        lines = text.splitlines()
-        assert lines[0] == "n,gamma_n,z_0,z_1,stopped_flag,decision"
-        assert lines[1] == "1,1.5,0.25,0.1,0,"
-        assert lines[2] == "2,1.25,1.3,0.1,1,0"
-        assert text.endswith("\n")
-
-    def test_empty_rejected(self):
-        with pytest.raises(DomainError):
-            trajectory_csv([])

@@ -155,9 +155,12 @@ class TestScenarioConfig:
             ScenarioConfig(wide_spec, (0.1,), 10, 0, true_hypothesis=2)
         with pytest.raises(DomainError):
             ScenarioConfig(wide_spec, (0.1,), 10, 0, adversary="worst")
-        for limits in ({"cap": 0}, {"cap": 2.5}, {"stride": 0}, {"stride": 1.5}):
+        # non-integer replications and seeds used to pass here and raise raw
+        # TypeErrors later, in monte_carlo or in SeedSequence
+        for limits in ({"cap": 0}, {"cap": 2.5}, {"stride": 0}, {"stride": 1.5},
+                       {"replications": 2.5}, {"seed": 1.5}, {"seed": None}):
             with pytest.raises(DomainError):
-                ScenarioConfig(wide_spec, (0.1,), 10, 0, **limits)
+                ScenarioConfig(wide_spec, (0.1,), **{"replications": 10, "seed": 0, **limits})
 
     def test_channel_adversary_checked(self, wide_spec):
         with pytest.raises(ShapeError):
