@@ -13,6 +13,7 @@ of qhat[0] onto the two laws' ranges of outputs over the common channels.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -45,18 +46,46 @@ _BISECTION_CAP = 200
 @dataclass(frozen=True)
 class SolverOptions:
     """Stopping rule of the two alternations, `pairwise_min_divergence` and
-    the Bhattacharyya separation: stop after `patience` rounds in a row
-    whose value drops by less than `tolerance` relative."""
+    the Bhattacharyya separation: `patience` rounds in a row that drop by
+    less than `tolerance` relative, found early at a fixed point (`_RunningMinimum`)."""
 
     tolerance: float = 1e-10
     patience: int = 5
 
     def __post_init__(self) -> None:
-        if self.tolerance <= 0 or self.patience < 1:
-            raise DomainError("solver options must be positive")
+        if not (isinstance(self.tolerance, numbers.Real) and self.tolerance > 0  # rejects NaN
+                and isinstance(self.patience, numbers.Integral) and self.patience >= 1):
+            raise DomainError("solver options need tolerance > 0 and an integer patience >= 1")
 
 
 _DEFAULT_OPTIONS = SolverOptions()
+
+
+class _RunningMinimum:
+    """The stop rule of both alternations: `patience` rounds in a row that
+    drop the running minimum by less than `tolerance` relative converge,
+    `_BISECTION_CAP` rounds do not. A round is a pure function of the state
+    it starts from, so one that ends on that state bit for bit is repeated
+    by every later round: stop there, with the outcome the repeats give."""
+
+    def __init__(self, start: float, options: SolverOptions):
+        self.best, self.options, self.rounds, self.quiet = start, options, 0, 0
+
+    def _drop(self, value: float) -> float:
+        return (self.best - value) / max(abs(self.best), 1e-300)
+
+    def stop(self, value: float, fixed_point: bool) -> bool:
+        """Count a round that reached `value`; True once the rounds are over."""
+        opts = self.options
+        self.rounds += 1
+        self.quiet = self.quiet + 1 if self._drop(value) < opts.tolerance else 0
+        if value <= self.best:  # rounding can leave the rounds cycling near zero
+            self.best = value
+        # every repeat drops by _drop(value) <= 0, so is quiet, unless that is NaN (inf - inf)
+        self.converged = self.quiet >= opts.patience or (
+            fixed_point and self._drop(value) < opts.tolerance
+            and self.rounds + opts.patience - self.quiet <= _BISECTION_CAP)
+        return self.converged or fixed_point or self.rounds >= _BISECTION_CAP
 
 
 def _binary_kl(t: float, s: float) -> float:
@@ -522,11 +551,11 @@ def pairwise_min_divergence(ball_first: DistortionBall, ball_second: DistortionB
     The objective is jointly convex and the feasible set is a product, so
     alternating exact block minimization reaches the global optimum. Each
     block is solved exactly: the q1 step is an I-projection of q2 onto the
-    first ball, the q2 step the reach of q1 into the second. `iterations`
-    counts alternation steps plus the blocks' bisection steps; `converged`
-    is False when the alternation or any block hit its cap. The rounds stop
-    on their running minimum, whose value (never below zero) and argmins are
-    returned.
+    first ball, the q2 step the reach of q1 into the second. The rounds stop
+    by `_RunningMinimum` (the state is q2) and return their running minimum:
+    its value, never below zero, and argmins. `iterations` counts the rounds
+    run and their blocks' bisection steps; `converged` is False when the
+    rounds (or the repeats they skip) or any block would hit its cap.
     """
     opts = options or _DEFAULT_OPTIONS
     if ball_first.size != ball_second.size:
@@ -553,30 +582,20 @@ def pairwise_min_divergence(ball_first: DistortionBall, ball_second: DistortionB
             0,
         )
 
-    q1 = ball_first.center.probs
-    q2 = ball_second.center.probs
-    best, best_pair = _kl_arrays(q1, q2), (q1, q2)
-    quiet = 0
-    converged = False
-    blocks_converged = True
-    total_iters = 0
-    for _ in range(_BISECTION_CAP):
+    q1, q2 = ball_first.center.probs, ball_second.center.probs
+    rule, best_pair = _RunningMinimum(_kl_arrays(q1, q2), opts), (q1, q2)
+    blocks_converged, total_iters, done = True, 0, False
+    while not done:
         q1, first_ok, it1 = _first_block_argmin(q2, ball_first)
         inner = min_divergence_to_ball(q1, ball_second)
-        q2 = inner.argmin.probs
         total_iters += 1 + it1 + inner.iterations
         blocks_converged &= first_ok and inner.converged
-        value = inner.value
-        rel = (best - value) / max(abs(best), 1e-300)
-        # the running minimum: rounding can leave the rounds cycling near zero
-        if value <= best:
-            best, best_pair = value, (q1, q2)
-        quiet = quiet + 1 if rel < opts.tolerance else 0
-        if quiet >= opts.patience:
-            converged = True
-            break
-    return PairMinResult(max(best, 0.0), Distribution(best_pair[0]), Distribution(best_pair[1]),
-                         converged and blocks_converged, total_iters)
+        start, q2 = q2, inner.argmin.probs
+        if inner.value <= rule.best:
+            best_pair = (q1, q2)
+        done = rule.stop(inner.value, np.array_equal(q2, start))
+    return PairMinResult(max(rule.best, 0.0), Distribution(best_pair[0]), Distribution(best_pair[1]),
+                         rule.converged and blocks_converged, total_iters)
 
 
 # ---------------------------------------------------------------------------

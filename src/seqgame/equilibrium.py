@@ -23,6 +23,7 @@ from .divopt import (
     PairMinResult,
     SolverOptions,
     _ChannelGame,
+    _RunningMinimum,
     channel_from_output,
     min_divergence_to_ball,
     min_max_divergence_over_channel,
@@ -220,8 +221,8 @@ def _bhattacharyya_pair_min(ball_a: DistortionBall, ball_b: DistortionBall,
     sqrt(x y). From the centers on, each cycle runs two such rounds and
     extrapolates log q along them (SQUAREM, Varadhan & Roland 2008), so that
     nearly touching balls do not creep; the extrapolated round is kept only
-    if it does better. Cycles stop as the rounds of `pairwise_min_divergence`
-    do; hitting the cycle cap, or a reach block its own, raises ResourceError.
+    if it does better. Cycles stop by `_RunningMinimum` on their q; a cycle
+    cap they hit or would hit, or a reach block's own, raises ResourceError.
     """
     if ball_a.size == 2:  # the facing ends of the intervals, as for the divergence
         pair = pairwise_min_divergence(ball_a, ball_b)
@@ -235,8 +236,8 @@ def _bhattacharyya_pair_min(ball_a: DistortionBall, ball_b: DistortionBall,
         return _geometric_step(*(r.argmin.probs for r in reaches))
 
     best, q = _geometric_step(ball_a.center.probs, ball_b.center.probs)
-    quiet = 0
-    for _ in range(_BISECTION_CAP):
+    rule = _RunningMinimum(best, options)
+    while True:
         _, q1 = advance(q)
         value, q2 = advance(q1)
         if value == math.inf:  # after a round, only when both balls are single points
@@ -252,14 +253,12 @@ def _bhattacharyya_pair_min(ball_a: DistortionBall, ball_b: DistortionBall,
             trial, q3 = advance(e / e.sum())
             if trial <= value:
                 value, q2 = trial, q3
+        if rule.stop(value, np.array_equal(q2, q)):
+            break
         q = q2
-        rel = (best - value) / max(abs(best), 1e-300)
-        # the running minimum: rounding can leave the rounds cycling near zero
-        best = min(best, value)
-        quiet = quiet + 1 if rel < options.tolerance else 0
-        if quiet >= options.patience:
-            return best
-    raise ResourceError(f"Bhattacharyya alternation still moving after {_BISECTION_CAP} cycles")
+    if not rule.converged:
+        raise ResourceError(f"Bhattacharyya alternation cannot converge in {_BISECTION_CAP} cycles")
+    return rule.best
 
 
 def min_pairwise_bhattacharyya(spec: GameSpec,

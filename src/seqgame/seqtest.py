@@ -132,10 +132,10 @@ class ThresholdSchedule:
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha < 1.0:
             raise DomainError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if self.num_hypotheses < 2:
-            raise DomainError("need at least two hypotheses")
-        if self.alphabet_size < 2:
-            raise DomainError("alphabet must have at least two symbols")
+        if not isinstance(self.num_hypotheses, numbers.Integral) or self.num_hypotheses < 2:
+            raise DomainError(f"need an integer >= 2 of hypotheses, got {self.num_hypotheses!r}")
+        if not isinstance(self.alphabet_size, numbers.Integral) or self.alphabet_size < 2:
+            raise DomainError(f"need an integer >= 2 of symbols, got {self.alphabet_size!r}")
         if not 0.0 < self.zeta < 1.0:
             raise DomainError(f"zeta must lie in (0, 1), got {self.zeta}")
         if self.constant == 0.0:

@@ -82,10 +82,10 @@ class ScenarioConfig:
             raise DomainError(f"seed must be a nonnegative integer, got {self.seed!r}")
         if not 0.0 < self.zeta < 1.0:
             raise DomainError(f"zeta must lie in (0, 1), got {self.zeta}")
-        if self.true_hypothesis is not None and not (
-            0 <= self.true_hypothesis < self.spec.num_hypotheses
-        ):
-            raise DomainError(f"true_hypothesis {self.true_hypothesis} out of range")
+        th, m = self.true_hypothesis, self.spec.num_hypotheses
+        if th is not None and (isinstance(th, bool) or not isinstance(th, numbers.Integral)
+                               or not 0 <= th < m):
+            raise DomainError(f"true_hypothesis must be an integer in [0, {m}), got {th!r}")
         adv = self.adversary
         if isinstance(adv, str):
             if adv != EQUILIBRIUM_ADVERSARY:

@@ -2,13 +2,16 @@
 binary channels, a pattern descent on the simplex, the type of a sample,
 the evidence statistic solved ball by ball, the aware and common-channel
 tests fed one symbol at a time, the binary engine's stop rule counted ball
-by ball, and random feasible common channels.
+by ball, random feasible common channels, and the two alternations run
+for their full patience.
 
 They are independent of the solvers in `seqgame.divopt`, of the stacked
 reach solve of `seqgame.seqtest.evidence_statistics`, of the chunked
 loop of `seqgame.seqtest.run_aware`, of the bounded, stride-reading loop
-of `seqgame.seqtest.run_nonaware` and of the continuation bands of
-`seqgame.simharness`, and exist only to check them.
+of `seqgame.seqtest.run_nonaware`, of the continuation bands of
+`seqgame.simharness` and of the fixed-point stop of the alternations (the
+full-patience loops share only their exact blocks), and exist only to
+check them.
 """
 
 from __future__ import annotations
@@ -20,13 +23,18 @@ from typing import Iterable
 import numpy as np
 from scipy.special import xlogy
 
+from seqgame import divopt
 from seqgame.divopt import (
     DistortionBall,
+    PairMinResult,
+    SolverOptions,
     _ball_reach,
+    _first_block_argmin,
+    min_divergence_to_ball,
     min_divergence_over_common_channels,
     min_max_divergence_over_channel,
 )
-from seqgame.equilibrium import GameSpec
+from seqgame.equilibrium import GameSpec, _geometric_step
 from seqgame.errors import (
     ConstructionError,
     DomainError,
@@ -36,7 +44,7 @@ from seqgame.errors import (
     ShapeError,
     StreamExhaustedError,
 )
-from seqgame.prob import Channel, Distribution, DistortionMeasure
+from seqgame.prob import Channel, Distribution, DistortionMeasure, _kl_arrays
 from seqgame.seqtest import (
     TestOutcome,
     ThresholdSchedule,
@@ -320,3 +328,67 @@ def _max_feasible_blend(p0: Distribution, p1: Distribution, target: np.ndarray,
             hi = mid
     t = 0.9 * lo
     return (1.0 - t) * eye + t * target
+
+
+def pairwise_min_full_patience(ball_first: DistortionBall, ball_second: DistortionBall,
+                               options: SolverOptions) -> PairMinResult:
+    """`pairwise_min_divergence` for alphabets above two symbols, with the
+    rounds stopping only on `options.patience` quiet rounds in a row or on
+    the round cap, never at a fixed point."""
+    q1, q2 = ball_first.center.probs, ball_second.center.probs
+    best, best_pair = _kl_arrays(q1, q2), (q1, q2)
+    quiet, converged, blocks_converged, total_iters = 0, False, True, 0
+    for _ in range(divopt._BISECTION_CAP):
+        q1, first_ok, it1 = _first_block_argmin(q2, ball_first)
+        inner = min_divergence_to_ball(q1, ball_second)
+        q2 = inner.argmin.probs
+        total_iters += 1 + it1 + inner.iterations
+        blocks_converged &= first_ok and inner.converged
+        value = inner.value
+        rel = (best - value) / max(abs(best), 1e-300)
+        if value <= best:
+            best, best_pair = value, (q1, q2)
+        quiet = quiet + 1 if rel < options.tolerance else 0
+        if quiet >= options.patience:
+            converged = True
+            break
+    return PairMinResult(max(best, 0.0), Distribution(best_pair[0]), Distribution(best_pair[1]),
+                         converged and blocks_converged, total_iters)
+
+
+def bhattacharyya_full_patience(ball_a: DistortionBall, ball_b: DistortionBall,
+                                options: SolverOptions) -> float:
+    """`_bhattacharyya_pair_min` for alphabets above two symbols, with the
+    cycles stopping only on patience or on the cycle cap (ResourceError)."""
+
+    def advance(q: np.ndarray) -> tuple[float, np.ndarray]:
+        reaches = [min_divergence_to_ball(q, ball) for ball in (ball_a, ball_b)]
+        if not all(r.converged for r in reaches):
+            raise ResourceError("a reach block of the Bhattacharyya alternation hit its cap")
+        return _geometric_step(*(r.argmin.probs for r in reaches))
+
+    best, q = _geometric_step(ball_a.center.probs, ball_b.center.probs)
+    quiet = 0
+    for _ in range(divopt._BISECTION_CAP):
+        _, q1 = advance(q)
+        value, q2 = advance(q1)
+        if value == math.inf:
+            return value
+        with np.errstate(divide="ignore", invalid="ignore"):
+            logs = np.log([q, q1, q2])
+            step, bend = logs[1] - logs[0], logs[2] - 2.0 * logs[1] + logs[0]
+            step_norm, bend_norm = np.linalg.norm(step), np.linalg.norm(bend)
+        if step_norm > bend_norm > 0.0:
+            alpha = step_norm / bend_norm
+            t = logs[0] + 2.0 * alpha * step + alpha * alpha * bend
+            e = np.exp(t - t.max())
+            trial, q3 = advance(e / e.sum())
+            if trial <= value:
+                value, q2 = trial, q3
+        q = q2
+        rel = (best - value) / max(abs(best), 1e-300)
+        best = min(best, value)
+        quiet = quiet + 1 if rel < options.tolerance else 0
+        if quiet >= options.patience:
+            return best
+    raise ResourceError("Bhattacharyya alternation still moving after the cycle cap")

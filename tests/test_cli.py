@@ -195,6 +195,10 @@ class TestBuilders:
         with pytest.raises(ConfigError):  # not replaced by the default
             build_solver_options(parse_run_config(MINIMAL + "solver_tolerance = 0\n"))
 
+    def test_nan_solver_tolerance(self):
+        with pytest.raises(ConfigError):
+            build_solver_options(parse_run_config(MINIMAL + "solver_tolerance = nan\n"))
+
     def test_build_scenario(self):
         scenario = build_scenario(parse_run_config(SIMULATE))
         assert scenario.alpha_grid == (0.1,)

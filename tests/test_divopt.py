@@ -79,6 +79,15 @@ def test_solver_options_validation():
         SolverOptions(patience=0)
 
 
+@pytest.mark.parametrize("options", [{"tolerance": math.nan}, {"patience": 2.5},
+                                     {"patience": math.nan}, {"patience": "5"}])
+def test_solver_options_reject_nan_and_non_integer_patience(options):
+    """A NaN tolerance made no round quiet, so every pair ran to its cap;
+    a fractional patience broke the count of the rounds a fixed point skips."""
+    with pytest.raises(DomainError):
+        SolverOptions(**options)
+
+
 class TestDistortionBall:
     def test_tv_interval(self):
         ball = DistortionBall(Distribution([0.38, 0.62]), 0.05, DistortionMeasure.TV_L1)

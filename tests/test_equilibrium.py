@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from seqgame import equilibrium
+from seqgame import divopt
 from seqgame.divopt import DistortionBall, SolverOptions
 from seqgame.equilibrium import (
     GameSpec,
@@ -280,10 +280,12 @@ class TestBhattacharyya:
         assert grid - got <= 4.0 * step
 
     def test_round_cap_raises(self, monkeypatch):
-        monkeypatch.setattr(equilibrium, "_BISECTION_CAP", 1)
-        a, b = (DistortionBall(Distribution(h), 0.01, DistortionMeasure.KL) for h in TERNARY[:2])
-        with pytest.raises(ResourceError):
-            _bhattacharyya_pair_min(a, b, SolverOptions())
+        # one cycle allowed; the first, from the centers, is not quiet and not a
+        # fixed point, and the TV reaches of these balls take no bisection step
+        monkeypatch.setattr(divopt, "_BISECTION_CAP", 1)
+        a, b = (DistortionBall(Distribution(h), 0.1, DistortionMeasure.TV_L1) for h in TERNARY[:2])
+        with pytest.raises(ResourceError, match="cannot converge"):
+            _bhattacharyya_pair_min(a, b, SolverOptions(patience=1))
 
 
 class TestNonAware:

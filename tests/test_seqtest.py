@@ -171,6 +171,14 @@ class TestThresholdSchedule:
         with pytest.raises(DomainError):
             sched.value(0)
 
+    @pytest.mark.parametrize("sizes", [(2.5, 2), (math.nan, 2), (2, 2.5), (2, math.nan),
+                                       ("3", 2)])
+    def test_sizes_must_be_integers(self, sizes):
+        """2.5 passed the old `< 2` checks with a log(1.5) rival term, and
+        NaN made every threshold NaN."""
+        with pytest.raises(DomainError):
+            ThresholdSchedule(0.05, *sizes)
+
     def test_hashable(self):
         a = ThresholdSchedule(0.05, 2, 2)
         b = ThresholdSchedule(0.05, 2, 2)

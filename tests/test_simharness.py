@@ -162,6 +162,15 @@ class TestScenarioConfig:
             with pytest.raises(DomainError):
                 ScenarioConfig(wide_spec, (0.1,), **{"replications": 10, "seed": 0, **limits})
 
+    @pytest.mark.parametrize("hypothesis", [0.5, 1.0, "1", True, -1])
+    def test_true_hypothesis_is_an_integer_in_range(self, wide_spec, hypothesis):
+        """0.5 and 1.0 used to build, and monte_carlo then failed with a raw
+        TypeError from SeedSequence; '1' failed with one at once."""
+        with pytest.raises(DomainError):
+            ScenarioConfig(wide_spec, (0.1,), 1, 0, true_hypothesis=hypothesis)
+        cfg = ScenarioConfig(wide_spec, (0.1,), 1, 0, true_hypothesis=np.int64(1))
+        assert cfg.simulated_hypotheses() == (1,)
+
     def test_channel_adversary_checked(self, wide_spec):
         with pytest.raises(ShapeError):
             ScenarioConfig(wide_spec, (0.1,), 10, 0, adversary=Channel(np.eye(3)))
