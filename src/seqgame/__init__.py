@@ -12,7 +12,6 @@ from .divopt import (
     ChannelMinMaxResult,
     DistortionBall,
     PairMinResult,
-    SolverOptions,
     channel_from_output,
     min_divergence_over_common_channels,
     min_divergence_to_ball,
@@ -87,7 +86,6 @@ __all__ = [
     "binary_kl",
     "bhattacharyya",
     # divopt
-    "SolverOptions",
     "DistortionBall",
     "BallMinResult",
     "PairMinResult",

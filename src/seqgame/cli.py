@@ -14,7 +14,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .divopt import SolverOptions
 from .equilibrium import EquilibriumSolution, GameSpec, solve_aware_equilibrium
 from .errors import (
     ConfigError,
@@ -63,7 +62,6 @@ class RunConfig:
     adversary: str = "equilibrium"
     channel: tuple[float, ...] | None = None
     channels: tuple[tuple[float, ...], ...] | None = None
-    solver_tolerance: float | None = None
 
 
 def _parse_float(key: str, raw: str) -> float:
@@ -125,7 +123,7 @@ def parse_run_config(text: str) -> RunConfig:
     known = set(hyp_keys) | set(chan_keys) | {
         "delta", "measure", "weights", "support_floor", "zeta", "alpha_grid",
         "replications", "seed", "cap", "stride", "true_hypothesis", "adversary",
-        "channel", "solver_tolerance",
+        "channel",
     }
     unknown = sorted(set(pairs) - known)
     if unknown:
@@ -171,7 +169,6 @@ def parse_run_config(text: str) -> RunConfig:
         adversary=adversary,
         channel=opt("channel", _parse_float_list),
         channels=tuple(_parse_float_list(k, pairs[k]) for k in chan_keys) or None,
-        solver_tolerance=opt("solver_tolerance", _parse_float),
     )
 
 
@@ -206,7 +203,6 @@ def dump_run_config(config: RunConfig) -> str:
     if config.channels is not None:
         for i, rows in enumerate(config.channels):
             put(f"channel_{i}", rows)
-    put("solver_tolerance", config.solver_tolerance)
     return "\n".join(lines) + "\n"
 
 
@@ -237,12 +233,6 @@ def _build_channel(flat: tuple[float, ...], size: int) -> Channel:
             f"channel needs {size * size} row-major entries, got {len(flat)}"
         )
     return _wrap_config(Channel, np.array(flat).reshape(size, size))
-
-
-def build_solver_options(config: RunConfig) -> SolverOptions | None:
-    if config.solver_tolerance is None:
-        return None
-    return _wrap_config(lambda: SolverOptions(tolerance=config.solver_tolerance))
 
 
 def build_scenario(config: RunConfig, seed_override: int | None = None) -> ScenarioConfig:
@@ -326,7 +316,7 @@ def _cmd_solve(args) -> int:
         sys.stdout.write(dump_run_config(config))
         return 0
     spec = build_game_spec(config)
-    solution = solve_aware_equilibrium(spec, build_solver_options(config))
+    solution = solve_aware_equilibrium(spec)
     print(f"payoff {format(solution.payoff, '.12g')}")
     for i, q in enumerate(solution.q_star):
         exp = format(float(solution.exponents[i]), ".12g")

@@ -13,7 +13,6 @@ of qhat[0] onto the two laws' ranges of outputs over the common channels.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -24,7 +23,6 @@ from .errors import DomainError, InfeasibleError, ShapeError
 from .prob import Channel, Distribution, DistortionMeasure, _kl_arrays, _kl_rows
 
 __all__ = [
-    "SolverOptions",
     "DistortionBall",
     "BallMinResult",
     "PairMinResult",
@@ -41,50 +39,34 @@ _FEASIBILITY_SLACK = 1e-9
 _BRACKET_CAP = 100
 # Most bisection or alternation steps an exact block solver may take.
 _BISECTION_CAP = 200
-
-
-@dataclass(frozen=True)
-class SolverOptions:
-    """Stopping rule of the two alternations, `pairwise_min_divergence` and
-    the Bhattacharyya separation: `patience` rounds in a row that drop by
-    less than `tolerance` relative, found early at a fixed point (`_RunningMinimum`)."""
-
-    tolerance: float = 1e-10
-    patience: int = 5
-
-    def __post_init__(self) -> None:
-        if not (isinstance(self.tolerance, numbers.Real) and self.tolerance > 0  # rejects NaN
-                and isinstance(self.patience, numbers.Integral) and self.patience >= 1):
-            raise DomainError("solver options need tolerance > 0 and an integer patience >= 1")
-
-
-_DEFAULT_OPTIONS = SolverOptions()
+# The stop rule of both alternations (`_RunningMinimum`).
+_TOLERANCE = 1e-10
+_PATIENCE = 5
 
 
 class _RunningMinimum:
-    """The stop rule of both alternations: `patience` rounds in a row that
-    drop the running minimum by less than `tolerance` relative converge,
+    """The stop rule of both alternations: `_PATIENCE` rounds in a row that
+    drop the running minimum by less than `_TOLERANCE` relative converge,
     `_BISECTION_CAP` rounds do not. A round is a pure function of the state
     it starts from, so one that ends on that state bit for bit is repeated
     by every later round: stop there, with the outcome the repeats give."""
 
-    def __init__(self, start: float, options: SolverOptions):
-        self.best, self.options, self.rounds, self.quiet = start, options, 0, 0
+    def __init__(self, start: float):
+        self.best, self.rounds, self.quiet = start, 0, 0
 
     def _drop(self, value: float) -> float:
         return (self.best - value) / max(abs(self.best), 1e-300)
 
     def stop(self, value: float, fixed_point: bool) -> bool:
         """Count a round that reached `value`; True once the rounds are over."""
-        opts = self.options
         self.rounds += 1
-        self.quiet = self.quiet + 1 if self._drop(value) < opts.tolerance else 0
+        self.quiet = self.quiet + 1 if self._drop(value) < _TOLERANCE else 0
         if value <= self.best:  # rounding can leave the rounds cycling near zero
             self.best = value
         # every repeat drops by _drop(value) <= 0, so is quiet, unless that is NaN (inf - inf)
-        self.converged = self.quiet >= opts.patience or (
-            fixed_point and self._drop(value) < opts.tolerance
-            and self.rounds + opts.patience - self.quiet <= _BISECTION_CAP)
+        self.converged = self.quiet >= _PATIENCE or (
+            fixed_point and self._drop(value) < _TOLERANCE
+            and self.rounds + _PATIENCE - self.quiet <= _BISECTION_CAP)
         return self.converged or fixed_point or self.rounds >= _BISECTION_CAP
 
 
@@ -544,20 +526,19 @@ class PairMinResult:
     iterations: int
 
 
-def pairwise_min_divergence(ball_first: DistortionBall, ball_second: DistortionBall,
-                            options: SolverOptions | None = None) -> PairMinResult:
+def pairwise_min_divergence(ball_first: DistortionBall, ball_second: DistortionBall) -> PairMinResult:
     """Minimize D(q1 || q2) jointly over two balls.
 
     The objective is jointly convex and the feasible set is a product, so
     alternating exact block minimization reaches the global optimum. Each
     block is solved exactly: the q1 step is an I-projection of q2 onto the
     first ball, the q2 step the reach of q1 into the second. The rounds stop
-    by `_RunningMinimum` (the state is q2) and return their running minimum:
-    its value, never below zero, and argmins. `iterations` counts the rounds
-    run and their blocks' bisection steps; `converged` is False when the
-    rounds (or the repeats they skip) or any block would hit its cap.
+    by the fixed rule of `_RunningMinimum` (the state is q2), so a pair of
+    balls has one result, the running minimum: its value, never below zero,
+    and argmins. `iterations` counts the rounds run and their blocks'
+    bisection steps; `converged` is False when the rounds (or the repeats
+    they skip) or any block would hit its cap.
     """
-    opts = options or _DEFAULT_OPTIONS
     if ball_first.size != ball_second.size:
         raise ShapeError("balls must share one alphabet")
 
@@ -583,7 +564,7 @@ def pairwise_min_divergence(ball_first: DistortionBall, ball_second: DistortionB
         )
 
     q1, q2 = ball_first.center.probs, ball_second.center.probs
-    rule, best_pair = _RunningMinimum(_kl_arrays(q1, q2), opts), (q1, q2)
+    rule, best_pair = _RunningMinimum(_kl_arrays(q1, q2)), (q1, q2)
     blocks_converged, total_iters, done = True, 0, False
     while not done:
         q1, first_ok, it1 = _first_block_argmin(q2, ball_first)
@@ -617,6 +598,14 @@ class ChannelMinMaxResult:
     channel: Channel
     converged: bool
     iterations: int
+
+
+def _first_entry(qhat, p0: Distribution) -> float:
+    """qhat[0], once qhat is known to share the alphabet of p0."""
+    q = qhat.probs if isinstance(qhat, Distribution) else np.asarray(qhat, dtype=float)
+    if q.shape != p0.probs.shape:
+        raise ShapeError("qhat, p0, p1 must share one alphabet")
+    return float(q[0])
 
 
 class _CommonChannelSet:
@@ -733,9 +722,9 @@ class _ChannelGame:
 
 
 def min_max_divergence_over_channel(qhat, p0: Distribution, p1: Distribution, delta: float,
-                                    measure: DistortionMeasure, floor: float = 1e-9,
-                                    branches: tuple[int, ...] = (0, 1)) -> ChannelMinMaxResult:
-    """Minimize max over `branches` of D(qhat || p_b A) over binary channels
+                                    measure: DistortionMeasure,
+                                    floor: float = 1e-9) -> ChannelMinMaxResult:
+    """Minimize max over b = 0, 1 of D(qhat || p_b A) over binary channels
     A with d(p0, p0 A) <= delta and d(p1, p1 A) <= delta.
 
     Solved in output coordinates and in closed form. A channel
@@ -745,10 +734,10 @@ def min_max_divergence_over_channel(qhat, p0: Distribution, p1: Distribution, de
     are nondecreasing, and L(x) <= x <= U(x). The feasible set P is
     the parallelogram within I0 x I1, the intervals of the two balls,
     whose floor keeps every output law at least `floor` entrywise. One
-    branch b is a clamp of t = qhat[0] onto the range of P in its
-    coordinate.
+    branch b alone is a clamp of t = qhat[0] onto the range of P in its
+    coordinate (`min_divergence_over_common_channels`).
 
-    Both branches together give M, the larger of the two clamp
+    The two together give M, the larger of the two clamp
     divergences: no channel does better than either clamp, and some
     channel reaches M. Let J = {z : D(t || z) <= M}, an interval around t
     that holds both clamps, and suppose P missed J x J. Since the diagonal
@@ -767,15 +756,8 @@ def min_max_divergence_over_channel(qhat, p0: Distribution, p1: Distribution, de
     in I1 and in J, so the slice starts at or below x* and ends at or above
     min J. It meets J, which holds t. Larger alphabets raise ShapeError.
     """
-    q = qhat.probs if isinstance(qhat, Distribution) else np.asarray(qhat, dtype=float)
-    if q.shape != p0.probs.shape:
-        raise ShapeError("qhat, p0, p1 must share one alphabet")
-    game = _ChannelGame(p0, p1, delta, measure, floor)
-    if not branches or any(b not in (0, 1) for b in branches):
-        raise DomainError("branches must be a nonempty subset of (0, 1)")
-    if len(set(branches)) == 1:
-        return game.single(float(q[0]), branches[0])
-    return game.minmax(float(q[0]))
+    t = _first_entry(qhat, p0)
+    return _ChannelGame(p0, p1, delta, measure, floor).minmax(t)
 
 
 def min_divergence_over_common_channels(qhat, target: int, p0: Distribution, p1: Distribution,
@@ -789,6 +771,5 @@ def min_divergence_over_common_channels(qhat, target: int, p0: Distribution, p1:
     """
     if target not in (0, 1):
         raise DomainError("target selects one of the two laws, 0 or 1")
-    return min_max_divergence_over_channel(
-        qhat, p0, p1, delta, measure, floor=floor, branches=(target,),
-    )
+    t = _first_entry(qhat, p0)
+    return _ChannelGame(p0, p1, delta, measure, floor).single(t, target)

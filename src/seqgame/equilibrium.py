@@ -21,7 +21,6 @@ from .divopt import (
     _FEASIBILITY_SLACK,
     DistortionBall,
     PairMinResult,
-    SolverOptions,
     _ChannelGame,
     _RunningMinimum,
     channel_from_output,
@@ -51,6 +50,10 @@ __all__ = [
     "solve_nonaware_adversary",
 ]
 
+# The smallest pairwise minimum of a game that is not degenerate.
+_SEPARATION_FLOOR = 1e-8
+
+
 @dataclass(frozen=True, eq=False)
 class GameSpec:
     """The full game: hypotheses, distortion budget, and mixing weights.
@@ -65,7 +68,6 @@ class GameSpec:
     measure: DistortionMeasure
     weights: tuple[float, ...] = ()
     support_floor: float = 1e-9
-    separation_floor: float = 1e-8
 
     def __post_init__(self) -> None:
         hyps = tuple(self.hypotheses)
@@ -114,7 +116,7 @@ class GameSpec:
     def pairwise_minima(self) -> dict[tuple[int, int], PairMinResult]:
         """Joint minima of D(q_i || q_j) over ordered pairs of balls.
 
-        The smallest entry must clear the separation floor or the game is
+        The smallest entry must clear `_SEPARATION_FLOOR` or the game is
         degenerate.
         """
         balls = self.balls
@@ -124,7 +126,7 @@ class GameSpec:
                 if i != j:
                     out[(i, j)] = pairwise_min_divergence(balls[i], balls[j])
         worst = min(r.value for r in out.values())
-        if worst < self.separation_floor:
+        if worst < _SEPARATION_FLOOR:
             raise DegenerateGameError(
                 f"distortion budget {self.delta} lets adversaries close the gap "
                 f"between some pair of hypotheses (min divergence {worst:.3e})"
@@ -149,22 +151,15 @@ class EquilibriumSolution:
     converged: bool
 
 
-def solve_aware_equilibrium(spec: GameSpec,
-                            options: SolverOptions | None = None) -> EquilibriumSolution:
+def solve_aware_equilibrium(spec: GameSpec) -> EquilibriumSolution:
     """Solve every adversary's best response assuming rivals also optimize.
 
     Adversary i picks the law in its ball minimizing the divergence to the
-    closest rival ball; enumerating the ordered pairs is exact. The reported
-    matrix re-solves each inner minimum at the chosen law.
+    closest rival ball, read off `spec.pairwise_minima` (exact over the
+    ordered pairs). The reported matrix re-solves each inner minimum there.
     """
     m = spec.num_hypotheses
-    if options is None:
-        pair = spec.pairwise_minima
-    else:
-        pair = {
-            (i, j): pairwise_min_divergence(spec.balls[i], spec.balls[j], options)
-            for i in range(m) for j in range(m) if i != j
-        }
+    pair = spec.pairwise_minima
     q_star = []
     converged = True
     for i in range(m):
@@ -210,8 +205,7 @@ def _geometric_step(x: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
     return max(0.0, -math.log(coeff)), root / coeff
 
 
-def _bhattacharyya_pair_min(ball_a: DistortionBall, ball_b: DistortionBall,
-                            options: SolverOptions) -> float:
+def _bhattacharyya_pair_min(ball_a: DistortionBall, ball_b: DistortionBall) -> float:
     """Smallest Bhattacharyya distance between laws of two balls.
 
     Binary balls take the facing ends of their intervals. Larger alphabets
@@ -221,8 +215,9 @@ def _bhattacharyya_pair_min(ball_a: DistortionBall, ball_b: DistortionBall,
     sqrt(x y). From the centers on, each cycle runs two such rounds and
     extrapolates log q along them (SQUAREM, Varadhan & Roland 2008), so that
     nearly touching balls do not creep; the extrapolated round is kept only
-    if it does better. Cycles stop by `_RunningMinimum` on their q; a cycle
-    cap they hit or would hit, or a reach block's own, raises ResourceError.
+    if it does better. Cycles stop by the fixed rule of `_RunningMinimum` on
+    their q; a cycle cap they hit or would hit, or a reach block's own,
+    raises ResourceError.
     """
     if ball_a.size == 2:  # the facing ends of the intervals, as for the divergence
         pair = pairwise_min_divergence(ball_a, ball_b)
@@ -236,7 +231,7 @@ def _bhattacharyya_pair_min(ball_a: DistortionBall, ball_b: DistortionBall,
         return _geometric_step(*(r.argmin.probs for r in reaches))
 
     best, q = _geometric_step(ball_a.center.probs, ball_b.center.probs)
-    rule = _RunningMinimum(best, options)
+    rule = _RunningMinimum(best)
     while True:
         _, q1 = advance(q)
         value, q2 = advance(q1)
@@ -261,19 +256,17 @@ def _bhattacharyya_pair_min(ball_a: DistortionBall, ball_b: DistortionBall,
     return rule.best
 
 
-def min_pairwise_bhattacharyya(spec: GameSpec,
-                               options: SolverOptions | None = None) -> float:
+def min_pairwise_bhattacharyya(spec: GameSpec) -> float:
     """The Bhattacharyya separation of the game: the smallest Bhattacharyya
     distance any two adversaries can arrange between their output laws.
 
     Controls the exponential tail of the stopping time.
     """
-    opts = options or SolverOptions()
     balls = spec.balls
     best = math.inf
     for i in range(len(balls)):
         for j in range(i + 1, len(balls)):
-            best = min(best, _bhattacharyya_pair_min(balls[i], balls[j], opts))
+            best = min(best, _bhattacharyya_pair_min(balls[i], balls[j]))
     return best
 
 

@@ -118,16 +118,14 @@ class ThresholdSchedule:
     value(n) = log(constant/alpha)/n + n^(-zeta)
                + (alphabet_size*log(n+1) + log(num_hypotheses-1))/n.
 
-    The constant is the certified series sum for the given zeta; it is
-    computed once per schedule and cached across schedules.
+    The attribute `constant`, the series sum `threshold_constant(zeta)`, is
+    computed once per zeta and cached across schedules.
     """
 
     alpha: float
     num_hypotheses: int
     alphabet_size: int
     zeta: float = 0.85
-    constant: float = 0.0
-    constant_tolerance: float = 1e-9
 
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha < 1.0:
@@ -138,12 +136,7 @@ class ThresholdSchedule:
             raise DomainError(f"need an integer >= 2 of symbols, got {self.alphabet_size!r}")
         if not 0.0 < self.zeta < 1.0:
             raise DomainError(f"zeta must lie in (0, 1), got {self.zeta}")
-        if self.constant == 0.0:
-            object.__setattr__(
-                self, "constant", threshold_constant(self.zeta, self.constant_tolerance)
-            )
-        if not (math.isfinite(self.constant) and self.constant > 0.0):
-            raise ConstructionError(f"constant must be positive, got {self.constant}")
+        object.__setattr__(self, "constant", threshold_constant(self.zeta))
         # the two logarithms that do not depend on n, computed once
         object.__setattr__(self, "_log_ratio", math.log(self.constant / self.alpha))
         object.__setattr__(self, "_log_rivals", math.log(self.num_hypotheses - 1.0))
@@ -235,6 +228,13 @@ def _check_limits(**limits: int) -> None:
             raise DomainError(f"{name} must be an integer >= 1, got {value!r}")
 
 
+def _check_schedule(schedule: ThresholdSchedule, num_hypotheses: int, alphabet_size: int) -> None:
+    got = (schedule.num_hypotheses, schedule.alphabet_size)
+    if got != (num_hypotheses, alphabet_size):
+        raise ShapeError(f"the schedule is for {got[0]} hypotheses on {got[1]} symbols, "
+                         f"the test for {num_hypotheses} on {alphabet_size}")
+
+
 def _check_symbol(symbol: int, alphabet_size: int) -> int:
     sym = int(symbol)
     if not 0 <= sym < alphabet_size:
@@ -315,8 +315,10 @@ def run_aware(stream: Iterable[int], schedule: ThresholdSchedule, spec: GameSpec
     at first, twice as many in each next chunk, and at most 4,096 symbols;
     one `evidence_statistics` call covers a chunk. Outcomes, errors and
     trajectories are those of feeding the symbols one at a time, but the
-    stream is read up to the end of the chunk in which the test stops.
+    stream is read up to the end of the chunk in which the test stops. A
+    schedule built for another size of game raises ShapeError.
     """
+    _check_schedule(schedule, spec.num_hypotheses, spec.alphabet_size)
     _check_limits(cap=cap, stride=stride)
     size = spec.alphabet_size
     counts = np.zeros(size, dtype=np.int64)
@@ -395,9 +397,9 @@ def run_nonaware(stream: Iterable[int], schedule: ThresholdSchedule,
     read has been consumed. An evaluated step stops the run when the
     larger branch statistic, which is the channel min-max statistic,
     clears the threshold. Trajectory rows carry the two branch statistics.
+    The schedule must be built for two hypotheses on two symbols.
     """
-    if schedule.num_hypotheses != 2:
-        raise DomainError("the common-channel test is defined for two hypotheses")
+    _check_schedule(schedule, 2, 2)
     _check_limits(cap=cap, stride=stride)
     game = _ChannelGame(p0, p1, delta, measure)
     rows: list[TrajectoryRow] = []

@@ -50,6 +50,12 @@ REPORT_COLUMNS = (
 )
 
 
+def _check_index(name: str, value, stop: float = math.inf) -> None:
+    """DomainError unless value is an integer, not a bool, in [0, stop)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or not 0 <= value < stop:
+        raise DomainError(f"{name} must be an integer in [0, {stop}), got {value!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class ScenarioConfig:
     """One simulation campaign.
@@ -78,14 +84,11 @@ class ScenarioConfig:
             raise DomainError("alpha values must lie in (0, 1)")
         object.__setattr__(self, "alpha_grid", grid)
         _check_limits(replications=self.replications, cap=self.cap, stride=self.stride)
-        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
-            raise DomainError(f"seed must be a nonnegative integer, got {self.seed!r}")
+        _check_index("seed", self.seed)
         if not 0.0 < self.zeta < 1.0:
             raise DomainError(f"zeta must lie in (0, 1), got {self.zeta}")
-        th, m = self.true_hypothesis, self.spec.num_hypotheses
-        if th is not None and (isinstance(th, bool) or not isinstance(th, numbers.Integral)
-                               or not 0 <= th < m):
-            raise DomainError(f"true_hypothesis must be an integer in [0, {m}), got {th!r}")
+        if self.true_hypothesis is not None:
+            _check_index("true_hypothesis", self.true_hypothesis, self.spec.num_hypotheses)
         adv = self.adversary
         if isinstance(adv, str):
             if adv != EQUILIBRIUM_ADVERSARY:
@@ -393,10 +396,8 @@ def _run_fast_binary(rng: np.random.Generator, source: Distribution, channel: Ch
 def run_replication(config: ScenarioConfig, alpha: float, hypothesis: int,
                     replication_index: int) -> TestOutcome:
     """One full sequential run, deterministic in its four coordinates."""
-    if not 0 <= hypothesis < config.spec.num_hypotheses:
-        raise DomainError(f"hypothesis {hypothesis} out of range")
-    if replication_index < 0:
-        raise DomainError("replication_index must be nonnegative")
+    _check_index("hypothesis", hypothesis, config.spec.num_hypotheses)
+    _check_index("replication_index", replication_index)
     idx = config.alpha_index(alpha)
     seed_seq = np.random.SeedSequence([config.seed, idx, hypothesis, replication_index])
     rng = np.random.default_rng(seed_seq)

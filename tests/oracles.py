@@ -27,7 +27,6 @@ from seqgame import divopt
 from seqgame.divopt import (
     DistortionBall,
     PairMinResult,
-    SolverOptions,
     _ball_reach,
     _first_block_argmin,
     min_divergence_to_ball,
@@ -330,10 +329,10 @@ def _max_feasible_blend(p0: Distribution, p1: Distribution, target: np.ndarray,
     return (1.0 - t) * eye + t * target
 
 
-def pairwise_min_full_patience(ball_first: DistortionBall, ball_second: DistortionBall,
-                               options: SolverOptions) -> PairMinResult:
+def pairwise_min_full_patience(ball_first: DistortionBall,
+                               ball_second: DistortionBall) -> PairMinResult:
     """`pairwise_min_divergence` for alphabets above two symbols, with the
-    rounds stopping only on `options.patience` quiet rounds in a row or on
+    rounds stopping only on `divopt._PATIENCE` quiet rounds in a row or on
     the round cap, never at a fixed point."""
     q1, q2 = ball_first.center.probs, ball_second.center.probs
     best, best_pair = _kl_arrays(q1, q2), (q1, q2)
@@ -348,16 +347,15 @@ def pairwise_min_full_patience(ball_first: DistortionBall, ball_second: Distorti
         rel = (best - value) / max(abs(best), 1e-300)
         if value <= best:
             best, best_pair = value, (q1, q2)
-        quiet = quiet + 1 if rel < options.tolerance else 0
-        if quiet >= options.patience:
+        quiet = quiet + 1 if rel < divopt._TOLERANCE else 0
+        if quiet >= divopt._PATIENCE:
             converged = True
             break
     return PairMinResult(max(best, 0.0), Distribution(best_pair[0]), Distribution(best_pair[1]),
                          converged and blocks_converged, total_iters)
 
 
-def bhattacharyya_full_patience(ball_a: DistortionBall, ball_b: DistortionBall,
-                                options: SolverOptions) -> float:
+def bhattacharyya_full_patience(ball_a: DistortionBall, ball_b: DistortionBall) -> float:
     """`_bhattacharyya_pair_min` for alphabets above two symbols, with the
     cycles stopping only on patience or on the cycle cap (ResourceError)."""
 
@@ -388,7 +386,7 @@ def bhattacharyya_full_patience(ball_a: DistortionBall, ball_b: DistortionBall,
         q = q2
         rel = (best - value) / max(abs(best), 1e-300)
         best = min(best, value)
-        quiet = quiet + 1 if rel < options.tolerance else 0
-        if quiet >= options.patience:
+        quiet = quiet + 1 if rel < divopt._TOLERANCE else 0
+        if quiet >= divopt._PATIENCE:
             return best
     raise ResourceError("Bhattacharyya alternation still moving after the cycle cap")

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from seqgame.divopt import DistortionBall, SolverOptions, pairwise_min_divergence
+from seqgame import divopt
+from seqgame.divopt import DistortionBall, pairwise_min_divergence
 from seqgame.equilibrium import GameSpec, _bhattacharyya_pair_min
 from seqgame.errors import ResourceError
 from seqgame.prob import Distribution, DistortionMeasure
@@ -49,9 +50,8 @@ def _games(draw):
 @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(_games())
 def test_pairs_match_the_full_patience_loop(balls):
-    opts = SolverOptions()
     for a, b in itertools.permutations(balls, 2):
-        got, want = pairwise_min_divergence(a, b, opts), pairwise_min_full_patience(a, b, opts)
+        got, want = pairwise_min_divergence(a, b), pairwise_min_full_patience(a, b)
         assert _same_pair(got, want), (got, want)
         assert got.iterations <= want.iterations
 
@@ -59,15 +59,14 @@ def test_pairs_match_the_full_patience_loop(balls):
 @settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(_games())
 def test_bhattacharyya_matches_the_full_patience_loop(balls):
-    opts = SolverOptions()
     for a, b in itertools.combinations(balls, 2):
         try:
-            want = bhattacharyya_full_patience(a, b, opts)
+            want = bhattacharyya_full_patience(a, b)
         except ResourceError:
             with pytest.raises(ResourceError):
-                _bhattacharyya_pair_min(a, b, opts)
+                _bhattacharyya_pair_min(a, b)
             continue
-        assert np.array_equal(_bits(_bhattacharyya_pair_min(a, b, opts)), _bits(want))
+        assert np.array_equal(_bits(_bhattacharyya_pair_min(a, b)), _bits(want))
 
 
 def _ternary_balls(measure=DistortionMeasure.TV_L1, delta=0.1):
@@ -84,43 +83,42 @@ def test_ternary_tv_pairs_stop_after_two_rounds():
         assert res.iterations == 2
 
 
-def test_patience_past_the_round_cap():
+def test_patience_past_the_round_cap(monkeypatch):
     """The repeats a fixed point skips would need more rounds than the cap
     allows, so the pair stays unconverged and the separation raises."""
-    opts = SolverOptions(patience=250)
+    monkeypatch.setattr(divopt, "_PATIENCE", 250)
     balls = _ternary_balls()
     for a, b in itertools.permutations(balls, 2):
-        got, want = pairwise_min_divergence(a, b, opts), pairwise_min_full_patience(a, b, opts)
+        got, want = pairwise_min_divergence(a, b), pairwise_min_full_patience(a, b)
         assert not got.converged
         assert _same_pair(got, want)
         assert got.iterations == 2
     with pytest.raises(ResourceError):
-        _bhattacharyya_pair_min(balls[0], balls[1], opts)
+        _bhattacharyya_pair_min(balls[0], balls[1])
     with pytest.raises(ResourceError):
-        bhattacharyya_full_patience(balls[0], balls[1], opts)
+        bhattacharyya_full_patience(balls[0], balls[1])
 
 
 @pytest.mark.parametrize("patience", range(198, 202))
-def test_patience_at_the_round_cap(patience):
+def test_patience_at_the_round_cap(patience, monkeypatch):
     """Around the edge where the skipped repeats just fit under the cap."""
-    opts = SolverOptions(patience=patience)
+    monkeypatch.setattr(divopt, "_PATIENCE", patience)
     a, b = _ternary_balls()[:2]
-    assert _same_pair(pairwise_min_divergence(a, b, opts), pairwise_min_full_patience(a, b, opts))
+    assert _same_pair(pairwise_min_divergence(a, b), pairwise_min_full_patience(a, b))
     try:
-        want = bhattacharyya_full_patience(a, b, opts)
+        want = bhattacharyya_full_patience(a, b)
     except ResourceError:
         with pytest.raises(ResourceError):
-            _bhattacharyya_pair_min(a, b, opts)
+            _bhattacharyya_pair_min(a, b)
     else:
-        assert np.array_equal(_bits(_bhattacharyya_pair_min(a, b, opts)), _bits(want))
+        assert np.array_equal(_bits(_bhattacharyya_pair_min(a, b)), _bits(want))
 
 
 def test_kl_pairs_stop_on_patience():
     """KL rounds keep moving by rounding until patience runs out, so the
     fixed point changes nothing there."""
-    opts = SolverOptions()
     for a, b in itertools.permutations(_ternary_balls(DistortionMeasure.KL, 0.01), 2):
-        got, want = pairwise_min_divergence(a, b, opts), pairwise_min_full_patience(a, b, opts)
+        got, want = pairwise_min_divergence(a, b), pairwise_min_full_patience(a, b)
         assert _same_pair(got, want)
         assert got.iterations == want.iterations
 
@@ -131,8 +129,8 @@ def test_disjoint_point_balls_never_converge(measure):
     round is a fixed point, yet the full loop runs to its cap unconverged."""
     a = DistortionBall(Distribution([1.0, 0.0, 0.0]), 0.0, measure, floor=0.0)
     b = DistortionBall(Distribution([0.0, 0.5, 0.5]), 0.0, measure, floor=0.0)
-    got, want = pairwise_min_divergence(a, b), pairwise_min_full_patience(a, b, SolverOptions())
+    got, want = pairwise_min_divergence(a, b), pairwise_min_full_patience(a, b)
     assert _same_pair(got, want)
     assert not got.converged
     assert (got.iterations, want.iterations) == (1, 200)
-    assert _bhattacharyya_pair_min(a, b, SolverOptions()) == np.inf
+    assert _bhattacharyya_pair_min(a, b) == np.inf

@@ -1,3 +1,7 @@
+import csv
+import io
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -5,7 +9,6 @@ from seqgame.cli import (
     RunConfig,
     build_game_spec,
     build_scenario,
-    build_solver_options,
     dump_run_config,
     ingest_histogram,
     main,
@@ -79,7 +82,6 @@ class TestParseRunConfig:
             "cap = 5000",
             "stride = 2",
             "true_hypothesis = 1",
-            "solver_tolerance = 1e-9",
         ])
         cfg = parse_run_config(text)
         assert cfg.weights == (2.0, 0.5)
@@ -90,7 +92,6 @@ class TestParseRunConfig:
         assert cfg.cap == 5000
         assert cfg.stride == 2
         assert cfg.true_hypothesis == 1
-        assert cfg.solver_tolerance == 1e-9
 
     def test_common_channel(self):
         text = MINIMAL + "adversary = channels\nchannel = 0.9, 0.1, 0.05, 0.95\n"
@@ -188,16 +189,9 @@ class TestBuilders:
             build_game_spec(cfg)
 
     def test_solver_options(self):
-        assert build_solver_options(parse_run_config(MINIMAL)) is None
-        cfg = parse_run_config(MINIMAL + "solver_tolerance = 1e-8\n")
-        opts = build_solver_options(cfg)
-        assert opts.tolerance == 1e-8
-        with pytest.raises(ConfigError):  # not replaced by the default
-            build_solver_options(parse_run_config(MINIMAL + "solver_tolerance = 0\n"))
-
-    def test_nan_solver_tolerance(self):
-        with pytest.raises(ConfigError):
-            build_solver_options(parse_run_config(MINIMAL + "solver_tolerance = nan\n"))
+        # the solvers' stop rule is fixed, so a config cannot set it
+        with pytest.raises(ConfigError, match="unknown keys: solver_tolerance"):
+            parse_run_config(MINIMAL + "solver_tolerance = 1e-8\n")
 
     def test_build_scenario(self):
         scenario = build_scenario(parse_run_config(SIMULATE))
@@ -338,6 +332,40 @@ class TestMain:
         cfg = self.write(tmp_path, MINIMAL + "mystery = 1\n")
         assert main(["solve", "--config", cfg]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_solver_tolerance_exits_2(self, tmp_path, capsys):
+        cfg = self.write(tmp_path, MINIMAL + "solver_tolerance = 1e-8\n")
+        assert main(["solve", "--config", cfg]) == 2
+        assert "unknown keys: solver_tolerance" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("game", [
+        MINIMAL.replace("0.2, 0.8", "0.38, 0.62").replace("0.8, 0.2", "0.5, 0.5"),
+        "hypothesis_0 = 0.6, 0.25, 0.15\nhypothesis_1 = 0.2, 0.6, 0.2\n"
+        "hypothesis_2 = 0.2, 0.2, 0.6\ndelta = 0.01\nmeasure = kl\n",
+    ], ids=["bernoulli_tv", "ternary_kl"])
+    def test_solve_and_sweep_print_the_same_exponents(self, tmp_path, capsys, game):
+        """`solve` and `sweep` solve the game the same way, so the exponent
+        cells of one are the theoretical_exponent cells of the other."""
+        cfg = self.write(tmp_path, game + "alpha_grid = 0.5\nreplications = 1\nseed = 0\n"
+                                          "cap = 64\nstride = 16\n")
+        solved, swept = tmp_path / "solution.csv", tmp_path / "sweep.csv"
+        assert main(["solve", "--config", cfg, "--out", str(solved)]) == 0
+        assert main(["sweep", "--config", cfg, "--out", str(swept)]) == 0
+        capsys.readouterr()
+        header, cells = (line.split(",") for line in solved.read_text().splitlines())
+        exponents = dict(zip(header, cells))
+        rows = list(csv.DictReader(io.StringIO(swept.read_text())))
+        assert len(rows) == game.count("hypothesis_")
+        for row in rows:
+            assert row["theoretical_exponent"] == exponents[f"exponent_{row['hypothesis']}"]
+
+    def test_readme_config_solves(self, tmp_path, capsys):
+        """The example config of the README's command-line section."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("## Command line", 1)[1]
+        cfg = self.write(tmp_path, section.split("```\n")[1])
+        assert main(["solve", "--config", cfg]) == 0
+        assert "converged True" in capsys.readouterr().out
 
     def test_exit_code_degenerate(self, tmp_path, capsys):
         cfg = self.write(tmp_path, MINIMAL.replace("delta = 0.05", "delta = 0.9"))

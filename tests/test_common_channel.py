@@ -94,8 +94,12 @@ def _games(draw):
 def test_matches_channel_grid_oracle(game):
     measure, p0, p1, delta, q0, branches = game
     laws = (Distribution([p0, 1.0 - p0]), Distribution([p1, 1.0 - p1]))
-    res = min_max_divergence_over_channel(
-        Distribution([q0, 1.0 - q0]), *laws, delta, measure, floor=FLOOR, branches=branches)
+    qhat = Distribution([q0, 1.0 - q0])
+    if len(branches) == 2:
+        res = min_max_divergence_over_channel(qhat, *laws, delta, measure, floor=FLOOR)
+    else:
+        res = min_divergence_over_common_channels(qhat, branches[0], *laws, delta, measure,
+                                                  floor=FLOOR)
     assert res.converged
 
     def feasible(a, b):

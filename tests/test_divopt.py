@@ -15,7 +15,6 @@ from seqgame import (
     InfeasibleError,
     ResourceError,
     ShapeError,
-    SolverOptions,
     binary_kl,
     channel_from_output,
     kl_divergence,
@@ -70,22 +69,6 @@ def test_clamp_divergence_is_binary_kl_bit_for_bit(case):
     got = _clamp_divergence(np.array(points), lo, hi)
     want = np.array([_binary_kl(t, min(max(t, lo), hi)) for t in points])
     assert np.array_equal(got.view(np.int64), want.view(np.int64)), (got, want)
-
-
-def test_solver_options_validation():
-    with pytest.raises(DomainError):
-        SolverOptions(tolerance=0.0)
-    with pytest.raises(DomainError):
-        SolverOptions(patience=0)
-
-
-@pytest.mark.parametrize("options", [{"tolerance": math.nan}, {"patience": 2.5},
-                                     {"patience": math.nan}, {"patience": "5"}])
-def test_solver_options_reject_nan_and_non_integer_patience(options):
-    """A NaN tolerance made no round quiet, so every pair ran to its cap;
-    a fractional patience broke the count of the rounds a fixed point skips."""
-    with pytest.raises(DomainError):
-        SolverOptions(**options)
 
 
 class TestDistortionBall:
@@ -294,8 +277,8 @@ class TestChannelMinMax:
             q = Distribution(rng.dirichlet([2, 2]))
             ball = DistortionBall(p, 0.04, DistortionMeasure.TV_L1)
             out_space = min_divergence_to_ball(q, ball).value
-            chan_space = min_max_divergence_over_channel(
-                q, p, p, 0.04, DistortionMeasure.TV_L1, branches=(0,)).value
+            chan_space = min_divergence_over_common_channels(
+                q, 0, p, p, 0.04, DistortionMeasure.TV_L1).value
             assert chan_space == pytest.approx(out_space, abs=1e-6)
 
     def test_returns_feasible_channel(self):

@@ -7,7 +7,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from seqgame import divopt
-from seqgame.divopt import DistortionBall, SolverOptions
+from seqgame.divopt import DistortionBall
 from seqgame.equilibrium import (
     GameSpec,
     _bhattacharyya_pair_min,
@@ -170,11 +170,6 @@ class TestAwareEquilibrium:
         sol = solve_aware_equilibrium(spec)
         assert sol.payoff == pytest.approx(2.0 * E_01 + 0.5 * E_10, rel=1e-12)
 
-    def test_explicit_options_match_cached_route(self, bernoulli_spec):
-        sol = solve_aware_equilibrium(bernoulli_spec, SolverOptions(tolerance=1e-12))
-        assert sol.exponents[0] == pytest.approx(E_01, rel=1e-9)
-        assert sol.exponents[1] == pytest.approx(E_10, rel=1e-9)
-
     def test_divergence_ball_instance(self, digits_spec):
         """Budget 0.001 under the divergence measure: both balls are intervals
         and the exponents are the divergences across the facing endpoints."""
@@ -229,7 +224,7 @@ class TestBhattacharyya:
     def test_overlapping_balls_give_zero(self):
         b0 = DistortionBall(Distribution([0.45, 0.55]), 0.2, DistortionMeasure.TV_L1)
         b1 = DistortionBall(Distribution([0.5, 0.5]), 0.2, DistortionMeasure.TV_L1)
-        assert _bhattacharyya_pair_min(b0, b1, SolverOptions()) == 0.0
+        assert _bhattacharyya_pair_min(b0, b1) == 0.0
 
     def test_below_half_the_divergence_separation(self, bernoulli_spec):
         # -log sum sqrt(pq) <= D(p||q)/2 pointwise, so the joint minima
@@ -261,7 +256,7 @@ class TestBhattacharyya:
         # values of the projected-gradient solver this one replaced
         balls = [DistortionBall(Distribution(h), delta, DistortionMeasure(measure))
                  for h in TERNARY]
-        got = [_bhattacharyya_pair_min(a, b, SolverOptions())
+        got = [_bhattacharyya_pair_min(a, b)
                for a, b in itertools.combinations(balls, 2)]
         assert got == pytest.approx(pinned, rel=1e-9)
 
@@ -272,7 +267,7 @@ class TestBhattacharyya:
               DistortionBall(Distribution([0.41, 0.39, 0.2]), 1e-83, DistortionMeasure.TV_L1)])
     def test_matches_lattice_oracle(self, balls):
         step = LATTICE_STEP[balls[0].size]
-        got = _bhattacharyya_pair_min(*balls, SolverOptions())
+        got = _bhattacharyya_pair_min(*balls)
         pts0, pts1 = (ball_lattice(b, step) for b in balls)
         coeff = np.sqrt(pts0) @ np.sqrt(pts1).T
         grid = float(-np.log(min(coeff.max(), 1.0)))
@@ -283,9 +278,10 @@ class TestBhattacharyya:
         # one cycle allowed; the first, from the centers, is not quiet and not a
         # fixed point, and the TV reaches of these balls take no bisection step
         monkeypatch.setattr(divopt, "_BISECTION_CAP", 1)
+        monkeypatch.setattr(divopt, "_PATIENCE", 1)
         a, b = (DistortionBall(Distribution(h), 0.1, DistortionMeasure.TV_L1) for h in TERNARY[:2])
         with pytest.raises(ResourceError, match="cannot converge"):
-            _bhattacharyya_pair_min(a, b, SolverOptions(patience=1))
+            _bhattacharyya_pair_min(a, b)
 
 
 class TestNonAware:

@@ -10,6 +10,7 @@ from seqgame.errors import (
     ConstructionError,
     DomainError,
     ResourceError,
+    ShapeError,
     StreamExhaustedError,
 )
 from seqgame.prob import Distribution, DistortionMeasure, binary_kl
@@ -83,8 +84,6 @@ class TestThresholdConstant:
         start = time.perf_counter()
         with pytest.raises(DomainError):
             threshold_constant(0.85, math.nan)
-        with pytest.raises(DomainError):
-            ThresholdSchedule(0.05, 2, 2, constant_tolerance=math.nan)
         assert time.perf_counter() - start < 1.0
 
     def test_extreme_zeta_refused(self):
@@ -149,10 +148,10 @@ class TestThresholdSchedule:
         assert np.all(np.diff(sched.at(np.arange(1, 301))) < 0)
 
     def test_explicit_constant(self):
-        sched = ThresholdSchedule(0.05, 2, 2, constant=10.0)
-        assert sched.value(1) == pytest.approx(
-            math.log(10.0 / 0.05) + 1.0 + 2.0 * math.log(2.0), rel=1e-15
-        )
+        # the constant follows from zeta alone and cannot be passed in
+        assert ThresholdSchedule(0.05, 2, 2, zeta=0.6).constant == threshold_constant(0.6)
+        with pytest.raises(TypeError):
+            ThresholdSchedule(0.05, 2, 2, constant=10.0)
 
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -165,8 +164,6 @@ class TestThresholdSchedule:
             ThresholdSchedule(0.05, 2, 1)
         with pytest.raises(DomainError):
             ThresholdSchedule(0.05, 2, 2, zeta=1.0)
-        with pytest.raises(ConstructionError):
-            ThresholdSchedule(0.05, 2, 2, constant=-1.0)
         sched = ThresholdSchedule(0.05, 2, 2)
         with pytest.raises(DomainError):
             sched.value(0)
@@ -313,6 +310,13 @@ class TestRunAware:
         with pytest.raises(DomainError):
             run_aware(iter([0] * 10), sched, wide_spec, stride=2.5)
 
+    def test_schedule_of_another_game(self, bernoulli_spec):
+        # a schedule's rival and symbol counts enter its thresholds, so one
+        # built for another game would move the stop without an error
+        for sizes in ((5, 7), (3, 2), (2, 3)):
+            with pytest.raises(ShapeError, match="schedule is for"):
+                run_aware(iter([0] * 10), ThresholdSchedule(0.1, *sizes), bernoulli_spec)
+
 
 class TestNonAwareDecision:
     def test_single_holder_wins(self):
@@ -352,9 +356,10 @@ class TestRunNonAware:
         assert out.trajectory[-1].decision == out.decision
 
     def test_requires_binary_schedule(self):
-        sched = ThresholdSchedule(0.2, 3, 2)
-        with pytest.raises(DomainError):
-            run_nonaware(iter([0]), sched, self.P0, self.P1, 0.05, DistortionMeasure.TV_L1)
+        for sizes in ((3, 2), (2, 3)):
+            with pytest.raises(ShapeError):
+                run_nonaware(iter([0]), ThresholdSchedule(0.2, *sizes), self.P0, self.P1, 0.05,
+                             DistortionMeasure.TV_L1)
 
     @pytest.mark.parametrize("limits", [{"cap": 0}, {"cap": 1.5}, {"stride": 0},
                                         {"stride": 2.5}])

@@ -235,6 +235,16 @@ class TestRunReplication:
         with pytest.raises(DomainError):
             run_replication(wide_config, 0.2, 0, 0)
 
+    @pytest.mark.parametrize("coordinates", [(0.5, 0), (1.0, 0), (True, 0), ("1", 0),
+                                             (0, 0.5), (0, "1"), (0, True)])
+    def test_coordinates_are_integers(self, wide_config, coordinates):
+        """Non-integers used to fail with a raw TypeError, from SeedSequence
+        or from comparing a string, and True ran as 1."""
+        with pytest.raises(DomainError, match="must be an integer"):
+            run_replication(wide_config, 0.1, *coordinates)
+        assert (run_replication(wide_config, 0.1, np.int64(1), np.int64(2))
+                == run_replication(wide_config, 0.1, 1, 2))
+
     def test_fast_engine_matches_stepwise_path(self, wide_config):
         """The vectorized binary engine replays the exact uniform stream and
         clamp formula of the generic path, so outcomes agree run for run."""

@@ -68,12 +68,11 @@ def test_cli_solve_exits_cleanly(measure, tmp_path):
 def test_bhattacharyya_pair_min_at_zero_radius(measure):
     got, plain = _run_json(f"""
 import json
-from seqgame import Distribution, DistortionBall, DistortionMeasure, SolverOptions, bhattacharyya
+from seqgame import Distribution, DistortionBall, DistortionMeasure, bhattacharyya
 from seqgame.equilibrium import _bhattacharyya_pair_min
 a, b = (Distribution(h) for h in {HYPOTHESES[:2]!r})
 m = DistortionMeasure({measure!r})
-got = _bhattacharyya_pair_min(DistortionBall(a, 0.0, m), DistortionBall(b, 0.0, m),
-                              SolverOptions())
+got = _bhattacharyya_pair_min(DistortionBall(a, 0.0, m), DistortionBall(b, 0.0, m))
 print(json.dumps([got, bhattacharyya(a, b)]))
 """)
     assert got == pytest.approx(plain, rel=1e-12)
