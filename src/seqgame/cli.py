@@ -27,7 +27,7 @@ from .errors import (
     ShapeError,
 )
 from .prob import Channel, Distribution, DistortionMeasure
-from .simharness import ScenarioConfig, monte_carlo
+from .simharness import EQUILIBRIUM_ADVERSARY, ScenarioConfig, monte_carlo
 
 __all__ = [
     "RunConfig",
@@ -45,21 +45,25 @@ _MEASURES = {"tv_l1": DistortionMeasure.TV_L1, "kl": DistortionMeasure.KL}
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Parsed configuration; optional fields stay None until required."""
+    """Parsed configuration; optional fields stay None until required.
+
+    The fields are the config keys: `hypotheses` holds hypothesis_<i>,
+    `channels` channel_<i>, and each other field the key of its name. A key
+    left out keeps the default here, the library's own where it has one."""
 
     hypotheses: tuple[tuple[float, ...], ...]
     delta: float
     measure: str
     weights: tuple[float, ...] | None = None
-    support_floor: float = 1e-9
-    zeta: float = 0.85
+    support_floor: float = GameSpec.support_floor
+    zeta: float = ScenarioConfig.zeta
     alpha_grid: tuple[float, ...] | None = None
     replications: int | None = None
     seed: int | None = None
-    cap: int = 1_000_000
-    stride: int = 1
+    cap: int = ScenarioConfig.cap
+    stride: int = ScenarioConfig.stride
     true_hypothesis: int | None = None
-    adversary: str = "equilibrium"
+    adversary: str = EQUILIBRIUM_ADVERSARY
     channel: tuple[float, ...] | None = None
     channels: tuple[tuple[float, ...], ...] | None = None
 
@@ -85,6 +89,29 @@ def _parse_float_list(key: str, raw: str) -> tuple[float, ...]:
     return tuple(_parse_float(key, p) for p in parts)
 
 
+def _parse_text(key: str, raw: str) -> str:
+    return raw
+
+
+# The parser of each key other than hypothesis_<i> and channel_<i>, in
+# RunConfig field order.
+_KEYS = {
+    "delta": _parse_float,
+    "measure": _parse_text,
+    "weights": _parse_float_list,
+    "support_floor": _parse_float,
+    "zeta": _parse_float,
+    "alpha_grid": _parse_float_list,
+    "replications": _parse_int,
+    "seed": _parse_int,
+    "cap": _parse_int,
+    "stride": _parse_int,
+    "true_hypothesis": _parse_int,
+    "adversary": _parse_text,
+    "channel": _parse_float_list,
+}
+
+
 def _indexed_keys(pairs: dict[str, str], stem: str) -> list[str]:
     """Keys stem_0..stem_{m-1}; indices must start at 0 and be contiguous."""
     found = {}
@@ -101,6 +128,8 @@ def _indexed_keys(pairs: dict[str, str], stem: str) -> list[str]:
 
 
 def parse_run_config(text: str) -> RunConfig:
+    """The RunConfig of a config text; `_KEYS` lists the keys it accepts
+    besides hypothesis_<i> and channel_<i>."""
     pairs: dict[str, str] = {}
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
@@ -120,12 +149,7 @@ def parse_run_config(text: str) -> RunConfig:
     if len(hyp_keys) < 2:
         raise ConfigError("need hypothesis_0, hypothesis_1, ... (at least two)")
     chan_keys = _indexed_keys(pairs, "channel")
-    known = set(hyp_keys) | set(chan_keys) | {
-        "delta", "measure", "weights", "support_floor", "zeta", "alpha_grid",
-        "replications", "seed", "cap", "stride", "true_hypothesis", "adversary",
-        "channel",
-    }
-    unknown = sorted(set(pairs) - known)
+    unknown = sorted(set(pairs) - set(hyp_keys) - set(chan_keys) - set(_KEYS))
     if unknown:
         raise ConfigError(f"unknown keys: {', '.join(unknown)}")
     for required in ("delta", "measure"):
@@ -137,9 +161,9 @@ def parse_run_config(text: str) -> RunConfig:
         raise ConfigError(
             f"measure must be one of {sorted(_MEASURES)}, got {measure!r}"
         )
-    adversary = pairs.get("adversary", "equilibrium")
-    if adversary not in ("equilibrium", "channels"):
-        raise ConfigError(f"adversary must be 'equilibrium' or 'channels', got {adversary!r}")
+    adversary = pairs.get("adversary", EQUILIBRIUM_ADVERSARY)
+    if adversary not in (EQUILIBRIUM_ADVERSARY, "channels"):
+        raise ConfigError(f"adversary must be {EQUILIBRIUM_ADVERSARY!r} or 'channels', got {adversary!r}")
     has_common = "channel" in pairs
     if adversary == "channels":
         if has_common == bool(chan_keys):
@@ -149,25 +173,9 @@ def parse_run_config(text: str) -> RunConfig:
     elif has_common or chan_keys:
         raise ConfigError("channel keys require adversary = channels")
 
-    def opt(key, fn):
-        return fn(key, pairs[key]) if key in pairs else None
-
     return RunConfig(
         hypotheses=tuple(_parse_float_list(k, pairs[k]) for k in hyp_keys),
-        delta=_parse_float("delta", pairs["delta"]),
-        measure=measure,
-        weights=opt("weights", _parse_float_list),
-        support_floor=_parse_float("support_floor", pairs["support_floor"])
-        if "support_floor" in pairs else 1e-9,
-        zeta=_parse_float("zeta", pairs["zeta"]) if "zeta" in pairs else 0.85,
-        alpha_grid=opt("alpha_grid", _parse_float_list),
-        replications=opt("replications", _parse_int),
-        seed=opt("seed", _parse_int),
-        cap=_parse_int("cap", pairs["cap"]) if "cap" in pairs else 1_000_000,
-        stride=_parse_int("stride", pairs["stride"]) if "stride" in pairs else 1,
-        true_hypothesis=opt("true_hypothesis", _parse_int),
-        adversary=adversary,
-        channel=opt("channel", _parse_float_list),
+        **{key: parse(key, pairs[key]) for key, parse in _KEYS.items() if key in pairs},
         channels=tuple(_parse_float_list(k, pairs[k]) for k in chan_keys) or None,
     )
 
@@ -187,22 +195,10 @@ def dump_run_config(config: RunConfig) -> str:
 
     for i, h in enumerate(config.hypotheses):
         put(f"hypothesis_{i}", h)
-    put("delta", config.delta)
-    put("measure", config.measure)
-    put("weights", config.weights)
-    put("support_floor", config.support_floor)
-    put("zeta", config.zeta)
-    put("alpha_grid", config.alpha_grid)
-    put("replications", config.replications)
-    put("seed", config.seed)
-    put("cap", config.cap)
-    put("stride", config.stride)
-    put("true_hypothesis", config.true_hypothesis)
-    put("adversary", config.adversary)
-    put("channel", config.channel)
-    if config.channels is not None:
-        for i, rows in enumerate(config.channels):
-            put(f"channel_{i}", rows)
+    for key in _KEYS:
+        put(key, getattr(config, key))
+    for i, rows in enumerate(config.channels or ()):
+        put(f"channel_{i}", rows)
     return "\n".join(lines) + "\n"
 
 
@@ -245,8 +241,8 @@ def build_scenario(config: RunConfig, seed_override: int | None = None) -> Scena
     spec = build_game_spec(config)
     size = spec.alphabet_size
     adversary: str | Channel | tuple[Channel, ...]
-    if config.adversary == "equilibrium":
-        adversary = "equilibrium"
+    if config.adversary == EQUILIBRIUM_ADVERSARY:
+        adversary = EQUILIBRIUM_ADVERSARY
     elif config.channel is not None:
         adversary = _build_channel(config.channel, size)
     else:
@@ -327,24 +323,15 @@ def _cmd_solve(args) -> int:
     return 0
 
 
-def _cmd_simulate(args) -> int:
-    config = parse_run_config(Path(args.config).read_text())
-    if args.dump_config:
-        sys.stdout.write(dump_run_config(config))
-        return 0
-    scenario = build_scenario(config, args.seed)
-    if len(scenario.alpha_grid) != 1:
-        raise ConfigError("simulate expects exactly one alpha_grid entry; use sweep")
-    _emit(monte_carlo(scenario).to_csv(), args.out)
-    return 0
-
-
 def _cmd_sweep(args) -> int:
+    """sweep, and simulate: a sweep whose alpha grid has one entry."""
     config = parse_run_config(Path(args.config).read_text())
     if args.dump_config:
         sys.stdout.write(dump_run_config(config))
         return 0
     scenario = build_scenario(config, args.seed)
+    if args.command == "simulate" and len(scenario.alpha_grid) != 1:
+        raise ConfigError("simulate expects exactly one alpha_grid entry; use sweep")
     _emit(monte_carlo(scenario).to_csv(), args.out)
     return 0
 
@@ -371,16 +358,16 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--dump-config", action="store_true")
     solve.set_defaults(handler=_cmd_solve)
 
-    for name, handler, blurb in (
-        ("simulate", _cmd_simulate, "run a single-alpha Monte Carlo scenario"),
-        ("sweep", _cmd_sweep, "run the full alpha grid and emit the report CSV"),
+    for name, blurb in (
+        ("simulate", "run a single-alpha Monte Carlo scenario"),
+        ("sweep", "run the full alpha grid and emit the report CSV"),
     ):
         cmd = sub.add_parser(name, help=blurb)
         cmd.add_argument("--config", required=True)
         cmd.add_argument("--out")
         cmd.add_argument("--seed", type=int, default=None)
         cmd.add_argument("--dump-config", action="store_true")
-        cmd.set_defaults(handler=handler)
+        cmd.set_defaults(handler=_cmd_sweep)
 
     ingest = sub.add_parser("ingest", help="binarize a pixel file into a distribution")
     ingest.add_argument("--data", required=True)

@@ -20,7 +20,7 @@ import numpy as np
 from scipy.special import lambertw, xlogy
 
 from .errors import DomainError, InfeasibleError, ShapeError
-from .prob import Channel, Distribution, DistortionMeasure, _kl_arrays, _kl_rows
+from .prob import Channel, Distribution, DistortionMeasure, _binary_kl, _kl_arrays, _kl_rows
 
 __all__ = [
     "DistortionBall",
@@ -68,18 +68,6 @@ class _RunningMinimum:
             fixed_point and self._drop(value) < _TOLERANCE
             and self.rounds + _PATIENCE - self.quiet <= _BISECTION_CAP)
         return self.converged or fixed_point or self.rounds >= _BISECTION_CAP
-
-
-def _binary_kl(t: float, s: float) -> float:
-    """Binary KL with t and s on the closed interval [0, 1]; +inf where t
-    puts mass that s does not. Clamped at zero, which the two terms can
-    round below when s is a few ulps from t."""
-    if (t > 0.0 and s <= 0.0) or (t < 1.0 and s >= 1.0):
-        return math.inf
-    value = t * math.log(t / s) if t > 0.0 else 0.0
-    if t < 1.0:
-        value += (1.0 - t) * math.log((1.0 - t) / (1.0 - s))
-    return max(value, 0.0)
 
 
 def _clamp_divergence(t: np.ndarray, lo, hi) -> np.ndarray:

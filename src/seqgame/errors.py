@@ -1,5 +1,20 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "SeqGameError",
+    "ConstructionError",
+    "ShapeError",
+    "DomainError",
+    "EmptySequenceError",
+    "InfeasibleError",
+    "ResourceError",
+    "DegenerateGameError",
+    "StreamExhaustedError",
+    "ConfigError",
+    "EmptyDataError",
+    "FormatError",
+]
+
 
 class SeqGameError(Exception):
     """Base class for all package-specific errors."""

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -206,6 +206,18 @@ def kl_divergence(p, q) -> float:
     return _kl_arrays(parr, qarr)
 
 
+def _binary_kl(t: float, s: float) -> float:
+    """Binary KL with t and s on the closed interval [0, 1]; +inf where t
+    puts mass that s does not. Clamped at zero, which the two terms can
+    round below when s is a few ulps from t."""
+    if (t > 0.0 and s <= 0.0) or (t < 1.0 and s >= 1.0):
+        return math.inf
+    value = t * math.log(t / s) if t > 0.0 else 0.0
+    if t < 1.0:
+        value += (1.0 - t) * math.log((1.0 - t) / (1.0 - s))
+    return max(value, 0.0)
+
+
 def binary_kl(a: float, b: float) -> float:
     """KL divergence between Bernoulli(a) and Bernoulli(b), in nats.
 
@@ -213,7 +225,7 @@ def binary_kl(a: float, b: float) -> float:
     """
     if not (0.0 < a < 1.0 and 0.0 < b < 1.0):
         raise DomainError(f"binary_kl needs arguments in (0, 1), got {a!r}, {b!r}")
-    return a * math.log(a / b) + (1.0 - a) * math.log((1.0 - a) / (1.0 - b))
+    return _binary_kl(a, b)
 
 
 def bhattacharyya(p, q) -> float:

@@ -130,10 +130,7 @@ class ThresholdSchedule:
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha < 1.0:
             raise DomainError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if not isinstance(self.num_hypotheses, numbers.Integral) or self.num_hypotheses < 2:
-            raise DomainError(f"need an integer >= 2 of hypotheses, got {self.num_hypotheses!r}")
-        if not isinstance(self.alphabet_size, numbers.Integral) or self.alphabet_size < 2:
-            raise DomainError(f"need an integer >= 2 of symbols, got {self.alphabet_size!r}")
+        _check_integers(2, num_hypotheses=self.num_hypotheses, alphabet_size=self.alphabet_size)
         if not 0.0 < self.zeta < 1.0:
             raise DomainError(f"zeta must lie in (0, 1), got {self.zeta}")
         object.__setattr__(self, "constant", threshold_constant(self.zeta))
@@ -222,10 +219,11 @@ def evidence_statistics(counts: np.ndarray, spec: GameSpec) -> np.ndarray:
     return out if arr.ndim == 2 else out[0]
 
 
-def _check_limits(**limits: int) -> None:
-    for name, value in limits.items():
-        if not isinstance(value, numbers.Integral) or value < 1:
-            raise DomainError(f"{name} must be an integer >= 1, got {value!r}")
+def _check_integers(low: int = 0, stop: float = math.inf, **values) -> None:
+    """DomainError unless each value is an integer, not a bool, in [low, stop)."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or not low <= value < stop:
+            raise DomainError(f"{name} must be an integer in [{low}, {stop}), got {value!r}")
 
 
 def _check_schedule(schedule: ThresholdSchedule, num_hypotheses: int, alphabet_size: int) -> None:
@@ -319,7 +317,7 @@ def run_aware(stream: Iterable[int], schedule: ThresholdSchedule, spec: GameSpec
     schedule built for another size of game raises ShapeError.
     """
     _check_schedule(schedule, spec.num_hypotheses, spec.alphabet_size)
-    _check_limits(cap=cap, stride=stride)
+    _check_integers(1, cap=cap, stride=stride)
     size = spec.alphabet_size
     counts = np.zeros(size, dtype=np.int64)
     one_hot = np.eye(size, dtype=np.int64)
@@ -400,7 +398,7 @@ def run_nonaware(stream: Iterable[int], schedule: ThresholdSchedule,
     The schedule must be built for two hypotheses on two symbols.
     """
     _check_schedule(schedule, 2, 2)
-    _check_limits(cap=cap, stride=stride)
+    _check_integers(1, cap=cap, stride=stride)
     game = _ChannelGame(p0, p1, delta, measure)
     rows: list[TrajectoryRow] = []
     it = iter(stream)

@@ -11,9 +11,8 @@ and matches the step-by-step test outcome for outcome.
 from __future__ import annotations
 
 import math
-import numbers
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from pathlib import Path
 from typing import Iterator
@@ -24,7 +23,7 @@ from .divopt import _FEASIBILITY_SLACK, _clamp_divergence
 from .equilibrium import EquilibriumSolution, GameSpec, solve_aware_equilibrium
 from .errors import DomainError, InfeasibleError, ShapeError
 from .prob import Channel, Distribution
-from .seqtest import TestOutcome, ThresholdSchedule, _check_limits, run_aware
+from .seqtest import TestOutcome, ThresholdSchedule, _check_integers, run_aware
 
 __all__ = [
     "EQUILIBRIUM_ADVERSARY",
@@ -42,18 +41,6 @@ EQUILIBRIUM_ADVERSARY = "equilibrium"
 _BLOCK = 4096
 # spacing of the exactly searched steps that seed the boundary search
 _KNOT_SPACING = 128
-
-REPORT_COLUMNS = (
-    "alpha", "log_inv_alpha", "hypothesis", "mean_T", "std_T", "stderr_T",
-    "payoff_estimate", "theoretical_exponent", "error_rate", "timeouts",
-    "replications",
-)
-
-
-def _check_index(name: str, value, stop: float = math.inf) -> None:
-    """DomainError unless value is an integer, not a bool, in [0, stop)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or not 0 <= value < stop:
-        raise DomainError(f"{name} must be an integer in [0, {stop}), got {value!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,13 +69,15 @@ class ScenarioConfig:
             raise DomainError("alpha_grid must not be empty")
         if any(not 0.0 < a < 1.0 for a in grid):
             raise DomainError("alpha values must lie in (0, 1)")
+        if len(set(grid)) < len(grid):
+            raise DomainError(f"alpha values must be distinct, got {grid}")
         object.__setattr__(self, "alpha_grid", grid)
-        _check_limits(replications=self.replications, cap=self.cap, stride=self.stride)
-        _check_index("seed", self.seed)
+        _check_integers(1, replications=self.replications, cap=self.cap, stride=self.stride)
+        _check_integers(seed=self.seed)
         if not 0.0 < self.zeta < 1.0:
             raise DomainError(f"zeta must lie in (0, 1), got {self.zeta}")
         if self.true_hypothesis is not None:
-            _check_index("true_hypothesis", self.true_hypothesis, self.spec.num_hypotheses)
+            _check_integers(0, self.spec.num_hypotheses, true_hypothesis=self.true_hypothesis)
         adv = self.adversary
         if isinstance(adv, str):
             if adv != EQUILIBRIUM_ADVERSARY:
@@ -181,8 +170,7 @@ def sample_through_channel(source: Distribution, channel: Channel,
         u0, u1 = rng.random(2).tolist()
         row = rows[min(bisect_right(cumulative, u0), len(cumulative) - 1)]
         return min(bisect_right(row, u1), len(row) - 1)
-    if not isinstance(size, numbers.Integral) or size < 0:
-        raise DomainError(f"size must be a nonnegative integer, got {size!r}")
+    _check_integers(size=size)
     u = rng.random((size, 2))
     x = np.minimum(np.searchsorted(cumulative, u[:, 0], side="right"), len(cumulative) - 1)
     # the running sums never decrease, so counting those <= u1 is the search
@@ -396,8 +384,8 @@ def _run_fast_binary(rng: np.random.Generator, source: Distribution, channel: Ch
 def run_replication(config: ScenarioConfig, alpha: float, hypothesis: int,
                     replication_index: int) -> TestOutcome:
     """One full sequential run, deterministic in its four coordinates."""
-    _check_index("hypothesis", hypothesis, config.spec.num_hypotheses)
-    _check_index("replication_index", replication_index)
+    _check_integers(0, config.spec.num_hypotheses, hypothesis=hypothesis)
+    _check_integers(replication_index=replication_index)
     idx = config.alpha_index(alpha)
     seed_seq = np.random.SeedSequence([config.seed, idx, hypothesis, replication_index])
     rng = np.random.default_rng(seed_seq)
@@ -412,6 +400,8 @@ def run_replication(config: ScenarioConfig, alpha: float, hypothesis: int,
 
 @dataclass(frozen=True)
 class ReportRow:
+    """One row of a report: its fields, in order, are the CSV columns."""
+
     alpha: float
     log_inv_alpha: float
     hypothesis: int
@@ -425,6 +415,9 @@ class ReportRow:
     replications: int
 
 
+REPORT_COLUMNS = tuple(f.name for f in fields(ReportRow))
+
+
 @dataclass(frozen=True)
 class SimulationReport:
     """Aggregated Monte Carlo results, one row per (alpha, hypothesis)."""
@@ -434,19 +427,9 @@ class SimulationReport:
     def to_csv(self) -> str:
         lines = [",".join(REPORT_COLUMNS)]
         for r in self.rows:
-            lines.append(",".join((
-                format(r.alpha, ".12g"),
-                format(r.log_inv_alpha, ".12g"),
-                str(r.hypothesis),
-                format(r.mean_T, ".12g"),
-                format(r.std_T, ".12g"),
-                format(r.stderr_T, ".12g"),
-                format(r.payoff_estimate, ".12g"),
-                format(r.theoretical_exponent, ".12g"),
-                format(r.error_rate, ".12g"),
-                str(r.timeouts),
-                str(r.replications),
-            )))
+            cells = (getattr(r, column) for column in REPORT_COLUMNS)
+            lines.append(",".join(format(v, ".12g") if isinstance(v, float) else str(v)
+                                  for v in cells))
         return "\n".join(lines) + "\n"
 
 

@@ -23,7 +23,6 @@ from seqgame.equilibrium import (
 )
 from seqgame.prob import (
     Channel,
-    Distribution,
     DistortionMeasure,
     apply_channel,
     bhattacharyya,

@@ -170,6 +170,40 @@ class TestDumpRunConfig:
         cfg = parse_run_config(src)
         assert parse_run_config(dump_run_config(cfg)) == cfg
 
+    def test_every_key_pinned(self):
+        """The text the parser's key table gives, pinned for a config that
+        sets every field; the order is that of RunConfig's fields."""
+        identity = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)
+        cfg = RunConfig(
+            hypotheses=((0.6, 0.25, 0.15), (0.2, 0.6, 0.2), (0.2, 0.2, 0.6)),
+            delta=0.01, measure="kl", weights=(2.0, 0.5, 1.0), support_floor=1e-8,
+            zeta=0.7, alpha_grid=(0.1, 0.05), replications=10, seed=42, cap=5000,
+            stride=2, true_hypothesis=1, adversary="channels", channel=identity,
+            channels=(identity, identity, (0.9, 0.05, 0.05, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)),
+        )
+        assert dump_run_config(cfg) == """\
+# seqgame configuration
+hypothesis_0 = 0.6, 0.25, 0.15
+hypothesis_1 = 0.2, 0.6, 0.2
+hypothesis_2 = 0.2, 0.2, 0.6
+delta = 0.01
+measure = kl
+weights = 2.0, 0.5, 1.0
+support_floor = 1e-08
+zeta = 0.7
+alpha_grid = 0.1, 0.05
+replications = 10
+seed = 42
+cap = 5000
+stride = 2
+true_hypothesis = 1
+adversary = channels
+channel = 1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0
+channel_0 = 1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0
+channel_1 = 1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0
+channel_2 = 0.9, 0.05, 0.05, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0
+"""
+
 
 class TestBuilders:
     def test_build_game_spec(self):
@@ -310,6 +344,19 @@ class TestMain:
         cfg = self.write(tmp_path, SWEEP)
         assert main(["simulate", "--config", cfg]) == 2
         assert "alpha_grid" in capsys.readouterr().err
+
+    def test_simulate_is_a_one_alpha_sweep(self, tmp_path):
+        cfg = self.write(tmp_path, SIMULATE)
+        simulated, swept = tmp_path / "simulate.csv", tmp_path / "sweep.csv"
+        assert main(["simulate", "--config", cfg, "--out", str(simulated)]) == 0
+        assert main(["sweep", "--config", cfg, "--out", str(swept)]) == 0
+        assert simulated.read_text() == swept.read_text()
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_repeated_alpha_exits_2(self, tmp_path, capsys, command):
+        cfg = self.write(tmp_path, SWEEP.replace("0.2, 0.1", "0.1, 0.1"))
+        assert main([command, "--config", cfg]) == 2
+        assert "alpha values must be distinct" in capsys.readouterr().err
 
     def test_sweep_deterministic(self, tmp_path):
         cfg = self.write(tmp_path, SWEEP)

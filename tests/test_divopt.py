@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from scipy.special import xlogy
 
 from seqgame import (
-    Channel,
     Distribution,
     DistortionBall,
     DistortionMeasure,
@@ -23,7 +22,8 @@ from seqgame import (
     min_max_divergence_over_channel,
     pairwise_min_divergence,
 )
-from seqgame.divopt import _binary_kl, _clamp_divergence
+from seqgame.divopt import _clamp_divergence
+from seqgame.prob import _binary_kl
 
 from oracles import (
     ball_lattice,

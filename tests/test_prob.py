@@ -161,6 +161,16 @@ class TestKl:
         if abs(a - b) > 1e-9:
             assert v > 0.0
 
+    @given(a=st.floats(1e-6, 1.0 - 1e-6), ulps=st.integers(-8, 8))
+    def test_binary_kl_never_negative_near_equality(self, a, ulps):
+        """The two terms round below zero on about half the pairs a few ulps
+        apart; the result is clamped at zero, and is zero at a = b."""
+        assert binary_kl(a, a) == 0.0
+        b = a
+        for _ in range(abs(ulps)):
+            b = math.nextafter(b, math.copysign(2.0, ulps))
+        assert binary_kl(a, b) >= 0.0
+        assert binary_kl(b, a) >= 0.0
 
 class TestBhattacharyya:
     def test_symmetric_and_zero_at_equality(self):

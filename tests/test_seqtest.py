@@ -309,6 +309,10 @@ class TestRunAware:
             run_aware(iter([0] * 10), sched, wide_spec, cap=1.5)
         with pytest.raises(DomainError):
             run_aware(iter([0] * 10), sched, wide_spec, stride=2.5)
+        # True used to run as 1, and cap=True returned stopping_time=True
+        for limits in ({"cap": True}, {"stride": True}):
+            with pytest.raises(DomainError, match="must be an integer"):
+                run_aware(iter([0] * 10), sched, wide_spec, **limits)
 
     def test_schedule_of_another_game(self, bernoulli_spec):
         # a schedule's rival and symbol counts enter its thresholds, so one
@@ -362,7 +366,7 @@ class TestRunNonAware:
                              DistortionMeasure.TV_L1)
 
     @pytest.mark.parametrize("limits", [{"cap": 0}, {"cap": 1.5}, {"stride": 0},
-                                        {"stride": 2.5}])
+                                        {"stride": 2.5}, {"cap": True}, {"stride": True}])
     def test_parameter_validation(self, limits):
         sched = ThresholdSchedule(0.2, 2, 2)
         with pytest.raises(DomainError):

@@ -75,7 +75,7 @@ class TestSampleThroughChannel:
         res = stats.chisquare(counts, f_exp=4000 * source.probs)
         assert res.pvalue > 1e-3
 
-    @pytest.mark.parametrize("size", [-1, 2.5])
+    @pytest.mark.parametrize("size", [-1, 2.5, True])
     def test_bad_size_is_a_domain_error(self, rng, size):
         with pytest.raises(DomainError):
             sample_through_channel(Distribution([0.3, 0.7]), Channel(np.eye(2)), rng, size)
@@ -161,6 +161,21 @@ class TestScenarioConfig:
                        {"replications": 2.5}, {"seed": 1.5}, {"seed": None}):
             with pytest.raises(DomainError):
                 ScenarioConfig(wide_spec, (0.1,), **{"replications": 10, "seed": 0, **limits})
+
+    @pytest.mark.parametrize("name", ["replications", "cap", "stride"])
+    @pytest.mark.parametrize("value", [True, 0, 1.0])
+    def test_counts_are_positive_integers(self, wide_spec, name, value):
+        """True used to run as 1, and the CSV printed True in the
+        replications column."""
+        counts = {"replications": 1, "seed": 0, name: value}
+        with pytest.raises(DomainError, match=f"{name} must be an integer"):
+            ScenarioConfig(wide_spec, (0.1,), **counts)
+
+    def test_repeated_alpha(self, wide_spec):
+        """A repeated alpha would rerun the first one's substreams and print
+        the same row twice."""
+        with pytest.raises(DomainError, match="distinct"):
+            ScenarioConfig(wide_spec, (0.1, 0.05, 0.1), 1, 0)
 
     @pytest.mark.parametrize("hypothesis", [0.5, 1.0, "1", True, -1])
     def test_true_hypothesis_is_an_integer_in_range(self, wide_spec, hypothesis):
@@ -320,6 +335,15 @@ class TestMonteCarlo:
 
 
 class TestCsvAndSweep:
+    def test_columns(self):
+        # REPORT_COLUMNS follows the fields of ReportRow; reordering them
+        # must not move the CSV header unnoticed
+        assert REPORT_COLUMNS == (
+            "alpha", "log_inv_alpha", "hypothesis", "mean_T", "std_T", "stderr_T",
+            "payoff_estimate", "theoretical_exponent", "error_rate", "timeouts",
+            "replications",
+        )
+
     def test_csv_layout(self, wide_spec):
         cfg = ScenarioConfig(wide_spec, (0.1,), 2, 0, true_hypothesis=0)
         text = alpha_sweep(cfg)
