@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import lambertw, xlogy
 
 from .errors import DomainError, InfeasibleError, ShapeError
 from .prob import Channel, Distribution, DistortionMeasure, _binary_kl, _kl_arrays, _kl_rows
@@ -70,14 +69,20 @@ class _RunningMinimum:
         return self.converged or fixed_point or self.rounds >= _BISECTION_CAP
 
 
+def _xlogy(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x log y, with the log taken only where x > 0 and 0 elsewhere."""
+    return x * np.log(y, out=np.zeros(np.shape(y)), where=x > 0.0)
+
+
 def _clamp_divergence(t: np.ndarray, lo, hi) -> np.ndarray:
     """`_binary_kl` from each t to its clamp onto [lo, hi], elementwise and
-    equal to it bit for bit: zero where the clamp leaves t as it is."""
+    equal to it bit for bit: zero where the clamp leaves t as it is. Both
+    take their logs from `np.log`."""
     tc, s = np.minimum(np.maximum(t, lo), hi), 1.0 - t
     # where the clamp is exact the terms are zero, or 0/0 at t = 0 or 1;
-    # fmax makes that nan, and any rounding below zero, exactly zero
+    # the log skips those, and fmax makes any rounding below zero exactly zero
     with np.errstate(divide="ignore", invalid="ignore"):
-        val = xlogy(t, t / tc) + xlogy(s, s / (1.0 - tc))
+        val = _xlogy(t, t / tc) + _xlogy(s, s / (1.0 - tc))
     return np.fmax(val, 0.0, out=val)
 
 
@@ -356,17 +361,29 @@ def _kl_reach_argmin(w: np.ndarray, p: np.ndarray, floor: float,
 
 
 def _lambertw_exp(y: np.ndarray) -> np.ndarray:
-    """W(exp(y)) on the principal branch, finite for every finite y."""
-    big = y > 600.0
-    if not big.any():
-        return lambertw(np.exp(y)).real
-    out = np.empty_like(y)
-    out[~big] = lambertw(np.exp(y[~big])).real
-    u = y[big]
-    for _ in range(6):  # u = y - log u contracts by 1/u < 1/590
-        u = y[big] - np.log(u)
-    out[big] = u
-    return out
+    """W(exp(y)) on the principal branch, the root w of w + log w = y, for
+    every y: 0 at y = -inf, and within 4 ulps of the exact value for y in
+    [-745, 1e4], with no numpy warning.
+
+    Up to y = 700 it takes four Newton steps on w e^w = x, x = e^y, from
+    Winitzki's start L (1 - log(1 + L) / (2 + L)), L = log(1 + x), which
+    is within 2% of the root. Each step reads x e^-w, not e^(y - w):
+    rounding y - w would cost up to ulp(y) relative where w is small.
+    Above 700, where x overflows, u = y - log u contracts by 1/u. Only
+    numpy's `exp`, `log` and `log1p` are used.
+    """
+    x = np.exp(np.minimum(y, 700.0))
+    start = np.log1p(x)
+    w = start - start * np.log1p(start) / (2.0 + start)
+    for _ in range(4):  # quadratic from 2%: the fourth step lands within rounding
+        w -= (w - x * np.exp(-w)) / (1.0 + w)
+    big = y > 700.0
+    if big.any():
+        u = y[big]
+        for _ in range(6):  # u = y - log u contracts by 1/u < 1/690
+            u = y[big] - np.log(u)
+        w[big] = u
+    return w
 
 
 def _kl_tilt_argmin(w: np.ndarray, ball: DistortionBall) -> tuple[np.ndarray, bool, int]:

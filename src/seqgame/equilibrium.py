@@ -36,7 +36,7 @@ from .errors import (
     ResourceError,
     ShapeError,
 )
-from .prob import Channel, Distribution, DistortionMeasure, apply_channel, kl_divergence
+from .prob import Channel, Distribution, DistortionMeasure, _check_integers, apply_channel, kl_divergence
 
 __all__ = [
     "GameSpec",
@@ -361,11 +361,10 @@ def solve_nonaware_adversary(p0: Distribution, p1: Distribution, delta: float,
     D(a || b) + weight D(b || a), which is also the converse. The case
     Py < Px is symmetric.
 
-    `num_starts` is validated and otherwise ignored: there is no search to
-    restart.
+    `num_starts` must be an integer of at least 1, not a bool, and is
+    otherwise ignored: there is no search to restart.
     """
-    if num_starts < 1:
-        raise DomainError("num_starts must be positive")
+    _check_integers(1, num_starts=num_starts)
     channel = _ChannelGame(p0, p1, delta, measure).facing_ends()
     achievable = nonaware_achievable(p0, p1, channel, delta, measure, weight)
     converse = nonaware_converse(p0, p1, channel, delta, measure, weight)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -209,13 +210,23 @@ def kl_divergence(p, q) -> float:
 def _binary_kl(t: float, s: float) -> float:
     """Binary KL with t and s on the closed interval [0, 1]; +inf where t
     puts mass that s does not. Clamped at zero, which the two terms can
-    round below when s is a few ulps from t."""
+    round below when s is a few ulps from t. The logs are numpy's, as in
+    the vector form `divopt._clamp_divergence`, so the two agree bit for
+    bit (numpy's log and `math.log` differ in the last bit on a few
+    inputs)."""
     if (t > 0.0 and s <= 0.0) or (t < 1.0 and s >= 1.0):
         return math.inf
-    value = t * math.log(t / s) if t > 0.0 else 0.0
+    value = t * np.log(t / s) if t > 0.0 else 0.0
     if t < 1.0:
-        value += (1.0 - t) * math.log((1.0 - t) / (1.0 - s))
-    return max(value, 0.0)
+        value += (1.0 - t) * np.log((1.0 - t) / (1.0 - s))
+    return max(float(value), 0.0)
+
+
+def _check_integers(low: int = 0, stop: float = math.inf, **values) -> None:
+    """DomainError unless each value is an integer, not a bool, in [low, stop)."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or not low <= value < stop:
+            raise DomainError(f"{name} must be an integer in [{low}, {stop}), got {value!r}")
 
 
 def binary_kl(a: float, b: float) -> float:

@@ -9,14 +9,12 @@ the common-channel adversary shares the same outcome type.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice, repeat
 from typing import Iterable
 
 import numpy as np
-from scipy.special import gammaincc, gammaln
 
 from .divopt import _ball_reach, _ChannelGame
 from .equilibrium import GameSpec
@@ -29,7 +27,7 @@ from .errors import (
     ShapeError,
     StreamExhaustedError,
 )
-from .prob import Distribution, DistortionMeasure
+from .prob import Distribution, DistortionMeasure, _check_integers
 
 __all__ = [
     "threshold_constant",
@@ -42,6 +40,49 @@ __all__ = [
 ]
 
 _MAX_TERMS = 1 << 30
+# Most terms of the series or the continued fraction of `_gamma_q`.
+_GAMMA_TERMS = 10_000
+
+
+def _gamma_q(a: float, x: float) -> float:
+    """The regularized upper incomplete gamma Q(a, x), for a > 1 and x > 0.
+
+    Below x = a + 1 it is 1 - P, with P from its power series; above, the
+    continued fraction of Q by Lentz's method, as in Numerical Recipes
+    (6.2.5, 6.2.7). Both scale x^a e^-x / Gamma(a), formed from `pow`,
+    `exp` and `math.gamma`, which each round once, and not as the exp of
+    a log, whose argument of a few hundred would lose 1e-13 relative.
+    e^-x is applied in two halves, so that it does not underflow before
+    x^a / Gamma(a) lifts it. Within 1e-13 relative of the exact value for
+    a in [1.01, 100] and x in [1e-3, 1e3], where that value is a normal
+    float.
+    """
+    half = math.exp(-0.5 * x)
+    front = x**a / math.gamma(a) * half * half
+    eps = np.finfo(float).eps
+    if x < a + 1.0:
+        term = total = 1.0 / a
+        for k in range(1, _GAMMA_TERMS):
+            term *= x / (a + k)
+            total += term
+            if term <= total * eps:
+                return 1.0 - front * total
+    else:
+        tiny = 1e-300
+        b = x + 1.0 - a
+        c, d = 1.0 / tiny, 1.0 / b
+        value = d
+        for i in range(1, _GAMMA_TERMS):
+            an, b = -i * (i - a), b + 2.0
+            d = an * d + b
+            d = 1.0 / (d if abs(d) >= tiny else tiny)
+            c = b + an / c
+            c = c if abs(c) >= tiny else tiny
+            step = c * d
+            value *= step
+            if abs(step - 1.0) <= eps:
+                return front * value
+    raise ResourceError(f"incomplete gamma Q({a}, {x}) did not converge in {_GAMMA_TERMS} terms")
 
 
 def _tail_bracket(n: int, s: float) -> tuple[float, float]:
@@ -58,9 +99,10 @@ def _tail_bracket(n: int, s: float) -> tuple[float, float]:
 
     With g = a^s, g1 = s g/a, g2 = (s-1) g1/a and g3 = (s-2) g2/a, the
     derivatives are f1 = -g1 f and f3 = (-g1^3 + 3 g1 g2 - g3) f. The
-    integral is Gamma(1/s) Q(1/s, g)/s, via u = x^s.
+    integral is Gamma(1/s) Q(1/s, g)/s, via u = x^s, with Gamma from
+    `math.lgamma` and Q from `_gamma_q`.
     """
-    log_gamma = gammaln(1.0 / s)
+    log_gamma = math.lgamma(1.0 / s)
     if log_gamma > 700.0:
         raise ResourceError(f"tail certificate overflows for decay exponent {s}")
     a = n + 1.0
@@ -71,7 +113,7 @@ def _tail_bracket(n: int, s: float) -> tuple[float, float]:
     g3 = (s - 2.0) * g2 / a
     f1 = -g1 * f
     f3 = (-g1**3 + 3.0 * g1 * g2 - g3) * f
-    integral = math.exp(log_gamma) * float(gammaincc(1.0 / s, g)) / s
+    integral = math.exp(log_gamma) * _gamma_q(1.0 / s, g) / s
     upper = integral + 0.5 * f - f1 / 12.0
     return upper + f3 / 720.0, upper
 
@@ -85,7 +127,8 @@ def threshold_constant(zeta: float, abs_tol: float = 1e-9) -> float:
     and doubles until the bracket is tighter than abs_tol, and the bracket
     midpoint is taken. The certificate covers the truncation only: float
     rounding in the partial sum and in the incomplete gamma function,
-    about 1e-15 of the value, lies outside it.
+    about 1e-15 of the value, lies outside it. The terms are numpy's
+    `exp`; Gamma and Q of the tail are `math.lgamma` and `_gamma_q`.
     """
     if not 0.0 < zeta < 1.0:
         raise DomainError(f"zeta must lie in (0, 1), got {zeta}")
@@ -217,13 +260,6 @@ def evidence_statistics(counts: np.ndarray, spec: GameSpec) -> np.ndarray:
     out = np.repeat(dists[index, order[:, 0]][:, None], spec.num_hypotheses, axis=1)
     out[index, order[:, 0]] = dists[index, order[:, 1]]
     return out if arr.ndim == 2 else out[0]
-
-
-def _check_integers(low: int = 0, stop: float = math.inf, **values) -> None:
-    """DomainError unless each value is an integer, not a bool, in [low, stop)."""
-    for name, value in values.items():
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or not low <= value < stop:
-            raise DomainError(f"{name} must be an integer in [{low}, {stop}), got {value!r}")
 
 
 def _check_schedule(schedule: ThresholdSchedule, num_hypotheses: int, alphabet_size: int) -> None:

@@ -18,12 +18,15 @@ from pathlib import Path
 from typing import Iterator
 
 import numpy as np
+# numpy loads numpy.random on first use; load it with the package, so that
+# no run pays for it inside its first replication
+import numpy.random  # noqa: F401
 
 from .divopt import _FEASIBILITY_SLACK, _clamp_divergence
 from .equilibrium import EquilibriumSolution, GameSpec, solve_aware_equilibrium
 from .errors import DomainError, InfeasibleError, ShapeError
-from .prob import Channel, Distribution
-from .seqtest import TestOutcome, ThresholdSchedule, _check_integers, run_aware
+from .prob import Channel, Distribution, _check_integers
+from .seqtest import TestOutcome, ThresholdSchedule, run_aware
 
 __all__ = [
     "EQUILIBRIUM_ADVERSARY",

@@ -329,11 +329,13 @@ class TestNonAware:
             assert bernoulli_spec.measure.evaluate(p, out) <= bernoulli_spec.delta + 1e-9
 
     def test_num_starts_validation(self):
-        with pytest.raises(DomainError):
-            solve_nonaware_adversary(
-                Distribution([0.38, 0.62]),
-                Distribution([0.5, 0.5]),
-                0.05,
-                DistortionMeasure.TV_L1,
-                num_starts=0,
-            )
+        # an integer of at least 1, and not a bool
+        for num_starts in (0, 1.5, True, "1"):
+            with pytest.raises(DomainError):
+                solve_nonaware_adversary(
+                    Distribution([0.38, 0.62]),
+                    Distribution([0.5, 0.5]),
+                    0.05,
+                    DistortionMeasure.TV_L1,
+                    num_starts=num_starts,
+                )

@@ -1,6 +1,11 @@
-"""The package's public names, and a check for imports that are never read."""
+"""The package's public names, its dependencies, and a check for imports
+that are never read."""
 
 import ast
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -60,3 +65,32 @@ def test_unread_import_check_on_a_sample(tmp_path):
     sample.write_text("import os\nimport sys  # noqa: F401\nfrom math import pi, tau\n"
                       "__all__ = ['pi']\n")
     assert _unread_imports(sample) == [(1, "os"), (3, "tau")]
+
+
+def test_the_library_runs_on_numpy_alone():
+    """A fresh interpreter imports the package and its command line, runs a
+    binary and a ternary TV sweep and solves a ternary KL game, whose tilt
+    reaches the Lambert W, and loads no scipy module on the way. It finds
+    numpy.random loaded with the package, so that no replication pays for
+    the lazy import."""
+    script = textwrap.dedent("""
+        import sys
+        import seqgame
+        import seqgame.cli
+        assert "numpy.random" in sys.modules
+        from seqgame import Distribution, DistortionMeasure, GameSpec, ScenarioConfig, alpha_sweep
+        binary = GameSpec((Distribution([0.38, 0.62]), Distribution([0.5, 0.5])), 0.05,
+                          DistortionMeasure.TV_L1)
+        alpha_sweep(ScenarioConfig(binary, (0.1,), 5, 0))
+        laws = (Distribution([0.6, 0.25, 0.15]), Distribution([0.2, 0.6, 0.2]),
+                Distribution([0.2, 0.2, 0.6]))
+        alpha_sweep(ScenarioConfig(GameSpec(laws, 0.1, DistortionMeasure.TV_L1), (0.1,), 2, 0,
+                                   stride=16))
+        GameSpec(laws, 0.01, DistortionMeasure.KL).pairwise_minima
+        loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+        assert not loaded, loaded
+    """)
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                         timeout=120)
+    assert run.returncode == 0, run.stderr

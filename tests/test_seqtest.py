@@ -16,6 +16,7 @@ from seqgame.errors import (
 from seqgame.prob import Distribution, DistortionMeasure, binary_kl
 from seqgame.seqtest import (
     ThresholdSchedule,
+    _gamma_q,
     _nonaware_decide,
     _tail_bracket,
     evidence_statistics,
@@ -103,6 +104,21 @@ class TestThresholdConstant:
         # the bracket is exact in real arithmetic; allow float rounding
         assert lower <= tail * (1 + mpmath.mpf(1e-14))
         assert upper >= tail * (1 - mpmath.mpf(1e-14))
+
+    @pytest.mark.parametrize("a", [*np.geomspace(1.01, 100.0, 7).tolist(), 1.0 / 0.15],
+                             ids=lambda a: f"{a:.4g}")
+    def test_gamma_q_within_1e13_of_mpmath(self, a):
+        """Q(a, x) for x in [1e-3, 1e3], on both sides of x = a + 1."""
+        xs = [*np.geomspace(1e-3, 1e3, 41).tolist(), a + 0.5, math.nextafter(a + 1.0, 0.0), a + 1.0, a + 1.5]
+        sides = set()
+        for x in xs:
+            with mpmath.workdps(40):
+                want = mpmath.gammainc(a, x, mpmath.inf, regularized=True)
+            if want < 1e-300:  # below the range of floats
+                continue
+            assert abs(_gamma_q(a, x) - want) <= 1e-13 * want, (a, x)
+            sides.add(x < a + 1.0)
+        assert sides == {True, False}
 
 
 class TestThresholdSchedule:
