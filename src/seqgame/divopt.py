@@ -4,8 +4,7 @@ The reach `min D(qhat || q)` over a distortion ball, and the argmin of
 `D(x || w)` over one, are solved exactly from their KKT conditions: a
 sorting water-fill for TV balls, and a mixture or an exponential tilt with
 one bisected scalar for KL balls. Alternating these exact blocks solves the
-pairwise minimum `min D(q1 || q2)` over two balls here, and the
-Bhattacharyya separation in `equilibrium`. The binary common-channel
+pairwise minimum `min D(q1 || q2)` over two balls. The binary common-channel
 min-max has a closed form in output coordinates: the larger of the clamps
 of qhat[0] onto the two laws' ranges of outputs over the common channels.
 """
@@ -38,17 +37,18 @@ _FEASIBILITY_SLACK = 1e-9
 _BRACKET_CAP = 100
 # Most bisection or alternation steps an exact block solver may take.
 _BISECTION_CAP = 200
-# The stop rule of both alternations (`_RunningMinimum`).
+# The stop rule of the pairwise alternation (`_RunningMinimum`).
 _TOLERANCE = 1e-10
 _PATIENCE = 5
 
 
 class _RunningMinimum:
-    """The stop rule of both alternations: `_PATIENCE` rounds in a row that
-    drop the running minimum by less than `_TOLERANCE` relative converge,
-    `_BISECTION_CAP` rounds do not. A round is a pure function of the state
-    it starts from, so one that ends on that state bit for bit is repeated
-    by every later round: stop there, with the outcome the repeats give."""
+    """The stop rule of the pairwise alternation: `_PATIENCE` rounds in a
+    row that drop the running minimum by less than `_TOLERANCE` relative
+    converge, `_BISECTION_CAP` rounds do not. A round is a pure function of
+    the state it starts from, so one that ends on that state bit for bit is
+    repeated by every later round: stop there, with the outcome the repeats
+    give."""
 
     def __init__(self, start: float):
         self.best, self.rounds, self.quiet = start, 0, 0

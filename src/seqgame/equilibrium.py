@@ -17,12 +17,10 @@ from functools import cached_property
 import numpy as np
 
 from .divopt import (
-    _BISECTION_CAP,
     _FEASIBILITY_SLACK,
     DistortionBall,
     PairMinResult,
     _ChannelGame,
-    _RunningMinimum,
     channel_from_output,
     min_divergence_to_ball,
     min_max_divergence_over_channel,
@@ -33,7 +31,6 @@ from .errors import (
     DegenerateGameError,
     DomainError,
     InfeasibleError,
-    ResourceError,
     ShapeError,
 )
 from .prob import Channel, Distribution, DistortionMeasure, _check_integers, apply_channel, kl_divergence
@@ -44,7 +41,6 @@ __all__ = [
     "NonAwareBounds",
     "solve_aware_equilibrium",
     "equilibrium_payoff",
-    "min_pairwise_bhattacharyya",
     "nonaware_achievable",
     "nonaware_converse",
     "solve_nonaware_adversary",
@@ -192,82 +188,6 @@ def equilibrium_payoff(exponents, weights) -> float:
     if not np.all(w > 0):
         raise DomainError("weights must be positive")
     return float(np.dot(e, w))
-
-
-def _geometric_step(x: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
-    """B(x, y) = -log sum(sqrt(x y)), never below zero, and the q that
-    minimizes D(q || x) + D(q || y), the normalized sqrt(x y). Disjoint
-    supports give B = +inf and, as q, their mixture."""
-    root = np.sqrt(x * y)
-    coeff = float(root.sum())
-    if coeff == 0.0:
-        return math.inf, 0.5 * (x + y)
-    return max(0.0, -math.log(coeff)), root / coeff
-
-
-def _bhattacharyya_pair_min(ball_a: DistortionBall, ball_b: DistortionBall) -> float:
-    """Smallest Bhattacharyya distance between laws of two balls.
-
-    Binary balls take the facing ends of their intervals. Larger alphabets
-    minimize D(q || x) + D(q || y), which is 2 B(x, y) at its best q and
-    jointly convex in (q, x, y), one exact block at a time (Csiszar &
-    Tusnady): x and y are the reaches of q, and q is the normalized
-    sqrt(x y). From the centers on, each cycle runs two such rounds and
-    extrapolates log q along them (SQUAREM, Varadhan & Roland 2008), so that
-    nearly touching balls do not creep; the extrapolated round is kept only
-    if it does better. Cycles stop by the fixed rule of `_RunningMinimum` on
-    their q; a cycle cap they hit or would hit, or a reach block's own,
-    raises ResourceError.
-    """
-    if ball_a.size == 2:  # the facing ends of the intervals, as for the divergence
-        pair = pairwise_min_divergence(ball_a, ball_b)
-        laws = (pair.argmin_first.probs, pair.argmin_second.probs)
-        return 0.0 if pair.value == 0.0 else _geometric_step(*laws)[0]
-
-    def advance(q: np.ndarray) -> tuple[float, np.ndarray]:
-        reaches = [min_divergence_to_ball(q, ball) for ball in (ball_a, ball_b)]
-        if not all(r.converged for r in reaches):
-            raise ResourceError("a reach block of the Bhattacharyya alternation hit its cap")
-        return _geometric_step(*(r.argmin.probs for r in reaches))
-
-    best, q = _geometric_step(ball_a.center.probs, ball_b.center.probs)
-    rule = _RunningMinimum(best)
-    while True:
-        _, q1 = advance(q)
-        value, q2 = advance(q1)
-        if value == math.inf:  # after a round, only when both balls are single points
-            return value
-        with np.errstate(divide="ignore", invalid="ignore"):  # zero entries: no step
-            logs = np.log([q, q1, q2])
-            step, bend = logs[1] - logs[0], logs[2] - 2.0 * logs[1] + logs[0]
-            step_norm, bend_norm = np.linalg.norm(step), np.linalg.norm(bend)
-        if step_norm > bend_norm > 0.0:  # a step of alpha <= 1 gives back q2
-            alpha = step_norm / bend_norm
-            t = logs[0] + 2.0 * alpha * step + alpha * alpha * bend
-            e = np.exp(t - t.max())
-            trial, q3 = advance(e / e.sum())
-            if trial <= value:
-                value, q2 = trial, q3
-        if rule.stop(value, np.array_equal(q2, q)):
-            break
-        q = q2
-    if not rule.converged:
-        raise ResourceError(f"Bhattacharyya alternation cannot converge in {_BISECTION_CAP} cycles")
-    return rule.best
-
-
-def min_pairwise_bhattacharyya(spec: GameSpec) -> float:
-    """The Bhattacharyya separation of the game: the smallest Bhattacharyya
-    distance any two adversaries can arrange between their output laws.
-
-    Controls the exponential tail of the stopping time.
-    """
-    balls = spec.balls
-    best = math.inf
-    for i in range(len(balls)):
-        for j in range(i + 1, len(balls)):
-            best = min(best, _bhattacharyya_pair_min(balls[i], balls[j]))
-    return best
 
 
 # ---------------------------------------------------------------------------

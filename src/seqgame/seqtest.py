@@ -270,35 +270,32 @@ def _check_schedule(schedule: ThresholdSchedule, num_hypotheses: int, alphabet_s
 
 
 def _check_symbol(symbol: int, alphabet_size: int) -> int:
-    sym = int(symbol)
-    if not 0 <= sym < alphabet_size:
-        raise DomainError(f"symbol {symbol} outside alphabet of size {alphabet_size}")
-    return sym
+    """The symbol as an int; DomainError unless it is an integer, not a
+    bool, in the alphabet."""
+    _check_integers(0, alphabet_size, symbol=symbol)
+    return int(symbol)
 
 
 def _symbol_codes(symbols: list, alphabet_size: int) -> tuple[np.ndarray, DomainError | None]:
-    """The symbols before the first one outside the alphabet, as codes, and
-    the error that symbol raises; None when every symbol is valid."""
+    """The symbols before the first invalid one, as codes, and the error
+    that symbol raises; None when every symbol is valid."""
     try:
         codes = np.asarray(symbols)
     except (TypeError, ValueError, OverflowError):  # ragged, or beyond int64
         codes = None
-    if codes is None or codes.dtype.kind not in "iu":  # not plain integers: one at a time
-        out = []
-        for symbol in symbols:
-            try:
-                out.append(_check_symbol(symbol, alphabet_size))
-            except DomainError as exc:
-                return np.array(out, dtype=np.int64), exc
-            except (TypeError, ValueError, OverflowError):
-                return np.array(out, dtype=np.int64), DomainError(f"symbol {symbol!r} is not an integer")
-        return np.array(out, dtype=np.int64), None
-    bad = (codes < 0) | (codes >= alphabet_size)
-    if not bad.any():
-        return codes.astype(np.int64, copy=False), None
-    i = int(bad.argmax())
-    return (codes[:i].astype(np.int64),
-            DomainError(f"symbol {symbols[i]} outside alphabet of size {alphabet_size}"))
+    # plain integers, all at once; numpy reads a bool among them as 0 or 1
+    if codes is not None and codes.ndim == 1 and codes.dtype.kind in "iu":
+        bad = (codes < 0) | (codes >= alphabet_size)
+        if not bad.any():
+            return codes.astype(np.int64, copy=False), None
+        symbols = symbols[:int(bad.argmax()) + 1]  # up to the first bad one, which raises below
+    out = []
+    for symbol in symbols:
+        try:
+            out.append(_check_symbol(symbol, alphabet_size))
+        except DomainError as exc:
+            return np.array(out, dtype=np.int64), exc
+    return np.array(out, dtype=np.int64), None
 
 
 def _read(it, count: int, read: int, size: int) -> tuple[np.ndarray, SeqGameError | None]:

@@ -2,16 +2,17 @@
 binary channels, a pattern descent on the simplex, the type of a sample,
 the evidence statistic solved ball by ball, the aware and common-channel
 tests fed one symbol at a time, the binary engine's stop rule counted ball
-by ball, random feasible common channels, and the two alternations run
-for their full patience.
+by ball, random feasible common channels, the pairwise alternation and
+the Bhattacharyya separation run for their full patience, and the
+stopping-time horizon that the separation gives.
 
 They are independent of the solvers in `seqgame.divopt`, of the stacked
 reach solve of `seqgame.seqtest.evidence_statistics`, of the chunked
 loop of `seqgame.seqtest.run_aware`, of the bounded, stride-reading loop
 of `seqgame.seqtest.run_nonaware`, of the continuation bands of
-`seqgame.simharness` and of the fixed-point stop of the alternations (the
-full-patience loops share only their exact blocks), and exist only to
-check them.
+`seqgame.simharness` and of the fixed-point stop of the pairwise
+alternation (the full-patience loops share only their exact blocks), and
+exist only to check them.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from seqgame.divopt import (
     min_divergence_over_common_channels,
     min_max_divergence_over_channel,
 )
-from seqgame.equilibrium import GameSpec, _geometric_step
+from seqgame.equilibrium import GameSpec
 from seqgame.errors import (
     ConstructionError,
     DomainError,
@@ -43,7 +44,7 @@ from seqgame.errors import (
     ShapeError,
     StreamExhaustedError,
 )
-from seqgame.prob import Channel, Distribution, DistortionMeasure, _kl_arrays
+from seqgame.prob import Channel, Distribution, DistortionMeasure, _kl_arrays, bhattacharyya
 from seqgame.seqtest import (
     TestOutcome,
     ThresholdSchedule,
@@ -355,9 +356,32 @@ def pairwise_min_full_patience(ball_first: DistortionBall,
                          converged and blocks_converged, total_iters)
 
 
+def _geometric_step(x: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
+    """B(x, y) = -log sum(sqrt(x y)), never below zero, and the q that
+    minimizes D(q || x) + D(q || y), the normalized sqrt(x y). Disjoint
+    supports give B = +inf and, as q, their mixture."""
+    root = np.sqrt(x * y)
+    coeff = float(root.sum())
+    if coeff == 0.0:
+        return math.inf, 0.5 * (x + y)
+    return max(0.0, -math.log(coeff)), root / coeff
+
+
 def bhattacharyya_full_patience(ball_a: DistortionBall, ball_b: DistortionBall) -> float:
-    """`_bhattacharyya_pair_min` for alphabets above two symbols, with the
-    cycles stopping only on patience or on the cycle cap (ResourceError)."""
+    """Smallest Bhattacharyya distance between laws of two balls, for
+    alphabets above two symbols.
+
+    Minimizes D(q || x) + D(q || y), which is 2 B(x, y) at its best q and
+    jointly convex in (q, x, y), one exact block at a time (Csiszar &
+    Tusnady): x and y are the reaches of q, and q is the normalized
+    sqrt(x y). From the centers on, each cycle runs two such rounds and
+    extrapolates log q along them (SQUAREM, Varadhan & Roland 2008), so
+    that nearly touching balls do not creep; the extrapolated round is
+    kept only if it does better. The value is B at feasible laws, so never
+    below the true minimum. The cycles stop only on `divopt._PATIENCE`
+    quiet cycles in a row; the cycle cap, or a reach block's own, raises
+    ResourceError.
+    """
 
     def advance(q: np.ndarray) -> tuple[float, np.ndarray]:
         reaches = [min_divergence_to_ball(q, ball) for ball in (ball_a, ball_b)]
@@ -390,3 +414,48 @@ def bhattacharyya_full_patience(ball_a: DistortionBall, ball_b: DistortionBall) 
         if quiet >= divopt._PATIENCE:
             return best
     raise ResourceError("Bhattacharyya alternation still moving after the cycle cap")
+
+
+# Relative margin taken off the separation: the alternation's B can sit
+# above the true minimum by its tolerance.
+HORIZON_MARGIN = 1e-9
+
+
+@functools.lru_cache(maxsize=8)
+def separation(spec: GameSpec) -> float:
+    """The Bhattacharyya separation of a game: the smallest Bhattacharyya
+    distance between laws of two different balls. Binary games take the
+    facing ends of their intervals, the argmins of `spec.pairwise_minima`;
+    larger alphabets `bhattacharyya_full_patience` over every pair."""
+    if spec.alphabet_size == 2:
+        return min(bhattacharyya(r.argmin_first, r.argmin_second)
+                   for r in spec.pairwise_minima.values())
+    balls = spec.balls
+    return min(bhattacharyya_full_patience(balls[i], balls[j])
+               for i in range(len(balls)) for j in range(i + 1, len(balls)))
+
+
+def stopping_horizon(spec: GameSpec, alpha: float, stride: int) -> int:
+    """N_B: the first multiple of `stride` at which the aware test's
+    threshold is at most the separation B, less `HORIZON_MARGIN` relative.
+
+    If the test has not stopped at step n, with empirical law t, every
+    hypothesis has a rival ball within gamma(n) of t. Take the hypothesis
+    whose own ball j is nearest t and such a rival k, with reaches x and y:
+    2 B <= 2 B(x, y) <= D(t || x) + D(t || y) < 2 gamma(n). So every run
+    stops by N_B, for any number of hypotheses and symbols. The threshold
+    falls with n, so the qualifying steps are the multiples from N_B on,
+    and a bisection finds the first.
+    """
+    schedule = ThresholdSchedule(alpha, spec.num_hypotheses, spec.alphabet_size)
+    bound = separation(spec) * (1.0 - HORIZON_MARGIN)
+    below, above = 0, 1  # in strides; the first qualifying one lies in (below, above]
+    while schedule.value(above * stride) > bound:
+        below, above = above, 2 * above
+    while above - below > 1:
+        mid = (below + above) // 2
+        if schedule.value(mid * stride) > bound:
+            below = mid
+        else:
+            above = mid
+    return above * stride

@@ -369,7 +369,7 @@ class TestStreamEdges:
     def _symbols(self):
         return (np.random.default_rng(5).random(20_000) >= 0.5).astype(int).tolist()
 
-    @pytest.mark.parametrize("bad", [2, -1, "x"])
+    @pytest.mark.parametrize("bad", [2, -1, "x", 0.5, 1.0, "1"])
     def test_bad_symbol_reads_the_rest_of_its_stride(self, bad):
         symbols = self._symbols()
         symbols[9] = bad

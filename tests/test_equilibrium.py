@@ -1,4 +1,3 @@
-import itertools
 import math
 
 import numpy as np
@@ -6,13 +5,10 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from seqgame import divopt
 from seqgame.divopt import DistortionBall
 from seqgame.equilibrium import (
     GameSpec,
-    _bhattacharyya_pair_min,
     equilibrium_payoff,
-    min_pairwise_bhattacharyya,
     nonaware_achievable,
     nonaware_converse,
     solve_aware_equilibrium,
@@ -23,7 +19,6 @@ from seqgame.errors import (
     DegenerateGameError,
     DomainError,
     InfeasibleError,
-    ResourceError,
     ShapeError,
 )
 from seqgame.prob import (
@@ -34,13 +29,12 @@ from seqgame.prob import (
     binary_kl,
 )
 
-from oracles import ball_lattice
+from oracles import ball_lattice, bhattacharyya_full_patience, separation
 
 # closest facing points of the two Bernoulli balls [0.355, 0.405], [0.475, 0.525]
 E_01 = binary_kl(0.405, 0.475)
 E_10 = binary_kl(0.475, 0.405)
 
-TERNARY = ((0.6, 0.25, 0.15), (0.2, 0.6, 0.2), (0.2, 0.2, 0.6))
 # Lattice pitch per alphabet size, coarser for larger alphabets so that each
 # ball lattice stays at most a few hundred points.
 LATTICE_STEP = {3: 0.01, 4: 0.025, 5: 0.05, 6: 0.1}
@@ -215,21 +209,19 @@ class TestEquilibriumPayoff:
 
 
 class TestBhattacharyya:
+    """The oracle separation (`oracles.separation`), which the stopping-time
+    horizon in `test_horizon.py` is built on."""
+
     def test_binary_closed_form(self, bernoulli_spec):
-        got = min_pairwise_bhattacharyya(bernoulli_spec)
+        got = separation(bernoulli_spec)
         coeff = math.sqrt(0.405 * 0.475) + math.sqrt(0.595 * 0.525)
         assert got == pytest.approx(-math.log(coeff), rel=1e-12)
         assert got == pytest.approx(0.002492177586470483, rel=1e-12)
 
-    def test_overlapping_balls_give_zero(self):
-        b0 = DistortionBall(Distribution([0.45, 0.55]), 0.2, DistortionMeasure.TV_L1)
-        b1 = DistortionBall(Distribution([0.5, 0.5]), 0.2, DistortionMeasure.TV_L1)
-        assert _bhattacharyya_pair_min(b0, b1) == 0.0
-
     def test_below_half_the_divergence_separation(self, bernoulli_spec):
         # -log sum sqrt(pq) <= D(p||q)/2 pointwise, so the joint minima
         # inherit the same ordering
-        b = min_pairwise_bhattacharyya(bernoulli_spec)
+        b = separation(bernoulli_spec)
         d = min(r.value for r in bernoulli_spec.pairwise_minima.values())
         assert b <= 0.5 * d + 1e-12
 
@@ -239,7 +231,7 @@ class TestBhattacharyya:
             0.1,
             DistortionMeasure.TV_L1,
         )
-        got = min_pairwise_bhattacharyya(spec)
+        got = separation(spec)
         step = 0.01
         pts0 = ball_lattice(spec.balls[0], step)
         pts1 = ball_lattice(spec.balls[1], step)
@@ -248,18 +240,6 @@ class TestBhattacharyya:
         assert got <= grid + 1e-9
         assert grid - got <= 3.0 * step
 
-    @pytest.mark.parametrize("measure, delta, pinned", [
-        ("tv_l1", 0.1, (0.0510649779869086, 0.0767955176043674, 0.0601536434902207)),
-        ("kl", 0.01, (0.0432808586169129, 0.0709816360394801, 0.0535234644693901)),
-    ])
-    def test_ternary_pairs_pinned(self, measure, delta, pinned):
-        # values of the projected-gradient solver this one replaced
-        balls = [DistortionBall(Distribution(h), delta, DistortionMeasure(measure))
-                 for h in TERNARY]
-        got = [_bhattacharyya_pair_min(a, b)
-               for a, b in itertools.combinations(balls, 2)]
-        assert got == pytest.approx(pinned, rel=1e-9)
-
     @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(_lattice_ball_pairs())
     # a TV radius far below the rounding of the center's entries
@@ -267,21 +247,12 @@ class TestBhattacharyya:
               DistortionBall(Distribution([0.41, 0.39, 0.2]), 1e-83, DistortionMeasure.TV_L1)])
     def test_matches_lattice_oracle(self, balls):
         step = LATTICE_STEP[balls[0].size]
-        got = _bhattacharyya_pair_min(*balls)
+        got = bhattacharyya_full_patience(*balls)
         pts0, pts1 = (ball_lattice(b, step) for b in balls)
         coeff = np.sqrt(pts0) @ np.sqrt(pts1).T
         grid = float(-np.log(min(coeff.max(), 1.0)))
         assert got <= grid + 1e-9
         assert grid - got <= 4.0 * step
-
-    def test_round_cap_raises(self, monkeypatch):
-        # one cycle allowed; the first, from the centers, is not quiet and not a
-        # fixed point, and the TV reaches of these balls take no bisection step
-        monkeypatch.setattr(divopt, "_BISECTION_CAP", 1)
-        monkeypatch.setattr(divopt, "_PATIENCE", 1)
-        a, b = (DistortionBall(Distribution(h), 0.1, DistortionMeasure.TV_L1) for h in TERNARY[:2])
-        with pytest.raises(ResourceError, match="cannot converge"):
-            _bhattacharyya_pair_min(a, b)
 
 
 class TestNonAware:

@@ -12,6 +12,7 @@ import pytest
 
 import seqgame
 from seqgame import divopt, equilibrium, errors, prob, seqtest, simharness
+from seqgame.simharness import REPORT_COLUMNS
 
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = (prob, divopt, equilibrium, seqtest, simharness, errors)
@@ -94,3 +95,16 @@ def test_the_library_runs_on_numpy_alone():
     run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
                          timeout=120)
     assert run.returncode == 0, run.stderr
+
+
+def test_the_readme_library_example_runs():
+    """The first Python block under "## Library example" in README.md runs
+    in a fresh interpreter and prints a report."""
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("\n## Library example\n", 1)[1]
+    script = section.split("```python\n", 1)[1].split("```", 1)[0]
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                         timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert ",".join(REPORT_COLUMNS) in run.stdout.splitlines()

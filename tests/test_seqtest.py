@@ -338,6 +338,20 @@ class TestRunAware:
                 run_aware(iter([0] * 10), ThresholdSchedule(0.1, *sizes), bernoulli_spec)
 
 
+@pytest.mark.parametrize("symbol", [0.9, True, np.True_, [1]],
+                         ids=["0.9", "True", "np.True_", "list"])
+def test_streams_of_non_integers(bernoulli_spec, symbol):
+    """Both tests used to read such a stream as its truncation, 0.9 as 0
+    and a bool as 1; the common-channel test read [1] as 1, and the aware
+    test raised ShapeError on it."""
+    sched = ThresholdSchedule(0.1, 2, 2)
+    with pytest.raises(DomainError, match="symbol must be an integer"):
+        run_aware([symbol] * 5000, sched, bernoulli_spec)
+    with pytest.raises(DomainError, match="symbol must be an integer"):
+        run_nonaware([symbol] * 5000, sched, *bernoulli_spec.hypotheses, 0.05,
+                     DistortionMeasure.TV_L1)
+
+
 class TestNonAwareDecision:
     def test_single_holder_wins(self):
         assert _nonaware_decide(np.array([0.5, 0.2]), 0.4) == 0

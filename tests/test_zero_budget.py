@@ -18,6 +18,7 @@ import pytest
 import seqgame
 
 SRC = str(Path(seqgame.__file__).resolve().parents[1])
+TESTS = str(Path(__file__).resolve().parent)
 TIMEOUT_S = 30
 HYPOTHESES = ((0.6, 0.25, 0.15), (0.2, 0.6, 0.2), (0.2, 0.2, 0.6))
 MEASURES = ("tv_l1", "kl")
@@ -66,13 +67,15 @@ def test_cli_solve_exits_cleanly(measure, tmp_path):
 
 @pytest.mark.parametrize("measure", MEASURES)
 def test_bhattacharyya_pair_min_at_zero_radius(measure):
+    """The oracle separation that `test_horizon.py` trusts, on two points."""
     got, plain = _run_json(f"""
-import json
+import json, sys
+sys.path.insert(0, {TESTS!r})
+from oracles import bhattacharyya_full_patience
 from seqgame import Distribution, DistortionBall, DistortionMeasure, bhattacharyya
-from seqgame.equilibrium import _bhattacharyya_pair_min
 a, b = (Distribution(h) for h in {HYPOTHESES[:2]!r})
 m = DistortionMeasure({measure!r})
-got = _bhattacharyya_pair_min(DistortionBall(a, 0.0, m), DistortionBall(b, 0.0, m))
+got = bhattacharyya_full_patience(DistortionBall(a, 0.0, m), DistortionBall(b, 0.0, m))
 print(json.dumps([got, bhattacharyya(a, b)]))
 """)
     assert got == pytest.approx(plain, rel=1e-12)
