@@ -663,10 +663,9 @@ class _CommonChannelSet:
 class _ChannelGame:
     """The binary common-channel game of (p0, p1, delta, measure, floor).
 
-    The channel set comes in two orderings of the two laws: `_region(b)`
+    The channel set comes in two orderings of the two laws: `regions[b]`
     puts p_b first, so its range of x is what the channels make of p_b.
-    Each ordering is built once, on first use. Every solve takes the
-    target t = qhat[0].
+    Every solve takes the target t = qhat[0].
     """
 
     def __init__(self, p0: Distribution, p1: Distribution, delta: float,
@@ -680,30 +679,17 @@ class _ChannelGame:
             raise DomainError("delta must be nonnegative")
         if np.any(pa <= 0.0) or np.any(pb <= 0.0):
             raise DomainError("both hypothesis laws must have full support")
-        self._laws = [(float(p.probs[0]), DistortionBall(p, delta, measure, floor).interval)
-                      for p in (p0, p1)]
-        self._regions: list[_CommonChannelSet | None] = [None, None]
-
-    def _region(self, first: int) -> _CommonChannelSet:
-        if self._regions[first] is None:
-            (w, own), (v, rival) = self._laws[first], self._laws[1 - first]
-            self._regions[first] = _CommonChannelSet(w, v - w, own, rival)
-        return self._regions[first]
-
-    def _clamp(self, t: float, target: int) -> float:
-        region = self._region(target)
-        return min(max(t, region.x_lo), region.x_hi)
-
-    def reach(self, t: float, target: int) -> float:
-        """min over feasible channels of D(t || (p_target A)[0]): one
-        branch, a clamp of t onto the output range of p_target."""
-        return _binary_kl(t, self._clamp(t, target))
+        laws = [(float(p.probs[0]), DistortionBall(p, delta, measure, floor).interval)
+                for p in (p0, p1)]
+        self.regions = tuple(_CommonChannelSet(w, v - w, own, rival)
+                             for (w, own), (v, rival) in (laws, laws[::-1]))
 
     def single(self, t: float, target: int) -> ChannelMinMaxResult:
-        """`reach` with the channel that attains it: the clamp x, and the
-        y of its slice closest to t."""
-        region = self._region(target)
-        x = self._clamp(t, target)
+        """min over feasible channels of D(t || (p_target A)[0]), a clamp
+        of t onto the output range of p_target, with the channel that
+        attains it: the clamp x, and the y of its slice closest to t."""
+        region = self.regions[target]
+        x = min(max(t, region.x_lo), region.x_hi)
         s, _ = region.best_y(x, t)
         return ChannelMinMaxResult(_binary_kl(t, x), region.channel(x, s), True, 0)
 
@@ -711,13 +697,14 @@ class _ChannelGame:
         """min over feasible channels of the larger branch divergence: the
         single branch with the larger reach, whose channel also keeps the
         other branch within it (see `min_max_divergence_over_channel`)."""
-        return self.single(t, 0 if self.reach(t, 0) >= self.reach(t, 1) else 1)
+        reach = [_binary_kl(t, min(max(t, r.x_lo), r.x_hi)) for r in self.regions]
+        return self.single(t, 0 if reach[0] >= reach[1] else 1)
 
     def facing_ends(self) -> Channel:
         """A feasible channel whose outputs of p0 and p1 lie nearest each
         other: both at the middle of the overlap of their ranges, else at
         the facing ends of the ranges."""
-        region, rival = self._region(0), self._region(1)
+        region, rival = self.regions
         lo, hi = max(region.x_lo, rival.x_lo), min(region.x_hi, rival.x_hi)
         if lo <= hi:
             return region.channel(0.5 * (lo + hi), 0.0)

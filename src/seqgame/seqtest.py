@@ -2,8 +2,9 @@
 
 The universal test tracks, for each hypothesis, the divergence from the
 running empirical distribution to the nearest rival reachable set, and
-stops when any such statistic clears a shrinking threshold. A variant for
-the common-channel adversary shares the same outcome type.
+stops when any such statistic clears a shrinking threshold. It and the
+test against the common-channel adversary share one stream loop and
+differ in their statistic, decision rule and read policy.
 """
 
 from __future__ import annotations
@@ -11,8 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice, repeat
-from typing import Iterable
+from itertools import count, islice, repeat
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -27,7 +28,7 @@ from .errors import (
     ShapeError,
     StreamExhaustedError,
 )
-from .prob import Distribution, DistortionMeasure, _check_integers
+from .prob import Distribution, DistortionMeasure, _binary_kl, _check_integers
 
 __all__ = [
     "threshold_constant",
@@ -226,6 +227,13 @@ class TestOutcome:
     trajectory: tuple[TrajectoryRow, ...] | None = None
 
 
+def _shares(rows: np.ndarray) -> np.ndarray:
+    """The empirical law of each row of counts as `Distribution` forms it:
+    each count over the row's total, then over the sum of those shares."""
+    qhat = rows / rows.sum(axis=1, keepdims=True)
+    return qhat / qhat.sum(axis=1, keepdims=True)
+
+
 def evidence_statistics(counts: np.ndarray, spec: GameSpec) -> np.ndarray:
     """Per-hypothesis evidence: distance from the empirical law to the
     nearest rival reachable set.
@@ -247,14 +255,9 @@ def evidence_statistics(counts: np.ndarray, spec: GameSpec) -> np.ndarray:
                              and np.allclose(rows, np.round(rows)))
     if not whole or np.any(rows < 0):
         raise ConstructionError("counts must be nonnegative integers")
-    totals = rows.sum(axis=1, keepdims=True)
-    if np.any(totals == 0):
+    if not rows.sum(axis=1).all():
         raise EmptySequenceError("cannot form an empirical distribution from zero samples")
-    # each count over the total, then over the sum of those shares, as
-    # Distribution(counts / total) rescales them
-    qhat = rows / totals.astype(float)
-    qhat = qhat / qhat.sum(axis=1, keepdims=True)
-    dists = _ball_reach(qhat, spec.balls)[1].reshape(spec.num_hypotheses, -1).T
+    dists = _ball_reach(_shares(rows), spec.balls)[1].reshape(spec.num_hypotheses, -1).T
     order = np.argsort(dists, axis=1, kind="stable")
     index = np.arange(rows.shape[0])
     out = np.repeat(dists[index, order[:, 0]][:, None], spec.num_hypotheses, axis=1)
@@ -262,11 +265,21 @@ def evidence_statistics(counts: np.ndarray, spec: GameSpec) -> np.ndarray:
     return out if arr.ndim == 2 else out[0]
 
 
-def _check_schedule(schedule: ThresholdSchedule, num_hypotheses: int, alphabet_size: int) -> None:
+def _check_type(name: str, value, kind: type) -> None:
+    if not isinstance(value, kind):
+        raise DomainError(f"{name} must be a {kind.__name__}, got {type(value).__name__}")
+
+
+def _check_run(schedule: ThresholdSchedule, num_hypotheses: int, alphabet_size: int,
+               cap: int, stride: int) -> None:
+    """The checks both tests make: the schedule, built for their game, and
+    the cap and stride."""
+    _check_type("schedule", schedule, ThresholdSchedule)
     got = (schedule.num_hypotheses, schedule.alphabet_size)
     if got != (num_hypotheses, alphabet_size):
         raise ShapeError(f"the schedule is for {got[0]} hypotheses on {got[1]} symbols, "
                          f"the test for {num_hypotheses} on {alphabet_size}")
+    _check_integers(1, cap=cap, stride=stride)
 
 
 def _check_symbol(symbol: int, alphabet_size: int) -> int:
@@ -311,25 +324,65 @@ def _read(it, count: int, read: int, size: int) -> tuple[np.ndarray, SeqGameErro
     return codes, error
 
 
-def _evaluate(counts: np.ndarray, steps: list[int], schedule: ThresholdSchedule,
-              spec: GameSpec) -> tuple[np.ndarray, list[float], tuple[int, int] | None]:
+def _evaluate(tallies: np.ndarray, steps: list[int], schedule: ThresholdSchedule, statistic,
+              decide) -> tuple[np.ndarray, list[float], tuple[int, int] | None]:
     """Statistics and thresholds at the given steps, one row of counts per
     step, and the first (row, decision) at which a statistic clears its
-    threshold; the smallest index decides among several."""
-    z = evidence_statistics(counts, spec)
-    gammas = schedule.at(steps)
-    hits = z >= gammas[:, None]
-    stops = hits.any(axis=1)
-    if not stops.any():
-        return z, gammas.tolist(), None
-    row = int(stops.argmax())
-    return z, gammas.tolist(), (row, int(hits[row].argmax()))
+    threshold; decide(statistics, threshold) gives the decision there."""
+    z = statistic(tallies)
+    gammas = [schedule.value(n) for n in steps]
+    hits = z >= np.array(gammas)[:, None]
+    first = int(hits.argmax())  # row-major, so in the first row with a hit
+    row = first // hits.shape[1]
+    return z, gammas, (row, decide(z[row], gammas[row])) if hits.flat[first] else None
 
 
-# Evaluated steps in the first chunk run_aware reads; each chunk doubles it.
+# Evaluated steps in the first read of run_aware; each next read doubles it.
 _CHUNK_STEPS = 16
-# Most symbols one chunk reads.
+# Most symbols one read takes.
 _CHUNK_SYMBOLS = 4096
+
+
+def _run(stream: Iterable[int], schedule: ThresholdSchedule, cap: int, stride: int,
+         record_trajectory: bool, statistic, decide, reads: Iterator[int]) -> TestOutcome:
+    """The stream loop of both tests, on checked arguments: each read
+    ends `next(reads)` evaluated steps on, within the cap and 4,096 symbols,
+    and one `_evaluate` covers its steps."""
+    size = schedule.alphabet_size
+    counts = np.zeros(size, dtype=np.int64)
+    rows: list[TrajectoryRow] = []
+    it = iter(stream)
+    n = 0
+    while n < cap:
+        end = min((n // stride + next(reads)) * stride, cap)
+        if end - n > _CHUNK_SYMBOLS:  # the last evaluated step that fits, if any
+            last_step = (n + _CHUNK_SYMBOLS) // stride * stride
+            end = last_step if last_step > n else n + _CHUNK_SYMBOLS
+        codes, error = _read(it, end - n, n, size)
+        read, first = n + codes.size, (n // stride + 1) * stride
+        steps = list(range(first, read + 1, stride))
+        if read == cap and cap % stride:
+            steps.append(cap)
+        # a symbol is binned under the first step at or after it; row j then
+        # counts up to steps[j], the last row to `read`
+        bins = np.arange(n % stride, n % stride + codes.size) // stride * size + codes
+        tallies = counts + np.bincount(bins, minlength=(len(steps) + 1) * size).reshape(
+            -1, size).cumsum(axis=0)
+        if steps:
+            z, gammas, stop = _evaluate(tallies[:-1], steps, schedule, statistic, decide)
+            if record_trajectory:
+                z = z.tolist()
+                for r in range(len(steps) if stop is None else stop[0] + 1):
+                    decision = stop[1] if stop is not None and r == stop[0] else None
+                    rows.append(TrajectoryRow(steps[r], gammas[r], tuple(z[r]),
+                                              decision is not None, decision))
+            if stop is not None:
+                return TestOutcome(steps[stop[0]], stop[1], False,
+                                   tuple(rows) if record_trajectory else None)
+        if error is not None:
+            raise error
+        counts, n = tallies[-1], read
+    return TestOutcome(cap, None, True, tuple(rows) if record_trajectory else None)
 
 
 def run_aware(stream: Iterable[int], schedule: ThresholdSchedule, spec: GameSpec,
@@ -340,7 +393,8 @@ def run_aware(stream: Iterable[int], schedule: ThresholdSchedule, spec: GameSpec
     The stopping condition is evaluated every `stride` samples (and at the
     cap), trading at most stride-1 extra samples for speed. Reaching the cap
     yields a timed-out outcome; an exhausted stream is an error because no
-    decision of any kind was reached.
+    decision of any kind was reached. Among statistics that clear the
+    threshold together, the smallest index decides.
 
     The stream is read in chunks that end on evaluated steps: 16 of them
     at first, twice as many in each next chunk, and at most 4,096 symbols;
@@ -349,43 +403,13 @@ def run_aware(stream: Iterable[int], schedule: ThresholdSchedule, spec: GameSpec
     stream is read up to the end of the chunk in which the test stops. A
     schedule built for another size of game raises ShapeError.
     """
-    _check_schedule(schedule, spec.num_hypotheses, spec.alphabet_size)
-    _check_integers(1, cap=cap, stride=stride)
-    size = spec.alphabet_size
-    counts = np.zeros(size, dtype=np.int64)
-    one_hot = np.eye(size, dtype=np.int64)
-    rows: list[TrajectoryRow] = []
-    it = iter(stream)
-    n = 0
-    evaluations = _CHUNK_STEPS
-    while n < cap:
-        end = min((n // stride + evaluations) * stride, cap)
-        if end - n > _CHUNK_SYMBOLS:  # the last evaluated step that fits, if any
-            last_step = (n + _CHUNK_SYMBOLS) // stride * stride
-            end = last_step if last_step > n else n + _CHUNK_SYMBOLS
-        codes, error = _read(it, end - n, n, size)
-        read = n + codes.size
-        steps = list(range((n // stride + 1) * stride, read + 1, stride))
-        if read == cap and cap % stride:
-            steps.append(cap)
-        if steps:
-            tallies = counts + one_hot[codes].cumsum(axis=0)[np.array(steps) - n - 1]
-            z, gammas, stop = _evaluate(tallies, steps, schedule, spec)
-            last = len(steps) if stop is None else stop[0] + 1
-            if record_trajectory:
-                for r in range(last):
-                    decision = stop[1] if stop is not None and r == stop[0] else None
-                    rows.append(TrajectoryRow(steps[r], gammas[r], tuple(z[r]),
-                                              decision is not None, decision))
-            if stop is not None:
-                return TestOutcome(steps[stop[0]], stop[1], False,
-                                   tuple(rows) if record_trajectory else None)
-        if error is not None:
-            raise error
-        counts += np.bincount(codes, minlength=size)
-        n = read
-        evaluations *= 2
-    return TestOutcome(cap, None, True, tuple(rows) if record_trajectory else None)
+    _check_type("spec", spec, GameSpec)
+    _check_run(schedule, spec.num_hypotheses, spec.alphabet_size, cap, stride)
+    # evidence_statistics is looked up at each call, as wrappers put on the module expect
+    return _run(stream, schedule, cap, stride, record_trajectory,
+                lambda tallies: evidence_statistics(tallies, spec),
+                lambda z, gamma: int((z >= gamma).argmax()),
+                (_CHUNK_STEPS << k for k in count()))
 
 
 # ---------------------------------------------------------------------------
@@ -401,58 +425,31 @@ def _nonaware_decide(branch, gamma: float) -> int:
     return 0 if branch[0] >= branch[1] else 1
 
 
-def _evidence(game: _ChannelGame, t: float) -> tuple[float, float]:
-    """Evidence for each hypothesis: the divergence from qhat = (t, 1 - t)
-    to everything a common channel can make of the rival law."""
-    return game.reach(t, 1), game.reach(t, 0)
-
-
-def _first_share(zeros: int, ones: int) -> float:
-    """qhat[0] of the counts as `evidence_statistics` forms it: each count
-    over the total, then divided by their sum."""
-    total = zeros + ones
-    a, b = zeros / total, ones / total
-    return a / (a + b)
-
-
 def run_nonaware(stream: Iterable[int], schedule: ThresholdSchedule,
                  p0: Distribution, p1: Distribution, delta: float,
                  measure: DistortionMeasure, cap: int = 1_000_000, stride: int = 1,
                  record_trajectory: bool = False) -> TestOutcome:
     """Run the common-channel test; semantics mirror run_aware.
 
-    The channel game is built once per run. The stream is read a stride
-    at a time (at most 4,096 symbols per read), exactly up to the next
-    evaluated step, so the run reads no symbol past its stop; as in
-    run_aware, an invalid symbol raises DomainError once the rest of its
-    read has been consumed. An evaluated step stops the run when the
-    larger branch statistic, which is the channel min-max statistic,
-    clears the threshold. Trajectory rows carry the two branch statistics.
-    The schedule must be built for two hypotheses on two symbols.
+    It shares run_aware's stream loop and differs in three things. The
+    statistic of hypothesis b is the divergence from qhat = (t, 1 - t) to
+    everything a common channel can make of the rival law: t clamped onto
+    the rival's output range, from a channel game built once per run. At
+    the stop `_nonaware_decide` decides: the one branch that clears the
+    threshold, else the larger statistic. Each read takes one evaluated
+    step (at most 4,096 symbols), so the run reads no symbol past its stop;
+    an invalid symbol raises DomainError once the rest of its read has been
+    consumed. A read costs some thirty numpy calls, so small strides are
+    slow: per symbol, stride 1 costs about 300 times what stride 1,024
+    does. Trajectory rows carry the two branch statistics. The schedule
+    must be built for two hypotheses on two symbols.
     """
-    _check_schedule(schedule, 2, 2)
-    _check_integers(1, cap=cap, stride=stride)
+    _check_run(schedule, 2, 2, cap, stride)
+    _check_type("p0", p0, Distribution)
+    _check_type("p1", p1, Distribution)
     game = _ChannelGame(p0, p1, delta, measure)
-    rows: list[TrajectoryRow] = []
-    it = iter(stream)
-    n = ones = 0
-    while n < cap:
-        # up to the next evaluated step, at most _CHUNK_SYMBOLS at a time
-        end = min((n // stride + 1) * stride, cap, n + _CHUNK_SYMBOLS)
-        codes, error = _read(it, end - n, n, 2)
-        if error is not None:
-            raise error
-        n, ones = end, ones + int(codes.sum())
-        if n % stride and n < cap:
-            continue
-        t = _first_share(n - ones, ones)
-        gamma = schedule.value(n)
-        evidence = _evidence(game, t)
-        if max(evidence) >= gamma:
-            decision = _nonaware_decide(evidence, gamma)
-            if record_trajectory:
-                rows.append(TrajectoryRow(n, gamma, evidence, True, decision))
-            return TestOutcome(n, decision, False, tuple(rows) if record_trajectory else None)
-        if record_trajectory:
-            rows.append(TrajectoryRow(n, gamma, evidence, False, None))
-    return TestOutcome(cap, None, True, tuple(rows) if record_trajectory else None)
+    rivals = game.regions[::-1]  # each hypothesis faces its rival's output range
+    return _run(stream, schedule, cap, stride, record_trajectory,
+                lambda tallies: np.array([[_binary_kl(t, min(max(t, r.x_lo), r.x_hi)) for r in rivals]
+                                          for t in _shares(tallies)[:, 0].tolist()]),
+                _nonaware_decide, repeat(1))

@@ -7,9 +7,9 @@ the Bhattacharyya separation run for their full patience, and the
 stopping-time horizon that the separation gives.
 
 They are independent of the solvers in `seqgame.divopt`, of the stacked
-reach solve of `seqgame.seqtest.evidence_statistics`, of the chunked
-loop of `seqgame.seqtest.run_aware`, of the bounded, stride-reading loop
-of `seqgame.seqtest.run_nonaware`, of the continuation bands of
+reach solve of `seqgame.seqtest.evidence_statistics`, of the stream loop
+that `seqgame.seqtest.run_aware` and `run_nonaware` share and of their
+decision rules, of the continuation bands of
 `seqgame.simharness` and of the fixed-point stop of the pairwise
 alternation (the full-patience loops share only their exact blocks), and
 exist only to check them.
@@ -50,7 +50,6 @@ from seqgame.seqtest import (
     ThresholdSchedule,
     TrajectoryRow,
     _check_symbol,
-    _nonaware_decide,
     evidence_statistics,
 )
 
@@ -244,14 +243,23 @@ def _branch_statistics(qhat: Distribution, p0: Distribution, p1: Distribution, d
     ])
 
 
+def _tie_rule(branch, gamma: float) -> int:
+    """The common-channel decision once some branch clears gamma: the only
+    branch that clears it, else the larger statistic, branch 0 on a tie."""
+    clearing = [b for b in (0, 1) if branch[b] >= gamma]
+    if len(clearing) == 1:
+        return clearing[0]
+    return max((0, 1), key=lambda b: (branch[b], -b))
+
+
 def run_nonaware_stepwise(stream: Iterable[int], schedule: ThresholdSchedule,
                           p0: Distribution, p1: Distribution, delta: float,
                           measure: DistortionMeasure, cap: int = 1_000_000, stride: int = 1,
                           record_trajectory: bool = False) -> TestOutcome:
     """The common-channel test fed one symbol at a time, solving the public
     channel min-max on the empirical law at every evaluated step;
-    `run_nonaware` instead reads a stride at a time, forms qhat[0] from two
-    counts and builds its channel game once per run."""
+    `run_nonaware` instead reads one evaluated step at a time, forms qhat
+    from the counts at that step and builds its channel game once per run."""
     if schedule.num_hypotheses != 2:
         raise DomainError("the common-channel test is defined for two hypotheses")
     if cap < 1:
@@ -278,7 +286,7 @@ def run_nonaware_stepwise(stream: Iterable[int], schedule: ThresholdSchedule,
         gamma = schedule.value(n)
         if s_stat >= gamma:
             branch = _branch_statistics(qhat, p0, p1, delta, measure)
-            decision = _nonaware_decide(branch, gamma)
+            decision = _tie_rule(branch, gamma)
             if record_trajectory:
                 rows.append(TrajectoryRow(n, gamma, tuple(branch), True, decision))
             return TestOutcome(n, decision, False, tuple(rows) if record_trajectory else None)

@@ -6,8 +6,8 @@ channels [[a, 1-a], [1-b, b]] on random games, against the larger of the
 two clamp divergences at every t, and pinned on the benchmark's game, where
 an earlier barrier solver overstated it. The facing-ends channel of
 `solve_nonaware_adversary` is checked against a grid of its objective.
-`run_nonaware`, which reads its stream a stride at a time, is checked
-against the per-symbol loop in `oracles.py`.
+`run_nonaware`, which reads its stream one evaluated step at a time, is
+checked against the per-symbol loop in `oracles.py`.
 """
 
 import math
@@ -30,7 +30,7 @@ from seqgame.divopt import (
 from seqgame.equilibrium import nonaware_achievable, nonaware_converse, solve_nonaware_adversary
 from seqgame.errors import DomainError, ResourceError, ShapeError, StreamExhaustedError
 from seqgame.prob import Channel, Distribution, DistortionMeasure
-from seqgame.seqtest import ThresholdSchedule, _first_share, run_nonaware
+from seqgame.seqtest import ThresholdSchedule, _shares, run_nonaware
 
 from oracles import empirical_distribution, grid_oracle_min_channels, run_nonaware_stepwise
 
@@ -182,7 +182,7 @@ class TestIterationCaps:
         # does not.
         n = 20
         game = _ChannelGame(P0, P1, 0.05, DistortionMeasure.TV_L1)
-        gamma = max(game.reach(1.0, 0), game.reach(1.0, 1)) * (1.0 + side * 1e-9)
+        gamma = game.minmax(1.0).value * (1.0 + side * 1e-9)
         sched = ThresholdSchedule(alpha=_alpha_at(gamma, n), num_hypotheses=2, alphabet_size=2)
         assert sched.value(n) == pytest.approx(gamma, rel=1e-11)
         out = run_nonaware(iter([0] * n), sched, P0, P1, 0.05, DistortionMeasure.TV_L1,
@@ -216,7 +216,7 @@ def test_minmax_is_the_larger_clamp(game):
     channel_game = _ChannelGame(*laws, delta, measure)
     res = channel_game.minmax(q0)
     assert res.converged and res.iterations == 0
-    assert res.value == max(channel_game.reach(q0, 0), channel_game.reach(q0, 1))
+    assert res.value == max(channel_game.single(q0, b).value for b in (0, 1))
     reached = []
     for p in laws:
         out = p.probs @ res.channel.rows
@@ -231,7 +231,7 @@ def _larger_clamp(game: _ChannelGame, t: np.ndarray) -> np.ndarray:
     divergence onto the two output ranges."""
     with np.errstate(divide="ignore"):
         return np.max([_binary_kl(t, np.clip(t, r.x_lo, r.x_hi))
-                       for r in (game._region(0), game._region(1))], axis=0)
+                       for r in game.regions], axis=0)
 
 
 # the benchmark game, whose output ranges are separated
@@ -293,11 +293,12 @@ def test_achievable_within_converse_at_the_facing_ends():
 
 @pytest.mark.parametrize("total", [1, 2, 3, 7, 10, 1023, 1024, 3391, 10**6 + 1])
 def test_first_share_is_the_empirical_law(total):
-    """t is the float that empirical_distribution forms, renormalization
-    included, for every split of the total."""
+    """t, the first of the shares `_shares` forms, is the float that
+    empirical_distribution forms, renormalization included, for every
+    split of the total."""
     for zeros in sorted({0, 1, total // 3, total // 2, total - 1, total} & set(range(total + 1))):
         qhat = empirical_distribution(np.array([zeros, total - zeros]))
-        assert _first_share(zeros, total - zeros) == float(qhat.probs[0])
+        assert _shares(np.array([[zeros, total - zeros]]))[0, 0] == float(qhat.probs[0])
 
 
 class _Counting:
@@ -362,6 +363,23 @@ def test_bench_game_matches_stepwise(stride, record):
     assert got == _run(run_nonaware_stepwise, symbols, *args, **kwargs)
 
 
+def test_both_branches_clear_at_once():
+    """A conflict on the benchmark's game: at t = 0.44, between the output
+    ranges [0.361, 0.405] and [0.475, 0.520], both statistics (0.00246 and
+    0.00252) clear the threshold (0.00175) at the first evaluated step, and
+    the larger, hypothesis 1's, decides."""
+    symbols = np.random.default_rng(0).permutation([0] * 8_800 + [1] * 11_200).tolist()
+    symbols += [0] * 100  # read only if the run went past its stop
+    args = (ThresholdSchedule(0.05, 2, 2), P0, P1, 0.05, DistortionMeasure.TV_L1)
+    kwargs = dict(stride=20_000, record_trajectory=True)
+    got = _run(run_nonaware, symbols, *args, **kwargs)
+    assert got == _run(run_nonaware_stepwise, symbols, *args, **kwargs)
+    outcome, taken = got
+    assert (outcome.stopping_time, outcome.decision, taken) == (20_000, 1, 20_000)
+    (row,) = outcome.trajectory
+    assert row.stopped and min(row.statistics) >= row.threshold
+
+
 class TestStreamEdges:
     SCHED = ThresholdSchedule(0.05, 2, 2)
     ARGS = (SCHED, P0, P1, 0.05, DistortionMeasure.TV_L1)
@@ -420,10 +438,10 @@ def test_no_divergence_rounds_below_zero(game, ulps):
         for end in ball.interval:
             t = min(max(_nudged(end, ulps), 0.0), 1.0)
             assert divopt.min_divergence_to_ball(_law(t), ball).value >= 0.0
-        region = channel_game._region(b)
+        region = channel_game.regions[b]
         for end in (region.x_lo, region.x_hi):
             t = min(max(_nudged(end, ulps), 0.0), 1.0)
-            assert channel_game.reach(t, b) >= 0.0
+            assert channel_game.single(t, b).value >= 0.0
             zeros = round(end * 1000)
             if 0 < zeros < 1000:
                 out = run_nonaware([0] * zeros + [1] * (1000 - zeros), sched, *laws, delta,

@@ -352,6 +352,24 @@ def test_streams_of_non_integers(bernoulli_spec, symbol):
                      DistortionMeasure.TV_L1)
 
 
+@pytest.mark.parametrize("case", ["aware, no schedule", "aware, no spec",
+                                  "common, no schedule", "common, laws as lists"])
+def test_entry_points_refuse_arguments_of_the_wrong_type(bernoulli_spec, case):
+    """Each of these calls used to raise a raw AttributeError."""
+    sched = ThresholdSchedule(0.1, 2, 2)
+    p0, p1 = bernoulli_spec.hypotheses
+    game = (0.05, DistortionMeasure.TV_L1)
+    calls = {
+        "aware, no schedule": lambda: run_aware(iter([0]), None, bernoulli_spec),
+        "aware, no spec": lambda: run_aware(iter([0]), sched, None),
+        "common, no schedule": lambda: run_nonaware(iter([0]), None, p0, p1, *game),
+        "common, laws as lists": lambda: run_nonaware(iter([0]), sched, p0.probs.tolist(),
+                                                      p1.probs.tolist(), *game),
+    }
+    with pytest.raises(DomainError, match="must be a"):
+        calls[case]()
+
+
 class TestNonAwareDecision:
     def test_single_holder_wins(self):
         assert _nonaware_decide(np.array([0.5, 0.2]), 0.4) == 0
