@@ -26,7 +26,7 @@ from .errors import (
     SeqGameError,
     ShapeError,
 )
-from .prob import Channel, Distribution, DistortionMeasure
+from .prob import Channel, Distribution, DistortionMeasure, _instance
 from .simharness import EQUILIBRIUM_ADVERSARY, ScenarioConfig, monte_carlo
 
 __all__ = [
@@ -39,9 +39,6 @@ __all__ = [
     "solution_csv",
     "main",
 ]
-
-_MEASURES = {"tv_l1": DistortionMeasure.TV_L1, "kl": DistortionMeasure.KL}
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -156,11 +153,7 @@ def parse_run_config(text: str) -> RunConfig:
         if required not in pairs:
             raise ConfigError(f"missing required key {required!r}")
 
-    measure = pairs["measure"]
-    if measure not in _MEASURES:
-        raise ConfigError(
-            f"measure must be one of {sorted(_MEASURES)}, got {measure!r}"
-        )
+    _wrap_config(DistortionMeasure, pairs["measure"])
     adversary = pairs.get("adversary", EQUILIBRIUM_ADVERSARY)
     if adversary not in (EQUILIBRIUM_ADVERSARY, "channels"):
         raise ConfigError(f"adversary must be {EQUILIBRIUM_ADVERSARY!r} or 'channels', got {adversary!r}")
@@ -211,12 +204,13 @@ def _wrap_config(fn, *args):
 
 
 def build_game_spec(config: RunConfig) -> GameSpec:
+    _instance("config", config, RunConfig)
     hyps = tuple(_wrap_config(Distribution, h) for h in config.hypotheses)
     return _wrap_config(
         lambda: GameSpec(
             hypotheses=hyps,
             delta=config.delta,
-            measure=_MEASURES[config.measure],
+            measure=DistortionMeasure(config.measure),
             weights=config.weights or (),
             support_floor=config.support_floor,
         )
@@ -232,6 +226,7 @@ def _build_channel(flat: tuple[float, ...], size: int) -> Channel:
 
 
 def build_scenario(config: RunConfig, seed_override: int | None = None) -> ScenarioConfig:
+    _instance("config", config, RunConfig)
     for key in ("alpha_grid", "replications"):
         if getattr(config, key) is None:
             raise ConfigError(f"missing required key {key!r}")

@@ -17,8 +17,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError, InfeasibleError, ShapeError
-from .prob import Channel, Distribution, DistortionMeasure, _binary_kl, _kl_arrays, _kl_rows
+from .errors import DomainError, InfeasibleError, ResourceError, ShapeError
+from .prob import (Channel, Distribution, DistortionMeasure, _binary_kl, _check_integers, _instance,
+                   _kl_arrays, _kl_rows, _law, _real)
 
 __all__ = [
     "DistortionBall",
@@ -37,6 +38,8 @@ _FEASIBILITY_SLACK = 1e-9
 _BRACKET_CAP = 100
 # Most bisection or alternation steps an exact block solver may take.
 _BISECTION_CAP = 200
+# Most halvings of a binary KL ball's edge: adjacent floats anywhere in [0, 1], 2^-1074 included.
+_EDGE_CAP = 1_100
 # The stop rule of the pairwise alternation (`_RunningMinimum`).
 _TOLERANCE = 1e-10
 _PATIENCE = 5
@@ -83,7 +86,7 @@ def _clamp_divergence(t: np.ndarray, lo, hi) -> np.ndarray:
     # the log skips those, and fmax makes any rounding below zero exactly zero
     with np.errstate(divide="ignore", invalid="ignore"):
         val = _xlogy(t, t / tc) + _xlogy(s, s / (1.0 - tc))
-    return np.fmax(val, 0.0, out=val)
+    return np.fmax(val, 0.0, out=val if isinstance(val, np.ndarray) else None)
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,10 +104,10 @@ class DistortionBall:
     floor: float = 1e-9
 
     def __post_init__(self) -> None:
-        if not self.radius >= 0:  # also rejects NaN
-            raise DomainError(f"radius must be nonnegative, got {self.radius!r}")
-        if not (0.0 <= self.floor < 1.0 / self.center.size):
-            raise DomainError("floor must satisfy 0 <= floor < 1/K")
+        _instance("center", self.center, Distribution)
+        object.__setattr__(self, "radius", _real("radius", self.radius))
+        _instance("measure", self.measure, DistortionMeasure)
+        object.__setattr__(self, "floor", _real("floor", self.floor, 0.0, 1.0 / self.center.size))
         if not self.center.is_fully_supported(self.floor):
             raise InfeasibleError(
                 "ball center falls below the support floor; feasible set may be empty"
@@ -118,10 +121,7 @@ class DistortionBall:
         return self.measure.evaluate(self.center, point)
 
     def contains(self, point, slack: float = _FEASIBILITY_SLACK) -> bool:
-        arr = point.probs if isinstance(point, Distribution) else np.asarray(point, dtype=float)
-        if arr.shape != self.center.probs.shape:
-            raise ShapeError("point alphabet does not match the ball center")
-        return bool(_inside(arr, self.center.probs, self, slack))
+        return bool(_inside(_law("point", point, self.size), self.center.probs, self, slack))
 
     @cached_property
     def interval(self) -> tuple[float, float]:
@@ -153,19 +153,20 @@ def _inside(w: np.ndarray, p: np.ndarray, ball: DistortionBall, slack: float) ->
 
 def _bisect_kl_edge(c: float, radius: float, far: float) -> float:
     """The t between c and `far` where D(c || t) reaches the radius, on its
-    feasible side; `far` itself when D(c || far) stays within the radius."""
+    feasible side, to adjacent floats; `far` itself when D(c || far) stays
+    within the radius. ResourceError past `_EDGE_CAP` halvings."""
     if _binary_kl(c, far) <= radius:
         return far
     inside, outside = c, far
-    for _ in range(200):
+    for _ in range(_EDGE_CAP):
         mid = 0.5 * (inside + outside)
         if mid == inside or mid == outside:  # adjacent floats: no later step moves either
-            break
+            return inside
         if _binary_kl(c, mid) > radius:
             outside = mid
         else:
             inside = mid
-    return inside
+    raise ResourceError(f"KL edge at radius {radius} around {c} still open after {_EDGE_CAP} halvings")
 
 
 @dataclass(frozen=True)
@@ -439,7 +440,7 @@ def channel_from_output(source: Distribution, output: Distribution) -> Channel:
     Pushing `source` (or anything else) through it reproduces `output`
     exactly, which realizes any target output distribution.
     """
-    if source.size != output.size:
+    if _instance("source", source, Distribution).size != _instance("output", output, Distribution).size:
         raise ShapeError("source and output must share one alphabet")
     return Channel(np.tile(output.probs, (source.size, 1)))
 
@@ -495,9 +496,7 @@ def min_divergence_to_ball(qhat, ball: DistortionBall) -> BallMinResult:
     bisected. `iterations` counts bisection steps. The solve has no
     tolerance to tune.
     """
-    q0 = qhat.probs if isinstance(qhat, Distribution) else np.asarray(qhat, dtype=float)
-    if q0.shape != ball.center.probs.shape:
-        raise ShapeError("qhat alphabet does not match the ball center")
+    q0 = _law("qhat", qhat, _instance("ball", ball, DistortionBall).size)
     q, value, converged, steps = _ball_reach(q0[None, :], (ball,))
     return BallMinResult(float(value[0]), _floored_distribution(q[0], ball.floor),
                          bool(converged[0]), int(steps[0]))
@@ -544,7 +543,8 @@ def pairwise_min_divergence(ball_first: DistortionBall, ball_second: DistortionB
     bisection steps; `converged` is False when the rounds (or the repeats
     they skip) or any block would hit its cap.
     """
-    if ball_first.size != ball_second.size:
+    if (_instance("ball_first", ball_first, DistortionBall).size
+            != _instance("ball_second", ball_second, DistortionBall).size):
         raise ShapeError("balls must share one alphabet")
 
     if ball_first.size == 2:
@@ -605,14 +605,6 @@ class ChannelMinMaxResult:
     iterations: int
 
 
-def _first_entry(qhat, p0: Distribution) -> float:
-    """qhat[0], once qhat is known to share the alphabet of p0."""
-    q = qhat.probs if isinstance(qhat, Distribution) else np.asarray(qhat, dtype=float)
-    if q.shape != p0.probs.shape:
-        raise ShapeError("qhat, p0, p1 must share one alphabet")
-    return float(q[0])
-
-
 class _CommonChannelSet:
     """The binary channels that keep both laws inside their balls, as
     slices in s over the feasible output range [x_lo, x_hi] of p0."""
@@ -670,13 +662,10 @@ class _ChannelGame:
 
     def __init__(self, p0: Distribution, p1: Distribution, delta: float,
                  measure: DistortionMeasure, floor: float = 1e-9) -> None:
-        pa, pb = p0.probs, p1.probs
-        if pa.shape != pb.shape:
-            raise ShapeError("qhat, p0, p1 must share one alphabet")
-        if pa.size != 2:
+        pa, pb = _instance("p0", p0, Distribution).probs, _instance("p1", p1, Distribution).probs
+        if pa.size != 2 or pb.size != 2:
             raise ShapeError("the common-channel min-max applies to binary alphabets only")
-        if not delta >= 0.0:  # also rejects NaN
-            raise DomainError("delta must be nonnegative")
+        delta = _real("delta", delta)
         if np.any(pa <= 0.0) or np.any(pb <= 0.0):
             raise DomainError("both hypothesis laws must have full support")
         laws = [(float(p.probs[0]), DistortionBall(p, delta, measure, floor).interval)
@@ -748,8 +737,7 @@ def min_max_divergence_over_channel(qhat, p0: Distribution, p1: Distribution, de
     in I1 and in J, so the slice starts at or below x* and ends at or above
     min J. It meets J, which holds t. Larger alphabets raise ShapeError.
     """
-    t = _first_entry(qhat, p0)
-    return _ChannelGame(p0, p1, delta, measure, floor).minmax(t)
+    return _ChannelGame(p0, p1, delta, measure, floor).minmax(float(_law("qhat", qhat, 2)[0]))
 
 
 def min_divergence_over_common_channels(qhat, target: int, p0: Distribution, p1: Distribution,
@@ -761,7 +749,5 @@ def min_divergence_over_common_channels(qhat, target: int, p0: Distribution, p1:
     budget of both hypotheses at once, so the reach of `target` is smaller
     than its own ball.
     """
-    if target not in (0, 1):
-        raise DomainError("target selects one of the two laws, 0 or 1")
-    t = _first_entry(qhat, p0)
-    return _ChannelGame(p0, p1, delta, measure, floor).single(t, target)
+    _check_integers(0, 2, target=target)
+    return _ChannelGame(p0, p1, delta, measure, floor).single(float(_law("qhat", qhat, 2)[0]), target)

@@ -26,14 +26,9 @@ from .divopt import (
     min_max_divergence_over_channel,
     pairwise_min_divergence,
 )
-from .errors import (
-    ConstructionError,
-    DegenerateGameError,
-    DomainError,
-    InfeasibleError,
-    ShapeError,
-)
-from .prob import Channel, Distribution, DistortionMeasure, _check_integers, apply_channel, kl_divergence
+from .errors import ConstructionError, DegenerateGameError, InfeasibleError, ShapeError
+from .prob import (Channel, Distribution, DistortionMeasure, _check_integers, _floats, _instance, _real,
+                   apply_channel, kl_divergence)
 
 __all__ = [
     "GameSpec",
@@ -66,30 +61,28 @@ class GameSpec:
     support_floor: float = 1e-9
 
     def __post_init__(self) -> None:
-        hyps = tuple(self.hypotheses)
+        hyps = tuple(_instance("hypothesis", h, Distribution)
+                     for h in _instance("hypotheses", self.hypotheses, (tuple, list)))
         if len(hyps) < 2:
             raise ConstructionError("a testing game needs at least two hypotheses")
         size = hyps[0].size
         if any(h.size != size for h in hyps):
             raise ShapeError("all hypotheses must share one alphabet")
+        floor = _real("support_floor", self.support_floor, 0.0, 1.0 / size)
         for idx, h in enumerate(hyps):
-            if not h.is_fully_supported(self.support_floor):
-                raise ConstructionError(
-                    f"hypothesis {idx} falls below the support floor {self.support_floor}"
-                )
+            if not h.is_fully_supported(floor):
+                raise ConstructionError(f"hypothesis {idx} falls below the support floor {floor}")
         for i in range(len(hyps)):
             for j in range(i + 1, len(hyps)):
                 if np.max(np.abs(hyps[i].probs - hyps[j].probs)) <= 1e-12:
                     raise ConstructionError(f"hypotheses {i} and {j} coincide")
-        if not self.delta >= 0:  # also rejects NaN
-            raise DomainError("delta must be nonnegative")
-        weights = tuple(self.weights) if self.weights else (1.0,) * len(hyps)
+        weights = tuple(_real("weights", w, low_open=True)
+                        for w in _floats("weights", self.weights).tolist()) or (1.0,) * len(hyps)
         if len(weights) != len(hyps):
             raise ShapeError("need one weight per hypothesis")
-        if any(not w > 0 for w in weights):
-            raise DomainError("weights must be positive")
-        object.__setattr__(self, "hypotheses", hyps)
-        object.__setattr__(self, "weights", weights)
+        for name, value in (("hypotheses", hyps), ("delta", _real("delta", self.delta)),
+                            ("weights", weights), ("support_floor", floor)):
+            object.__setattr__(self, name, value)
         # touching the cache runs the separation check eagerly
         self.pairwise_minima
 
@@ -154,7 +147,7 @@ def solve_aware_equilibrium(spec: GameSpec) -> EquilibriumSolution:
     closest rival ball, read off `spec.pairwise_minima` (exact over the
     ordered pairs). The reported matrix re-solves each inner minimum there.
     """
-    m = spec.num_hypotheses
+    m = _instance("spec", spec, GameSpec).num_hypotheses
     pair = spec.pairwise_minima
     q_star = []
     converged = True
@@ -181,12 +174,11 @@ def solve_aware_equilibrium(spec: GameSpec) -> EquilibriumSolution:
 
 def equilibrium_payoff(exponents, weights) -> float:
     """Weighted sum of per-hypothesis exponents; weights must be positive."""
-    e = np.asarray(exponents, dtype=float)
-    w = np.asarray(weights, dtype=float)
+    e, w = _floats("exponents", exponents), _floats("weights", weights)
     if e.shape != w.shape:
         raise ShapeError("exponents and weights must have matching lengths")
-    if not np.all(w > 0):
-        raise DomainError("weights must be positive")
+    for value in w.tolist():
+        _real("weights", value, low_open=True)
     return float(np.dot(e, w))
 
 
@@ -208,6 +200,20 @@ class NonAwareBounds:
     channel: Channel
 
 
+def _outputs_within_budget(laws, channels, delta: float,
+                           measure: DistortionMeasure) -> list[Distribution]:
+    """The output law of each law through its channel, which must map the
+    alphabet onto itself; InfeasibleError if one distorts its law beyond delta."""
+    outputs = []
+    for i, (law, channel) in enumerate(zip(laws, channels)):
+        out = apply_channel(law, channel)
+        distortion = measure.evaluate(law, out)
+        if distortion > delta + _FEASIBILITY_SLACK:
+            raise InfeasibleError(f"channel distorts hypothesis {i} by {distortion:.6g}, budget {delta}")
+        outputs.append(out)
+    return outputs
+
+
 def _common_outputs(p0: Distribution, p1: Distribution, channel: Channel, delta: float,
                     measure: DistortionMeasure) -> tuple[Distribution, Distribution,
                                                          float, float]:
@@ -215,16 +221,8 @@ def _common_outputs(p0: Distribution, p1: Distribution, channel: Channel, delta:
     D(out0 || out1) and D(out1 || out0), never below zero (nearly equal
     laws can round to -1e-17); InfeasibleError if the channel breaks the
     budget."""
-    if not delta >= 0:  # also rejects NaN
-        raise DomainError("delta must be nonnegative")
-    out0 = apply_channel(p0, channel)
-    out1 = apply_channel(p1, channel)
-    d0 = measure.evaluate(p0, out0)
-    d1 = measure.evaluate(p1, out1)
-    if d0 > delta + _FEASIBILITY_SLACK or d1 > delta + _FEASIBILITY_SLACK:
-        raise InfeasibleError(
-            f"channel distorts the hypotheses by ({d0:.3e}, {d1:.3e}), budget {delta}"
-        )
+    out0, out1 = _outputs_within_budget((p0, p1), (channel, channel), _real("delta", delta),
+                                        _instance("measure", measure, DistortionMeasure))
     return out0, out1, max(0.0, kl_divergence(out0, out1)), max(0.0, kl_divergence(out1, out0))
 
 
@@ -241,8 +239,7 @@ def nonaware_achievable(p0: Distribution, p1: Distribution, channel: Channel,
     takes it, so that rounding never lifts the bound above the converse
     where the two are equal; nor does it take a term below zero.
     """
-    if not weight > 0:
-        raise DomainError("weight must be positive")
+    weight = _real("weight", weight, low_open=True)
     out0, out1, d01, d10 = _common_outputs(p0, p1, channel, delta, measure)
     term0, term1 = (
         max(0.0, min(min_max_divergence_over_channel(out, p0, p1, delta, measure).value, d))
@@ -255,8 +252,7 @@ def nonaware_converse(p0: Distribution, p1: Distribution, channel: Channel,
                       delta: float, measure: DistortionMeasure,
                       weight: float = 1.0) -> float:
     """Upper bound on any procedure's payoff at a common channel."""
-    if not weight > 0:
-        raise DomainError("weight must be positive")
+    weight = _real("weight", weight, low_open=True)
     _, _, d01, d10 = _common_outputs(p0, p1, channel, delta, measure)
     return d01 + weight * d10
 

@@ -33,15 +33,58 @@ _SUM_ATOL = 1e-12
 _INPUT_SUM_ATOL = 1e-9
 
 
-def _as_float_array(values, name: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim != 1:
-        raise ShapeError(f"{name} must be one-dimensional, got shape {arr.shape}")
-    if arr.size == 0:
-        raise ConstructionError(f"{name} must have at least one entry")
-    if not np.all(np.isfinite(arr)):
-        raise ConstructionError(f"{name} contains non-finite entries")
+def _floats(name: str, values, ndim: int = 1) -> np.ndarray:
+    """values as a float array of `ndim` dimensions; ConstructionError if they are not numbers."""
+    try:
+        arr = np.asarray(values, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise ConstructionError(f"{name} must be numbers, got {values!r:.80}") from None
+    if arr.ndim != ndim:
+        raise ShapeError(f"{name} must be a {ndim}-d array, got shape {arr.shape}")
     return arr
+
+
+def _law(name: str, value, size: int | None = None) -> np.ndarray:
+    """A Distribution's probabilities, or value as a `_floats` vector of at
+    least one entry, all finite; ShapeError unless it has `size` entries."""
+    if isinstance(value, Distribution):
+        arr = value.probs
+    else:
+        arr = _floats(name, value)
+        if arr.size == 0 or not np.all(np.isfinite(arr)):
+            raise ConstructionError(f"{name} must have at least one entry, all finite")
+    if size is not None and arr.size != size:
+        raise ShapeError(f"{name} has {arr.size} entries, expected {size}")
+    return arr
+
+
+def _real(name: str, value, low: float = 0.0, high: float = math.inf, low_open: bool = False) -> float:
+    """value as a float; DomainError unless it is a real number, not a bool,
+    in [low, high), or (low, high) with `low_open`; high = inf is allowed."""
+    if type(value) is float or (isinstance(value, numbers.Real) and not isinstance(value, bool)):
+        x = float(value)
+        if (low < x if low_open else low <= x) and (x < high or high == math.inf):
+            return x
+    bounds = f"{'(' if low_open else '['}{low:g}, {high:g})"
+    rule = {"(0, inf)": "positive", "[0, inf)": "nonnegative"}.get(bounds, f"a number in {bounds}")
+    raise DomainError(f"{name} must be {rule}, got {value!r}")
+
+
+def _instance(name: str, value, kind: type | tuple[type, ...]):
+    """value, if it is an instance of `kind` (a type or a tuple of types); DomainError otherwise."""
+    if isinstance(value, kind):
+        return value
+    kinds = " or ".join(k.__name__ for k in (kind if isinstance(kind, tuple) else (kind,)))
+    raise DomainError(f"{name} must be a {kinds}, got {type(value).__name__}")
+
+
+def _check_integers(low: int = 0, stop: float = math.inf, **values) -> None:
+    """DomainError unless each value is an integer, not a bool, in [low, stop);
+    an exact int skips the type tests."""
+    for name, value in values.items():
+        integer = type(value) is int or (isinstance(value, numbers.Integral) and not isinstance(value, bool))
+        if not (integer and low <= value < stop):
+            raise DomainError(f"{name} must be an integer in [{low}, {stop}), got {value!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,7 +99,7 @@ class Distribution:
     probs: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = _as_float_array(self.probs, "probs")
+        arr = _law("probs", self.probs)
         if np.any(arr < 0):
             raise ConstructionError("probabilities must be nonnegative")
         total = arr.sum()
@@ -82,8 +125,7 @@ class Distribution:
         return bool(np.all(self.probs >= floor))
 
     def allclose(self, other: "Distribution | np.ndarray", atol: float = 1e-12) -> bool:
-        other_arr = other.probs if isinstance(other, Distribution) else np.asarray(other)
-        return bool(np.allclose(self.probs, other_arr, rtol=0.0, atol=atol))
+        return bool(np.allclose(self.probs, _law("other", other, self.size), rtol=0.0, atol=atol))
 
     def __iter__(self):
         return iter(self.probs)
@@ -103,9 +145,7 @@ class Channel:
     rows: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.rows, dtype=float)
-        if arr.ndim != 2:
-            raise ShapeError(f"channel matrix must be two-dimensional, got {arr.shape}")
+        arr = _floats("channel matrix", self.rows, 2)
         if not np.all(np.isfinite(arr)):
             raise ConstructionError("channel matrix contains non-finite entries")
         if np.any(arr < 0):
@@ -138,7 +178,17 @@ class Channel:
         return f"Channel({self.rows.tolist()!r})"
 
 
-class DistortionMeasure(enum.Enum):
+class _MeasureLookup(enum.EnumMeta):
+    """`DistortionMeasure(value)` raises DomainError, not ValueError, for a value naming no measure."""
+
+    def __call__(cls, value, *args, **kwargs):
+        try:
+            return super().__call__(value, *args, **kwargs)
+        except ValueError:
+            raise DomainError(f"measure must be one of {[m.value for m in cls]}, got {value!r}") from None
+
+
+class DistortionMeasure(enum.Enum, metaclass=_MeasureLookup):
     """How far a channel may push a distribution from its original."""
 
     TV_L1 = "tv_l1"
@@ -146,10 +196,8 @@ class DistortionMeasure(enum.Enum):
 
     def evaluate(self, original, perturbed) -> float:
         """Distortion d(original, perturbed); KL reads D(original || perturbed)."""
-        p = original.probs if isinstance(original, Distribution) else np.asarray(original, dtype=float)
-        q = perturbed.probs if isinstance(perturbed, Distribution) else np.asarray(perturbed, dtype=float)
-        if p.shape != q.shape:
-            raise ShapeError(f"mismatched shapes {p.shape} vs {q.shape}")
+        p = _law("original", original)
+        q = _law("perturbed", perturbed, p.size)
         if self is DistortionMeasure.TV_L1:
             return float(np.abs(p - q).sum())
         return _kl_arrays(p, q)
@@ -160,9 +208,7 @@ def normalize(weights) -> Distribution:
 
     Raises ConstructionError when the vector has a negative entry or no mass.
     """
-    arr = _as_float_array(weights, "weights")
-    if np.any(arr < 0):
-        raise ConstructionError("weights must be nonnegative")
+    arr = _law("weights", weights)
     total = arr.sum()
     if total <= 0.0:
         raise ConstructionError("weights must have positive total mass")
@@ -171,8 +217,8 @@ def normalize(weights) -> Distribution:
 
 def apply_channel(dist: Distribution, channel: Channel) -> Distribution:
     """Push a distribution through a channel: the output law P @ A."""
-    p = dist.probs
-    rows = channel.rows
+    p = _instance("dist", dist, Distribution).probs
+    rows = _instance("channel", channel, Channel).rows
     if rows.shape[0] != p.size:
         raise ShapeError(
             f"channel expects {rows.shape[0]} input symbols, distribution has {p.size}"
@@ -200,11 +246,8 @@ def _kl_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 def kl_divergence(p, q) -> float:
     """D(p || q) in nats; +inf when q misses part of p's support."""
-    parr = p.probs if isinstance(p, Distribution) else _as_float_array(p, "p")
-    qarr = q.probs if isinstance(q, Distribution) else _as_float_array(q, "q")
-    if parr.shape != qarr.shape:
-        raise ShapeError(f"mismatched shapes {parr.shape} vs {qarr.shape}")
-    return _kl_arrays(parr, qarr)
+    parr = _law("p", p)
+    return _kl_arrays(parr, _law("q", q, parr.size))
 
 
 def _binary_kl(t: float, s: float) -> float:
@@ -222,21 +265,12 @@ def _binary_kl(t: float, s: float) -> float:
     return max(float(value), 0.0)
 
 
-def _check_integers(low: int = 0, stop: float = math.inf, **values) -> None:
-    """DomainError unless each value is an integer, not a bool, in [low, stop)."""
-    for name, value in values.items():
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or not low <= value < stop:
-            raise DomainError(f"{name} must be an integer in [{low}, {stop}), got {value!r}")
-
-
 def binary_kl(a: float, b: float) -> float:
     """KL divergence between Bernoulli(a) and Bernoulli(b), in nats.
 
     Both arguments must lie strictly inside (0, 1).
     """
-    if not (0.0 < a < 1.0 and 0.0 < b < 1.0):
-        raise DomainError(f"binary_kl needs arguments in (0, 1), got {a!r}, {b!r}")
-    return _binary_kl(a, b)
+    return _binary_kl(_real("a", a, 0.0, 1.0, low_open=True), _real("b", b, 0.0, 1.0, low_open=True))
 
 
 def bhattacharyya(p, q) -> float:
@@ -245,10 +279,8 @@ def bhattacharyya(p, q) -> float:
     Requires both arguments to have full support so the coefficient is
     positive and the distance finite.
     """
-    parr = p.probs if isinstance(p, Distribution) else _as_float_array(p, "p")
-    qarr = q.probs if isinstance(q, Distribution) else _as_float_array(q, "q")
-    if parr.shape != qarr.shape:
-        raise ShapeError(f"mismatched shapes {parr.shape} vs {qarr.shape}")
+    parr = _law("p", p)
+    qarr = _law("q", q, parr.size)
     if np.any(parr <= 0.0) or np.any(qarr <= 0.0):
         raise DomainError("bhattacharyya requires strictly positive entries")
     coeff = float(np.sqrt(parr * qarr).sum())

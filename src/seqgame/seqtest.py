@@ -10,10 +10,10 @@ differ in their statistic, decision rule and read policy.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import count, islice, repeat
-from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from .errors import (
     ShapeError,
     StreamExhaustedError,
 )
-from .prob import Distribution, DistortionMeasure, _binary_kl, _check_integers
+from .prob import Distribution, DistortionMeasure, _binary_kl, _check_integers, _instance, _real
 
 __all__ = [
     "threshold_constant",
@@ -119,7 +119,6 @@ def _tail_bracket(n: int, s: float) -> tuple[float, float]:
     return upper + f3 / 720.0, upper
 
 
-@lru_cache(maxsize=None)
 def threshold_constant(zeta: float, abs_tol: float = 1e-9) -> float:
     """Sum of exp(-n^(1-zeta)) over n >= 1, certified to within abs_tol.
 
@@ -129,12 +128,15 @@ def threshold_constant(zeta: float, abs_tol: float = 1e-9) -> float:
     midpoint is taken. The certificate covers the truncation only: float
     rounding in the partial sum and in the incomplete gamma function,
     about 1e-15 of the value, lies outside it. The terms are numpy's
-    `exp`; Gamma and Q of the tail are `math.lgamma` and `_gamma_q`.
+    `exp`; Gamma and Q of the tail are `math.lgamma` and `_gamma_q`. The
+    value is cached per (zeta, abs_tol), and `cache_info` reports the cache.
     """
-    if not 0.0 < zeta < 1.0:
-        raise DomainError(f"zeta must lie in (0, 1), got {zeta}")
-    if not abs_tol > 0.0:  # also rejects NaN, which no bracket would ever meet
-        raise DomainError("abs_tol must be positive")
+    return _threshold_constant(_real("zeta", zeta, 0.0, 1.0, low_open=True),
+                               _real("abs_tol", abs_tol, low_open=True))
+
+
+@lru_cache(maxsize=None)
+def _threshold_constant(zeta: float, abs_tol: float) -> float:
     s = 1.0 - zeta
     chunk_sums: list[float] = []
     covered = 0
@@ -155,6 +157,9 @@ def threshold_constant(zeta: float, abs_tol: float = 1e-9) -> float:
         target <<= 1
 
 
+threshold_constant.cache_info = _threshold_constant.cache_info
+
+
 @dataclass(frozen=True)
 class ThresholdSchedule:
     """The shrinking stopping threshold of the universal test.
@@ -172,11 +177,9 @@ class ThresholdSchedule:
     zeta: float = 0.85
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.alpha < 1.0:
-            raise DomainError(f"alpha must lie in (0, 1), got {self.alpha}")
+        for name in ("alpha", "zeta"):
+            object.__setattr__(self, name, _real(name, getattr(self, name), 0.0, 1.0, low_open=True))
         _check_integers(2, num_hypotheses=self.num_hypotheses, alphabet_size=self.alphabet_size)
-        if not 0.0 < self.zeta < 1.0:
-            raise DomainError(f"zeta must lie in (0, 1), got {self.zeta}")
         object.__setattr__(self, "constant", threshold_constant(self.zeta))
         # the two logarithms that do not depend on n, computed once
         object.__setattr__(self, "_log_ratio", math.log(self.constant / self.alpha))
@@ -245,10 +248,14 @@ def evidence_statistics(counts: np.ndarray, spec: GameSpec) -> np.ndarray:
     row equals the call on that row alone, bit for bit. One reach solve
     covers every row and ball, each row against its own ball's center.
     """
-    arr = np.asarray(counts)
-    if arr.ndim not in (1, 2) or arr.shape[-1] != spec.alphabet_size:
-        raise ShapeError(f"counts must be K or R x K with K = {spec.alphabet_size}, "
-                         f"got shape {arr.shape}")
+    try:
+        arr, size = np.asarray(counts), spec.alphabet_size
+    except (TypeError, ValueError, OverflowError):  # ragged, or beyond int64
+        raise ConstructionError("counts must be nonnegative integers") from None
+    except AttributeError:  # anything with the game's sizes and balls serves as the spec
+        raise DomainError(f"spec must be a GameSpec, got {type(spec).__name__}") from None
+    if arr.ndim not in (1, 2) or arr.shape[-1] != size:
+        raise ShapeError(f"counts must be K or R x K with K = {size}, got shape {arr.shape}")
     rows = np.atleast_2d(arr)
     kind = rows.dtype.kind
     whole = kind in "iu" or (kind in "fb" and np.isfinite(rows).all()
@@ -265,21 +272,17 @@ def evidence_statistics(counts: np.ndarray, spec: GameSpec) -> np.ndarray:
     return out if arr.ndim == 2 else out[0]
 
 
-def _check_type(name: str, value, kind: type) -> None:
-    if not isinstance(value, kind):
-        raise DomainError(f"{name} must be a {kind.__name__}, got {type(value).__name__}")
-
-
-def _check_run(schedule: ThresholdSchedule, num_hypotheses: int, alphabet_size: int,
-               cap: int, stride: int) -> None:
-    """The checks both tests make: the schedule, built for their game, and
-    the cap and stride."""
-    _check_type("schedule", schedule, ThresholdSchedule)
-    got = (schedule.num_hypotheses, schedule.alphabet_size)
-    if got != (num_hypotheses, alphabet_size):
+def _check_run(stream, schedule: ThresholdSchedule, sizes: tuple[int, int], cap: int, stride: int,
+               record_trajectory: bool) -> None:
+    """The checks both tests make: the stream, the schedule, built for their
+    game's (hypotheses, symbols) `sizes`, the cap, the stride and the flag."""
+    _instance("stream", stream, Iterable)
+    got = (_instance("schedule", schedule, ThresholdSchedule).num_hypotheses, schedule.alphabet_size)
+    if got != sizes:
         raise ShapeError(f"the schedule is for {got[0]} hypotheses on {got[1]} symbols, "
-                         f"the test for {num_hypotheses} on {alphabet_size}")
-    _check_integers(1, cap=cap, stride=stride)
+                         f"the test for {sizes[0]} on {sizes[1]}")
+    _check_integers(1, 2**63, cap=cap, stride=stride)
+    _instance("record_trajectory", record_trajectory, (bool, np.bool_))
 
 
 def _check_symbol(symbol: int, alphabet_size: int) -> int:
@@ -403,8 +406,9 @@ def run_aware(stream: Iterable[int], schedule: ThresholdSchedule, spec: GameSpec
     stream is read up to the end of the chunk in which the test stops. A
     schedule built for another size of game raises ShapeError.
     """
-    _check_type("spec", spec, GameSpec)
-    _check_run(schedule, spec.num_hypotheses, spec.alphabet_size, cap, stride)
+    _instance("spec", spec, GameSpec)
+    _check_run(stream, schedule, (spec.num_hypotheses, spec.alphabet_size), cap, stride,
+               record_trajectory)
     # evidence_statistics is looked up at each call, as wrappers put on the module expect
     return _run(stream, schedule, cap, stride, record_trajectory,
                 lambda tallies: evidence_statistics(tallies, spec),
@@ -444,9 +448,7 @@ def run_nonaware(stream: Iterable[int], schedule: ThresholdSchedule,
     does. Trajectory rows carry the two branch statistics. The schedule
     must be built for two hypotheses on two symbols.
     """
-    _check_run(schedule, 2, 2, cap, stride)
-    _check_type("p0", p0, Distribution)
-    _check_type("p1", p1, Distribution)
+    _check_run(stream, schedule, (2, 2), cap, stride, record_trajectory)
     game = _ChannelGame(p0, p1, delta, measure)
     rivals = game.regions[::-1]  # each hypothesis faces its rival's output range
     return _run(stream, schedule, cap, stride, record_trajectory,

@@ -11,6 +11,7 @@ and matches the step-by-step test outcome for outcome.
 from __future__ import annotations
 
 import math
+import os
 from bisect import bisect_right
 from dataclasses import dataclass, fields
 from functools import cached_property
@@ -22,10 +23,10 @@ import numpy as np
 # no run pays for it inside its first replication
 import numpy.random  # noqa: F401
 
-from .divopt import _FEASIBILITY_SLACK, _clamp_divergence
-from .equilibrium import EquilibriumSolution, GameSpec, solve_aware_equilibrium
-from .errors import DomainError, InfeasibleError, ShapeError
-from .prob import Channel, Distribution, _check_integers
+from .divopt import _clamp_divergence
+from .equilibrium import EquilibriumSolution, GameSpec, _outputs_within_budget, solve_aware_equilibrium
+from .errors import DomainError, ShapeError
+from .prob import Channel, Distribution, _check_integers, _floats, _instance, _real
 from .seqtest import TestOutcome, ThresholdSchedule, run_aware
 
 __all__ = [
@@ -67,47 +68,29 @@ class ScenarioConfig:
     true_hypothesis: int | None = None
 
     def __post_init__(self) -> None:
-        grid = tuple(float(a) for a in self.alpha_grid)
+        spec = _instance("spec", self.spec, GameSpec)
+        grid = tuple(_real("alpha", a, 0.0, 1.0, low_open=True)
+                     for a in _floats("alpha_grid", self.alpha_grid).tolist())
         if not grid:
             raise DomainError("alpha_grid must not be empty")
-        if any(not 0.0 < a < 1.0 for a in grid):
-            raise DomainError("alpha values must lie in (0, 1)")
         if len(set(grid)) < len(grid):
             raise DomainError(f"alpha values must be distinct, got {grid}")
         object.__setattr__(self, "alpha_grid", grid)
-        _check_integers(1, replications=self.replications, cap=self.cap, stride=self.stride)
+        _check_integers(1, 2**63, replications=self.replications, cap=self.cap, stride=self.stride)
         _check_integers(seed=self.seed)
-        if not 0.0 < self.zeta < 1.0:
-            raise DomainError(f"zeta must lie in (0, 1), got {self.zeta}")
+        _real("zeta", self.zeta, 0.0, 1.0, low_open=True)
         if self.true_hypothesis is not None:
-            _check_integers(0, self.spec.num_hypotheses, true_hypothesis=self.true_hypothesis)
-        adv = self.adversary
+            _check_integers(0, spec.num_hypotheses, true_hypothesis=self.true_hypothesis)
+        adv = _instance("adversary", self.adversary, (str, Channel, tuple, list))
         if isinstance(adv, str):
             if adv != EQUILIBRIUM_ADVERSARY:
                 raise DomainError(f"unknown adversary marker {adv!r}")
-        elif isinstance(adv, Channel):
-            self._check_channel(adv, range(self.spec.num_hypotheses))
         else:
-            adv = tuple(adv)
-            if len(adv) != self.spec.num_hypotheses:
+            channels = (adv,) * spec.num_hypotheses if isinstance(adv, Channel) else tuple(adv)
+            if len(channels) != spec.num_hypotheses:
                 raise ShapeError("need one adversary channel per hypothesis")
-            for i, ch in enumerate(adv):
-                self._check_channel(ch, (i,))
-            object.__setattr__(self, "adversary", adv)
-
-    def _check_channel(self, channel: Channel, holders) -> None:
-        k = self.spec.alphabet_size
-        if channel.num_inputs != k or channel.num_outputs != k:
-            raise ShapeError(f"adversary channel must be {k}x{k}")
-        for i in holders:
-            p = self.spec.hypotheses[i]
-            out = p.probs @ channel.rows
-            dist = self.spec.measure.evaluate(p.probs, out)
-            if dist > self.spec.delta + _FEASIBILITY_SLACK:
-                raise InfeasibleError(
-                    f"channel distorts hypothesis {i} by {dist:.6g}, "
-                    f"budget {self.spec.delta}"
-                )
+            _outputs_within_budget(spec.hypotheses, channels, spec.delta, spec.measure)
+            object.__setattr__(self, "adversary", adv if isinstance(adv, Channel) else channels)
 
     @cached_property
     def solution(self) -> EquilibriumSolution:
@@ -125,13 +108,13 @@ class ScenarioConfig:
 
     def alpha_index(self, alpha: float) -> int:
         try:
-            return self.alpha_grid.index(float(alpha))
+            return self.alpha_grid.index(_real("alpha", alpha, 0.0, 1.0, low_open=True))
         except ValueError:
             raise DomainError(f"alpha {alpha} is not on the configured grid") from None
 
     def schedule_for(self, alpha: float) -> ThresholdSchedule:
         return ThresholdSchedule(
-            alpha=float(alpha),
+            alpha=alpha,
             num_hypotheses=self.spec.num_hypotheses,
             alphabet_size=self.spec.alphabet_size,
             zeta=self.zeta,
@@ -166,15 +149,19 @@ def sample_through_channel(source: Distribution, channel: Channel,
     integer array from the same uniforms in the same order as `size` single
     draws, and gives the same symbols.
     """
-    cumulative, rows = source.cumulative, channel.cumulative_rows
-    if len(cumulative) != len(rows):
-        raise ShapeError("source alphabet does not match the channel input")
-    if size is None:
-        u0, u1 = rng.random(2).tolist()
-        row = rows[min(bisect_right(cumulative, u0), len(cumulative) - 1)]
-        return min(bisect_right(row, u1), len(row) - 1)
-    _check_integers(size=size)
-    u = rng.random((size, 2))
+    try:  # the arguments' one check: a draw per symbol pays for no other
+        cumulative, rows = source.cumulative, channel.cumulative_rows
+        if len(cumulative) != len(rows):
+            raise ShapeError("source alphabet does not match the channel input")
+        if size is None:
+            u0, u1 = rng.random(2).tolist()
+            row = rows[min(bisect_right(cumulative, u0), len(cumulative) - 1)]
+            return min(bisect_right(row, u1), len(row) - 1)
+        _check_integers(size=size)
+        u = rng.random((size, 2))
+    except AttributeError:
+        raise DomainError("source, channel and rng must be a Distribution, a Channel and a Generator, "
+                          f"got {', '.join(type(v).__name__ for v in (source, channel, rng))}") from None
     x = np.minimum(np.searchsorted(cumulative, u[:, 0], side="right"), len(cumulative) - 1)
     # the running sums never decrease, so counting those <= u1 is the search
     y = (np.asarray(rows)[x] <= u[:, 1:]).sum(axis=1)
@@ -387,7 +374,8 @@ def _run_fast_binary(rng: np.random.Generator, source: Distribution, channel: Ch
 def run_replication(config: ScenarioConfig, alpha: float, hypothesis: int,
                     replication_index: int) -> TestOutcome:
     """One full sequential run, deterministic in its four coordinates."""
-    _check_integers(0, config.spec.num_hypotheses, hypothesis=hypothesis)
+    _check_integers(0, _instance("config", config, ScenarioConfig).spec.num_hypotheses,
+                    hypothesis=hypothesis)
     _check_integers(replication_index=replication_index)
     idx = config.alpha_index(alpha)
     seed_seq = np.random.SeedSequence([config.seed, idx, hypothesis, replication_index])
@@ -446,7 +434,7 @@ def monte_carlo(config: ScenarioConfig) -> SimulationReport:
     exponent, constant across alpha.
     """
     rows = []
-    exponents = config.solution.exponents
+    exponents = _instance("config", config, ScenarioConfig).solution.exponents
     for alpha in config.alpha_grid:
         for hyp in config.simulated_hypotheses():
             times = []
@@ -489,6 +477,7 @@ def alpha_sweep(config: ScenarioConfig, path: str | Path | None = None) -> str:
 
     Writes the text to `path` when given and always returns it.
     """
+    _instance("path", path, (str, os.PathLike, type(None)))
     text = monte_carlo(config).to_csv()
     if path is not None:
         Path(path).write_text(text)

@@ -1,0 +1,259 @@
+"""Every public callable of the package, and the command line's builders,
+returns a result or raises a `SeqGameError` subclass, also when one of its
+arguments has the wrong type; and numpy scalars pass wherever Python ints
+and floats do."""
+
+import math
+import os
+import time
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+import seqgame
+from seqgame import (
+    Channel,
+    ConstructionError,
+    DistortionBall,
+    DistortionMeasure,
+    DomainError,
+    Distribution,
+    GameSpec,
+    ResourceError,
+    ScenarioConfig,
+    SeqGameError,
+    ThresholdSchedule,
+    alpha_sweep,
+    divopt,
+    kl_divergence,
+    min_max_divergence_over_channel,
+    monte_carlo,
+    nonaware_achievable,
+    run_aware,
+    run_replication,
+    sample_through_channel,
+    threshold_constant,
+)
+from seqgame import cli
+from seqgame.prob import _binary_kl
+
+P0, P1 = LAWS = Distribution([0.38, 0.62]), Distribution([0.5, 0.5])
+TV = DistortionMeasure.TV_L1
+SPEC = GameSpec((P0, P1), 0.05, TV)
+BALL = DistortionBall(P0, 0.05, TV)
+SCHEDULE = ThresholdSchedule(0.1, 2, 2)
+EYE = Channel.identity(2)
+CONFIG = ScenarioConfig(SPEC, (0.1,), 2, 0, cap=300)
+RUN_CONFIG = cli.parse_run_config("hypothesis_0 = 0.38, 0.62\nhypothesis_1 = 0.5, 0.5\n"
+                                  "delta = 0.05\nmeasure = tv_l1\nalpha_grid = 0.1\n"
+                                  "replications = 2\nseed = 0\ncap = 300\n")
+GAME = {"p0": P0, "p1": P1, "delta": 0.05, "measure": TV}
+STREAM = [0, 1, 1] * 150
+
+# One valid call of each public callable, as keyword arguments; an error
+# class takes its message.
+VALID = {
+    "Distribution": {"probs": [0.5, 0.5]},
+    "Channel": {"rows": [[0.9, 0.1], [0.2, 0.8]]},
+    "DistortionMeasure": {"value": "kl"},
+    "normalize": {"weights": [1.0, 3.0]},
+    "apply_channel": {"dist": P0, "channel": EYE},
+    "kl_divergence": {"p": P0, "q": [0.5, 0.5]},
+    "binary_kl": {"a": 0.4, "b": 0.5},
+    "bhattacharyya": {"p": [0.38, 0.62], "q": P1},
+    "DistortionBall": {"center": P0, "radius": 0.05, "measure": TV, "floor": 1e-9},
+    "BallMinResult": {"value": 0.0, "argmin": P0, "converged": True, "iterations": 0},
+    "PairMinResult": {"value": 0.0, "argmin_first": P0, "argmin_second": P1, "converged": True,
+                      "iterations": 0},
+    "ChannelMinMaxResult": {"value": 0.0, "channel": EYE, "converged": True, "iterations": 0},
+    "channel_from_output": {"source": P0, "output": P1},
+    "min_divergence_to_ball": {"qhat": [0.3, 0.7], "ball": BALL},
+    "pairwise_min_divergence": {"ball_first": BALL, "ball_second": DistortionBall(P1, 0.05, TV)},
+    "min_max_divergence_over_channel": {"qhat": [0.45, 0.55], **GAME, "floor": 1e-9},
+    "min_divergence_over_common_channels": {"qhat": [0.45, 0.55], "target": 1, **GAME,
+                                            "floor": 1e-9},
+    "GameSpec": {"hypotheses": (P0, P1), "delta": 0.05, "measure": TV, "weights": (1.0, 2.0),
+                 "support_floor": 1e-9},
+    "EquilibriumSolution": {"q_star": (P0, P1), "divergence_matrix": np.zeros((2, 2)),
+                            "exponents": np.zeros(2), "payoff": 0.0, "witness_channels": (EYE, EYE),
+                            "converged": True},
+    "NonAwareBounds": {"achievable": 0.0, "converse": 0.0, "channel": EYE},
+    "solve_aware_equilibrium": {"spec": SPEC},
+    "equilibrium_payoff": {"exponents": [0.1, 0.2], "weights": [1.0, 2.0]},
+    "nonaware_achievable": {**GAME, "channel": EYE, "weight": 1.0},
+    "nonaware_converse": {**GAME, "channel": EYE, "weight": 1.0},
+    "solve_nonaware_adversary": {**GAME, "weight": 1.0, "num_starts": 1},
+    "threshold_constant": {"zeta": 0.85, "abs_tol": 1e-9},
+    "ThresholdSchedule": {"alpha": 0.1, "num_hypotheses": 2, "alphabet_size": 2, "zeta": 0.85},
+    "TestOutcome": {"stopping_time": 5, "decision": 0, "timed_out": False, "trajectory": None},
+    "TrajectoryRow": {"step": 5, "threshold": 1.0, "statistics": (0.0, 0.0), "stopped": False,
+                      "decision": None},
+    "evidence_statistics": {"counts": [3, 5], "spec": SPEC},
+    "run_aware": {"stream": STREAM, "schedule": SCHEDULE, "spec": SPEC, "cap": 400, "stride": 1,
+                  "record_trajectory": False},
+    "run_nonaware": {"stream": STREAM, "schedule": SCHEDULE, **GAME, "cap": 400, "stride": 1,
+                     "record_trajectory": False},
+    "ScenarioConfig": {"spec": SPEC, "alpha_grid": (0.1,), "replications": 2, "seed": 0,
+                       "adversary": "equilibrium", "cap": 300, "stride": 1, "zeta": 0.85,
+                       "true_hypothesis": None},
+    "ReportRow": {"alpha": 0.1, "log_inv_alpha": 2.3, "hypothesis": 0, "mean_T": 1.0,
+                  "std_T": 0.0, "stderr_T": 0.0, "payoff_estimate": 1.0,
+                  "theoretical_exponent": 1.0, "error_rate": 0.0, "timeouts": 0,
+                  "replications": 1},
+    "SimulationReport": {"rows": ()},
+    "sample_through_channel": {"source": P0, "channel": EYE, "rng": np.random.default_rng(0),
+                               "size": None},
+    "run_replication": {"config": CONFIG, "alpha": 0.1, "hypothesis": 1, "replication_index": 0},
+    "monte_carlo": {"config": CONFIG},
+    "alpha_sweep": {"config": CONFIG, "path": None},
+    "cli.build_game_spec": {"config": RUN_CONFIG},
+    "cli.build_scenario": {"config": RUN_CONFIG, "seed_override": None},
+}
+ERRORS = list(seqgame.errors.__all__)
+CALLABLES = sorted([*VALID, *ERRORS])
+
+
+def _call(name: str, kwargs: dict):
+    fn = getattr(cli, name[4:]) if name.startswith("cli.") else getattr(seqgame, name)
+    return fn(*kwargs.values()) if name in ERRORS else fn(**kwargs)
+
+
+def test_every_public_callable_has_a_valid_call():
+    public = [name for name in seqgame.__all__ if callable(getattr(seqgame, name))]
+    builders = [f"cli.{name}" for name in cli.__all__ if name.startswith("build_")]
+    assert sorted([*public, *builders]) == CALLABLES
+    for name in VALID:
+        _call(name, VALID[name])
+
+
+# Lists hold floats of moderate size: sums of entries near 1e308 overflow,
+# which is a matter of range, not of type.
+WRONG = st.one_of(
+    st.sampled_from([None, "abc", "", True, False, math.nan, [], [0.5], [None, 1.0], ["x", "y"],
+                     [[1.0], [1.0, 2.0]], np.zeros((2, 3)), np.zeros(0), np.zeros((1, 1, 1)),
+                     np.float64(math.nan), np.True_]),
+    st.text(max_size=3),
+    st.lists(st.one_of(st.none(), st.booleans(), st.floats(-10.0, 10.0), st.just(math.nan),
+                       st.text(max_size=2)), max_size=3),
+)
+
+
+@pytest.fixture(scope="module")
+def in_a_temporary_dir(tmp_path_factory):
+    """A path given as a string is written relative to the working directory."""
+    here = os.getcwd()
+    os.chdir(tmp_path_factory.mktemp("paths"))
+    yield
+    os.chdir(here)
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@pytest.mark.parametrize("name", CALLABLES)
+@given(data=st.data())
+def test_a_wrong_typed_argument_returns_or_raises_a_typed_error(in_a_temporary_dir, name, data):
+    kwargs = dict(VALID.get(name, {"message": "text"}))
+    key = data.draw(st.sampled_from(sorted(kwargs)), label="argument")
+    wrong = data.draw(WRONG, label="value")
+    # a string names a file to write: a wrong one is an I/O error, not a wrong type
+    assume(not (name == "alpha_sweep" and key == "path" and isinstance(wrong, str)))
+    kwargs[key] = wrong
+    start = time.perf_counter()
+    try:
+        _call(name, kwargs)
+    except SeqGameError:
+        pass
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("case", [
+    "spec, delta and measure swapped", "spec, laws as lists", "spec, measure as a string",
+    "distribution of a string", "schedule, alpha a string", "constant, zeta a list",
+    "scenario, bare alpha", "scenario, no spec", "achievable, no channel",
+    "min-max, laws as lists", "sample, source a list", "monte carlo, no config",
+])
+def test_named_wrong_calls_raise_typed_errors(case):
+    calls = {
+        "spec, delta and measure swapped": lambda: GameSpec(LAWS, TV, 0.05),
+        "spec, laws as lists": lambda: GameSpec(([0.38, 0.62], [0.5, 0.5]), 0.05, TV),
+        # "tv_l1" used to solve the KL game: every measure but TV_L1 read as KL
+        "spec, measure as a string": lambda: GameSpec(LAWS, 0.001, "tv_l1"),
+        "distribution of a string": lambda: Distribution("ab"),
+        "schedule, alpha a string": lambda: ThresholdSchedule("x", 2, 2),
+        "constant, zeta a list": lambda: threshold_constant([0.5]),
+        "scenario, bare alpha": lambda: ScenarioConfig(SPEC, 0.1, 2, 0),
+        # used to build, and fail at the first replication
+        "scenario, no spec": lambda: ScenarioConfig(None, (0.1,), 2, 0),
+        "achievable, no channel": lambda: nonaware_achievable(*LAWS, None, 0.05, TV),
+        "min-max, laws as lists": lambda: min_max_divergence_over_channel(
+            [0.44, 0.56], [0.38, 0.62], [0.5, 0.5], 0.05, TV),
+        "sample, source a list": lambda: sample_through_channel(
+            [0.38, 0.62], EYE, np.random.default_rng(0)),
+        "monte carlo, no config": lambda: monte_carlo(None),
+    }
+    with pytest.raises(SeqGameError):
+        calls[case]()
+
+
+def test_a_string_for_a_law_is_a_construction_error():
+    """These used to raise numpy's ValueError."""
+    for call in (lambda: Distribution("ab"), lambda: kl_divergence("ab", P1)):
+        with pytest.raises(ConstructionError):
+            call()
+
+
+def test_threshold_constant_keeps_its_cache():
+    """The value is cached per converted (zeta, abs_tol), an unhashable
+    argument is a typed error, and `cache_info` counts the calls."""
+    before = threshold_constant.cache_info()
+    assert threshold_constant(np.float64(0.85)) == threshold_constant(0.85, 1e-9)
+    after = threshold_constant.cache_info()
+    assert after.hits + after.misses == before.hits + before.misses + 2
+    with pytest.raises(DomainError):
+        threshold_constant(np.array([0.5, 0.6]))
+
+
+# ---------------------------------------------------------------------------
+# numpy scalars pass where Python ints and floats do
+
+
+@pytest.mark.parametrize("real", [np.float64, np.float32], ids=["float64", "float32"])
+@pytest.mark.parametrize("integer", [np.int64, np.int32], ids=["int64", "int32"])
+def test_numpy_scalars_stay_accepted(real, integer):
+    spec = GameSpec(LAWS, real(0.05), TV, weights=(real(1.0), integer(2)))
+    assert spec.delta == float(real(0.05)) and spec.weights == (1.0, 2.0)
+    schedule = ThresholdSchedule(real(0.1), integer(2), integer(2), real(0.85))
+    assert schedule.value(10) == ThresholdSchedule(float(real(0.1)), 2, 2,
+                                                   float(real(0.85))).value(10)
+    config = ScenarioConfig(spec, (real(0.1), 0.05), integer(2), integer(0), cap=integer(300),
+                            stride=integer(2), zeta=real(0.85), true_hypothesis=integer(1))
+    assert config.alpha_grid == (float(real(0.1)), 0.05)
+    plain = ScenarioConfig(GameSpec(LAWS, float(real(0.05)), TV, weights=(1.0, 2.0)),
+                           (float(real(0.1)), 0.05), 2, 0, cap=300, stride=2,
+                           zeta=float(real(0.85)), true_hypothesis=1)
+    assert (run_replication(config, real(0.1), integer(1), integer(1))
+            == run_replication(plain, float(real(0.1)), 1, 1))
+    assert alpha_sweep(config) == alpha_sweep(plain)
+    out = run_aware(STREAM, SCHEDULE, SPEC, cap=integer(400), stride=integer(3))
+    assert out == run_aware(STREAM, SCHEDULE, SPEC, cap=400, stride=3)
+
+
+# ---------------------------------------------------------------------------
+# The edge of a binary KL ball
+
+
+def test_kl_ball_edge_reaches_adjacent_floats_far_from_the_center():
+    """D(0.5 || t) = 100 at t of about 3.5e-88, some 340 halvings from 0.5:
+    the edge is the last float inside the budget, where 200 halvings left
+    it at 3.11e-61 with D = 68.97."""
+    lo, _ = DistortionBall(Distribution([0.5, 0.5]), 100.0, DistortionMeasure.KL,
+                           floor=0.0).interval
+    assert 3.4e-88 < lo < 3.6e-88
+    assert _binary_kl(0.5, lo) <= 100.0 < _binary_kl(0.5, math.nextafter(lo, 0.0))
+
+
+def test_kl_ball_edge_past_its_cap_is_a_resource_error(monkeypatch):
+    monkeypatch.setattr(divopt, "_EDGE_CAP", 10)
+    with pytest.raises(ResourceError):
+        DistortionBall(Distribution([0.5, 0.5]), 0.01, DistortionMeasure.KL).interval

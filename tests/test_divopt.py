@@ -66,11 +66,13 @@ def _clamps(draw):
 @given(_clamps())
 def test_clamp_divergence_is_binary_kl_bit_for_bit(case):
     """The vector clamp divergence and the scalar one both take their logs
-    from np.log, one on arrays and the other on single values."""
+    from np.log, one on arrays and the other on single values. The vector
+    form also takes scalar points."""
     lo, hi, points = case
-    got = _clamp_divergence(np.array(points), lo, hi)
     want = np.array([_binary_kl(t, min(max(t, lo), hi)) for t in points])
-    assert np.array_equal(got.view(np.int64), want.view(np.int64)), (got, want)
+    for got in (_clamp_divergence(np.array(points), lo, hi),
+                np.array([_clamp_divergence(t, lo, hi) for t in points])):
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), (got, want)
 
 
 def test_lambertw_exp_within_4_ulps():
