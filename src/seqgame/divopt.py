@@ -84,7 +84,7 @@ def _clamp_divergence(t: np.ndarray, lo, hi) -> np.ndarray:
     tc, s = np.minimum(np.maximum(t, lo), hi), 1.0 - t
     # where the clamp is exact the terms are zero, or 0/0 at t = 0 or 1;
     # the log skips those, and fmax makes any rounding below zero exactly zero
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # over: t near +-1e308
         val = _xlogy(t, t / tc) + _xlogy(s, s / (1.0 - tc))
     return np.fmax(val, 0.0, out=val if isinstance(val, np.ndarray) else None)
 
@@ -121,7 +121,9 @@ class DistortionBall:
         return self.measure.evaluate(self.center, point)
 
     def contains(self, point, slack: float = _FEASIBILITY_SLACK) -> bool:
-        return bool(_inside(_law("point", point, self.size), self.center.probs, self, slack))
+        point, slack = _law("point", point, self.size), _real("slack", slack)
+        with np.errstate(over="ignore"):  # a point of huge entries is far outside, not an error
+            return bool(_inside(point, self.center.probs, self, slack))
 
     @cached_property
     def interval(self) -> tuple[float, float]:
@@ -601,8 +603,6 @@ def pairwise_min_divergence(ball_first: DistortionBall, ball_second: DistortionB
 class ChannelMinMaxResult:
     value: float
     channel: Channel
-    converged: bool
-    iterations: int
 
 
 class _CommonChannelSet:
@@ -680,7 +680,7 @@ class _ChannelGame:
         region = self.regions[target]
         x = min(max(t, region.x_lo), region.x_hi)
         s, _ = region.best_y(x, t)
-        return ChannelMinMaxResult(_binary_kl(t, x), region.channel(x, s), True, 0)
+        return ChannelMinMaxResult(_binary_kl(t, x), region.channel(x, s))
 
     def minmax(self, t: float) -> ChannelMinMaxResult:
         """min over feasible channels of the larger branch divergence: the
@@ -737,7 +737,8 @@ def min_max_divergence_over_channel(qhat, p0: Distribution, p1: Distribution, de
     in I1 and in J, so the slice starts at or below x* and ends at or above
     min J. It meets J, which holds t. Larger alphabets raise ShapeError.
     """
-    return _ChannelGame(p0, p1, delta, measure, floor).minmax(float(_law("qhat", qhat, 2)[0]))
+    with np.errstate(over="ignore"):  # inf for a first entry near -1e308, not a warning
+        return _ChannelGame(p0, p1, delta, measure, floor).minmax(float(_law("qhat", qhat, 2)[0]))
 
 
 def min_divergence_over_common_channels(qhat, target: int, p0: Distribution, p1: Distribution,
@@ -750,4 +751,5 @@ def min_divergence_over_common_channels(qhat, target: int, p0: Distribution, p1:
     than its own ball.
     """
     _check_integers(0, 2, target=target)
-    return _ChannelGame(p0, p1, delta, measure, floor).single(float(_law("qhat", qhat, 2)[0]), target)
+    with np.errstate(over="ignore"):  # inf for a first entry near -1e308, not a warning
+        return _ChannelGame(p0, p1, delta, measure, floor).single(float(_law("qhat", qhat, 2)[0]), target)

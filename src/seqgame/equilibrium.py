@@ -179,7 +179,8 @@ def equilibrium_payoff(exponents, weights) -> float:
         raise ShapeError("exponents and weights must have matching lengths")
     for value in w.tolist():
         _real("weights", value, low_open=True)
-    return float(np.dot(e, w))
+    with np.errstate(over="ignore"):  # inf for exponents near 1e308, not a warning
+        return float(np.dot(e, w))
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConstructionError, DomainError, ShapeError
+from .errors import ConstructionError, DomainError, ResourceError, ShapeError
 
 __all__ = [
     "Distribution",
@@ -27,8 +27,6 @@ __all__ = [
     "bhattacharyya",
 ]
 
-# A freshly normalized vector should sum to 1 up to accumulated rounding.
-_SUM_ATOL = 1e-12
 # Inputs to the Distribution constructor may be off by more before we reject.
 _INPUT_SUM_ATOL = 1e-9
 
@@ -46,13 +44,16 @@ def _floats(name: str, values, ndim: int = 1) -> np.ndarray:
 
 def _law(name: str, value, size: int | None = None) -> np.ndarray:
     """A Distribution's probabilities, or value as a `_floats` vector of at
-    least one entry, all finite; ShapeError unless it has `size` entries."""
+    least one entry, with a finite sum (so all finite); ShapeError unless it
+    has `size` entries."""
     if isinstance(value, Distribution):
         arr = value.probs
     else:
         arr = _floats(name, value)
-        if arr.size == 0 or not np.all(np.isfinite(arr)):
-            raise ConstructionError(f"{name} must have at least one entry, all finite")
+        with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN, not a warning
+            total = arr.sum()
+        if arr.size == 0 or not np.isfinite(total):
+            raise ConstructionError(f"{name} must have at least one entry, all finite, with a finite sum")
     if size is not None and arr.size != size:
         raise ShapeError(f"{name} has {arr.size} entries, expected {size}")
     return arr
@@ -122,10 +123,10 @@ class Distribution:
 
     def is_fully_supported(self, floor: float = 1e-9) -> bool:
         """True when every symbol carries at least `floor` mass."""
-        return bool(np.all(self.probs >= floor))
+        return bool(np.all(self.probs >= _real("floor", floor)))
 
     def allclose(self, other: "Distribution | np.ndarray", atol: float = 1e-12) -> bool:
-        return bool(np.allclose(self.probs, _law("other", other, self.size), rtol=0.0, atol=atol))
+        return bool(np.allclose(self.probs, _law("other", other, self.size), rtol=0.0, atol=_real("atol", atol)))
 
     def __iter__(self):
         return iter(self.probs)
@@ -146,11 +147,12 @@ class Channel:
 
     def __post_init__(self) -> None:
         arr = _floats("channel matrix", self.rows, 2)
-        if not np.all(np.isfinite(arr)):
-            raise ConstructionError("channel matrix contains non-finite entries")
+        with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN, not a warning
+            sums = arr.sum(axis=1)
+        if not np.all(np.isfinite(sums)):
+            raise ConstructionError("channel rows must have finite entries and finite sums")
         if np.any(arr < 0):
             raise ConstructionError("channel entries must be nonnegative")
-        sums = arr.sum(axis=1)
         if np.any(np.abs(sums - 1.0) > _INPUT_SUM_ATOL):
             raise ConstructionError("every channel row must sum to 1")
         arr = arr / sums[:, None]
@@ -172,7 +174,11 @@ class Channel:
 
     @classmethod
     def identity(cls, size: int) -> "Channel":
-        return cls(np.eye(size))
+        _check_integers(1, size=size)
+        try:
+            return cls(np.eye(size))
+        except (ValueError, MemoryError):  # numpy's "array is too big", or no memory for it
+            raise ResourceError(f"an identity channel of size {size} does not fit in memory") from None
 
     def __repr__(self) -> str:
         return f"Channel({self.rows.tolist()!r})"
@@ -198,9 +204,8 @@ class DistortionMeasure(enum.Enum, metaclass=_MeasureLookup):
         """Distortion d(original, perturbed); KL reads D(original || perturbed)."""
         p = _law("original", original)
         q = _law("perturbed", perturbed, p.size)
-        if self is DistortionMeasure.TV_L1:
-            return float(np.abs(p - q).sum())
-        return _kl_arrays(p, q)
+        with np.errstate(over="ignore"):  # huge entries are infinitely far apart
+            return float(np.abs(p - q).sum()) if self is DistortionMeasure.TV_L1 else _kl_arrays(p, q)
 
 
 def normalize(weights) -> Distribution:
@@ -210,8 +215,8 @@ def normalize(weights) -> Distribution:
     """
     arr = _law("weights", weights)
     total = arr.sum()
-    if total <= 0.0:
-        raise ConstructionError("weights must have positive total mass")
+    if total <= 0.0 or np.any(arr < 0.0):  # so that no entry over the total overflows
+        raise ConstructionError("weights must be nonnegative with positive total mass")
     return Distribution(arr / total)
 
 
@@ -232,7 +237,8 @@ def _kl_arrays(p: np.ndarray, q: np.ndarray) -> float:
     if np.any(q[support] <= 0.0):
         return math.inf
     ps = p[support]
-    return float(np.dot(ps, np.log(ps) - np.log(q[support])))
+    with np.errstate(over="ignore"):  # inf for entries near 1e308, not a warning
+        return float(np.dot(ps, np.log(ps) - np.log(q[support])))
 
 
 def _kl_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -284,4 +290,4 @@ def bhattacharyya(p, q) -> float:
     if np.any(parr <= 0.0) or np.any(qarr <= 0.0):
         raise DomainError("bhattacharyya requires strictly positive entries")
     coeff = float(np.sqrt(parr * qarr).sum())
-    return -math.log(coeff)
+    return -math.log(coeff) if coeff > 0.0 else math.inf  # every product underflowed

@@ -28,7 +28,7 @@ from .errors import (
     ShapeError,
     StreamExhaustedError,
 )
-from .prob import Distribution, DistortionMeasure, _binary_kl, _check_integers, _instance, _real
+from .prob import Distribution, DistortionMeasure, _binary_kl, _check_integers, _floats, _instance, _real
 
 __all__ = [
     "threshold_constant",
@@ -40,7 +40,8 @@ __all__ = [
     "run_nonaware",
 ]
 
-_MAX_TERMS = 1 << 30
+# Terms of `threshold_constant`'s partial sum; the tail bracket past them is <= 1.2e-13.
+_TERMS = 1 << 10
 # Most terms of the series or the continued fraction of `_gamma_q`.
 _GAMMA_TERMS = 10_000
 
@@ -119,42 +120,27 @@ def _tail_bracket(n: int, s: float) -> tuple[float, float]:
     return upper + f3 / 720.0, upper
 
 
-def threshold_constant(zeta: float, abs_tol: float = 1e-9) -> float:
-    """Sum of exp(-n^(1-zeta)) over n >= 1, certified to within abs_tol.
+def threshold_constant(zeta: float) -> float:
+    """Sum of exp(-n^(1-zeta)) over n >= 1.
 
-    A partial sum of N terms plus the Euler-Maclaurin bracket on the tail
-    of `_tail_bracket`, which is -f3(N + 1)/720 wide. N starts at 1,024
-    and doubles until the bracket is tighter than abs_tol, and the bracket
-    midpoint is taken. The certificate covers the truncation only: float
-    rounding in the partial sum and in the incomplete gamma function,
-    about 1e-15 of the value, lies outside it. The terms are numpy's
-    `exp`; Gamma and Q of the tail are `math.lgamma` and `_gamma_q`. The
-    value is cached per (zeta, abs_tol), and `cache_info` reports the cache.
+    A partial sum of 1,024 terms plus the midpoint of the Euler-Maclaurin
+    bracket on the tail of `_tail_bracket`, -f3(1025)/720 wide: at most
+    1.2e-13 for every zeta the tail accepts (up to about 0.9942). Float
+    rounding in the partial sum and in the incomplete gamma function adds
+    about 1e-15 of the value. The terms are numpy's `exp`; Gamma and Q of
+    the tail are `math.lgamma` and `_gamma_q`. The value is cached per
+    zeta, and `cache_info` reports the cache.
     """
-    return _threshold_constant(_real("zeta", zeta, 0.0, 1.0, low_open=True),
-                               _real("abs_tol", abs_tol, low_open=True))
+    return _threshold_constant(_real("zeta", zeta, 0.0, 1.0, low_open=True))
 
 
 @lru_cache(maxsize=None)
-def _threshold_constant(zeta: float, abs_tol: float) -> float:
-    s = 1.0 - zeta
-    chunk_sums: list[float] = []
-    covered = 0
-    target = 1 << 10
-    while True:
-        while covered < target:
-            stop = min(covered + (1 << 20), target)
-            grid = np.arange(covered + 1, stop + 1, dtype=float)
-            chunk_sums.append(math.fsum(np.exp(-(grid**s))))
-            covered = stop
-        lower, upper = _tail_bracket(covered, s)
-        if upper - lower <= abs_tol:
-            return math.fsum(chunk_sums) + 0.5 * (lower + upper)
-        if target >= _MAX_TERMS:
-            raise ResourceError(
-                f"tail bracket still {upper - lower:.3e} wide after {target} terms"
-            )
-        target <<= 1
+def _threshold_constant(zeta: float) -> float:
+    lower, upper = _tail_bracket(_TERMS, 1.0 - zeta)
+    if upper - lower > 1e-12:
+        raise ResourceError(f"tail bracket {upper - lower:.3e} wide after {_TERMS} terms")
+    grid = np.arange(1, _TERMS + 1, dtype=float)
+    return math.fsum(np.exp(-(grid ** (1.0 - zeta)))) + 0.5 * (lower + upper)
 
 
 threshold_constant.cache_info = _threshold_constant.cache_info
@@ -186,10 +172,13 @@ class ThresholdSchedule:
         object.__setattr__(self, "_log_rivals", math.log(self.num_hypotheses - 1.0))
 
     def value(self, n: int) -> float:
-        if n < 1:
-            raise DomainError(f"threshold is defined for n >= 1, got {n}")
-        extra = self.alphabet_size * math.log(n + 1.0) + self._log_rivals
-        return self._log_ratio / n + n ** (-self.zeta) + extra / n
+        try:  # no check ahead of the arithmetic, which runs once per evaluated step
+            if not n >= 1:
+                raise DomainError(f"threshold is defined for n >= 1, got {n!r}")
+            extra = self.alphabet_size * math.log(n + 1.0) + self._log_rivals
+            return self._log_ratio / n + n ** (-self.zeta) + extra / n
+        except (TypeError, ValueError, OverflowError):  # not a number, an array, or beyond floats
+            raise DomainError(f"n must be a number >= 1, got {n!r:.80}") from None
 
     def at(self, steps) -> np.ndarray:
         """Thresholds at the given steps, equal to value(n) at each, bit for bit.
@@ -198,8 +187,8 @@ class ThresholdSchedule:
         calls `value` makes, since numpy's may differ in the last bit; the
         rest of the formula runs in numpy in the same order as `value`.
         """
-        n = np.asarray(steps, dtype=float).ravel()
-        if n.size and n.min() < 1.0:
+        n = _floats("steps", steps)
+        if n.size and not n.min() >= 1.0:
             raise DomainError(f"threshold is defined for n >= 1, got {n.min():g}")
         logs = np.fromiter(map(math.log, (n + 1.0).tolist()), float, n.size)
         powers = np.fromiter(map(pow, n.tolist(), repeat(-self.zeta)), float, n.size)
@@ -258,11 +247,15 @@ def evidence_statistics(counts: np.ndarray, spec: GameSpec) -> np.ndarray:
         raise ShapeError(f"counts must be K or R x K with K = {size}, got shape {arr.shape}")
     rows = np.atleast_2d(arr)
     kind = rows.dtype.kind
-    whole = kind in "iu" or (kind in "fb" and np.isfinite(rows).all()
+    whole = kind in "iu" or (kind in "fb" and (rows <= 2.0**53).all()
                              and np.allclose(rows, np.round(rows)))
     if not whole or np.any(rows < 0):
         raise ConstructionError("counts must be nonnegative integers")
-    if not rows.sum(axis=1).all():
+    # float totals: no int64 wraparound, and no overflow from counts of at most 2^53
+    totals = rows.sum(axis=1, dtype=float)
+    if totals.max(initial=0.0) > 2.0**53:
+        raise ConstructionError("each row of counts must total at most 2^53")
+    if not totals.all():
         raise EmptySequenceError("cannot form an empirical distribution from zero samples")
     dists = _ball_reach(_shares(rows), spec.balls)[1].reshape(spec.num_hypotheses, -1).T
     order = np.argsort(dists, axis=1, kind="stable")

@@ -25,7 +25,7 @@ import numpy.random  # noqa: F401
 
 from .divopt import _clamp_divergence
 from .equilibrium import EquilibriumSolution, GameSpec, _outputs_within_budget, solve_aware_equilibrium
-from .errors import DomainError, ShapeError
+from .errors import DomainError, ResourceError, ShapeError
 from .prob import Channel, Distribution, _check_integers, _floats, _instance, _real
 from .seqtest import TestOutcome, ThresholdSchedule, run_aware
 
@@ -157,11 +157,13 @@ def sample_through_channel(source: Distribution, channel: Channel,
             u0, u1 = rng.random(2).tolist()
             row = rows[min(bisect_right(cumulative, u0), len(cumulative) - 1)]
             return min(bisect_right(row, u1), len(row) - 1)
-        _check_integers(size=size)
+        _check_integers(0, 2**63, size=size)
         u = rng.random((size, 2))
     except AttributeError:
         raise DomainError("source, channel and rng must be a Distribution, a Channel and a Generator, "
                           f"got {', '.join(type(v).__name__ for v in (source, channel, rng))}") from None
+    except (ValueError, MemoryError):  # numpy's "array is too big", or no memory for the draw
+        raise ResourceError(f"{size} draws do not fit in memory") from None
     x = np.minimum(np.searchsorted(cumulative, u[:, 0], side="right"), len(cumulative) - 1)
     # the running sums never decrease, so counting those <= u1 is the search
     y = (np.asarray(rows)[x] <= u[:, 1:]).sum(axis=1)
@@ -178,39 +180,36 @@ def _channel_stream(source: Distribution, channel: Channel,
         size = min(2 * size, _BLOCK)
 
 
-def _last_true(holds, steps: np.ndarray, guess: np.ndarray | None = None) -> np.ndarray:
+def _last_true(holds, steps: np.ndarray) -> np.ndarray:
     """For each n in the 2-D array `steps`, the largest c in [-1, n] where
     holds(c, i) is true, i being the flat positions in `steps` of the
     entries probed, or a full slice when every entry is; holds must be true
     then false over c = 0..n, and c = -1 counts as true and c = n + 1 as
     false.
 
-    Exact answers at every _KNOT_SPACING-th column, interpolated along each
-    row, give every entry a guess g; `guess`, when given, serves the knots
-    the same way, and without one they bisect. Most answers are g or g + 1:
-    a probe at g + 1, then one step from it the way it points, settles
-    both. Each other entry gallops on in doubling steps until it brackets
-    its answer, then bisects, and only the entries still open are probed.
-    A poor guess costs passes, never exactness.
+    Rows at most _KNOT_SPACING wide bisect. In wider rows, exact answers at
+    every _KNOT_SPACING-th column, interpolated along each row, give every
+    entry a guess g. Most answers are g or g + 1: a probe at g + 1, then one
+    step from it the way it points, settles both. Each other entry gallops
+    on in doubling steps until it brackets its answer, then bisects, and
+    only the entries still open are probed. A poor guess costs passes,
+    never exactness.
     """
     width = steps.shape[1]
-    if width > _KNOT_SPACING:
-        knots = np.unique(np.r_[np.arange(0, width, _KNOT_SPACING), width - 1])
-        flat = (np.arange(steps.shape[0])[:, None] * width + knots).ravel()
-        exact = _last_true(lambda c, i: holds(c, flat[i]), steps[:, knots],
-                           None if guess is None else guess[:, knots])
-        cols = np.arange(width)
-        guess = np.floor([np.interp(cols, knots, row) for row in exact]).astype(np.int64)
     n = steps.ravel()
     top = int(n.max(initial=0)) + 1
     a, b, found = np.full(n.size, -1), n + 1, np.empty(n.size, dtype=np.int64)
-    if guess is None:
-        # a reach as wide as any bracket makes every probe a midpoint
-        up, reach = np.ones(n.size, dtype=bool), top
-    else:
+    if width > _KNOT_SPACING:
+        knots = np.unique(np.r_[np.arange(0, width, _KNOT_SPACING), width - 1])
+        flat = (np.arange(steps.shape[0])[:, None] * width + knots).ravel()
+        exact = _last_true(lambda c, i: holds(c, flat[i]), steps[:, knots])
+        guess = np.floor([np.interp(np.arange(width), knots, row) for row in exact]).astype(np.int64)
         c = np.clip(guess.ravel() + 1, 0, n)
         up = holds(c, slice(None))
         a, b, reach = np.where(up, c, a), np.where(up, b, c), 1
+    else:
+        # a reach as wide as any bracket makes every probe a midpoint
+        up, reach = np.ones(n.size, dtype=bool), top
     idx = np.arange(n.size)
     while True:
         done = b - a == 1
@@ -228,9 +227,8 @@ def _last_true(holds, steps: np.ndarray, guess: np.ndarray | None = None) -> np.
 
 
 def _count_boundaries(schedule: ThresholdSchedule,
-                      intervals: tuple[tuple[float, float], ...], steps: np.ndarray,
-                      seed: tuple[int, np.ndarray, np.ndarray] | None = None,
-                      ) -> tuple[np.ndarray, np.ndarray]:
+                      intervals: tuple[tuple[float, float], ...],
+                      steps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Stopping boundaries on the count of zeros at the given steps.
 
     With two symbols the statistic at step n depends only on the count c of
@@ -242,16 +240,10 @@ def _count_boundaries(schedule: ThresholdSchedule,
     divergence against ThresholdSchedule.value(n) (which `at` gives bit for
     bit), so the boundaries decide exactly as evaluating it at every count
     would. Row 2j searches lower[j] and row 2j + 1 searches upper[j] - 1.
-
-    `seed` holds the boundaries (n0, lower, upper) at an earlier step. Near
-    an interval end e the divergence grows as (t - e)^2, so each boundary
-    fraction keeps its distance to e in proportion to sqrt(gamma(n)); that
-    guess seeds the knots of the search and moves no boundary.
     """
     rows = 2 * len(intervals)
-    thresholds = schedule.at(steps)
     n = np.tile(steps, rows)
-    gamma = np.tile(thresholds, rows)
+    gamma = np.tile(schedule.at(steps), rows)
     lo, hi = (np.repeat(ends, 2 * steps.size) for ends in zip(*intervals))
     side_low = np.tile(np.repeat([True, False], steps.size), len(intervals))
 
@@ -261,22 +253,14 @@ def _count_boundaries(schedule: ThresholdSchedule,
         return np.where(side_low[i], (t < lo[i]) & (d >= gamma[i]),
                         (t <= hi[i]) | (d < gamma[i]))
 
-    guess = None
-    if seed is not None:
-        n0, lower0, upper0 = seed
-        ends = np.ravel(intervals)[:, None]
-        start = (np.column_stack([lower0, upper0 - 1]).ravel()[:, None] + 0.5) / n0
-        ratio = np.sqrt(thresholds / schedule.value(n0))
-        guess = np.floor(steps * (ends + (start - ends) * ratio)).astype(np.int64)
-    found = _last_true(holds, n.reshape(rows, steps.size), guess)
+    found = _last_true(holds, n.reshape(rows, steps.size))
     return found[0::2], found[1::2] + 1
 
 
 class _BoundaryTable:
     """The count boundaries of one alpha at the steps the test evaluates
     (multiples of the stride, and the cap), one entry per engine block,
-    computed when a replication first reaches that block. Each block seeds
-    its search with the last boundaries of the block before it."""
+    computed when a replication first reaches that block."""
 
     def __init__(self, schedule: ThresholdSchedule,
                  intervals: tuple[tuple[float, float], ...], cap: int, stride: int) -> None:
@@ -309,12 +293,8 @@ class _BoundaryTable:
             if last == self.cap and self.cap % self.stride:
                 steps = np.append(steps, self.cap)
                 pick = steps - first
-            seed = None
-            if self.blocks and self.blocks[-1][0].size:
-                before, lower, upper = self.blocks[-1][:3]
-                seed = (first - _BLOCK + int(before[-1]), lower[:, -1], upper[:, -1])
             lower, upper = (b.astype(self.dtype) for b in
-                            _count_boundaries(self.schedule, self.intervals, steps, seed))
+                            _count_boundaries(self.schedule, self.intervals, steps))
             j, k = np.triu_indices(len(lower), 1)
             self.blocks.append((steps - first, lower, upper, np.maximum(lower[j], lower[k]),
                                 np.minimum(upper[j], upper[k]), pick))

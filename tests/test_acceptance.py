@@ -244,7 +244,7 @@ def test_criterion_05_type_concentration():
 
 
 def test_criterion_06_threshold_constant_and_formula():
-    got = threshold_constant(0.85, 1e-6)
+    got = threshold_constant(0.85)
     const_gap = abs(got - C_ORACLE)
     formula_gap = 0.0
     for alpha, m, k in ((0.05, 2, 2), (0.01, 3, 4), (0.2, 5, 3)):

@@ -1,11 +1,12 @@
-"""Every public callable of the package, and the command line's builders,
-returns a result or raises a `SeqGameError` subclass, also when one of its
-arguments has the wrong type; and numpy scalars pass wherever Python ints
-and floats do."""
+"""Every public callable of the package, every public method of its
+classes, and the command line's builders, returns a result or raises a
+`SeqGameError` subclass, also when one of its arguments has the wrong type;
+and numpy scalars pass wherever Python ints and floats do."""
 
 import math
 import os
 import time
+import types
 
 import numpy as np
 import pytest
@@ -24,9 +25,11 @@ from seqgame import (
     ResourceError,
     ScenarioConfig,
     SeqGameError,
+    SimulationReport,
     ThresholdSchedule,
     alpha_sweep,
     divopt,
+    evidence_statistics,
     kl_divergence,
     min_max_divergence_over_channel,
     monte_carlo,
@@ -67,7 +70,7 @@ VALID = {
     "BallMinResult": {"value": 0.0, "argmin": P0, "converged": True, "iterations": 0},
     "PairMinResult": {"value": 0.0, "argmin_first": P0, "argmin_second": P1, "converged": True,
                       "iterations": 0},
-    "ChannelMinMaxResult": {"value": 0.0, "channel": EYE, "converged": True, "iterations": 0},
+    "ChannelMinMaxResult": {"value": 0.0, "channel": EYE},
     "channel_from_output": {"source": P0, "output": P1},
     "min_divergence_to_ball": {"qhat": [0.3, 0.7], "ball": BALL},
     "pairwise_min_divergence": {"ball_first": BALL, "ball_second": DistortionBall(P1, 0.05, TV)},
@@ -85,7 +88,7 @@ VALID = {
     "nonaware_achievable": {**GAME, "channel": EYE, "weight": 1.0},
     "nonaware_converse": {**GAME, "channel": EYE, "weight": 1.0},
     "solve_nonaware_adversary": {**GAME, "weight": 1.0, "num_starts": 1},
-    "threshold_constant": {"zeta": 0.85, "abs_tol": 1e-9},
+    "threshold_constant": {"zeta": 0.85},
     "ThresholdSchedule": {"alpha": 0.1, "num_hypotheses": 2, "alphabet_size": 2, "zeta": 0.85},
     "TestOutcome": {"stopping_time": 5, "decision": 0, "timed_out": False, "trajectory": None},
     "TrajectoryRow": {"step": 5, "threshold": 1.0, "statistics": (0.0, 0.0), "stopped": False,
@@ -120,6 +123,29 @@ def _call(name: str, kwargs: dict):
     return fn(*kwargs.values()) if name in ERRORS else fn(**kwargs)
 
 
+# One valid call of each public method of the public classes: the instance
+# (the class, for a class method) and the keyword arguments.
+METHODS = {
+    "Distribution.is_fully_supported": (P0, {"floor": 1e-9}),
+    "Distribution.allclose": (P0, {"other": P1, "atol": 1e-12}),
+    "Channel.identity": (Channel, {"size": 2}),
+    "DistortionMeasure.evaluate": (TV, {"original": P0, "perturbed": [0.5, 0.5]}),
+    "DistortionBall.distortion": (BALL, {"point": P1}),
+    "DistortionBall.contains": (BALL, {"point": [0.4, 0.6], "slack": 1e-9}),
+    "ThresholdSchedule.value": (SCHEDULE, {"n": 5}),
+    "ThresholdSchedule.at": (SCHEDULE, {"steps": [1, 2]}),
+    "ScenarioConfig.alpha_index": (CONFIG, {"alpha": 0.1}),
+    "ScenarioConfig.schedule_for": (CONFIG, {"alpha": 0.1}),
+    "ScenarioConfig.simulated_hypotheses": (CONFIG, {}),
+    "SimulationReport.to_csv": (SimulationReport(()), {}),
+}
+
+
+def _call_method(name: str, kwargs: dict):
+    owner, _ = METHODS[name]
+    return getattr(owner, name.split(".")[1])(**kwargs)
+
+
 def test_every_public_callable_has_a_valid_call():
     public = [name for name in seqgame.__all__ if callable(getattr(seqgame, name))]
     builders = [f"cli.{name}" for name in cli.__all__ if name.startswith("build_")]
@@ -128,15 +154,26 @@ def test_every_public_callable_has_a_valid_call():
         _call(name, VALID[name])
 
 
-# Lists hold floats of moderate size: sums of entries near 1e308 overflow,
-# which is a matter of range, not of type.
+def test_every_public_method_has_a_valid_call():
+    classes = [getattr(seqgame, name) for name in seqgame.__all__]
+    classes = [c for c in classes if isinstance(c, type) and not issubclass(c, BaseException)]
+    methods = [f"{c.__name__}.{name}" for c in classes for name, attr in vars(c).items()
+               if not name.startswith("_")
+               and isinstance(attr, (types.FunctionType, classmethod, staticmethod))]
+    assert sorted(methods) == sorted(METHODS)
+    for name, (_, kwargs) in METHODS.items():
+        _call_method(name, kwargs)
+
+
+# Lists hold any finite float: entries near 1e308 whose sum overflows are
+# refused as laws, and counts beyond 2^53 as counts.
 WRONG = st.one_of(
     st.sampled_from([None, "abc", "", True, False, math.nan, [], [0.5], [None, 1.0], ["x", "y"],
                      [[1.0], [1.0, 2.0]], np.zeros((2, 3)), np.zeros(0), np.zeros((1, 1, 1)),
                      np.float64(math.nan), np.True_]),
     st.text(max_size=3),
-    st.lists(st.one_of(st.none(), st.booleans(), st.floats(-10.0, 10.0), st.just(math.nan),
-                       st.text(max_size=2)), max_size=3),
+    st.lists(st.one_of(st.none(), st.booleans(), st.floats(allow_nan=False, allow_infinity=False),
+                       st.just(math.nan), st.text(max_size=2)), max_size=3),
 )
 
 
@@ -167,11 +204,29 @@ def test_a_wrong_typed_argument_returns_or_raises_a_typed_error(in_a_temporary_d
     assert time.perf_counter() - start < 1.0
 
 
+@settings(max_examples=25, deadline=None)
+@pytest.mark.parametrize("name", [name for name, (_, kwargs) in METHODS.items() if kwargs])
+@given(data=st.data())
+def test_a_wrong_typed_method_argument_returns_or_raises_a_typed_error(name, data):
+    kwargs = dict(METHODS[name][1])
+    key = data.draw(st.sampled_from(sorted(kwargs)), label="argument")
+    kwargs[key] = data.draw(WRONG, label="value")
+    start = time.perf_counter()
+    try:
+        _call_method(name, kwargs)
+    except SeqGameError:
+        pass
+    assert time.perf_counter() - start < 1.0
+
+
 @pytest.mark.parametrize("case", [
     "spec, delta and measure swapped", "spec, laws as lists", "spec, measure as a string",
     "distribution of a string", "schedule, alpha a string", "constant, zeta a list",
     "scenario, bare alpha", "scenario, no spec", "achievable, no channel",
     "min-max, laws as lists", "sample, source a list", "monte carlo, no config",
+    "threshold at a string step", "thresholds at a string", "support above a string floor",
+    "identity of a string size", "law summing past 1e308", "channel row summing past 1e308",
+    "counts summing past 2^53", "draw size past 2^63", "draw size past the address space",
 ])
 def test_named_wrong_calls_raise_typed_errors(case):
     calls = {
@@ -191,6 +246,21 @@ def test_named_wrong_calls_raise_typed_errors(case):
         "sample, source a list": lambda: sample_through_channel(
             [0.38, 0.62], EYE, np.random.default_rng(0)),
         "monte carlo, no config": lambda: monte_carlo(None),
+        # the next four raised TypeError, ValueError, UFuncTypeError and TypeError
+        "threshold at a string step": lambda: SCHEDULE.value("x"),
+        "thresholds at a string": lambda: SCHEDULE.at("x"),
+        "support above a string floor": lambda: P0.is_fully_supported("x"),
+        "identity of a string size": lambda: Channel.identity("x"),
+        # numpy's overflow warning escaped from the sum
+        "law summing past 1e308": lambda: Distribution([1e308, 1e308]),
+        "channel row summing past 1e308": lambda: Channel([[1e308, 1e308], [0.5, 0.5]]),
+        # the int64 total wrapped around, and a result came back
+        "counts summing past 2^53": lambda: evidence_statistics(np.array([2**62, 2**62]), SPEC),
+        # numpy's ValueErrors, raised before anything is allocated
+        "draw size past 2^63": lambda: sample_through_channel(
+            P0, EYE, np.random.default_rng(0), size=10**30),
+        "draw size past the address space": lambda: sample_through_channel(
+            P0, EYE, np.random.default_rng(0), size=2**62),
     }
     with pytest.raises(SeqGameError):
         calls[case]()
@@ -204,10 +274,10 @@ def test_a_string_for_a_law_is_a_construction_error():
 
 
 def test_threshold_constant_keeps_its_cache():
-    """The value is cached per converted (zeta, abs_tol), an unhashable
-    argument is a typed error, and `cache_info` counts the calls."""
+    """The value is cached per converted zeta, an unhashable argument is a
+    typed error, and `cache_info` counts the calls."""
     before = threshold_constant.cache_info()
-    assert threshold_constant(np.float64(0.85)) == threshold_constant(0.85, 1e-9)
+    assert threshold_constant(np.float64(0.85)) == threshold_constant(0.85)
     after = threshold_constant.cache_info()
     assert after.hits + after.misses == before.hits + before.misses + 2
     with pytest.raises(DomainError):

@@ -187,6 +187,10 @@ class TestBhattacharyya:
         with pytest.raises(DomainError):
             bhattacharyya([1.0, 0.0], [0.5, 0.5])
 
+    def test_an_underflowed_coefficient_is_an_infinite_distance(self):
+        # every product sqrt(p q) rounds to 0; math.log(0) raised ValueError
+        assert bhattacharyya([5e-324, 5e-324], [0.5, 0.5]) == math.inf
+
 
 class TestEmpirical:
     """The type of a sample, as the per-symbol reference loops form it."""

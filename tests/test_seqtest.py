@@ -1,5 +1,4 @@
 import math
-import time
 
 import mpmath
 import numpy as np
@@ -68,32 +67,28 @@ class TestThresholdConstant:
     def test_grows_with_zeta(self):
         assert threshold_constant(0.3) < threshold_constant(0.6) < threshold_constant(0.85)
 
-    def test_tolerance_honored(self):
-        loose = threshold_constant(0.85, 1e-3)
-        assert abs(loose - C_085) <= 1e-3
-
     def test_domain_validation(self):
         for zeta in (0.0, 1.0, -0.1, 1.5):
             with pytest.raises(DomainError):
                 threshold_constant(zeta)
-        with pytest.raises(DomainError):
-            threshold_constant(0.5, 0.0)
-
-    def test_nan_tolerance_refused_at_once(self):
-        # no bracket is ever within a NaN tolerance, so the sum would double
-        # toward 2^30 terms before its resource check
-        start = time.perf_counter()
-        with pytest.raises(DomainError):
-            threshold_constant(0.85, math.nan)
-        assert time.perf_counter() - start < 1.0
 
     def test_extreme_zeta_refused(self):
         # the tail certificate would need a gamma factor beyond float range
-        with pytest.raises(ResourceError):
-            threshold_constant(0.999999)
+        for zeta in (0.9943, 0.999999):
+            with pytest.raises(ResourceError):
+                threshold_constant(zeta)
+
+    def test_1024_terms_bracket_the_tail_for_every_accepted_zeta(self):
+        """The fixed 1,024 terms need no tolerance: past them the tail
+        bracket is at most 1e-12 wide (1.2e-13 at its widest) at 2,000
+        zetas spanning (0, 0.994]."""
+        zetas = np.linspace(0.0, 0.994, 2001)[1:]
+        widths = [upper - lower for lower, upper in
+                  (_tail_bracket(1024, 1.0 - zeta) for zeta in zetas.tolist())]
+        assert max(widths) <= 1e-12
 
     def test_within_float_rounding_of_the_frozen_value(self):
-        # the truncation is certified to 1e-9; what is left is rounding
+        # the truncation is certified to 1.2e-13; what is left is rounding
         assert abs(threshold_constant(0.85) - C_085) <= 2e-11
 
     @pytest.mark.parametrize("zeta", [0.3, 0.5, 0.85, 0.95])

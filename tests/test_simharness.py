@@ -539,22 +539,6 @@ class TestCountBoundaries:
         for whole, part in zip((lower, upper), sparse):
             assert np.array_equal(whole[:, strided - 1], part)
 
-    @settings(max_examples=10, deadline=None)
-    @given(_binary_scenarios(), st.integers(1, 5000), st.integers(-50, 50))
-    def test_a_seed_moves_no_boundary(self, cfg, n0, shift):
-        """A seed only orders the probes: the boundaries after step n0 are
-        the same with none, with the true ones at n0, and with wrong ones."""
-        (alpha,) = cfg.alpha_grid
-        schedule = cfg.schedule_for(alpha)
-        intervals = tuple(ball.interval for ball in cfg.spec.balls)
-        lower, upper = simharness._count_boundaries(schedule, intervals,
-                                                    np.arange(n0, n0 + 1001))
-        steps = np.arange(n0 + 1, n0 + 1001)
-        for seed in ((n0, lower[:, 0], upper[:, 0]), (n0, lower[:, 0] + shift, upper[:, 0])):
-            seeded = simharness._count_boundaries(schedule, intervals, steps, seed)
-            assert np.array_equal(seeded[0], lower[:, 1:])
-            assert np.array_equal(seeded[1], upper[:, 1:])
-
     def test_blocks_hold_evaluated_steps_and_stop_at_cap(self, wide_spec):
         """Multiples of the stride and the cap, grown block by block."""
         cfg = ScenarioConfig(wide_spec, (0.1,), 2, 0, cap=4096 + 904, stride=7)
