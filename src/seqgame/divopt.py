@@ -117,14 +117,6 @@ class DistortionBall:
     def size(self) -> int:
         return self.center.size
 
-    def distortion(self, point) -> float:
-        return self.measure.evaluate(self.center, point)
-
-    def contains(self, point, slack: float = _FEASIBILITY_SLACK) -> bool:
-        point, slack = _law("point", point, self.size), _real("slack", slack)
-        with np.errstate(over="ignore"):  # a point of huge entries is far outside, not an error
-            return bool(_inside(point, self.center.probs, self, slack))
-
     @cached_property
     def interval(self) -> tuple[float, float]:
         """Feasible range of the first coordinate; binary alphabets only."""
@@ -141,16 +133,14 @@ class DistortionBall:
         return max(lo, lo_cap), min(hi, hi_cap)
 
 
-def _inside(w: np.ndarray, p: np.ndarray, ball: DistortionBall, slack: float) -> np.ndarray:
+def _inside(w: np.ndarray, p: np.ndarray, ball: DistortionBall) -> np.ndarray:
     """Whether each row of w (its last axis) lies in the ball with the
-    measure, radius and floor of `ball` around the matching row of p, each
-    bound relaxed by slack."""
+    measure, radius and floor of `ball` around the matching row of p."""
     if ball.measure is DistortionMeasure.TV_L1:
         distortion = np.abs(w - p).sum(axis=-1)
     else:
         distortion = _kl_rows(p, w)
-    return ((distortion <= ball.radius + slack) & (w.min(axis=-1) >= ball.floor - slack)
-            & (np.abs(w.sum(axis=-1) - 1.0) <= slack))
+    return (distortion <= ball.radius) & (w.min(axis=-1) >= ball.floor) & (w.sum(axis=-1) == 1.0)
 
 
 def _bisect_kl_edge(c: float, radius: float, far: float) -> float:
@@ -428,7 +418,7 @@ def _kl_tilt_argmin(w: np.ndarray, ball: DistortionBall) -> tuple[np.ndarray, bo
 
 def _first_block_argmin(w: np.ndarray, ball: DistortionBall) -> tuple[np.ndarray, bool, int]:
     """argmin of D(x || w) over x in the ball."""
-    if _inside(w, ball.center.probs, ball, 0.0):
+    if _inside(w, ball.center.probs, ball):
         return w, True, 0
     if ball.measure is DistortionMeasure.TV_L1:
         return _tv_block_argmin(w[None, :], ball.center.probs[None, :], ball.floor,
@@ -471,7 +461,7 @@ def _ball_reach(q0: np.ndarray, balls: tuple[DistortionBall, ...]) -> tuple[np.n
         solved = _tv_block_argmin(w, p, ball.floor, 0.5 * ball.radius)
     else:
         solved, weight, converged, steps = _kl_reach_argmin(w, p, ball.floor, ball.radius)
-    inside = _inside(w, p, ball, 0.0)
+    inside = _inside(w, p, ball)
     # D(q0 || q0) is exactly zero
     q = np.where(inside[:, None], w, solved)
     values = _kl_rows(w, q)

@@ -14,17 +14,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConstructionError, DomainError, ResourceError, ShapeError
+from .errors import ConstructionError, DomainError, ShapeError
 
 __all__ = [
     "Distribution",
     "Channel",
     "DistortionMeasure",
-    "normalize",
     "apply_channel",
     "kl_divergence",
-    "binary_kl",
-    "bhattacharyya",
 ]
 
 # Inputs to the Distribution constructor may be off by more before we reject.
@@ -44,7 +41,8 @@ def _floats(name: str, values, ndim: int = 1) -> np.ndarray:
 
 def _law(name: str, value, size: int | None = None) -> np.ndarray:
     """A Distribution's probabilities, or value as a `_floats` vector of at
-    least one entry, with a finite sum (so all finite); ShapeError unless it
+    least one entry, nonnegative and summing to 1 within `_INPUT_SUM_ATOL`
+    (so all finite), and ConstructionError otherwise; ShapeError unless it
     has `size` entries."""
     if isinstance(value, Distribution):
         arr = value.probs
@@ -54,6 +52,10 @@ def _law(name: str, value, size: int | None = None) -> np.ndarray:
             total = arr.sum()
         if arr.size == 0 or not np.isfinite(total):
             raise ConstructionError(f"{name} must have at least one entry, all finite, with a finite sum")
+        if np.any(arr < 0):
+            raise ConstructionError(f"{name} must be nonnegative")
+        if abs(total - 1.0) > _INPUT_SUM_ATOL:
+            raise ConstructionError(f"{name} sums to {total!r}, expected 1 within {_INPUT_SUM_ATOL}")
     if size is not None and arr.size != size:
         raise ShapeError(f"{name} has {arr.size} entries, expected {size}")
     return arr
@@ -92,23 +94,15 @@ def _check_integers(low: int = 0, stop: float = math.inf, **values) -> None:
 class Distribution:
     """A probability vector over a finite alphabet {0, ..., K-1}.
 
-    The constructor accepts vectors whose sum deviates from 1 by at most
-    1e-9 and rescales them exactly; use `normalize` for arbitrary
-    nonnegative weight vectors.
+    The constructor accepts nonnegative vectors whose sum deviates from 1
+    by at most 1e-9 and rescales them exactly.
     """
 
     probs: np.ndarray
 
     def __post_init__(self) -> None:
         arr = _law("probs", self.probs)
-        if np.any(arr < 0):
-            raise ConstructionError("probabilities must be nonnegative")
-        total = arr.sum()
-        if abs(total - 1.0) > _INPUT_SUM_ATOL:
-            raise ConstructionError(
-                f"probabilities sum to {total!r}, expected 1 within {_INPUT_SUM_ATOL}"
-            )
-        arr = arr / total
+        arr = arr / arr.sum()
         arr.setflags(write=False)
         object.__setattr__(self, "probs", arr)
 
@@ -124,9 +118,6 @@ class Distribution:
     def is_fully_supported(self, floor: float = 1e-9) -> bool:
         """True when every symbol carries at least `floor` mass."""
         return bool(np.all(self.probs >= _real("floor", floor)))
-
-    def allclose(self, other: "Distribution | np.ndarray", atol: float = 1e-12) -> bool:
-        return bool(np.allclose(self.probs, _law("other", other, self.size), rtol=0.0, atol=_real("atol", atol)))
 
     def __iter__(self):
         return iter(self.probs)
@@ -160,10 +151,6 @@ class Channel:
         object.__setattr__(self, "rows", arr)
 
     @property
-    def num_inputs(self) -> int:
-        return int(self.rows.shape[0])
-
-    @property
     def num_outputs(self) -> int:
         return int(self.rows.shape[1])
 
@@ -171,14 +158,6 @@ class Channel:
     def cumulative_rows(self) -> tuple[tuple[float, ...], ...]:
         """Running sums along each row as Python floats, for inverse-CDF draws."""
         return tuple(tuple(row) for row in np.cumsum(self.rows, axis=1).tolist())
-
-    @classmethod
-    def identity(cls, size: int) -> "Channel":
-        _check_integers(1, size=size)
-        try:
-            return cls(np.eye(size))
-        except (ValueError, MemoryError):  # numpy's "array is too big", or no memory for it
-            raise ResourceError(f"an identity channel of size {size} does not fit in memory") from None
 
     def __repr__(self) -> str:
         return f"Channel({self.rows.tolist()!r})"
@@ -206,18 +185,6 @@ class DistortionMeasure(enum.Enum, metaclass=_MeasureLookup):
         q = _law("perturbed", perturbed, p.size)
         with np.errstate(over="ignore"):  # huge entries are infinitely far apart
             return float(np.abs(p - q).sum()) if self is DistortionMeasure.TV_L1 else _kl_arrays(p, q)
-
-
-def normalize(weights) -> Distribution:
-    """Scale a nonnegative weight vector into a Distribution.
-
-    Raises ConstructionError when the vector has a negative entry or no mass.
-    """
-    arr = _law("weights", weights)
-    total = arr.sum()
-    if total <= 0.0 or np.any(arr < 0.0):  # so that no entry over the total overflows
-        raise ConstructionError("weights must be nonnegative with positive total mass")
-    return Distribution(arr / total)
 
 
 def apply_channel(dist: Distribution, channel: Channel) -> Distribution:
@@ -270,24 +237,3 @@ def _binary_kl(t: float, s: float) -> float:
         value += (1.0 - t) * np.log((1.0 - t) / (1.0 - s))
     return max(float(value), 0.0)
 
-
-def binary_kl(a: float, b: float) -> float:
-    """KL divergence between Bernoulli(a) and Bernoulli(b), in nats.
-
-    Both arguments must lie strictly inside (0, 1).
-    """
-    return _binary_kl(_real("a", a, 0.0, 1.0, low_open=True), _real("b", b, 0.0, 1.0, low_open=True))
-
-
-def bhattacharyya(p, q) -> float:
-    """Bhattacharyya distance -log sum(sqrt(p * q)), in nats.
-
-    Requires both arguments to have full support so the coefficient is
-    positive and the distance finite.
-    """
-    parr = _law("p", p)
-    qarr = _law("q", q, parr.size)
-    if np.any(parr <= 0.0) or np.any(qarr <= 0.0):
-        raise DomainError("bhattacharyya requires strictly positive entries")
-    coeff = float(np.sqrt(parr * qarr).sum())
-    return -math.log(coeff) if coeff > 0.0 else math.inf  # every product underflowed

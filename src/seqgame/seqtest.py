@@ -34,7 +34,6 @@ __all__ = [
     "threshold_constant",
     "ThresholdSchedule",
     "TestOutcome",
-    "TrajectoryRow",
     "evidence_statistics",
     "run_aware",
     "run_nonaware",
@@ -172,9 +171,9 @@ class ThresholdSchedule:
         object.__setattr__(self, "_log_rivals", math.log(self.num_hypotheses - 1.0))
 
     def value(self, n: int) -> float:
-        try:  # no check ahead of the arithmetic, which runs once per evaluated step
-            if not n >= 1:
-                raise DomainError(f"threshold is defined for n >= 1, got {n!r}")
+        try:  # no check ahead of the arithmetic but a type test: this runs once per evaluated step
+            if not n >= 1 or isinstance(n, (bool, np.bool_)):
+                raise DomainError(f"threshold is defined for numbers n >= 1, not bools, got {n!r}")
             extra = self.alphabet_size * math.log(n + 1.0) + self._log_rivals
             return self._log_ratio / n + n ** (-self.zeta) + extra / n
         except (TypeError, ValueError, OverflowError):  # not a number, an array, or beyond floats
@@ -188,21 +187,15 @@ class ThresholdSchedule:
         rest of the formula runs in numpy in the same order as `value`.
         """
         n = _floats("steps", steps)
+        if (steps.dtype == bool if isinstance(steps, np.ndarray)
+                else any(isinstance(step, (bool, np.bool_)) for step in steps)):
+            raise DomainError("steps must be numbers, not bools")
         if n.size and not n.min() >= 1.0:
             raise DomainError(f"threshold is defined for n >= 1, got {n.min():g}")
         logs = np.fromiter(map(math.log, (n + 1.0).tolist()), float, n.size)
         powers = np.fromiter(map(pow, n.tolist(), repeat(-self.zeta)), float, n.size)
         extra = self.alphabet_size * logs + self._log_rivals
         return self._log_ratio / n + powers + extra / n
-
-
-@dataclass(frozen=True)
-class TrajectoryRow:
-    step: int
-    threshold: float
-    statistics: tuple[float, ...]
-    stopped: bool
-    decision: int | None
 
 
 @dataclass(frozen=True)
@@ -216,7 +209,6 @@ class TestOutcome:
     stopping_time: int
     decision: int | None
     timed_out: bool = False
-    trajectory: tuple[TrajectoryRow, ...] | None = None
 
 
 def _shares(rows: np.ndarray) -> np.ndarray:
@@ -265,17 +257,16 @@ def evidence_statistics(counts: np.ndarray, spec: GameSpec) -> np.ndarray:
     return out if arr.ndim == 2 else out[0]
 
 
-def _check_run(stream, schedule: ThresholdSchedule, sizes: tuple[int, int], cap: int, stride: int,
-               record_trajectory: bool) -> None:
+def _check_run(stream, schedule: ThresholdSchedule, sizes: tuple[int, int], cap: int,
+               stride: int) -> None:
     """The checks both tests make: the stream, the schedule, built for their
-    game's (hypotheses, symbols) `sizes`, the cap, the stride and the flag."""
+    game's (hypotheses, symbols) `sizes`, the cap and the stride."""
     _instance("stream", stream, Iterable)
     got = (_instance("schedule", schedule, ThresholdSchedule).num_hypotheses, schedule.alphabet_size)
     if got != sizes:
         raise ShapeError(f"the schedule is for {got[0]} hypotheses on {got[1]} symbols, "
                          f"the test for {sizes[0]} on {sizes[1]}")
     _check_integers(1, 2**63, cap=cap, stride=stride)
-    _instance("record_trajectory", record_trajectory, (bool, np.bool_))
 
 
 def _check_symbol(symbol: int, alphabet_size: int) -> int:
@@ -321,16 +312,16 @@ def _read(it, count: int, read: int, size: int) -> tuple[np.ndarray, SeqGameErro
 
 
 def _evaluate(tallies: np.ndarray, steps: list[int], schedule: ThresholdSchedule, statistic,
-              decide) -> tuple[np.ndarray, list[float], tuple[int, int] | None]:
-    """Statistics and thresholds at the given steps, one row of counts per
-    step, and the first (row, decision) at which a statistic clears its
-    threshold; decide(statistics, threshold) gives the decision there."""
+              decide) -> tuple[int, int] | None:
+    """The first (row, decision) at which a statistic clears its threshold,
+    over the given steps with one row of counts per step, or None;
+    decide(statistics, threshold) gives the decision there."""
     z = statistic(tallies)
     gammas = [schedule.value(n) for n in steps]
     hits = z >= np.array(gammas)[:, None]
     first = int(hits.argmax())  # row-major, so in the first row with a hit
     row = first // hits.shape[1]
-    return z, gammas, (row, decide(z[row], gammas[row])) if hits.flat[first] else None
+    return (row, decide(z[row], gammas[row])) if hits.flat[first] else None
 
 
 # Evaluated steps in the first read of run_aware; each next read doubles it.
@@ -339,14 +330,13 @@ _CHUNK_STEPS = 16
 _CHUNK_SYMBOLS = 4096
 
 
-def _run(stream: Iterable[int], schedule: ThresholdSchedule, cap: int, stride: int,
-         record_trajectory: bool, statistic, decide, reads: Iterator[int]) -> TestOutcome:
+def _run(stream: Iterable[int], schedule: ThresholdSchedule, cap: int, stride: int, statistic,
+         decide, reads: Iterator[int]) -> TestOutcome:
     """The stream loop of both tests, on checked arguments: each read
     ends `next(reads)` evaluated steps on, within the cap and 4,096 symbols,
     and one `_evaluate` covers its steps."""
     size = schedule.alphabet_size
     counts = np.zeros(size, dtype=np.int64)
-    rows: list[TrajectoryRow] = []
     it = iter(stream)
     n = 0
     while n < cap:
@@ -365,25 +355,17 @@ def _run(stream: Iterable[int], schedule: ThresholdSchedule, cap: int, stride: i
         tallies = counts + np.bincount(bins, minlength=(len(steps) + 1) * size).reshape(
             -1, size).cumsum(axis=0)
         if steps:
-            z, gammas, stop = _evaluate(tallies[:-1], steps, schedule, statistic, decide)
-            if record_trajectory:
-                z = z.tolist()
-                for r in range(len(steps) if stop is None else stop[0] + 1):
-                    decision = stop[1] if stop is not None and r == stop[0] else None
-                    rows.append(TrajectoryRow(steps[r], gammas[r], tuple(z[r]),
-                                              decision is not None, decision))
+            stop = _evaluate(tallies[:-1], steps, schedule, statistic, decide)
             if stop is not None:
-                return TestOutcome(steps[stop[0]], stop[1], False,
-                                   tuple(rows) if record_trajectory else None)
+                return TestOutcome(steps[stop[0]], stop[1])
         if error is not None:
             raise error
         counts, n = tallies[-1], read
-    return TestOutcome(cap, None, True, tuple(rows) if record_trajectory else None)
+    return TestOutcome(cap, None, True)
 
 
 def run_aware(stream: Iterable[int], schedule: ThresholdSchedule, spec: GameSpec,
-              cap: int = 1_000_000, stride: int = 1,
-              record_trajectory: bool = False) -> TestOutcome:
+              cap: int = 1_000_000, stride: int = 1) -> TestOutcome:
     """Run the universal test on a symbol stream until it stops.
 
     The stopping condition is evaluated every `stride` samples (and at the
@@ -394,16 +376,15 @@ def run_aware(stream: Iterable[int], schedule: ThresholdSchedule, spec: GameSpec
 
     The stream is read in chunks that end on evaluated steps: 16 of them
     at first, twice as many in each next chunk, and at most 4,096 symbols;
-    one `evidence_statistics` call covers a chunk. Outcomes, errors and
-    trajectories are those of feeding the symbols one at a time, but the
-    stream is read up to the end of the chunk in which the test stops. A
-    schedule built for another size of game raises ShapeError.
+    one `evidence_statistics` call covers a chunk. Outcomes and errors are
+    those of feeding the symbols one at a time, but the stream is read up
+    to the end of the chunk in which the test stops. A schedule built for
+    another size of game raises ShapeError.
     """
     _instance("spec", spec, GameSpec)
-    _check_run(stream, schedule, (spec.num_hypotheses, spec.alphabet_size), cap, stride,
-               record_trajectory)
+    _check_run(stream, schedule, (spec.num_hypotheses, spec.alphabet_size), cap, stride)
     # evidence_statistics is looked up at each call, as wrappers put on the module expect
-    return _run(stream, schedule, cap, stride, record_trajectory,
+    return _run(stream, schedule, cap, stride,
                 lambda tallies: evidence_statistics(tallies, spec),
                 lambda z, gamma: int((z >= gamma).argmax()),
                 (_CHUNK_STEPS << k for k in count()))
@@ -424,8 +405,7 @@ def _nonaware_decide(branch, gamma: float) -> int:
 
 def run_nonaware(stream: Iterable[int], schedule: ThresholdSchedule,
                  p0: Distribution, p1: Distribution, delta: float,
-                 measure: DistortionMeasure, cap: int = 1_000_000, stride: int = 1,
-                 record_trajectory: bool = False) -> TestOutcome:
+                 measure: DistortionMeasure, cap: int = 1_000_000, stride: int = 1) -> TestOutcome:
     """Run the common-channel test; semantics mirror run_aware.
 
     It shares run_aware's stream loop and differs in three things. The
@@ -438,13 +418,12 @@ def run_nonaware(stream: Iterable[int], schedule: ThresholdSchedule,
     an invalid symbol raises DomainError once the rest of its read has been
     consumed. A read costs some thirty numpy calls, so small strides are
     slow: per symbol, stride 1 costs about 300 times what stride 1,024
-    does. Trajectory rows carry the two branch statistics. The schedule
-    must be built for two hypotheses on two symbols.
+    does. The schedule must be built for two hypotheses on two symbols.
     """
-    _check_run(stream, schedule, (2, 2), cap, stride, record_trajectory)
+    _check_run(stream, schedule, (2, 2), cap, stride)
     game = _ChannelGame(p0, p1, delta, measure)
     rivals = game.regions[::-1]  # each hypothesis faces its rival's output range
-    return _run(stream, schedule, cap, stride, record_trajectory,
+    return _run(stream, schedule, cap, stride,
                 lambda tallies: np.array([[_binary_kl(t, min(max(t, r.x_lo), r.x_hi)) for r in rivals]
                                           for t in _shares(tallies)[:, 0].tolist()]),
                 _nonaware_decide, repeat(1))

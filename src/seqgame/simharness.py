@@ -345,10 +345,10 @@ def _run_fast_binary(rng: np.random.Generator, source: Distribution, channel: Ch
             zeros += count0
         hit = _band_stop(zeros[pick], lower, upper, band_lower, band_upper)
         if hit is not None:
-            return TestOutcome(done + 1 + int(cols[hit[0]]), hit[1], False, None)
+            return TestOutcome(done + 1 + int(cols[hit[0]]), hit[1])
         done += zeros.size
         count0 = int(zeros[-1])
-    return TestOutcome(table.cap, None, True, None)
+    return TestOutcome(table.cap, None, True)
 
 
 def run_replication(config: ScenarioConfig, alpha: float, hypothesis: int,

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from seqgame import Distribution, DistortionMeasure, GameSpec, normalize
+from seqgame import Distribution, DistortionMeasure, GameSpec
+
+from oracles import normalize
 
 
 @pytest.fixture(scope="session")

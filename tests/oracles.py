@@ -1,10 +1,12 @@
 """Brute-force oracles for the tests: lattice searches over balls and
 binary channels, a pattern descent on the simplex, the type of a sample,
-the evidence statistic solved ball by ball, the aware and common-channel
-tests fed one symbol at a time, the binary engine's stop rule counted ball
-by ball, random feasible common channels, the pairwise alternation and
-the Bhattacharyya separation run for their full patience, and the
-stopping-time horizon that the separation gives.
+the scaling of weights into a law, the Bernoulli KL, the Bhattacharyya
+distance, membership of a ball, the evidence statistic solved ball by
+ball, the branch statistics of the common channel, the aware and
+common-channel tests fed one symbol at a time, the binary engine's stop
+rule counted ball by ball, random feasible common channels, the pairwise
+alternation and the Bhattacharyya separation run for their full
+patience, and the stopping-time horizon that the separation gives.
 
 They are independent of the solvers in `seqgame.divopt`, of the stacked
 reach solve of `seqgame.seqtest.evidence_statistics`, of the stream loop
@@ -44,14 +46,8 @@ from seqgame.errors import (
     ShapeError,
     StreamExhaustedError,
 )
-from seqgame.prob import Channel, Distribution, DistortionMeasure, _kl_arrays, bhattacharyya
-from seqgame.seqtest import (
-    TestOutcome,
-    ThresholdSchedule,
-    TrajectoryRow,
-    _check_symbol,
-    evidence_statistics,
-)
+from seqgame.prob import Channel, Distribution, DistortionMeasure, _kl_arrays
+from seqgame.seqtest import TestOutcome, ThresholdSchedule, _check_symbol, evidence_statistics
 
 
 @functools.lru_cache(maxsize=None)
@@ -187,6 +183,47 @@ def empirical_distribution(counts) -> Distribution:
     return Distribution(arr / float(total))
 
 
+def normalize(weights) -> Distribution:
+    """Scale a nonnegative weight vector into a Distribution; ConstructionError
+    when it has a negative entry or no mass."""
+    arr = np.asarray(weights, dtype=float)
+    total = arr.sum()
+    if total <= 0.0 or np.any(arr < 0.0):
+        raise ConstructionError("weights must be nonnegative with positive total mass")
+    return Distribution(arr / total)
+
+
+def binary_kl(a: float, b: float) -> float:
+    """KL divergence between Bernoulli(a) and Bernoulli(b), in nats, for a
+    and b strictly inside (0, 1)."""
+    return float(a * np.log(a / b) + (1.0 - a) * np.log((1.0 - a) / (1.0 - b)))
+
+
+def bhattacharyya(p, q) -> float:
+    """Bhattacharyya distance -log sum(sqrt(p * q)), in nats, between two
+    Distributions or vectors; DomainError unless both have full support."""
+    p, q = (np.asarray(x.probs if isinstance(x, Distribution) else x, dtype=float) for x in (p, q))
+    if np.any(p <= 0.0) or np.any(q <= 0.0):
+        raise DomainError("bhattacharyya requires strictly positive entries")
+    coeff = float(np.sqrt(p * q).sum())
+    return -math.log(coeff) if coeff > 0.0 else math.inf  # every product underflowed
+
+
+def contains(ball: DistortionBall, point, slack: float = 1e-9) -> bool:
+    """Whether the vector `point` lies in the ball, each bound of the ball
+    relaxed by slack; ShapeError unless it has the ball's size."""
+    point = np.asarray(point, dtype=float)
+    if point.shape != (ball.size,):
+        raise ShapeError(f"point has shape {point.shape}, the ball {ball.size} symbols")
+    center = ball.center.probs
+    if ball.measure is DistortionMeasure.TV_L1:
+        distortion = np.abs(point - center).sum()
+    else:
+        distortion = _kl_arrays(center, point)
+    return bool(distortion <= ball.radius + slack and point.min() >= ball.floor - slack
+                and abs(point.sum() - 1.0) <= slack)
+
+
 def evidence_by_ball(counts: np.ndarray, balls: tuple[DistortionBall, ...]) -> np.ndarray:
     """`evidence_statistics` on an (R, K) array of counts with one reach
     solve per ball, the loop that the stacked solve replaced: column j
@@ -199,8 +236,7 @@ def evidence_by_ball(counts: np.ndarray, balls: tuple[DistortionBall, ...]) -> n
 
 
 def run_aware_stepwise(stream: Iterable[int], schedule: ThresholdSchedule, spec: GameSpec,
-                       cap: int = 1_000_000, stride: int = 1,
-                       record_trajectory: bool = False) -> TestOutcome:
+                       cap: int = 1_000_000, stride: int = 1) -> TestOutcome:
     """The universal test fed one symbol at a time, one evidence call per
     evaluated step: the loop `run_aware` ran before it read chunks."""
     if cap < 1:
@@ -208,7 +244,6 @@ def run_aware_stepwise(stream: Iterable[int], schedule: ThresholdSchedule, spec:
     if stride < 1:
         raise DomainError(f"stride must be >= 1, got {stride}")
     counts = np.zeros(spec.alphabet_size, dtype=np.int64)
-    rows: list[TrajectoryRow] = []
     it = iter(stream)
     n = 0
     while n < cap:
@@ -225,16 +260,13 @@ def run_aware_stepwise(stream: Iterable[int], schedule: ThresholdSchedule, spec:
         z = evidence_statistics(counts, spec)
         gamma = schedule.value(n)
         hits = np.flatnonzero(z >= gamma)
-        decision = int(hits[0]) if hits.size else None
-        if record_trajectory:
-            rows.append(TrajectoryRow(n, gamma, tuple(z), decision is not None, decision))
-        if decision is not None:
-            return TestOutcome(n, decision, False, tuple(rows) if record_trajectory else None)
-    return TestOutcome(cap, None, True, tuple(rows) if record_trajectory else None)
+        if hits.size:
+            return TestOutcome(n, int(hits[0]))
+    return TestOutcome(cap, None, True)
 
 
-def _branch_statistics(qhat: Distribution, p0: Distribution, p1: Distribution, delta: float,
-                       measure: DistortionMeasure) -> np.ndarray:
+def branch_statistics(qhat: Distribution, p0: Distribution, p1: Distribution, delta: float,
+                      measure: DistortionMeasure) -> np.ndarray:
     """Evidence for each hypothesis: the divergence from qhat to everything
     a common channel can make of the rival law."""
     return np.array([
@@ -254,8 +286,8 @@ def _tie_rule(branch, gamma: float) -> int:
 
 def run_nonaware_stepwise(stream: Iterable[int], schedule: ThresholdSchedule,
                           p0: Distribution, p1: Distribution, delta: float,
-                          measure: DistortionMeasure, cap: int = 1_000_000, stride: int = 1,
-                          record_trajectory: bool = False) -> TestOutcome:
+                          measure: DistortionMeasure, cap: int = 1_000_000,
+                          stride: int = 1) -> TestOutcome:
     """The common-channel test fed one symbol at a time, solving the public
     channel min-max on the empirical law at every evaluated step;
     `run_nonaware` instead reads one evaluated step at a time, forms qhat
@@ -267,7 +299,6 @@ def run_nonaware_stepwise(stream: Iterable[int], schedule: ThresholdSchedule,
     if stride < 1:
         raise DomainError(f"stride must be >= 1, got {stride}")
     counts = np.zeros(2, dtype=np.int64)
-    rows: list[TrajectoryRow] = []
     it = iter(stream)
     n = 0
     while n < cap:
@@ -285,15 +316,8 @@ def run_nonaware_stepwise(stream: Iterable[int], schedule: ThresholdSchedule,
         s_stat = min_max_divergence_over_channel(qhat, p0, p1, delta, measure).value
         gamma = schedule.value(n)
         if s_stat >= gamma:
-            branch = _branch_statistics(qhat, p0, p1, delta, measure)
-            decision = _tie_rule(branch, gamma)
-            if record_trajectory:
-                rows.append(TrajectoryRow(n, gamma, tuple(branch), True, decision))
-            return TestOutcome(n, decision, False, tuple(rows) if record_trajectory else None)
-        if record_trajectory:
-            branch = _branch_statistics(qhat, p0, p1, delta, measure)
-            rows.append(TrajectoryRow(n, gamma, tuple(branch), False, None))
-    return TestOutcome(cap, None, True, tuple(rows) if record_trajectory else None)
+            return TestOutcome(n, _tie_rule(branch_statistics(qhat, p0, p1, delta, measure), gamma))
+    return TestOutcome(cap, None, True)
 
 
 def _first_stop(zeros: np.ndarray, lower: np.ndarray,

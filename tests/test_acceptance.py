@@ -21,18 +21,11 @@ from seqgame.equilibrium import (
     solve_aware_equilibrium,
     solve_nonaware_adversary,
 )
-from seqgame.prob import (
-    Channel,
-    DistortionMeasure,
-    apply_channel,
-    bhattacharyya,
-    binary_kl,
-    normalize,
-)
+from seqgame.prob import Channel, DistortionMeasure, apply_channel
 from seqgame.seqtest import ThresholdSchedule, threshold_constant
 from seqgame.simharness import ScenarioConfig, alpha_sweep, monte_carlo
 
-from oracles import _max_feasible_blend, refine_simplex_min
+from oracles import _max_feasible_blend, bhattacharyya, binary_kl, normalize, refine_simplex_min
 
 # series sum for decay exponent 0.85, frozen from a 30-digit bracket
 C_ORACLE = 2593.3325570093630302

@@ -47,7 +47,7 @@ TV = DistortionMeasure.TV_L1
 SPEC = GameSpec((P0, P1), 0.05, TV)
 BALL = DistortionBall(P0, 0.05, TV)
 SCHEDULE = ThresholdSchedule(0.1, 2, 2)
-EYE = Channel.identity(2)
+EYE = Channel(np.eye(2))
 CONFIG = ScenarioConfig(SPEC, (0.1,), 2, 0, cap=300)
 RUN_CONFIG = cli.parse_run_config("hypothesis_0 = 0.38, 0.62\nhypothesis_1 = 0.5, 0.5\n"
                                   "delta = 0.05\nmeasure = tv_l1\nalpha_grid = 0.1\n"
@@ -61,11 +61,8 @@ VALID = {
     "Distribution": {"probs": [0.5, 0.5]},
     "Channel": {"rows": [[0.9, 0.1], [0.2, 0.8]]},
     "DistortionMeasure": {"value": "kl"},
-    "normalize": {"weights": [1.0, 3.0]},
     "apply_channel": {"dist": P0, "channel": EYE},
     "kl_divergence": {"p": P0, "q": [0.5, 0.5]},
-    "binary_kl": {"a": 0.4, "b": 0.5},
-    "bhattacharyya": {"p": [0.38, 0.62], "q": P1},
     "DistortionBall": {"center": P0, "radius": 0.05, "measure": TV, "floor": 1e-9},
     "BallMinResult": {"value": 0.0, "argmin": P0, "converged": True, "iterations": 0},
     "PairMinResult": {"value": 0.0, "argmin_first": P0, "argmin_second": P1, "converged": True,
@@ -90,14 +87,10 @@ VALID = {
     "solve_nonaware_adversary": {**GAME, "weight": 1.0, "num_starts": 1},
     "threshold_constant": {"zeta": 0.85},
     "ThresholdSchedule": {"alpha": 0.1, "num_hypotheses": 2, "alphabet_size": 2, "zeta": 0.85},
-    "TestOutcome": {"stopping_time": 5, "decision": 0, "timed_out": False, "trajectory": None},
-    "TrajectoryRow": {"step": 5, "threshold": 1.0, "statistics": (0.0, 0.0), "stopped": False,
-                      "decision": None},
+    "TestOutcome": {"stopping_time": 5, "decision": 0, "timed_out": False},
     "evidence_statistics": {"counts": [3, 5], "spec": SPEC},
-    "run_aware": {"stream": STREAM, "schedule": SCHEDULE, "spec": SPEC, "cap": 400, "stride": 1,
-                  "record_trajectory": False},
-    "run_nonaware": {"stream": STREAM, "schedule": SCHEDULE, **GAME, "cap": 400, "stride": 1,
-                     "record_trajectory": False},
+    "run_aware": {"stream": STREAM, "schedule": SCHEDULE, "spec": SPEC, "cap": 400, "stride": 1},
+    "run_nonaware": {"stream": STREAM, "schedule": SCHEDULE, **GAME, "cap": 400, "stride": 1},
     "ScenarioConfig": {"spec": SPEC, "alpha_grid": (0.1,), "replications": 2, "seed": 0,
                        "adversary": "equilibrium", "cap": 300, "stride": 1, "zeta": 0.85,
                        "true_hypothesis": None},
@@ -127,11 +120,7 @@ def _call(name: str, kwargs: dict):
 # (the class, for a class method) and the keyword arguments.
 METHODS = {
     "Distribution.is_fully_supported": (P0, {"floor": 1e-9}),
-    "Distribution.allclose": (P0, {"other": P1, "atol": 1e-12}),
-    "Channel.identity": (Channel, {"size": 2}),
     "DistortionMeasure.evaluate": (TV, {"original": P0, "perturbed": [0.5, 0.5]}),
-    "DistortionBall.distortion": (BALL, {"point": P1}),
-    "DistortionBall.contains": (BALL, {"point": [0.4, 0.6], "slack": 1e-9}),
     "ThresholdSchedule.value": (SCHEDULE, {"n": 5}),
     "ThresholdSchedule.at": (SCHEDULE, {"steps": [1, 2]}),
     "ScenarioConfig.alpha_index": (CONFIG, {"alpha": 0.1}),
@@ -165,12 +154,15 @@ def test_every_public_method_has_a_valid_call():
         _call_method(name, kwargs)
 
 
+# Vectors of two entries that are not laws: a negative entry, and sums off 1.
+NOT_LAWS = {"negative": [1.5, -0.5], "sum-0.6": [0.3, 0.3], "sum-1+2e-9": [0.5, 0.5 + 2e-9]}
+
 # Lists hold any finite float: entries near 1e308 whose sum overflows are
 # refused as laws, and counts beyond 2^53 as counts.
 WRONG = st.one_of(
     st.sampled_from([None, "abc", "", True, False, math.nan, [], [0.5], [None, 1.0], ["x", "y"],
                      [[1.0], [1.0, 2.0]], np.zeros((2, 3)), np.zeros(0), np.zeros((1, 1, 1)),
-                     np.float64(math.nan), np.True_]),
+                     np.float64(math.nan), np.True_, *NOT_LAWS.values()]),
     st.text(max_size=3),
     st.lists(st.one_of(st.none(), st.booleans(), st.floats(allow_nan=False, allow_infinity=False),
                        st.just(math.nan), st.text(max_size=2)), max_size=3),
@@ -219,13 +211,33 @@ def test_a_wrong_typed_method_argument_returns_or_raises_a_typed_error(name, dat
     assert time.perf_counter() - start < 1.0
 
 
+# Each parameter that takes a law as a vector of numbers, besides the
+# constructor of Distribution: a public callable or method, and the argument.
+LAW_PARAMETERS = [("kl_divergence", "p"), ("kl_divergence", "q"),
+                  ("DistortionMeasure.evaluate", "original"),
+                  ("DistortionMeasure.evaluate", "perturbed"), ("min_divergence_to_ball", "qhat"),
+                  ("min_max_divergence_over_channel", "qhat"),
+                  ("min_divergence_over_common_channels", "qhat")]
+
+
+@pytest.mark.parametrize("vector", NOT_LAWS.values(), ids=NOT_LAWS)
+@pytest.mark.parametrize("name, key", LAW_PARAMETERS)
+def test_a_non_law_vector_is_a_construction_error(name, key, vector):
+    """Each of these used to be read as a law: kl_divergence([1.5, -0.5],
+    [0.5, 0.5]) returned 1.648, and min_divergence_to_ball([0.3, 0.3], ball)
+    0.0068 on the ball of hypothesis 0 of the Bernoulli TV game."""
+    kwargs = {**(METHODS[name][1] if name in METHODS else VALID[name]), key: vector}
+    with pytest.raises(ConstructionError):
+        _call_method(name, kwargs) if name in METHODS else _call(name, kwargs)
+
+
 @pytest.mark.parametrize("case", [
     "spec, delta and measure swapped", "spec, laws as lists", "spec, measure as a string",
     "distribution of a string", "schedule, alpha a string", "constant, zeta a list",
     "scenario, bare alpha", "scenario, no spec", "achievable, no channel",
     "min-max, laws as lists", "sample, source a list", "monte carlo, no config",
     "threshold at a string step", "thresholds at a string", "support above a string floor",
-    "identity of a string size", "law summing past 1e308", "channel row summing past 1e308",
+    "law summing past 1e308", "channel row summing past 1e308",
     "counts summing past 2^53", "draw size past 2^63", "draw size past the address space",
 ])
 def test_named_wrong_calls_raise_typed_errors(case):
@@ -250,7 +262,6 @@ def test_named_wrong_calls_raise_typed_errors(case):
         "threshold at a string step": lambda: SCHEDULE.value("x"),
         "thresholds at a string": lambda: SCHEDULE.at("x"),
         "support above a string floor": lambda: P0.is_fully_supported("x"),
-        "identity of a string size": lambda: Channel.identity("x"),
         # numpy's overflow warning escaped from the sum
         "law summing past 1e308": lambda: Distribution([1e308, 1e308]),
         "channel row summing past 1e308": lambda: Channel([[1e308, 1e308], [0.5, 0.5]]),

@@ -2,9 +2,9 @@
 
 `run_aware` reads its stream in chunks and evaluates every step of a
 chunk with one batched `evidence_statistics` call; `run_aware_stepwise` in
-`oracles.py` is the per-symbol loop it replaced. Both must stop, decide,
-raise and record alike. A batched evidence call must equal its one-row
-calls bit for bit, and its one stacked reach solve must equal the solves
+`oracles.py` is the per-symbol loop it replaced. Both must stop, decide
+and raise alike. A batched evidence call must equal its one-row calls
+bit for bit, and its one stacked reach solve must equal the solves
 ball by ball of `evidence_by_ball`.
 """
 
@@ -66,17 +66,15 @@ def _games(draw):
 
 @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(spec=_games(), stride=st.integers(1, 20), cap=st.sampled_from(CAPS),
-       record=st.booleans(), seed=st.integers(0, 2**32 - 1), alpha=st.sampled_from([0.05, 0.3]),
-       data=st.data())
-def test_chunked_matches_stepwise(spec, stride, cap, record, seed, alpha, data):
+       seed=st.integers(0, 2**32 - 1), alpha=st.sampled_from([0.05, 0.3]), data=st.data())
+def test_chunked_matches_stepwise(spec, stride, cap, seed, alpha, data):
     truth = data.draw(st.integers(0, spec.num_hypotheses - 1))
     schedule = ThresholdSchedule(alpha, spec.num_hypotheses, spec.alphabet_size)
-    channel = Channel.identity(spec.alphabet_size)
+    channel = Channel(np.eye(spec.alphabet_size))
     outcomes = []
     for run in (run_aware, run_aware_stepwise):
         stream = _channel_stream(spec.hypotheses[truth], channel, np.random.default_rng(seed))
-        outcomes.append(run(stream, schedule, spec, cap=cap, stride=stride,
-                            record_trajectory=record))
+        outcomes.append(run(stream, schedule, spec, cap=cap, stride=stride))
     assert outcomes[0] == outcomes[1]
 
 
@@ -90,16 +88,15 @@ def test_long_run_matches_stepwise(stride, cap):
     schedule = ThresholdSchedule(1e-300, spec.num_hypotheses, spec.alphabet_size)
     outcomes = []
     for run in (run_aware, run_aware_stepwise):
-        stream = _channel_stream(Distribution(np.full(3, 1.0 / 3.0)), Channel.identity(3),
+        stream = _channel_stream(Distribution(np.full(3, 1.0 / 3.0)), Channel(np.eye(3)),
                                  np.random.default_rng(stride))
-        outcomes.append(run(stream, schedule, spec, cap=cap, stride=stride,
-                            record_trajectory=True))
+        outcomes.append(run(stream, schedule, spec, cap=cap, stride=stride))
     assert outcomes[0].timed_out
     assert outcomes[0] == outcomes[1]
 
 
 def _symbols(spec: GameSpec, truth: int, count: int, seed: int = 0) -> list[int]:
-    stream = _channel_stream(spec.hypotheses[truth], Channel.identity(spec.alphabet_size),
+    stream = _channel_stream(spec.hypotheses[truth], Channel(np.eye(spec.alphabet_size)),
                              np.random.default_rng(seed))
     return [next(stream) for _ in range(count)]
 

@@ -21,15 +21,9 @@ from seqgame.errors import (
     InfeasibleError,
     ShapeError,
 )
-from seqgame.prob import (
-    Channel,
-    Distribution,
-    DistortionMeasure,
-    apply_channel,
-    binary_kl,
-)
+from seqgame.prob import Channel, Distribution, DistortionMeasure, apply_channel
 
-from oracles import ball_lattice, bhattacharyya_full_patience, separation
+from oracles import ball_lattice, bhattacharyya_full_patience, binary_kl, separation
 
 # closest facing points of the two Bernoulli balls [0.355, 0.405], [0.475, 0.525]
 E_01 = binary_kl(0.405, 0.475)
@@ -65,7 +59,7 @@ _P = (Distribution([0.2, 0.8]), Distribution([0.8, 0.2]))
 @pytest.mark.parametrize("build", [
     lambda: DistortionBall(_P[0], math.nan, DistortionMeasure.KL).interval,
     lambda: GameSpec(_P, 0.05, DistortionMeasure.TV_L1, weights=(math.nan, 1.0)),
-    lambda: nonaware_converse(*_P, Channel.identity(2), math.nan, DistortionMeasure.TV_L1),
+    lambda: nonaware_converse(*_P, Channel(np.eye(2)), math.nan, DistortionMeasure.TV_L1),
     lambda: GameSpec(_P, math.nan, DistortionMeasure.TV_L1),
     lambda: GameSpec(_P, math.nan, DistortionMeasure.KL),
 ], ids=["ball-radius", "spec-weight", "converse-delta", "spec-delta-tv", "spec-delta-kl"])
@@ -150,7 +144,7 @@ class TestAwareEquilibrium:
         sol = solve_aware_equilibrium(bernoulli_spec)
         for i, chan in enumerate(sol.witness_channels):
             out = apply_channel(bernoulli_spec.hypotheses[i], chan)
-            assert out.allclose(sol.q_star[i], atol=1e-10)
+            assert np.allclose(out.probs, sol.q_star[i].probs, rtol=0.0, atol=1e-10)
             d = bernoulli_spec.measure.evaluate(bernoulli_spec.hypotheses[i], out)
             assert d <= bernoulli_spec.delta + 1e-9
 

@@ -24,7 +24,7 @@ from seqgame import (
 )
 from seqgame.divopt import _first_block_argmin
 
-from oracles import grid_oracle_min, refine_simplex_min
+from oracles import contains, grid_oracle_min, refine_simplex_min
 
 # Oracle points are feasible to within 1e-12, so they may undercut the true
 # minimum by that much times a multiplier; allow a little more.
@@ -85,7 +85,7 @@ def _assert_at_most_oracles(value, objective, ball):
 
 
 def _assert_in_ball(point, ball):
-    assert ball.contains(point)
+    assert contains(ball, point)
     assert np.all(point >= ball.floor)
 
 

@@ -1,11 +1,14 @@
-"""The package's public names, its dependencies, and a check for imports
-that are never read."""
+"""The package's public names, its dependencies, and checks for imports
+and public names that are never read."""
 
 import ast
+import functools
 import os
+import re
 import subprocess
 import sys
 import textwrap
+import types
 from pathlib import Path
 
 import pytest
@@ -59,6 +62,56 @@ def _unread_imports(path: Path) -> list[tuple[int, str]]:
                          ids=lambda path: str(path.relative_to(ROOT)))
 def test_no_unread_imports(path):
     assert _unread_imports(path) == []
+
+
+def _read_names(source: str) -> set[str]:
+    """The names a module reads: each `Name` and attribute that is loaded,
+    and each string constant outside an `__all__` assignment (so the keys
+    of a table of names count). Definitions and imports are not reads."""
+    tree = ast.parse(source)
+    listed = {id(node) for assign in ast.walk(tree) if isinstance(assign, ast.Assign)
+              and any(isinstance(target, ast.Name) and target.id == "__all__"
+                      for target in assign.targets)
+              for node in ast.walk(assign.value)}
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in listed:
+            read.add(node.value)
+    return read
+
+
+def _public_surface() -> list[str]:
+    """Each name of `seqgame.__all__`, and Class.member for each public
+    method and property of its classes other than the errors."""
+    members = (types.FunctionType, classmethod, staticmethod, property, functools.cached_property)
+    names = list(seqgame.__all__)
+    for name in seqgame.__all__:
+        value = getattr(seqgame, name)
+        if isinstance(value, type) and not issubclass(value, BaseException):
+            names += [f"{name}.{member}" for member, attr in vars(value).items()
+                      if not member.startswith("_") and isinstance(attr, members)]
+    return names
+
+
+def test_every_public_name_is_read_outside_the_tests():
+    """A public name that no module of the library, no benchmark script and
+    no Python example of the README reads is surface that only tests
+    reach, and leaves the library."""
+    readme = (ROOT / "README.md").read_text()
+    sources = [path.read_text() for path in [*ROOT.glob("src/seqgame/*.py"), *ROOT.glob("bench/*.py")]]
+    sources += re.findall(r"^```python\n(.*?)^```", readme, flags=re.DOTALL | re.MULTILINE)
+    read = set().union(*map(_read_names, sources))
+    assert [name for name in _public_surface() if name.split(".")[-1] not in read] == []
+
+
+def test_read_names_on_a_sample():
+    source = ("import os\nfrom math import pi\n__all__ = ['alpha', 'beta']\nWRAPPED = {'gamma': 1}\n"
+              "def delta(): return os.sep + eps.zeta\nclass Eta: theta = 1\n")
+    assert _read_names(source) == {"os", "eps", "zeta", "sep", "gamma"}
 
 
 def test_unread_import_check_on_a_sample(tmp_path):

@@ -12,7 +12,7 @@ from seqgame.errors import (
     ShapeError,
     StreamExhaustedError,
 )
-from seqgame.prob import Distribution, DistortionMeasure, binary_kl
+from seqgame.prob import Distribution, DistortionMeasure
 from seqgame.seqtest import (
     ThresholdSchedule,
     _gamma_q,
@@ -23,6 +23,8 @@ from seqgame.seqtest import (
     run_nonaware,
     threshold_constant,
 )
+
+from oracles import binary_kl
 
 # series sums frozen from a 30-digit arbitrary-precision bracket
 C_085 = 2593.3325570093630302
@@ -179,6 +181,16 @@ class TestThresholdSchedule:
         with pytest.raises(DomainError):
             sched.value(0)
 
+    @pytest.mark.parametrize("call", ["value(True)", "value(np.True_)", "at([True])"])
+    def test_bools_are_not_steps(self, call):
+        """Each of these used to give the threshold at n = 1."""
+        sched = ThresholdSchedule(0.1, 2, 2)
+        calls = {"value(True)": lambda: sched.value(True),
+                 "value(np.True_)": lambda: sched.value(np.True_),
+                 "at([True])": lambda: sched.at([True])}
+        with pytest.raises(DomainError):
+            calls[call]()
+
     @pytest.mark.parametrize("sizes", [(2.5, 2), (math.nan, 2), (2, 2.5), (2, math.nan),
                                        ("3", 2)])
     def test_sizes_must_be_integers(self, sizes):
@@ -244,36 +256,33 @@ class TestRunAware:
         out = run_aware(iter(stream), sched, wide_spec)
         assert out.decision == 0
         assert not out.timed_out
-        assert out.trajectory is None
         assert out.stopping_time < 200
 
     def test_trajectory_consistency(self, wide_spec, rng):
+        """The statistics of every prefix up to the stop: none clears its
+        threshold before the stop, and at the stop the first that clears it
+        decides."""
         sched = ThresholdSchedule(0.1, 2, 2)
         stream = list((rng.random(2000) < 0.8).astype(int))
-        out = run_aware(iter(stream), sched, wide_spec, record_trajectory=True)
-        rows = out.trajectory
-        assert [r.step for r in rows] == list(range(1, out.stopping_time + 1))
-        for row in rows[:-1]:
-            assert not row.stopped
-            assert row.decision is None
-            assert max(row.statistics) < row.threshold
-        last = rows[-1]
-        assert last.stopped and last.decision == out.decision
-        assert last.statistics[out.decision] >= last.threshold
-        assert last.threshold == pytest.approx(sched.value(out.stopping_time), rel=1e-15)
+        out = run_aware(iter(stream), sched, wide_spec)
+        steps = np.arange(1, out.stopping_time + 1)
+        ones = np.cumsum(stream[:out.stopping_time])
+        z = evidence_statistics(np.column_stack([steps - ones, ones]), wide_spec)
+        gammas = sched.at(steps)
+        assert np.all(z[:-1].max(axis=1) < gammas[:-1])
+        assert z[-1, out.decision] >= gammas[-1]
+        assert np.all(z[-1, :out.decision] < gammas[-1])
 
-        replay = run_aware(iter(stream), sched, wide_spec, record_trajectory=True)
-        assert replay.stopping_time == out.stopping_time
-        assert replay.decision == out.decision
+        assert run_aware(iter(stream), sched, wide_spec) == out
 
     def test_stride_skips_evaluations(self, wide_spec, rng):
         sched = ThresholdSchedule(0.1, 2, 2)
         stream = list((rng.random(2000) < 0.8).astype(int))
         base = run_aware(iter(stream), sched, wide_spec)
-        strided = run_aware(iter(stream), sched, wide_spec, stride=7, record_trajectory=True)
+        strided = run_aware(iter(stream), sched, wide_spec, stride=7)
         assert strided.stopping_time >= base.stopping_time
         assert strided.decision == base.decision
-        assert all(r.step % 7 == 0 for r in strided.trajectory)
+        assert strided.stopping_time % 7 == 0
 
     def test_exhausted_stream(self, wide_spec):
         sched = ThresholdSchedule(0.1, 2, 2)
@@ -288,10 +297,10 @@ class TestRunAware:
         assert out.stopping_time == 6
 
     def test_no_stop_at_small_n(self, bernoulli_spec):
-        out = run_aware(iter([0]), ThresholdSchedule(0.05, 2, 2), bernoulli_spec,
-                        cap=1, record_trajectory=True)
+        sched = ThresholdSchedule(0.05, 2, 2)
+        out = run_aware(iter([0]), sched, bernoulli_spec, cap=1)
         assert out.timed_out and out.stopping_time == 1
-        assert not out.trajectory[0].stopped
+        assert max(evidence_statistics([1, 0], bernoulli_spec)) < sched.value(1)
 
     def test_tie_breaks_to_smallest_index(self):
         # mirrored hypotheses with zero budget: a balanced type gives exactly
@@ -302,10 +311,9 @@ class TestRunAware:
             DistortionMeasure.TV_L1,
         )
         sched = ThresholdSchedule(0.4, 2, 2)
-        out = run_aware(iter([1] * 150 + [0] * 150), sched, spec, cap=300, stride=300,
-                        record_trajectory=True)
-        last = out.trajectory[-1]
-        assert last.statistics[0] == last.statistics[1] >= last.threshold
+        out = run_aware(iter([1] * 150 + [0] * 150), sched, spec, cap=300, stride=300)
+        z = evidence_statistics([150, 150], spec)
+        assert z[0] == z[1] >= sched.value(300)
         assert (out.stopping_time, out.decision) == (300, 0)
 
     def test_parameter_validation(self, wide_spec):
@@ -390,17 +398,6 @@ class TestRunNonAware:
         assert out.decision == 0
         assert not out.timed_out
         assert out.stopping_time < 100
-
-    def test_trajectory_records_branches(self, rng):
-        sched = ThresholdSchedule(0.2, 2, 2)
-        stream = (rng.random(500) < 0.9).astype(int)
-        out = run_nonaware(
-            iter(stream), sched, self.P0, self.P1, 0.05, DistortionMeasure.TV_L1,
-            record_trajectory=True,
-        )
-        assert len(out.trajectory[-1].statistics) == 2
-        assert out.trajectory[-1].stopped
-        assert out.trajectory[-1].decision == out.decision
 
     def test_requires_binary_schedule(self):
         for sizes in ((3, 2), (2, 3)):

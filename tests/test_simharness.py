@@ -16,7 +16,7 @@ import seqgame
 from seqgame import simharness
 from seqgame.equilibrium import GameSpec
 from seqgame.errors import DomainError, InfeasibleError, SeqGameError, ShapeError
-from seqgame.prob import Channel, Distribution, DistortionMeasure, normalize
+from seqgame.prob import Channel, Distribution, DistortionMeasure
 from seqgame.seqtest import run_aware
 from seqgame.simharness import (
     EQUILIBRIUM_ADVERSARY,
@@ -29,7 +29,7 @@ from seqgame.simharness import (
     sample_through_channel,
 )
 
-from oracles import _first_stop
+from oracles import _first_stop, normalize
 
 SRC = str(Path(seqgame.__file__).resolve().parents[1])
 

@@ -71,8 +71,8 @@ def test_bhattacharyya_pair_min_at_zero_radius(measure):
     got, plain = _run_json(f"""
 import json, sys
 sys.path.insert(0, {TESTS!r})
-from oracles import bhattacharyya_full_patience
-from seqgame import Distribution, DistortionBall, DistortionMeasure, bhattacharyya
+from oracles import bhattacharyya, bhattacharyya_full_patience
+from seqgame import Distribution, DistortionBall, DistortionMeasure
 a, b = (Distribution(h) for h in {HYPOTHESES[:2]!r})
 m = DistortionMeasure({measure!r})
 got = bhattacharyya_full_patience(DistortionBall(a, 0.0, m), DistortionBall(b, 0.0, m))
