@@ -3,9 +3,9 @@
 Each replication draws its randomness from a substream keyed by
 (seed, alpha index, hypothesis, replication index), so results do not
 depend on execution order and any single run can be reproduced in
-isolation. Binary alphabets run on a vectorized engine that stops on
-integer boundaries for the count of zeros, held per scenario and alpha,
-and matches the step-by-step test outcome for outcome.
+isolation. Binary alphabets run on a vectorized engine that stops by the
+boundary table `run_aware` reads, held by the schedule of each alpha, so
+it matches that test outcome for outcome.
 """
 
 from __future__ import annotations
@@ -23,11 +23,10 @@ import numpy as np
 # no run pays for it inside its first replication
 import numpy.random  # noqa: F401
 
-from .divopt import _clamp_divergence
 from .equilibrium import EquilibriumSolution, GameSpec, _outputs_within_budget, solve_aware_equilibrium
 from .errors import DomainError, ResourceError, ShapeError
 from .prob import Channel, Distribution, _check_integers, _floats, _instance, _real
-from .seqtest import TestOutcome, ThresholdSchedule, run_aware
+from .seqtest import _BLOCK, TestOutcome, ThresholdSchedule, _BoundaryTable, run_aware
 
 __all__ = [
     "EQUILIBRIUM_ADVERSARY",
@@ -41,10 +40,6 @@ __all__ = [
 ]
 
 EQUILIBRIUM_ADVERSARY = "equilibrium"
-
-_BLOCK = 4096
-# spacing of the exactly searched steps that seed the boundary search
-_KNOT_SPACING = 128
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,24 +108,11 @@ class ScenarioConfig:
             raise DomainError(f"alpha {alpha} is not on the configured grid") from None
 
     def schedule_for(self, alpha: float) -> ThresholdSchedule:
-        return ThresholdSchedule(
-            alpha=alpha,
-            num_hypotheses=self.spec.num_hypotheses,
-            alphabet_size=self.spec.alphabet_size,
-            zeta=self.zeta,
-        )
+        return ThresholdSchedule(alpha, self.spec.num_hypotheses, self.spec.alphabet_size, self.zeta)
 
     @cached_property
     def _schedules(self) -> tuple[ThresholdSchedule, ...]:
         return tuple(self.schedule_for(alpha) for alpha in self.alpha_grid)
-
-    @cached_property
-    def _boundary_tables(self) -> tuple["_BoundaryTable", ...]:
-        """Stopping boundaries of the binary engine, one table per alpha;
-        each stays empty until replications reach its blocks."""
-        intervals = tuple(ball.interval for ball in self.spec.balls)
-        return tuple(_BoundaryTable(s, intervals, self.cap, self.stride)
-                     for s in self._schedules)
 
     def simulated_hypotheses(self) -> tuple[int, ...]:
         if self.true_hypothesis is not None:
@@ -180,156 +162,13 @@ def _channel_stream(source: Distribution, channel: Channel,
         size = min(2 * size, _BLOCK)
 
 
-def _last_true(holds, steps: np.ndarray) -> np.ndarray:
-    """For each n in the 2-D array `steps`, the largest c in [-1, n] where
-    holds(c, i) is true, i being the flat positions in `steps` of the
-    entries probed, or a full slice when every entry is; holds must be true
-    then false over c = 0..n, and c = -1 counts as true and c = n + 1 as
-    false.
-
-    Rows at most _KNOT_SPACING wide bisect. In wider rows, exact answers at
-    every _KNOT_SPACING-th column, interpolated along each row, give every
-    entry a guess g. Most answers are g or g + 1: a probe at g + 1, then one
-    step from it the way it points, settles both. Each other entry gallops
-    on in doubling steps until it brackets its answer, then bisects, and
-    only the entries still open are probed. A poor guess costs passes,
-    never exactness.
-    """
-    width = steps.shape[1]
-    n = steps.ravel()
-    top = int(n.max(initial=0)) + 1
-    a, b, found = np.full(n.size, -1), n + 1, np.empty(n.size, dtype=np.int64)
-    if width > _KNOT_SPACING:
-        knots = np.unique(np.r_[np.arange(0, width, _KNOT_SPACING), width - 1])
-        flat = (np.arange(steps.shape[0])[:, None] * width + knots).ravel()
-        exact = _last_true(lambda c, i: holds(c, flat[i]), steps[:, knots])
-        guess = np.floor([np.interp(np.arange(width), knots, row) for row in exact]).astype(np.int64)
-        c = np.clip(guess.ravel() + 1, 0, n)
-        up = holds(c, slice(None))
-        a, b, reach = np.where(up, c, a), np.where(up, b, c), 1
-    else:
-        # a reach as wide as any bracket makes every probe a midpoint
-        up, reach = np.ones(n.size, dtype=bool), top
-    idx = np.arange(n.size)
-    while True:
-        done = b - a == 1
-        if done.any():
-            found[idx[done]] = a[done]
-            idx, a, b, up = idx[~done], a[~done], b[~done], up[~done]
-        if not idx.size:
-            return found.reshape(steps.shape)
-        mid = (a + b) >> 1
-        # every probe lies strictly inside its bracket
-        c = np.where(up, np.minimum(a + reach, mid), np.maximum(b - reach, mid))
-        ok = holds(c, idx if idx.size < n.size else slice(None))
-        a, b = np.where(ok, c, a), np.where(ok, b, c)
-        reach = min(2 * reach, top)
-
-
-def _count_boundaries(schedule: ThresholdSchedule,
-                      intervals: tuple[tuple[float, float], ...],
-                      steps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stopping boundaries on the count of zeros at the given steps.
-
-    With two symbols the statistic at step n depends only on the count c of
-    zeros. The divergence from Bernoulli(c/n) to ball j is convex in c/n
-    and zero on the ball's interval, and every threshold is positive, so
-    the counts that clear the threshold against ball j are
-    {c <= lower[j]} | {c >= upper[j]}, one column per step. The search
-    evaluates the float expression of the engine, c/n through the clamp
-    divergence against ThresholdSchedule.value(n) (which `at` gives bit for
-    bit), so the boundaries decide exactly as evaluating it at every count
-    would. Row 2j searches lower[j] and row 2j + 1 searches upper[j] - 1.
-    """
-    rows = 2 * len(intervals)
-    n = np.tile(steps, rows)
-    gamma = np.tile(schedule.at(steps), rows)
-    lo, hi = (np.repeat(ends, 2 * steps.size) for ends in zip(*intervals))
-    side_low = np.tile(np.repeat([True, False], steps.size), len(intervals))
-
-    def holds(c, i):
-        t = c / n[i]
-        d = _clamp_divergence(t, lo[i], hi[i])
-        return np.where(side_low[i], (t < lo[i]) & (d >= gamma[i]),
-                        (t <= hi[i]) | (d < gamma[i]))
-
-    found = _last_true(holds, n.reshape(rows, steps.size))
-    return found[0::2], found[1::2] + 1
-
-
-class _BoundaryTable:
-    """The count boundaries of one alpha at the steps the test evaluates
-    (multiples of the stride, and the cap), one entry per engine block,
-    computed when a replication first reaches that block."""
-
-    def __init__(self, schedule: ThresholdSchedule,
-                 intervals: tuple[tuple[float, float], ...], cap: int, stride: int) -> None:
-        self.schedule = schedule
-        self.intervals = intervals
-        self.cap = cap
-        self.stride = stride
-        # upper boundaries reach cap + 1
-        self.dtype = np.int32 if cap < 2**31 - 1 else np.int64
-        self.blocks: list[tuple[np.ndarray, ...]] = []
-
-    def block(self, index: int) -> tuple[np.ndarray, ...]:
-        """The evaluated steps within block `index`, as (cols, lower, upper,
-        band_lower, band_upper, pick).
-
-        Column j is step index*_BLOCK + 1 + j; lower and upper are the
-        boundaries of each ball there. Row p of the bands belongs to the
-        p-th pair (j, k), j < k, of balls: a count strictly between the
-        pair's larger lower and smaller upper boundary clears neither ball.
-        `pick` selects the columns from a block of counts: a slice while
-        they are evenly spaced, so the engine reads them through a view,
-        and `cols` itself once the cap adds an off-stride column.
-        """
-        while len(self.blocks) <= index:
-            first = len(self.blocks) * _BLOCK + 1
-            last = min(first + _BLOCK - 1, self.cap)
-            start = -(-first // self.stride) * self.stride
-            steps = np.arange(start, last + 1, self.stride)
-            pick = slice(start - first, last + 1 - first, self.stride)
-            if last == self.cap and self.cap % self.stride:
-                steps = np.append(steps, self.cap)
-                pick = steps - first
-            lower, upper = (b.astype(self.dtype) for b in
-                            _count_boundaries(self.schedule, self.intervals, steps))
-            j, k = np.triu_indices(len(lower), 1)
-            self.blocks.append((steps - first, lower, upper, np.maximum(lower[j], lower[k]),
-                                np.minimum(upper[j], upper[k]), pick))
-        return self.blocks[index]
-
-
-def _band_stop(zeros: np.ndarray, lower: np.ndarray, upper: np.ndarray,
-               band_lower: np.ndarray, band_upper: np.ndarray) -> tuple[int, int] | None:
-    """First column at which some hypothesis stops, and its decision.
-
-    Hypothesis i stops when the count clears the boundaries of every rival
-    ball j != i, so some hypothesis stops exactly when at most one ball is
-    left uncleared: when the count lies outside the band of every pair of
-    balls. The decision is the uncleared ball, or 0 when every ball is
-    cleared, since the smallest stopping index wins.
-    """
-    if len(band_lower) == 1:
-        stops = (zeros <= band_lower[0]) | (zeros >= band_upper[0])
-    else:
-        stops = ((zeros <= band_lower) | (zeros >= band_upper)).all(axis=0)
-    if not stops.any():
-        return None
-    k = int(stops.argmax())
-    z = zeros[k]
-    return k, int(((lower[:, k] < z) & (z < upper[:, k])).argmax())
-
-
 def _run_fast_binary(rng: np.random.Generator, source: Distribution, channel: Channel,
                      table: _BoundaryTable) -> TestOutcome:
     """Blockwise engine for binary alphabets.
 
     Consumes the same uniform stream as sample_through_channel, counts the
-    zeros of each block with one cumulative sum, and stops at the first
-    evaluated step whose count leaves the continuation band of every pair
-    of balls in `table`, so outcomes match the step-by-step path exactly.
+    zeros of each block with one cumulative sum, and stops where
+    `table.first_stop` does, so outcomes match `run_aware`'s exactly.
     """
     cut_in = source.cumulative[0]
     # P(output 0 | input 0) and P(output 0 | input 1)
@@ -338,14 +177,14 @@ def _run_fast_binary(rng: np.random.Generator, source: Distribution, channel: Ch
     done = 0
     while done < table.cap:
         u = rng.random((min(_BLOCK, table.cap - done), 2))
-        cols, lower, upper, band_lower, band_upper, pick = table.block(done // _BLOCK)
+        steps, *_, pick = table.block(done // _BLOCK)
         inputs = (u[:, 0] >= cut_in).view(np.int8)
-        zeros = (u[:, 1] < cuts.take(inputs)).cumsum(dtype=lower.dtype)
+        zeros = (u[:, 1] < cuts.take(inputs)).cumsum(dtype=table.dtype)
         if count0:
             zeros += count0
-        hit = _band_stop(zeros[pick], lower, upper, band_lower, band_upper)
+        hit = table.first_stop(steps, zeros[pick, None])  # one row of counts per step
         if hit is not None:
-            return TestOutcome(done + 1 + int(cols[hit[0]]), hit[1])
+            return TestOutcome(int(steps[hit[0]]), hit[1])
         done += zeros.size
         count0 = int(zeros[-1])
     return TestOutcome(table.cap, None, True)
@@ -363,7 +202,9 @@ def run_replication(config: ScenarioConfig, alpha: float, hypothesis: int,
     source = config.spec.hypotheses[hypothesis]
     channel = config.channels[hypothesis]
     if config.spec.alphabet_size == 2:
-        return _run_fast_binary(rng, source, channel, config._boundary_tables[idx])
+        intervals = tuple(ball.interval for ball in config.spec.balls)
+        return _run_fast_binary(rng, source, channel,
+                                config._schedules[idx]._table(intervals, config.cap, config.stride))
     stream = _channel_stream(source, channel, rng)
     return run_aware(stream, config._schedules[idx], config.spec,
                      cap=config.cap, stride=config.stride)

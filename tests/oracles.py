@@ -11,8 +11,8 @@ patience, and the stopping-time horizon that the separation gives.
 They are independent of the solvers in `seqgame.divopt`, of the stacked
 reach solve of `seqgame.seqtest.evidence_statistics`, of the stream loop
 that `seqgame.seqtest.run_aware` and `run_nonaware` share and of their
-decision rules, of the continuation bands of
-`seqgame.simharness` and of the fixed-point stop of the pairwise
+decision rules, of the count-boundary tables and continuation bands of
+`seqgame.seqtest` and of the fixed-point stop of the pairwise
 alternation (the full-patience loops share only their exact blocks), and
 exist only to check them.
 """

@@ -125,7 +125,7 @@ class TestStreamEdges:
         symbols[stop.stopping_time] = spec.alphabet_size
         assert run_aware(iter(symbols), schedule, spec, stride=stride) == stop
 
-    @pytest.mark.parametrize("bad", [3, -1, "x", 0.5, 1.0, "1"])
+    @pytest.mark.parametrize("bad", [3, -1, "x", 0.5, 1.0, "1", True, np.True_])
     def test_bad_symbol_before_the_stop(self, game, bad):
         spec, schedule = game
         symbols = _symbols(spec, 1, 2000)

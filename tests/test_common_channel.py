@@ -6,8 +6,9 @@ channels [[a, 1-a], [1-b, b]] on random games, against the larger of the
 two clamp divergences at every t, and pinned on the benchmark's game, where
 an earlier barrier solver overstated it. The facing-ends channel of
 `solve_nonaware_adversary` is checked against a grid of its objective.
-`run_nonaware`, which reads its stream one evaluated step at a time, is
-checked against the per-symbol loop in `oracles.py`.
+`run_nonaware`, which reads its stream one evaluated step at a time
+against a boundary table on the two output ranges, is checked against the
+per-symbol loop in `oracles.py`.
 """
 
 import math
@@ -328,13 +329,24 @@ def _run(run, symbols, *args, **kwargs):
     return result, it.taken
 
 
+_SLOW_GAME = (DistortionMeasure.TV_L1, 0.38, 0.5, 0.05)
+
+
 @settings(max_examples=60, deadline=None)
 @given(game=_games(), stride=st.integers(1, 2048), evaluations=st.integers(0, 24),
        offset=st.integers(0, 2047), short=st.booleans(),
        alpha=st.sampled_from([0.01, 0.05, 0.3]), seed=st.integers(0, 2**32 - 1))
+@example(game=_SLOW_GAME + (0.42, (0, 1)), stride=7, evaluations=700, offset=3, short=False,
+         alpha=0.05, seed=2)
+@example(game=_SLOW_GAME + (0.44, (0, 1)), stride=7, evaluations=585, offset=5, short=False,
+         alpha=0.05, seed=0)
 def test_run_matches_stepwise(game, stride, evaluations, offset, short, alpha, seed):
     """Same outcome, decision or error, and the same number of
-    symbols read, as the per-symbol loop that solves every step in full."""
+    symbols read, as the per-symbol loop that solves every step in full.
+    Among the examples, the benchmark's game between its output ranges: a
+    stop at 4,830 whose steps at stride 7 run across the boundary table's
+    first block into its second, and a timeout at the cap 4,100, off the
+    stride and just past the first block."""
     measure, p0, p1, delta, q0, _ = game
     cap = max(1, evaluations * stride + offset % stride)
     rng = np.random.default_rng(seed)
@@ -385,7 +397,7 @@ class TestStreamEdges:
     def _symbols(self):
         return (np.random.default_rng(5).random(20_000) >= 0.5).astype(int).tolist()
 
-    @pytest.mark.parametrize("bad", [2, -1, "x", 0.5, 1.0, "1"])
+    @pytest.mark.parametrize("bad", [2, -1, "x", 0.5, 1.0, "1", True, np.True_])
     def test_bad_symbol_reads_the_rest_of_its_stride(self, bad):
         symbols = self._symbols()
         symbols[9] = bad

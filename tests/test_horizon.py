@@ -107,7 +107,7 @@ def test_every_run_stops_by_the_horizon(spec, alpha, stride, seed):
         config = ScenarioConfig(spec, (alpha,), replications=20, seed=seed, cap=horizon,
                                 stride=stride)
         assert [row.timeouts for row in monte_carlo(config).rows] == [0] * spec.num_hypotheses
-        table = config._boundary_tables[0]
+        table = schedule._table(tuple(ball.interval for ball in spec.balls), horizon, stride)
         for law in midpoints:  # through a channel that outputs the law whatever it reads
             channel = Channel(np.vstack([law, law]))
             for _ in range(10):

@@ -13,11 +13,11 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import seqgame
-from seqgame import simharness
+from seqgame import divopt, seqtest, simharness
 from seqgame.equilibrium import GameSpec
 from seqgame.errors import DomainError, InfeasibleError, SeqGameError, ShapeError
 from seqgame.prob import Channel, Distribution, DistortionMeasure
-from seqgame.seqtest import run_aware
+from seqgame.seqtest import ThresholdSchedule, run_aware, run_nonaware
 from seqgame.simharness import (
     EQUILIBRIUM_ADVERSARY,
     REPORT_COLUMNS,
@@ -29,7 +29,7 @@ from seqgame.simharness import (
     sample_through_channel,
 )
 
-from oracles import _first_stop, normalize
+from oracles import _first_stop, normalize, run_aware_stepwise
 
 SRC = str(Path(seqgame.__file__).resolve().parents[1])
 
@@ -262,7 +262,7 @@ class TestRunReplication:
 
     def test_fast_engine_matches_stepwise_path(self, wide_config):
         """The vectorized binary engine replays the exact uniform stream and
-        clamp formula of the generic path, so outcomes agree run for run."""
+        clamp formula of the per-sample path, so outcomes agree run for run."""
         cfg = wide_config
         schedule = cfg.schedule_for(0.1)
         for hyp in (0, 1):
@@ -272,7 +272,7 @@ class TestRunReplication:
                 fast = run_replication(cfg, 0.1, hyp, rep)
                 seq = np.random.SeedSequence([cfg.seed, 0, hyp, rep])
                 rng = np.random.default_rng(seq)
-                slow = run_aware(
+                slow = run_aware_stepwise(
                     _channel_stream(source, channel, rng), schedule, cfg.spec,
                     cap=cfg.cap, stride=cfg.stride,
                 )
@@ -374,13 +374,19 @@ class TestCsvAndSweep:
         assert alpha_sweep(base) == alpha_sweep(explicit)
 
 
-def _stepwise(cfg: ScenarioConfig, alpha: float, hyp: int, rep: int):
-    """The per-sample test on the stream run_replication draws from."""
+def _stepwise(cfg: ScenarioConfig, alpha: float, hyp: int, rep: int, run=run_aware_stepwise):
+    """The per-sample test, with one `evidence_statistics` call per evaluated
+    step, on the stream run_replication draws from; or `run` on it."""
     seq = np.random.SeedSequence([cfg.seed, cfg.alpha_index(alpha), hyp, rep])
     stream = _channel_stream(cfg.spec.hypotheses[hyp], cfg.channels[hyp],
                              np.random.default_rng(seq))
-    return run_aware(stream, cfg.schedule_for(alpha), cfg.spec, cap=cfg.cap,
-                     stride=cfg.stride)
+    return run(stream, cfg.schedule_for(alpha), cfg.spec, cap=cfg.cap, stride=cfg.stride)
+
+
+def _table(cfg: ScenarioConfig):
+    """The boundary table the engine reads at the scenario's one alpha."""
+    (schedule,) = cfg._schedules
+    return schedule._table(tuple(ball.interval for ball in cfg.spec.balls), cfg.cap, cfg.stride)
 
 
 def _same_outcome(a, b) -> bool:
@@ -424,11 +430,13 @@ class TestBinaryEngine:
     def test_matches_stepwise_path(self, cfg, rep):
         """Random games, and two cases that reach the engine's second block:
         a stop at 4,725 and a timeout at a cap on the stride, and a timeout
-        at a cap off the stride."""
+        at a cap off the stride. `run_aware`, which reads the engine's table
+        in chunks that run across its blocks, matches too."""
         (alpha,) = cfg.alpha_grid
         for hyp in (0, 1):
-            assert _same_outcome(run_replication(cfg, alpha, hyp, rep),
-                                 _stepwise(cfg, alpha, hyp, rep))
+            oracle = _stepwise(cfg, alpha, hyp, rep)
+            assert _same_outcome(run_replication(cfg, alpha, hyp, rep), oracle)
+            assert _same_outcome(_stepwise(cfg, alpha, hyp, rep, run_aware), oracle)
 
     def test_three_hypotheses_on_two_symbols(self):
         """Each statistic is the divergence to the nearest rival ball, so the
@@ -445,7 +453,7 @@ class TestBinaryEngine:
         """A stride longer than a block leaves whole blocks with nothing
         to check; the engine samples through them."""
         cfg = ScenarioConfig(_BERNOULLI, (0.001,), 2, 5, cap=12001, stride=5000)
-        assert cfg._boundary_tables[0].block(0)[0].size == 0
+        assert _table(cfg).block(0)[0].size == 0
         for hyp in (0, 1):
             for rep in (0, 1):
                 assert _same_outcome(run_replication(cfg, 0.001, hyp, rep),
@@ -457,9 +465,9 @@ class TestBinaryEngine:
         cap's off-stride column makes the block read its counts through a
         gather; runs stop before the cap and time out at it."""
         cfg = ScenarioConfig(_THREE_ON_TWO, (0.01,), 8, 3, cap=cap, stride=stride)
-        cols, lower, upper, band_lower, band_upper, pick = cfg._boundary_tables[0].block(0)
-        assert band_lower.shape == band_upper.shape == (3, cols.size)
-        assert cols[-1] == cap - 1 and np.array_equal(pick, cols)
+        steps, lower, upper, band_lower, band_upper, pick = _table(cfg).block(0)
+        assert band_lower.shape == band_upper.shape == (3, steps.size)
+        assert steps[-1] == cap and np.array_equal(pick, steps - 1)
         outcomes = []
         for hyp in range(3):
             for rep in range(8):
@@ -506,7 +514,7 @@ class TestBandStop:
         pairs = list(itertools.combinations(range(len(lower)), 2))
         band_lower = np.array([np.maximum(lower[j], lower[k]) for j, k in pairs])
         band_upper = np.array([np.minimum(upper[j], upper[k]) for j, k in pairs])
-        assert (simharness._band_stop(zeros, lower, upper, band_lower, band_upper)
+        assert (seqtest._band_stop(zeros, lower, upper, band_lower, band_upper)
                 == _first_stop(zeros, lower, upper))
 
 
@@ -520,48 +528,47 @@ class TestCountBoundaries:
         schedule = cfg.schedule_for(alpha)
         intervals = tuple(ball.interval for ball in cfg.spec.balls)
         last = 3000
-        lower, upper = simharness._count_boundaries(schedule, intervals,
-                                                    np.arange(1, last + 1))
+        lower, upper = seqtest._count_boundaries(schedule, intervals, np.arange(1, last + 1))
         for n in range(1, last + 1):
             c = np.arange(n + 1)
             gamma = schedule.value(n)
             for j, (lo, hi) in enumerate(intervals):
-                brute = simharness._clamp_divergence(c / n, lo, hi) >= gamma
+                brute = divopt._clamp_divergence(c / n, lo, hi) >= gamma
                 table = (c <= lower[j, n - 1]) | (c >= upper[j, n - 1])
                 assert np.array_equal(brute, table), (n, j)
 
-        head = simharness._count_boundaries(schedule, intervals, np.arange(1, 1001))
-        tail = simharness._count_boundaries(schedule, intervals, np.arange(1001, last + 1))
+        head = seqtest._count_boundaries(schedule, intervals, np.arange(1, 1001))
+        tail = seqtest._count_boundaries(schedule, intervals, np.arange(1001, last + 1))
         for whole, parts in zip((lower, upper), zip(head, tail)):
             assert np.array_equal(whole, np.concatenate(parts, axis=1))
         strided = np.arange(cfg.stride, last + 1, cfg.stride)
-        sparse = simharness._count_boundaries(schedule, intervals, strided)
+        sparse = seqtest._count_boundaries(schedule, intervals, strided)
         for whole, part in zip((lower, upper), sparse):
             assert np.array_equal(whole[:, strided - 1], part)
 
     def test_blocks_hold_evaluated_steps_and_stop_at_cap(self, wide_spec):
         """Multiples of the stride and the cap, grown block by block."""
         cfg = ScenarioConfig(wide_spec, (0.1,), 2, 0, cap=4096 + 904, stride=7)
-        (table,) = cfg._boundary_tables
+        table = _table(cfg)
         assert table.blocks == []
-        cols, lower, upper, band_lower, band_upper, _ = table.block(1)
+        here, lower, upper, band_lower, band_upper, _ = table.block(1)
         assert len(table.blocks) == 2
         assert np.array_equal(band_lower, np.maximum(lower[:1], lower[1:]))
         assert np.array_equal(band_upper, np.minimum(upper[:1], upper[1:]))
         assert lower.dtype == upper.dtype == np.int32
-        assert np.array_equal(cols, np.r_[np.arange(4102, 5000, 7), 5000] - 4097)
-        assert lower.shape == upper.shape == (2, cols.size)
+        assert np.array_equal(here, np.r_[np.arange(4102, 5000, 7), 5000])
+        assert lower.shape == upper.shape == (2, here.size)
         steps = np.r_[np.arange(7, 5000, 7), 5000]
-        assert np.array_equal(np.r_[table.blocks[0][0] + 1, cols + 4097], steps)
+        assert np.array_equal(np.r_[table.blocks[0][0], here], steps)
         schedule = cfg.schedule_for(0.1)
         intervals = tuple(ball.interval for ball in wide_spec.balls)
-        whole = simharness._count_boundaries(schedule, intervals, steps)
+        whole = seqtest._count_boundaries(schedule, intervals, steps)
         for got, ref in zip(zip(*(blk[1:] for blk in table.blocks)), whole):
             assert np.array_equal(np.concatenate(got, axis=1), ref)
 
     def test_counts_past_int32_use_int64(self, wide_spec):
         """Upper boundaries reach cap + 1, which must fit the table type."""
-        dtypes = [ScenarioConfig(wide_spec, (0.1,), 2, 0, cap=cap)._boundary_tables[0].dtype
+        dtypes = [_table(ScenarioConfig(wide_spec, (0.1,), 2, 0, cap=cap)).dtype
                   for cap in (2**31 - 2, 2**31 - 1)]
         assert dtypes == [np.int32, np.int64]
 
@@ -589,6 +596,30 @@ def test_sweep_csv_is_pinned(measure, stride):
     cfg = ScenarioConfig(_pinned_game(measure), (0.2, 0.01), 25, 17, stride=stride)
     text = alpha_sweep(cfg)
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED_SWEEPS[measure, stride]
+
+
+# SHA-256 of the common-channel test's (stopping_time, decision, timed_out)
+# list on the benchmark's game through its channel, written by the loop that
+# formed both branch statistics at every evaluated step.
+PINNED_COMMON_CHANNEL = "0da8f85d2ed30d8c6e24d284ebb9428c6bfd5e87cd198a0556027ad696d8745d"
+
+
+def test_common_channel_outcomes_are_pinned():
+    """Three streams under each hypothesis at strides 1, 7 and 1,024, and at
+    stride 7 with the cap 4,100, off the stride."""
+    spec = _pinned_game("tv")
+    channel = Channel(np.array([[0.7781, 0.2219], [0.175, 0.825]]))
+    schedule = ThresholdSchedule(0.05, 2, 2)
+    outcomes = []
+    for stride, cap in ((1, 1_000_000), (7, 1_000_000), (1024, 1_000_000), (7, 4100)):
+        for hyp in (0, 1):
+            for rep in range(3):
+                stream = _channel_stream(spec.hypotheses[hyp], channel,
+                                         np.random.default_rng([17, hyp, rep]))
+                out = run_nonaware(stream, schedule, *spec.hypotheses, spec.delta, spec.measure,
+                                   cap=cap, stride=stride)
+                outcomes.append((out.stopping_time, out.decision, out.timed_out))
+    assert hashlib.sha256(repr(outcomes).encode()).hexdigest() == PINNED_COMMON_CHANNEL
 
 
 # SHA-256 of a three-hypothesis binary sweep's CSV, written by the engine
@@ -621,8 +652,10 @@ def test_ternary_sweep_csv_is_pinned(measure, delta):
 
 
 class TestNoSharedState:
-    def test_no_module_level_cache(self):
-        caches = [name for name, value in vars(simharness).items()
+    @pytest.mark.parametrize("module", [simharness, seqtest])
+    def test_no_module_level_cache(self, module):
+        """Boundary tables live on the schedules that own their thresholds."""
+        caches = [name for name, value in vars(module).items()
                   if not name.startswith("__") and isinstance(value, (dict, list, set))]
         assert caches == []
 
