@@ -4,9 +4,10 @@ The reach `min D(qhat || q)` over a distortion ball, and the argmin of
 `D(x || w)` over one, are solved exactly from their KKT conditions: a
 sorting water-fill for TV balls, and a mixture or an exponential tilt with
 one bisected scalar for KL balls. Alternating these exact blocks solves the
-pairwise minimum `min D(q1 || q2)` over two balls. The binary common-channel
-min-max has a closed form in output coordinates: the larger of the clamps
-of qhat[0] onto the two laws' ranges of outputs over the common channels.
+pairwise minimum `min D(q1 || q2)` over two balls, for many pairs in one
+alternation. The binary common-channel min-max has a closed form in output
+coordinates: the larger of the clamps of qhat[0] onto the two laws' ranges
+of outputs over the common channels.
 """
 
 from __future__ import annotations
@@ -46,12 +47,12 @@ _PATIENCE = 5
 
 
 class _RunningMinimum:
-    """The stop rule of the pairwise alternation: `_PATIENCE` rounds in a
-    row that drop the running minimum by less than `_TOLERANCE` relative
-    converge, `_BISECTION_CAP` rounds do not. A round is a pure function of
-    the state it starts from, so one that ends on that state bit for bit is
-    repeated by every later round: stop there, with the outcome the repeats
-    give."""
+    """The stop rule of one pair in the alternation over many pairs:
+    `_PATIENCE` rounds in a row that drop its running minimum by less than
+    `_TOLERANCE` relative converge, `_BISECTION_CAP` rounds do not. A round
+    is a pure function of the pair's state at its start, so one that ends
+    on that state bit for bit is repeated by every later round: the pair
+    leaves the alternation there, with the outcome the repeats give."""
 
     def __init__(self, start: float):
         self.best, self.rounds, self.quiet = start, 0, 0
@@ -379,51 +380,67 @@ def _lambertw_exp(y: np.ndarray) -> np.ndarray:
     return w
 
 
-def _kl_tilt_argmin(w: np.ndarray, ball: DistortionBall) -> tuple[np.ndarray, bool, int]:
-    """argmin of D(x || w) over a KL ball, an I-projection of w.
+def _kl_tilt_argmin(w: np.ndarray, p: np.ndarray, floor: float,
+                    radius: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per row, argmin of D(x || w) over the KL ball around that row of p,
+    an I-projection of w; whether each row converged, and its steps.
 
     Stationarity gives x_i = mu p_i / W(mu p_i e^(1+lam) / w_i) with W the
     Lambert function, lam fixing the sum and mu the level. Writing
     c = mu e^(1+lam) turns this into x_i proportional to
     w_i exp(W(c p_i / w_i)), normalized and floored; log c is bisected on
-    D(p || x) = r, with x = w at c -> 0 and x -> p as c grows.
+    D(p || x) = r, with x = w at c -> 0 and x -> p as c grows. Each row
+    doubles its own bracket; one that stays open after `_BRACKET_CAP`
+    doublings returns p, unconverged.
     """
-    p, floor, radius = ball.center.probs, ball.floor, ball.radius
-    if radius == 0.0 or np.any(w[p > 0.0] == 0.0):
-        # every feasible x has D(x || w) = inf when w misses p's support
-        return p.copy(), True, 0
+    n = w.shape[0]
+    x, converged, steps = p.copy(), np.ones(n, dtype=bool), np.zeros(n, dtype=int)
+    # every feasible x has D(x || w) = inf when w misses p's support
+    rows = np.flatnonzero(~((w == 0.0) & (p > 0.0)).any(axis=1) & (radius > 0.0))
+    if rows.size == 0:
+        return x, converged, steps
+    w, p = w[rows], p[rows]
     with np.errstate(divide="ignore", invalid="ignore"):
         log_ratio = np.where(p > 0.0, np.log(p) - np.log(w), -math.inf)
-    top = float(log_ratio.max())
 
-    def tilt(s: np.ndarray, rows=None) -> np.ndarray:
-        lw = _lambertw_exp(s[:, None] + log_ratio)
-        return _floor_fill(w * np.exp(lw - lw.max(axis=1, keepdims=True)), floor)
+    def tilt(s: np.ndarray, at) -> np.ndarray:
+        lw = _lambertw_exp(s[:, None] + log_ratio[at])
+        return _floor_fill(w[at] * np.exp(lw - lw.max(axis=1, keepdims=True)), floor)
 
-    level = _kl_from(p[None, :])  # w > 0 on the support of p, so x is too
-    lo = -40.0 - top  # c p_i / w_i < e^-40: x equals w to rounding
-    x = tilt(np.array([lo]))
-    if level(x, 0)[0] <= radius:
-        return x[0], True, 0
-    hi = 1.0 - lo
-    for widen in range(1, _BRACKET_CAP + 1):
-        if level(tilt(np.array([hi])), 0)[0] <= radius:
+    level = _kl_from(p)  # w > 0 on the support of p, so x is too
+    lo = -40.0 - log_ratio.max(axis=1)  # c p_i / w_i < e^-40: x equals w to rounding
+    start = tilt(lo, slice(None))
+    inside = level(start, slice(None)) <= radius
+    x[rows[inside]] = start[inside]
+    hi, widen, live = 1.0 - lo, np.zeros(rows.size, dtype=int), np.flatnonzero(~inside)
+    for k in range(1, _BRACKET_CAP + 1):
+        if live.size == 0:
             break
-        lo, hi = hi, 2.0 * hi
-    else:
-        return p.copy(), False, _BRACKET_CAP
-    x, _, converged, steps = _bisect_level(tilt, level, radius, np.array([lo]), np.array([hi]))
-    return x[0], bool(converged[0]), widen + int(steps[0])
+        closed = level(tilt(hi[live], live), live) <= radius
+        widen[live[closed]] = k
+        live = live[~closed]
+        lo[live], hi[live] = hi[live], 2.0 * hi[live]
+    converged[rows[live]], steps[rows[live]] = False, _BRACKET_CAP
+    ends = np.flatnonzero(widen)
+    if ends.size:
+        x[rows[ends]], _, converged[rows[ends]], bisected = _bisect_level(
+            lambda s, at: tilt(s, ends[at]), lambda q, at: level(q, ends[at]), radius, lo[ends],
+            hi[ends])
+        steps[rows[ends]] = widen[ends] + bisected
+    return x, converged, steps
 
 
-def _first_block_argmin(w: np.ndarray, ball: DistortionBall) -> tuple[np.ndarray, bool, int]:
-    """argmin of D(x || w) over x in the ball."""
-    if _inside(w, ball.center.probs, ball):
-        return w, True, 0
-    if ball.measure is DistortionMeasure.TV_L1:
-        return _tv_block_argmin(w[None, :], ball.center.probs[None, :], ball.floor,
-                                0.5 * ball.radius)[0], True, 0
-    return _kl_tilt_argmin(w, ball)
+def _first_block_argmin(w: np.ndarray, p: np.ndarray,
+                        ball: DistortionBall) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per row, argmin of D(x || w) over the ball like `ball` around that row
+    of p (rows inside are their own); whether each converged, its steps."""
+    x, converged, steps = w.copy(), np.ones(w.shape[0], dtype=bool), np.zeros(w.shape[0], dtype=int)
+    out = np.flatnonzero(~_inside(w, p, ball))
+    if out.size and ball.measure is DistortionMeasure.TV_L1:
+        x[out] = _tv_block_argmin(w[out], p[out], ball.floor, 0.5 * ball.radius)
+    elif out.size:
+        x[out], converged[out], steps[out] = _kl_tilt_argmin(w[out], p[out], ball.floor, ball.radius)
+    return x, converged, steps
 
 
 def channel_from_output(source: Distribution, output: Distribution) -> Channel:
@@ -444,19 +461,22 @@ def _ball_reach(q0: np.ndarray, balls: tuple[DistortionBall, ...]) -> tuple[np.n
     steps, as (M R)-row arrays that list the R rows of ball 0 first. The
     balls share their measure, radius and floor. Rows inside a ball are
     their own argmin there, at value zero."""
-    ball, n = balls[0], len(balls) * q0.shape[0]
-    converged, steps = np.ones(n, dtype=bool), np.zeros(n, dtype=int)
-    if ball.size == 2:
+    if balls[0].size == 2:
         # each ball's interval ends as an (M, 1) column against the R rows
         lo, hi = np.array([b.interval for b in balls]).T[:, :, None]
         t = q0[:, 0]
         tc = np.minimum(np.maximum(t, lo), hi).ravel()
         return (np.column_stack([tc, 1.0 - tc]), _clamp_divergence(t, lo, hi).ravel(),
-                converged, steps)
+                np.ones(tc.size, dtype=bool), np.zeros(tc.size, dtype=int))
+    return _reach_rows(np.concatenate([q0] * len(balls)),
+                       np.array([b.center.probs for b in balls]).repeat(q0.shape[0], axis=0), balls[0])
 
-    w = np.concatenate([q0] * len(balls))
-    p = np.array([b.center.probs for b in balls]).repeat(q0.shape[0], axis=0)
-    weight = None
+
+def _reach_rows(w: np.ndarray, p: np.ndarray, ball: DistortionBall) -> tuple[np.ndarray, np.ndarray,
+                                                                          np.ndarray, np.ndarray]:
+    """`_ball_reach` on three or more symbols, with row r of w against the
+    ball like `ball` (measure, radius, floor) around row r of p."""
+    converged, steps, weight = np.ones(w.shape[0], dtype=bool), np.zeros(w.shape[0], dtype=int), None
     if ball.measure is DistortionMeasure.TV_L1:
         solved = _tv_block_argmin(w, p, ball.floor, 0.5 * ball.radius)
     else:
@@ -522,8 +542,22 @@ class PairMinResult:
     iterations: int
 
 
-def pairwise_min_divergence(ball_first: DistortionBall, ball_second: DistortionBall) -> PairMinResult:
-    """Minimize D(q1 || q2) jointly over two balls.
+def _binary_pair(ball_first: DistortionBall, ball_second: DistortionBall) -> PairMinResult:
+    """The pairwise minimum of two binary balls, from their intervals."""
+    (a1, b1), (a2, b2) = ball_first.interval, ball_second.interval
+    lo, hi = max(a1, a2), min(b1, b2)
+    if lo <= hi:  # overlapping reach: both adversaries meet at one law
+        t = min(max(float(ball_first.center.probs[0]), lo), hi)
+        shared = Distribution(np.array([t, 1.0 - t]))
+        return PairMinResult(0.0, shared, shared, True, 0)
+    t1, t2 = (b1, a2) if b1 < a2 else (a1, b2)
+    return PairMinResult(_binary_kl(t1, t2), Distribution(np.array([t1, 1.0 - t1])),
+                         Distribution(np.array([t2, 1.0 - t2])), True, 0)
+
+
+def pairwise_min_divergence(ball_first, ball_second):
+    """Minimize D(q1 || q2) jointly over two balls, or over each pair of
+    two equal-length sequences of balls.
 
     The objective is jointly convex and the feasible set is a product, so
     alternating exact block minimization reaches the global optimum. Each
@@ -533,47 +567,56 @@ def pairwise_min_divergence(ball_first: DistortionBall, ball_second: DistortionB
     balls has one result, the running minimum: its value, never below zero,
     and argmins. `iterations` counts the rounds run and their blocks'
     bisection steps; `converged` is False when the rounds (or the repeats
-    they skip) or any block would hit its cap.
+    they skip) or any block would hit its cap. Binary balls take a closed
+    form.
+
+    Two balls give one `PairMinResult`; two sequences a tuple whose entry r
+    is, bit for bit, the result for (ball_first[r], ball_second[r]). All
+    pairs run in one alternation, each half-round one block solve over the
+    pairs still running. The balls of each sequence share their measure,
+    radius and floor.
     """
-    if (_instance("ball_first", ball_first, DistortionBall).size
-            != _instance("ball_second", ball_second, DistortionBall).size):
+    single = isinstance(ball_first, DistortionBall)
+    firsts, seconds = (tuple(_instance(name, ball, DistortionBall)
+                             for ball in ((value,) if single else _instance(name, value, (tuple, list))))
+                       for name, value in (("ball_first", ball_first), ("ball_second", ball_second)))
+    if len(firsts) != len(seconds):
+        raise ShapeError("ball_first and ball_second must have one ball per pair")
+    if len({ball.size for ball in firsts + seconds}) > 1:
         raise ShapeError("balls must share one alphabet")
+    if any(len({(b.measure, b.radius, b.floor) for b in balls}) > 1 for balls in (firsts, seconds)):
+        raise DomainError("the balls of each sequence must share one measure, radius and floor")
+    if not firsts or firsts[0].size == 2:
+        results = tuple(map(_binary_pair, firsts, seconds))
+        return results[0] if single else results
 
-    if ball_first.size == 2:
-        a1, b1 = ball_first.interval
-        a2, b2 = ball_second.interval
-        lo, hi = max(a1, a2), min(b1, b2)
-        if lo <= hi:  # overlapping reach: both adversaries meet at one law
-            t = min(max(float(ball_first.center.probs[0]), lo), hi)
-            shared = Distribution(np.array([t, 1.0 - t]))
-            return PairMinResult(0.0, shared, shared, True, 0)
-        if b1 < a2:
-            t1, t2 = b1, a2
-        else:
-            t1, t2 = a1, b2
-        value = _binary_kl(t1, t2)
-        return PairMinResult(
-            value,
-            Distribution(np.array([t1, 1.0 - t1])),
-            Distribution(np.array([t2, 1.0 - t2])),
-            True,
-            0,
-        )
-
-    q1, q2 = ball_first.center.probs, ball_second.center.probs
-    rule, best_pair = _RunningMinimum(_kl_arrays(q1, q2)), (q1, q2)
-    blocks_converged, total_iters, done = True, 0, False
-    while not done:
-        q1, first_ok, it1 = _first_block_argmin(q2, ball_first)
-        inner = min_divergence_to_ball(q1, ball_second)
-        total_iters += 1 + it1 + inner.iterations
-        blocks_converged &= first_ok and inner.converged
-        start, q2 = q2, inner.argmin.probs
-        if inner.value <= rule.best:
-            best_pair = (q1, q2)
-        done = rule.stop(inner.value, np.array_equal(q2, start))
-    return PairMinResult(max(rule.best, 0.0), Distribution(best_pair[0]), Distribution(best_pair[1]),
-                         rule.converged and blocks_converged, total_iters)
+    # one row per pair: q2[r] is the state of pair r
+    p1, p2 = (np.array([ball.center.probs for ball in balls]) for balls in (firsts, seconds))
+    rules = [_RunningMinimum(_kl_arrays(a, b)) for a, b in zip(p1, p2)]
+    best1, best2, q2 = p1.copy(), p2.copy(), p2.copy()
+    iterations, blocks_converged = np.zeros(len(rules), dtype=int), np.ones(len(rules), dtype=bool)
+    live = np.arange(len(rules))
+    while live.size:
+        q1, first_ok, first_steps = _first_block_argmin(q2[live], p1[live], firsts[0])
+        raw, values, reach_ok, reach_steps = _reach_rows(q1, p2[live], seconds[0])
+        # the probabilities of `_floored_distribution` on each row
+        reach = raw / raw.sum(axis=1, keepdims=True)
+        for k in np.flatnonzero(reach.min(axis=1) < seconds[0].floor):
+            reach[k] = _floored_distribution(raw[k], seconds[0].floor).probs
+        iterations[live] += 1 + first_steps + reach_steps
+        blocks_converged[live] &= first_ok & reach_ok
+        fixed = (reach == q2[live]).all(axis=1)
+        q2[live] = reach
+        running = np.ones(live.size, dtype=bool)
+        for k, (r, value) in enumerate(zip(live.tolist(), values.tolist())):
+            if value <= rules[r].best:
+                best1[r], best2[r] = q1[k], reach[k]
+            running[k] = not rules[r].stop(value, bool(fixed[k]))
+        live = live[running]
+    results = tuple(PairMinResult(max(rule.best, 0.0), Distribution(a), Distribution(b),
+                                  bool(rule.converged and ok), int(n))
+                    for rule, a, b, ok, n in zip(rules, best1, best2, blocks_converged, iterations))
+    return results[0] if single else results
 
 
 # ---------------------------------------------------------------------------

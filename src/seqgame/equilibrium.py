@@ -10,6 +10,7 @@ exponents across hypotheses.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -103,17 +104,12 @@ class GameSpec:
 
     @cached_property
     def pairwise_minima(self) -> dict[tuple[int, int], PairMinResult]:
-        """Joint minima of D(q_i || q_j) over ordered pairs of balls.
-
-        The smallest entry must clear `_SEPARATION_FLOOR` or the game is
-        degenerate.
-        """
-        balls = self.balls
-        out: dict[tuple[int, int], PairMinResult] = {}
-        for i in range(len(balls)):
-            for j in range(len(balls)):
-                if i != j:
-                    out[(i, j)] = pairwise_min_divergence(balls[i], balls[j])
+        """Joint minima of D(q_i || q_j) over the M(M-1) ordered pairs of
+        balls, all in one alternation. The smallest entry must clear
+        `_SEPARATION_FLOOR` or the game is degenerate."""
+        pairs = list(itertools.permutations(range(self.num_hypotheses), 2))
+        out = dict(zip(pairs, pairwise_min_divergence(tuple(self.balls[i] for i, _ in pairs),
+                                                      tuple(self.balls[j] for _, j in pairs))))
         worst = min(r.value for r in out.values())
         if worst < _SEPARATION_FLOOR:
             raise DegenerateGameError(

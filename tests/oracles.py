@@ -5,11 +5,14 @@ distance, membership of a ball, the evidence statistic solved ball by
 ball, the branch statistics of the common channel, the aware and
 common-channel tests fed one symbol at a time, the binary engine's stop
 rule counted ball by ball, random feasible common channels, the pairwise
-alternation and the Bhattacharyya separation run for their full
-patience, and the stopping-time horizon that the separation gives.
+alternation run one pair at a time (with its first block solved one row
+at a time), the pairwise alternation and the Bhattacharyya separation run
+for their full patience, and the stopping-time horizon that the
+separation gives.
 
 They are independent of the solvers in `seqgame.divopt`, of the stacked
-reach solve of `seqgame.seqtest.evidence_statistics`, of the stream loop
+reach solve of `seqgame.seqtest.evidence_statistics`, of the batching of
+pairs in the pairwise alternation, of the stream loop
 that `seqgame.seqtest.run_aware` and `run_nonaware` share and of their
 decision rules, of the count-boundary tables and continuation bands of
 `seqgame.seqtest` and of the fixed-point stop of the pairwise
@@ -31,7 +34,6 @@ from seqgame.divopt import (
     DistortionBall,
     PairMinResult,
     _ball_reach,
-    _first_block_argmin,
     min_divergence_to_ball,
     min_divergence_over_common_channels,
     min_max_divergence_over_channel,
@@ -362,6 +364,70 @@ def _max_feasible_blend(p0: Distribution, p1: Distribution, target: np.ndarray,
     return (1.0 - t) * eye + t * target
 
 
+def kl_tilt_argmin_one_row(w: np.ndarray, ball: DistortionBall) -> tuple[np.ndarray, bool, int]:
+    """The KL first block of the pairwise alternation, one row at a time:
+    argmin of D(x || w) over a KL ball, an I-projection of w, with log c
+    bracketed by doubling and then bisected on D(p || x) = r (see
+    `divopt._kl_tilt_argmin`, which solves many rows at once)."""
+    p, floor, radius = ball.center.probs, ball.floor, ball.radius
+    if radius == 0.0 or np.any(w[p > 0.0] == 0.0):
+        # every feasible x has D(x || w) = inf when w misses p's support
+        return p.copy(), True, 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_ratio = np.where(p > 0.0, np.log(p) - np.log(w), -math.inf)
+    top = float(log_ratio.max())
+
+    def tilt(s: np.ndarray, rows=None) -> np.ndarray:
+        lw = divopt._lambertw_exp(s[:, None] + log_ratio)
+        return divopt._floor_fill(w * np.exp(lw - lw.max(axis=1, keepdims=True)), floor)
+
+    level = divopt._kl_from(p[None, :])  # w > 0 on the support of p, so x is too
+    lo = -40.0 - top  # c p_i / w_i < e^-40: x equals w to rounding
+    x = tilt(np.array([lo]))
+    if level(x, 0)[0] <= radius:
+        return x[0], True, 0
+    hi = 1.0 - lo
+    for widen in range(1, divopt._BRACKET_CAP + 1):
+        if level(tilt(np.array([hi])), 0)[0] <= radius:
+            break
+        lo, hi = hi, 2.0 * hi
+    else:
+        return p.copy(), False, divopt._BRACKET_CAP
+    x, _, converged, steps = divopt._bisect_level(tilt, level, radius, np.array([lo]),
+                                                  np.array([hi]))
+    return x[0], bool(converged[0]), widen + int(steps[0])
+
+
+def first_block_one_row(w: np.ndarray, ball: DistortionBall) -> tuple[np.ndarray, bool, int]:
+    """argmin of D(x || w) over x in the ball, one row at a time."""
+    if divopt._inside(w, ball.center.probs, ball):
+        return w, True, 0
+    if ball.measure is DistortionMeasure.TV_L1:
+        return divopt._tv_block_argmin(w[None, :], ball.center.probs[None, :], ball.floor,
+                                       0.5 * ball.radius)[0], True, 0
+    return kl_tilt_argmin_one_row(w, ball)
+
+
+def pairwise_min_one_pair(ball_first: DistortionBall, ball_second: DistortionBall) -> PairMinResult:
+    """`pairwise_min_divergence` on one pair of balls above two symbols, run
+    alone: each round one first block of one row and one public reach
+    solve, stopped by the pair's own `divopt._RunningMinimum`."""
+    q1, q2 = ball_first.center.probs, ball_second.center.probs
+    rule, best_pair = divopt._RunningMinimum(_kl_arrays(q1, q2)), (q1, q2)
+    blocks_converged, total_iters, done = True, 0, False
+    while not done:
+        q1, first_ok, it1 = first_block_one_row(q2, ball_first)
+        inner = min_divergence_to_ball(q1, ball_second)
+        total_iters += 1 + it1 + inner.iterations
+        blocks_converged &= first_ok and inner.converged
+        start, q2 = q2, inner.argmin.probs
+        if inner.value <= rule.best:
+            best_pair = (q1, q2)
+        done = rule.stop(inner.value, np.array_equal(q2, start))
+    return PairMinResult(max(rule.best, 0.0), Distribution(best_pair[0]), Distribution(best_pair[1]),
+                         rule.converged and blocks_converged, total_iters)
+
+
 def pairwise_min_full_patience(ball_first: DistortionBall,
                                ball_second: DistortionBall) -> PairMinResult:
     """`pairwise_min_divergence` for alphabets above two symbols, with the
@@ -371,7 +437,7 @@ def pairwise_min_full_patience(ball_first: DistortionBall,
     best, best_pair = _kl_arrays(q1, q2), (q1, q2)
     quiet, converged, blocks_converged, total_iters = 0, False, True, 0
     for _ in range(divopt._BISECTION_CAP):
-        q1, first_ok, it1 = _first_block_argmin(q2, ball_first)
+        q1, first_ok, it1 = first_block_one_row(q2, ball_first)
         inner = min_divergence_to_ball(q1, ball_second)
         q2 = inner.argmin.probs
         total_iters += 1 + it1 + inner.iterations

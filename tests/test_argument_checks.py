@@ -46,6 +46,7 @@ P0, P1 = LAWS = Distribution([0.38, 0.62]), Distribution([0.5, 0.5])
 TV = DistortionMeasure.TV_L1
 SPEC = GameSpec((P0, P1), 0.05, TV)
 BALL = DistortionBall(P0, 0.05, TV)
+RIVAL = DistortionBall(P1, 0.05, TV)
 SCHEDULE = ThresholdSchedule(0.1, 2, 2)
 EYE = Channel(np.eye(2))
 CONFIG = ScenarioConfig(SPEC, (0.1,), 2, 0, cap=300)
@@ -56,7 +57,8 @@ GAME = {"p0": P0, "p1": P1, "delta": 0.05, "measure": TV}
 STREAM = [0, 1, 1] * 150
 
 # One valid call of each public callable, as keyword arguments; an error
-# class takes its message.
+# class takes its message. A callable that takes a second form of its
+# arguments has a second call, named with the form in brackets.
 VALID = {
     "Distribution": {"probs": [0.5, 0.5]},
     "Channel": {"rows": [[0.9, 0.1], [0.2, 0.8]]},
@@ -70,7 +72,8 @@ VALID = {
     "ChannelMinMaxResult": {"value": 0.0, "channel": EYE},
     "channel_from_output": {"source": P0, "output": P1},
     "min_divergence_to_ball": {"qhat": [0.3, 0.7], "ball": BALL},
-    "pairwise_min_divergence": {"ball_first": BALL, "ball_second": DistortionBall(P1, 0.05, TV)},
+    "pairwise_min_divergence": {"ball_first": BALL, "ball_second": RIVAL},
+    "pairwise_min_divergence[sequences]": {"ball_first": (BALL, RIVAL), "ball_second": [RIVAL, BALL]},
     "min_max_divergence_over_channel": {"qhat": [0.45, 0.55], **GAME, "floor": 1e-9},
     "min_divergence_over_common_channels": {"qhat": [0.45, 0.55], "target": 1, **GAME,
                                             "floor": 1e-9},
@@ -112,6 +115,7 @@ CALLABLES = sorted([*VALID, *ERRORS])
 
 
 def _call(name: str, kwargs: dict):
+    name = name.split("[")[0]
     fn = getattr(cli, name[4:]) if name.startswith("cli.") else getattr(seqgame, name)
     return fn(*kwargs.values()) if name in ERRORS else fn(**kwargs)
 
@@ -138,7 +142,7 @@ def _call_method(name: str, kwargs: dict):
 def test_every_public_callable_has_a_valid_call():
     public = [name for name in seqgame.__all__ if callable(getattr(seqgame, name))]
     builders = [f"cli.{name}" for name in cli.__all__ if name.startswith("build_")]
-    assert sorted([*public, *builders]) == CALLABLES
+    assert sorted([*public, *builders]) == sorted({name.split("[")[0] for name in CALLABLES})
     for name in VALID:
         _call(name, VALID[name])
 
@@ -318,6 +322,44 @@ def test_numpy_scalars_stay_accepted(real, integer):
     assert alpha_sweep(config) == alpha_sweep(plain)
     out = run_aware(STREAM, SCHEDULE, SPEC, cap=integer(400), stride=integer(3))
     assert out == run_aware(STREAM, SCHEDULE, SPEC, cap=400, stride=3)
+
+
+# ---------------------------------------------------------------------------
+# Pairwise minima on two sequences of balls: one block solve takes one
+# measure, radius and floor per side
+
+
+TERNARY = DistortionBall(Distribution([0.2, 0.3, 0.5]), 0.05, TV)
+
+
+@pytest.mark.parametrize("firsts, seconds, error", [
+    ((BALL, RIVAL), (RIVAL,), seqgame.ShapeError),
+    ((BALL, TERNARY), (RIVAL, BALL), seqgame.ShapeError),
+    ((BALL, TERNARY), (RIVAL, TERNARY), seqgame.ShapeError),
+    ((BALL, P1), (RIVAL, BALL), DomainError),
+    ((BALL, RIVAL), (RIVAL, None), DomainError),
+    (BALL, (RIVAL,), DomainError),
+    ((BALL,), RIVAL, DomainError),
+    ((BALL, DistortionBall(P1, 0.05, DistortionMeasure.KL)), (RIVAL, BALL), DomainError),
+    ((BALL, DistortionBall(P1, 0.01, TV)), (RIVAL, BALL), DomainError),
+    ((BALL, DistortionBall(P1, 0.05, TV, floor=1e-6)), (RIVAL, BALL), DomainError),
+    ((BALL, RIVAL), (RIVAL, DistortionBall(P0, 0.01, TV)), DomainError),
+], ids=["unequal lengths", "mixed sizes in a sequence", "mixed sizes across sequences",
+        "first entry not a ball", "second entry not a ball", "ball and sequence",
+        "sequence and ball", "first measures", "first radii", "first floors", "second radii"])
+def test_pair_sequences_raise_typed_errors(firsts, seconds, error):
+    with pytest.raises(error):
+        seqgame.pairwise_min_divergence(firsts, seconds)
+
+
+def test_one_pair_of_unlike_balls_stays_valid():
+    """The two balls of one pair may differ in measure, radius and floor; on
+    two sequences only the balls of one side must agree."""
+    unlike = DistortionBall(P1, 0.01, DistortionMeasure.KL, floor=1e-6)
+    single = seqgame.pairwise_min_divergence(BALL, unlike)
+    pairs = seqgame.pairwise_min_divergence([BALL, BALL], (unlike, unlike))
+    assert [repr(r) for r in pairs] == [repr(single)] * 2  # Distribution compares by identity
+    assert seqgame.pairwise_min_divergence((), []) == ()
 
 
 # ---------------------------------------------------------------------------

@@ -122,8 +122,9 @@ def test_reach_is_feasible_and_beats_oracles(instance):
 @given(instances(zeros=False))
 def test_first_block_is_feasible_and_beats_oracles(instance):
     ball, w = instance
-    x, converged, _ = _first_block_argmin(w, ball)
-    assert converged
+    rows, converged, _ = _first_block_argmin(w[None, :], ball.center.probs[None, :], ball)
+    x = rows[0]
+    assert converged[0]
     _assert_in_ball(x, ball)
 
     def objective(pts):
