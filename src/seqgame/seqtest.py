@@ -6,13 +6,15 @@ stops when any such statistic clears a shrinking threshold. It and the
 common-channel test share one stream loop and one stop rule on two
 symbols: integer boundaries on the count of zeros, on the ball intervals
 or on the channels' output ranges, which `simharness` reads too. More
-symbols compute `evidence_statistics`.
+symbols compute `evidence_statistics`. The loop drives a tuple of streams
+in lockstep, so that one evidence call covers a read of every stream.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator
+from bisect import bisect_right
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import count, islice, repeat
@@ -293,7 +295,9 @@ def _last_true(holds, steps: np.ndarray) -> np.ndarray:
     top = int(n.max(initial=0)) + 1
     a, b, found = np.full(n.size, -1), n + 1, np.empty(n.size, dtype=np.int64)
     if width > _KNOT_SPACING:
-        knots = np.unique(np.r_[np.arange(0, width, _KNOT_SPACING), width - 1])
+        # every _KNOT_SPACING-th column and the last, increasing; not np.unique,
+        # which imports numpy.ma
+        knots = np.arange(0, width + _KNOT_SPACING - 1, _KNOT_SPACING).clip(max=width - 1)
         flat = (np.arange(steps.shape[0])[:, None] * width + knots).ravel()
         exact = _last_true(lambda c, i: holds(c, flat[i]), steps[:, knots])
         guess = np.floor([np.interp(np.arange(width), knots, row) for row in exact]).astype(np.int64)
@@ -467,51 +471,123 @@ def _symbol_codes(symbols: list, alphabet_size: int) -> tuple[np.ndarray, Domain
     return np.array(out, dtype=np.int64), None
 
 
+class _CodeStream:
+    """A stream that hands out its symbols as arrays of codes in the
+    alphabet. `reader()` starts a reading: a function that gives the next
+    `size` symbols as an int64 array. `_run` reads it with no check per
+    symbol; iterating it yields the symbols of a fresh reading one by one."""
+
+    __slots__ = ()
+
+    def reader(self) -> Callable[[int], np.ndarray]:
+        raise NotImplementedError
+
+    def __iter__(self) -> Iterator[int]:
+        take = self.reader()
+        while True:
+            yield from take(_BLOCK).tolist()
+
+
+def _reader(stream: Iterable[int],
+            alphabet_size: int) -> Callable[[int], tuple[np.ndarray, DomainError | None]]:
+    """read(k): the next k symbols of the stream as codes, up to the first
+    invalid one or the end of the stream, and the error of that symbol."""
+    if isinstance(stream, _CodeStream):
+        take = stream.reader()
+        return lambda k: (take(k), None)
+    it = iter(stream)
+    return lambda k: _symbol_codes(list(islice(it, k)), alphabet_size)
+
+
+def _several(stream) -> bool:
+    """Whether `stream` is a tuple of streams: a non-empty tuple whose every
+    item is iterable, and not a 0-d array."""
+    return (isinstance(stream, tuple) and stream != ()
+            and all(isinstance(s, Iterable) and not (isinstance(s, np.ndarray) and s.ndim == 0)
+                    for s in stream))
+
+
 # Evaluated steps in the first read of run_aware; each next read doubles it.
 _CHUNK_STEPS = 16
+# Most streams `_run` drives in lockstep at once; most rows of one evidence_statistics call.
+_GROUP = 32
+_ROWS = _BLOCK
 
 
-def _run(stream: Iterable[int], schedule: ThresholdSchedule, cap: int, stride: int, first_stop,
-         reads: Iterator[int]) -> TestOutcome:
-    """The stream loop of both tests, on checked arguments: each read ends
-    `next(reads)` evaluated steps on, within the cap and _BLOCK symbols, and
-    one first_stop(steps, tallies) call, with one row of counts per step,
-    gives the (row, decision) of its stop, or None. An invalid symbol or
-    the end of the stream is raised once the steps before it are evaluated."""
+def _run(streams: tuple, schedule: ThresholdSchedule, cap: int, stride: int, first_stops,
+         reads: Callable[[], Iterator[int]]) -> list[TestOutcome]:
+    """The stream loop of both tests, on checked arguments: one outcome per
+    stream, each that of the stream run alone. Groups of at most _GROUP
+    streams run in lockstep, each from a fresh `reads()`. Each round reads
+    every live stream up to `next(reads)` evaluated steps on, within the cap
+    and _BLOCK symbols. One first_stops(steps, tallies, reached) call then
+    gives each stream's (row, decision) of its stop, or None: tallies[s, r]
+    counts stream s up to steps[r], and stream s reached steps[:reached[s]].
+    An invalid symbol or the end of a stream is raised once the steps before
+    it are evaluated; of several such streams, the first one's error."""
+    outcomes = []
+    for start in range(0, len(streams), _GROUP):
+        outcomes += _lockstep(streams[start:start + _GROUP], schedule, cap, stride, first_stops,
+                              reads())
+    return outcomes
+
+
+def _lockstep(streams: tuple, schedule: ThresholdSchedule, cap: int, stride: int, first_stops,
+              reads: Iterator[int]) -> list[TestOutcome]:
+    """`_run` on one group of streams."""
     size = schedule.alphabet_size
-    counts = np.zeros(size, dtype=np.int64)
-    it = iter(stream)
-    n = 0
-    while n < cap:
+    readers = [_reader(stream, size) for stream in streams]
+    outcomes = [TestOutcome(cap, None, True)] * len(streams)
+    live, failure, n = list(range(len(streams))), None, 0
+    counts = np.zeros((len(streams), size), dtype=np.int64)
+    while live and n < cap:
         end = min((n // stride + next(reads)) * stride, cap)
         if end - n > _BLOCK:  # the last evaluated step that fits, if any
             last_step = (n + _BLOCK) // stride * stride
             end = last_step if last_step > n else n + _BLOCK
-        symbols = list(islice(it, end - n))
-        codes, error = _symbol_codes(symbols, size)  # the codes stop before an invalid symbol
-        if error is None and len(symbols) < end - n:
-            error = StreamExhaustedError(f"stream ended after {n + len(symbols)} symbols with no decision")
-        read, first = n + codes.size, (n // stride + 1) * stride
-        steps = list(range(first, read + 1, stride))
-        if read == cap and cap % stride:
+        got = [readers[i](end - n) for i in live]  # the codes stop before an invalid symbol
+        steps = list(range((n // stride + 1) * stride, end + 1, stride))
+        if end == cap and cap % stride:
             steps.append(cap)
-        # a symbol is binned under the first step at or after it; row j then
-        # counts up to steps[j], the last row to `read`
-        bins = np.arange(n % stride, n % stride + codes.size) // stride * size + codes
-        tallies = counts + np.bincount(bins, minlength=(len(steps) + 1) * size).reshape(
-            -1, size).cumsum(axis=0)
-        if steps:
-            stop = first_stop(steps, tallies[:-1])
+        # a symbol is binned under the first step at or after it; row r of a
+        # stream then counts up to steps[r], its last row to the end of its read
+        width = (len(steps) + 1) * size
+        bins = np.arange(n % stride, end - n + n % stride) // stride * size
+        flat = [bins[:codes.size] + codes for codes, _ in got]
+        # stream s bins after the `width` bins of each stream before it
+        flat = np.concatenate([f + s * width for s, f in enumerate(flat)]) if len(flat) > 1 else flat[0]
+        tallies = np.bincount(flat, minlength=len(live) * width).reshape(len(live), -1, size)
+        tallies = tallies.cumsum(axis=1)
+        tallies += counts[:, None, :]
+        reached = [len(steps) if codes.size == end - n else bisect_right(steps, n + codes.size)
+                   for codes, _ in got]
+        stops = first_stops(steps, tallies[:, :-1], reached) if steps else [None] * len(live)
+        keep = []
+        for s, (i, (codes, error), stop) in enumerate(zip(live, got, stops)):
             if stop is not None:
-                return TestOutcome(steps[stop[0]], stop[1])
-        if error is not None:
-            raise error
-        counts, n = tallies[-1], read
-    return TestOutcome(cap, None, True)
+                outcomes[i] = TestOutcome(steps[stop[0]], stop[1])
+                continue
+            if error is None and codes.size < end - n:
+                error = StreamExhaustedError(f"stream ended after {n + codes.size} symbols with no decision")
+            if error is not None:  # it is raised unless an earlier stream fails too: drop the later ones
+                failure = error
+                break
+            keep.append(s)
+        counts = tallies[:, -1] if len(keep) == len(live) else tallies[keep, -1]
+        live, n = [live[s] for s in keep], end
+    if failure is not None:
+        raise failure
+    return outcomes
 
 
-def run_aware(stream: Iterable[int], schedule: ThresholdSchedule, spec: GameSpec,
-              cap: int = 1_000_000, stride: int = 1) -> TestOutcome:
+def _each(first_stop):
+    """first_stops for `_run` from the first_stop(steps, tallies) of one stream."""
+    return lambda steps, tallies, reached: [first_stop(steps[:r], rows[:r]) if r else None
+                                            for rows, r in zip(tallies, reached)]
+
+
+def run_aware(stream: Iterable[int] | tuple[Iterable[int], ...], schedule: ThresholdSchedule,
+              spec: GameSpec, cap: int = 1_000_000, stride: int = 1) -> TestOutcome | tuple[TestOutcome, ...]:
     """Run the universal test on a symbol stream until it stops.
 
     The stopping condition is evaluated every `stride` samples (and at the
@@ -523,22 +599,40 @@ def run_aware(stream: Iterable[int], schedule: ThresholdSchedule, spec: GameSpec
     The stream is read in chunks that end on evaluated steps: 16 of them at
     first, twice as many in each next one, and at most 4,096 symbols. On two
     symbols a chunk reads the schedule's boundary table on the ball
-    intervals, as the binary engine does; else one `evidence_statistics`
-    call covers it. Outcomes and errors are those of feeding one symbol at a
-    time, but the stream is read to the end of the chunk of the stop. A
-    schedule built for another size of game raises ShapeError.
+    intervals, as the binary engine does; else `evidence_statistics` covers
+    it against thresholds from `schedule.at`. Outcomes and errors are those
+    of feeding one symbol at a time, but the stream is read to the end of
+    the chunk of the stop. A schedule built for another size of game raises
+    ShapeError.
+
+    A tuple of streams (a non-empty tuple of iterables) gives a tuple of
+    outcomes, entry s equal to the call on stream s alone. The streams run
+    in lockstep, 32 at a time: each round reads a chunk of every stream
+    still running, and on three or more symbols one evidence call covers
+    all their rows, 4,096 at most. If some streams end or meet an invalid
+    symbol, the first of them raises its error.
     """
     _instance("spec", spec, GameSpec)
     _check_run(stream, schedule, (spec.num_hypotheses, spec.alphabet_size), cap, stride)
     if spec.alphabet_size == 2:
-        first_stop = schedule._table(tuple(b.interval for b in spec.balls), cap, stride).first_stop
+        first_stops = _each(schedule._table(tuple(b.interval for b in spec.balls), cap, stride).first_stop)
     else:
-        def first_stop(steps, tallies):
+        def first_stops(steps, tallies, reached):
+            if min(reached) < len(steps):  # rows past a short read never stop; ones keep them valid
+                short = np.arange(len(steps)) >= np.array(reached)[:, None]
+                tallies = np.where(short[:, :, None], 1, tallies)
+            counts = tallies.reshape(-1, spec.alphabet_size)
             # evidence_statistics is looked up at each call, as wrappers put on the module expect
-            hits = evidence_statistics(tallies, spec) >= np.array([schedule.value(n) for n in steps])[:, None]
-            first = int(hits.argmax())  # row-major: the first row with a hit, its smallest index
-            return divmod(first, hits.shape[1]) if hits.flat[first] else None
-    return _run(stream, schedule, cap, stride, first_stop, (_CHUNK_STEPS << k for k in count()))
+            stats = [evidence_statistics(counts[r:r + _ROWS], spec) for r in range(0, len(counts), _ROWS)]
+            hits = (np.concatenate(stats).reshape(len(reached), len(steps), -1)
+                    >= schedule.at(np.array(steps))[:, None]).reshape(len(reached), -1)
+            first = hits.argmax(axis=1)  # row-major: the first row with a hit, its smallest index
+            return [divmod(int(f), spec.num_hypotheses) if hits[s, f] and f // spec.num_hypotheses < r
+                    else None for s, (f, r) in enumerate(zip(first, reached))]
+    several = _several(stream)
+    outcomes = _run(stream if several else (stream,), schedule, cap, stride, first_stops,
+                    lambda: (_CHUNK_STEPS << k for k in count()))
+    return tuple(outcomes) if several else outcomes[0]
 
 
 # ---------------------------------------------------------------------------
@@ -582,4 +676,4 @@ def run_nonaware(stream: Iterable[int], schedule: ThresholdSchedule,
         # each hypothesis faces its rival's output range
         branch = [_binary_kl(t, min(max(t, r.x_lo), r.x_hi)) for r in regions[::-1]]
         return hit[0], _nonaware_decide(branch, schedule.value(steps[hit[0]]))
-    return _run(stream, schedule, cap, stride, first_stop, repeat(1))
+    return _run((stream,), schedule, cap, stride, _each(first_stop), lambda: repeat(1))[0]

@@ -5,7 +5,9 @@ Each replication draws its randomness from a substream keyed by
 depend on execution order and any single run can be reproduced in
 isolation. Binary alphabets run on a vectorized engine that stops by the
 boundary table `run_aware` reads, held by the schedule of each alpha, so
-it matches that test outcome for outcome.
+it matches that test outcome for outcome. Larger alphabets pass all the
+replications of an alpha to one `run_aware` call, which runs their
+streams in lockstep.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, fields
 from functools import cached_property
 from pathlib import Path
-from typing import Iterator
+from typing import Callable
 
 import numpy as np
 # numpy loads numpy.random on first use; load it with the package, so that
@@ -26,7 +28,7 @@ import numpy.random  # noqa: F401
 from .equilibrium import EquilibriumSolution, GameSpec, _outputs_within_budget, solve_aware_equilibrium
 from .errors import DomainError, ResourceError, ShapeError
 from .prob import Channel, Distribution, _check_integers, _floats, _instance, _real
-from .seqtest import _BLOCK, TestOutcome, ThresholdSchedule, _BoundaryTable, run_aware
+from .seqtest import _BLOCK, TestOutcome, ThresholdSchedule, _BoundaryTable, _CodeStream, run_aware
 
 __all__ = [
     "EQUILIBRIUM_ADVERSARY",
@@ -152,14 +154,20 @@ def sample_through_channel(source: Distribution, channel: Channel,
     return np.minimum(y, channel.num_outputs - 1)
 
 
-def _channel_stream(source: Distribution, channel: Channel,
-                    rng: np.random.Generator) -> Iterator[int]:
-    """Symbols through the channel, drawn in blocks of 256 that double up
-    to _BLOCK."""
-    size = 256
-    while True:
-        yield from sample_through_channel(source, channel, rng, size).tolist()
-        size = min(2 * size, _BLOCK)
+class _ChannelStream(_CodeStream):
+    """Symbols through `channel` from `source`, drawn by `sample_through_channel`
+    from a generator that each reading seeds afresh from `entropy` (what
+    `default_rng` takes; a Generator is read on from where it stands)."""
+
+    __slots__ = ("source", "channel", "entropy")
+
+    def __init__(self, source: Distribution, channel: Channel, entropy) -> None:
+        self.source, self.channel, self.entropy = source, channel, entropy
+
+    def reader(self) -> Callable[[int], np.ndarray]:
+        rng = np.random.default_rng(self.entropy)
+        # sample_through_channel is looked up at each call, as wrappers put on the module expect
+        return lambda size: sample_through_channel(self.source, self.channel, rng, size)
 
 
 def _run_fast_binary(rng: np.random.Generator, source: Distribution, channel: Channel,
@@ -190,24 +198,47 @@ def _run_fast_binary(rng: np.random.Generator, source: Distribution, channel: Ch
     return TestOutcome(table.cap, None, True)
 
 
-def run_replication(config: ScenarioConfig, alpha: float, hypothesis: int,
-                    replication_index: int) -> TestOutcome:
-    """One full sequential run, deterministic in its four coordinates."""
-    _check_integers(0, _instance("config", config, ScenarioConfig).spec.num_hypotheses,
-                    hypothesis=hypothesis)
-    _check_integers(replication_index=replication_index)
+def _seed_words(*coordinates: int) -> np.ndarray | list[int]:
+    """The entropy of a replication's generator: its coordinates as a uint32
+    array, which SeedSequence reads into the same pool as the list of ints
+    in a quarter of the time, or the list when one needs more than 32 bits."""
+    if max(coordinates) < 2**32:
+        return np.array(coordinates, dtype=np.uint32)
+    return list(coordinates)
+
+
+def run_replication(config: ScenarioConfig, alpha: float, hypothesis: int | tuple[int, ...],
+                    replication_index: int | tuple[int, ...]) -> TestOutcome | tuple[TestOutcome, ...]:
+    """One full sequential run, deterministic in its four coordinates.
+
+    Equal-length tuples (or lists) of hypotheses and replication indices
+    give a tuple of outcomes at this alpha, entry r equal to the call on
+    (hypothesis[r], replication_index[r]). On two symbols the binary engine
+    runs them one by one; on more, one `run_aware` call drives their streams
+    in lockstep, each stream drawing arrays of symbols from its generator.
+    """
+    spec = _instance("config", config, ScenarioConfig).spec
+    single = not isinstance(hypothesis, (tuple, list))
+    hyps = (hypothesis,) if single else hypothesis
+    reps = ((replication_index,) if single
+            else _instance("replication_index", replication_index, (tuple, list)))
+    if len(hyps) != len(reps):
+        raise ShapeError(f"{len(hyps)} hypotheses for {len(reps)} replication indices")
+    for hyp, rep in zip(hyps, reps):
+        _check_integers(0, spec.num_hypotheses, hypothesis=hyp)
+        _check_integers(replication_index=rep)
     idx = config.alpha_index(alpha)
-    seed_seq = np.random.SeedSequence([config.seed, idx, hypothesis, replication_index])
-    rng = np.random.default_rng(seed_seq)
-    source = config.spec.hypotheses[hypothesis]
-    channel = config.channels[hypothesis]
-    if config.spec.alphabet_size == 2:
-        intervals = tuple(ball.interval for ball in config.spec.balls)
-        return _run_fast_binary(rng, source, channel,
-                                config._schedules[idx]._table(intervals, config.cap, config.stride))
-    stream = _channel_stream(source, channel, rng)
-    return run_aware(stream, config._schedules[idx], config.spec,
-                     cap=config.cap, stride=config.stride)
+    schedule = config._schedules[idx]
+    runs = [(spec.hypotheses[hyp], config.channels[hyp], _seed_words(config.seed, idx, hyp, rep))
+            for hyp, rep in zip(hyps, reps)]
+    if spec.alphabet_size == 2:
+        table = schedule._table(tuple(ball.interval for ball in spec.balls), config.cap, config.stride)
+        outcomes = tuple(_run_fast_binary(np.random.default_rng(words), source, channel, table)
+                         for source, channel, words in runs)
+    else:
+        streams = tuple(_ChannelStream(*run) for run in runs)
+        outcomes = run_aware(streams, schedule, spec, cap=config.cap, stride=config.stride) if streams else ()
+    return outcomes[0] if single else outcomes
 
 
 @dataclass(frozen=True)
@@ -246,7 +277,8 @@ class SimulationReport:
 
 
 def monte_carlo(config: ScenarioConfig) -> SimulationReport:
-    """Run every (alpha, hypothesis, replication) cell and aggregate.
+    """Run every (alpha, hypothesis, replication) cell and aggregate, with
+    one `run_replication` call per alpha.
 
     Stopping times exclude timed-out runs, which are tallied separately.
     The error rate counts finished runs that decided wrongly, over all
@@ -256,13 +288,16 @@ def monte_carlo(config: ScenarioConfig) -> SimulationReport:
     """
     rows = []
     exponents = _instance("config", config, ScenarioConfig).solution.exponents
+    hyps, count = config.simulated_hypotheses(), config.replications
     for alpha in config.alpha_grid:
-        for hyp in config.simulated_hypotheses():
+        # every cell of this alpha in one call, hypothesis by hypothesis
+        outcomes = run_replication(config, alpha, tuple(h for h in hyps for _ in range(count)),
+                                   tuple(range(count)) * len(hyps))
+        for k, hyp in enumerate(hyps):
             times = []
             errors = 0
             timeouts = 0
-            for rep in range(config.replications):
-                outcome = run_replication(config, alpha, hyp, rep)
+            for outcome in outcomes[k * count:(k + 1) * count]:
                 if outcome.timed_out:
                     timeouts += 1
                     continue

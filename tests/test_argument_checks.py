@@ -93,6 +93,8 @@ VALID = {
     "TestOutcome": {"stopping_time": 5, "decision": 0, "timed_out": False},
     "evidence_statistics": {"counts": [3, 5], "spec": SPEC},
     "run_aware": {"stream": STREAM, "schedule": SCHEDULE, "spec": SPEC, "cap": 400, "stride": 1},
+    "run_aware[streams]": {"stream": (STREAM, STREAM[1:]), "schedule": SCHEDULE, "spec": SPEC,
+                           "cap": 400, "stride": 1},
     "run_nonaware": {"stream": STREAM, "schedule": SCHEDULE, **GAME, "cap": 400, "stride": 1},
     "ScenarioConfig": {"spec": SPEC, "alpha_grid": (0.1,), "replications": 2, "seed": 0,
                        "adversary": "equilibrium", "cap": 300, "stride": 1, "zeta": 0.85,
@@ -105,6 +107,8 @@ VALID = {
     "sample_through_channel": {"source": P0, "channel": EYE, "rng": np.random.default_rng(0),
                                "size": None},
     "run_replication": {"config": CONFIG, "alpha": 0.1, "hypothesis": 1, "replication_index": 0},
+    "run_replication[sequences]": {"config": CONFIG, "alpha": 0.1, "hypothesis": (1, 0),
+                                   "replication_index": [0, 1]},
     "monte_carlo": {"config": CONFIG},
     "alpha_sweep": {"config": CONFIG, "path": None},
     "cli.build_game_spec": {"config": RUN_CONFIG},

@@ -31,7 +31,7 @@ from seqgame import (
 from seqgame import divopt, seqtest
 from seqgame.errors import InfeasibleError
 from seqgame.prob import Channel
-from seqgame.simharness import _channel_stream
+from seqgame.simharness import _ChannelStream
 
 from oracles import evidence_by_ball, run_aware_stepwise
 
@@ -73,7 +73,7 @@ def test_chunked_matches_stepwise(spec, stride, cap, seed, alpha, data):
     channel = Channel(np.eye(spec.alphabet_size))
     outcomes = []
     for run in (run_aware, run_aware_stepwise):
-        stream = _channel_stream(spec.hypotheses[truth], channel, np.random.default_rng(seed))
+        stream = _ChannelStream(spec.hypotheses[truth], channel, np.random.default_rng(seed))
         outcomes.append(run(stream, schedule, spec, cap=cap, stride=stride))
     assert outcomes[0] == outcomes[1]
 
@@ -88,17 +88,16 @@ def test_long_run_matches_stepwise(stride, cap):
     schedule = ThresholdSchedule(1e-300, spec.num_hypotheses, spec.alphabet_size)
     outcomes = []
     for run in (run_aware, run_aware_stepwise):
-        stream = _channel_stream(Distribution(np.full(3, 1.0 / 3.0)), Channel(np.eye(3)),
-                                 np.random.default_rng(stride))
+        stream = _ChannelStream(Distribution(np.full(3, 1.0 / 3.0)), Channel(np.eye(3)),
+                                np.random.default_rng(stride))
         outcomes.append(run(stream, schedule, spec, cap=cap, stride=stride))
     assert outcomes[0].timed_out
     assert outcomes[0] == outcomes[1]
 
 
 def _symbols(spec: GameSpec, truth: int, count: int, seed: int = 0) -> list[int]:
-    stream = _channel_stream(spec.hypotheses[truth], Channel(np.eye(spec.alphabet_size)),
-                             np.random.default_rng(seed))
-    return [next(stream) for _ in range(count)]
+    stream = _ChannelStream(spec.hypotheses[truth], Channel(np.eye(spec.alphabet_size)), seed)
+    return stream.reader()(count).tolist()
 
 
 @pytest.fixture(scope="module")

@@ -150,6 +150,23 @@ def test_the_library_runs_on_numpy_alone():
     assert run.returncode == 0, run.stderr
 
 
+def test_a_binary_sweep_leaves_numpy_ma_unloaded():
+    """The boundary search builds its knots without `np.unique`, which
+    imports numpy.ma (about 11 ms and 1.3 MB in every binary sweep)."""
+    script = textwrap.dedent("""
+        import sys
+        from seqgame import Distribution, DistortionMeasure, GameSpec, ScenarioConfig, alpha_sweep
+        binary = GameSpec((Distribution([0.38, 0.62]), Distribution([0.5, 0.5])), 0.05,
+                          DistortionMeasure.TV_L1)
+        alpha_sweep(ScenarioConfig(binary, (0.1, 0.001), 5, 0))
+        assert "numpy.ma" not in sys.modules
+    """)
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                         timeout=120)
+    assert run.returncode == 0, run.stderr
+
+
 def test_the_readme_library_example_runs():
     """The first Python block under "## Library example" in README.md runs
     in a fresh interpreter and prints a report."""

@@ -22,7 +22,7 @@ from seqgame.simharness import (
     EQUILIBRIUM_ADVERSARY,
     REPORT_COLUMNS,
     ScenarioConfig,
-    _channel_stream,
+    _ChannelStream,
     alpha_sweep,
     monte_carlo,
     run_replication,
@@ -273,7 +273,7 @@ class TestRunReplication:
                 seq = np.random.SeedSequence([cfg.seed, 0, hyp, rep])
                 rng = np.random.default_rng(seq)
                 slow = run_aware_stepwise(
-                    _channel_stream(source, channel, rng), schedule, cfg.spec,
+                    _ChannelStream(source, channel, rng), schedule, cfg.spec,
                     cap=cfg.cap, stride=cfg.stride,
                 )
                 assert fast.stopping_time == slow.stopping_time
@@ -378,8 +378,8 @@ def _stepwise(cfg: ScenarioConfig, alpha: float, hyp: int, rep: int, run=run_awa
     """The per-sample test, with one `evidence_statistics` call per evaluated
     step, on the stream run_replication draws from; or `run` on it."""
     seq = np.random.SeedSequence([cfg.seed, cfg.alpha_index(alpha), hyp, rep])
-    stream = _channel_stream(cfg.spec.hypotheses[hyp], cfg.channels[hyp],
-                             np.random.default_rng(seq))
+    stream = _ChannelStream(cfg.spec.hypotheses[hyp], cfg.channels[hyp],
+                            np.random.default_rng(seq))
     return run(stream, cfg.schedule_for(alpha), cfg.spec, cap=cfg.cap, stride=cfg.stride)
 
 
@@ -614,8 +614,8 @@ def test_common_channel_outcomes_are_pinned():
     for stride, cap in ((1, 1_000_000), (7, 1_000_000), (1024, 1_000_000), (7, 4100)):
         for hyp in (0, 1):
             for rep in range(3):
-                stream = _channel_stream(spec.hypotheses[hyp], channel,
-                                         np.random.default_rng([17, hyp, rep]))
+                stream = _ChannelStream(spec.hypotheses[hyp], channel,
+                                        np.random.default_rng([17, hyp, rep]))
                 out = run_nonaware(stream, schedule, *spec.hypotheses, spec.delta, spec.measure,
                                    cap=cap, stride=stride)
                 outcomes.append((out.stopping_time, out.decision, out.timed_out))
