@@ -41,36 +41,14 @@ _BRACKET_CAP = 100
 _BISECTION_CAP = 200
 # Most halvings of a binary KL ball's edge: adjacent floats anywhere in [0, 1], 2^-1074 included.
 _EDGE_CAP = 1_100
-# The stop rule of the pairwise alternation (`_RunningMinimum`).
+# The stop rule of the pairwise alternation (`pairwise_min_divergence`).
 _TOLERANCE = 1e-10
 _PATIENCE = 5
 
 
-class _RunningMinimum:
-    """The stop rule of one pair in the alternation over many pairs:
-    `_PATIENCE` rounds in a row that drop its running minimum by less than
-    `_TOLERANCE` relative converge, `_BISECTION_CAP` rounds do not. A round
-    is a pure function of the pair's state at its start, so one that ends
-    on that state bit for bit is repeated by every later round: the pair
-    leaves the alternation there, with the outcome the repeats give."""
-
-    def __init__(self, start: float):
-        self.best, self.rounds, self.quiet = start, 0, 0
-
-    def _drop(self, value: float) -> float:
-        return (self.best - value) / max(abs(self.best), 1e-300)
-
-    def stop(self, value: float, fixed_point: bool) -> bool:
-        """Count a round that reached `value`; True once the rounds are over."""
-        self.rounds += 1
-        self.quiet = self.quiet + 1 if self._drop(value) < _TOLERANCE else 0
-        if value <= self.best:  # rounding can leave the rounds cycling near zero
-            self.best = value
-        # every repeat drops by _drop(value) <= 0, so is quiet, unless that is NaN (inf - inf)
-        self.converged = self.quiet >= _PATIENCE or (
-            fixed_point and self._drop(value) < _TOLERANCE
-            and self.rounds + _PATIENCE - self.quiet <= _BISECTION_CAP)
-        return self.converged or fixed_point or self.rounds >= _BISECTION_CAP
+def _drop(best: np.ndarray, value: np.ndarray) -> np.ndarray:
+    """The drop from each running minimum to its round's value, relative to it."""
+    return (best - value) / np.maximum(np.abs(best), 1e-300)
 
 
 def _xlogy(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -562,13 +540,15 @@ def pairwise_min_divergence(ball_first, ball_second):
     The objective is jointly convex and the feasible set is a product, so
     alternating exact block minimization reaches the global optimum. Each
     block is solved exactly: the q1 step is an I-projection of q2 onto the
-    first ball, the q2 step the reach of q1 into the second. The rounds stop
-    by the fixed rule of `_RunningMinimum` (the state is q2), so a pair of
-    balls has one result, the running minimum: its value, never below zero,
-    and argmins. `iterations` counts the rounds run and their blocks'
-    bisection steps; `converged` is False when the rounds (or the repeats
-    they skip) or any block would hit its cap. Binary balls take a closed
-    form.
+    first ball, the q2 step the reach of q1 into the second. A pair stops
+    after `_PATIENCE` rounds in a row that drop its running minimum by less
+    than `_TOLERANCE` relative (converged), after `_BISECTION_CAP` rounds,
+    or at a round that ends on its start state q2 bit for bit, with the
+    outcome the repeats of that round would give. So a pair of balls has
+    one result, the running minimum: its value, never below zero, and
+    argmins. `iterations` counts the rounds run and their blocks' bisection
+    steps; `converged` is False when the rounds (or the repeats they skip)
+    or any block would hit its cap. Binary balls take a closed form.
 
     Two balls give one `PairMinResult`; two sequences a tuple whose entry r
     is, bit for bit, the result for (ball_first[r], ball_second[r]). All
@@ -590,12 +570,13 @@ def pairwise_min_divergence(ball_first, ball_second):
         results = tuple(map(_binary_pair, firsts, seconds))
         return results[0] if single else results
 
-    # one row per pair: q2[r] is the state of pair r
+    # one row per pair: q2[r] is the state of pair r, best[r] its running minimum
     p1, p2 = (np.array([ball.center.probs for ball in balls]) for balls in (firsts, seconds))
-    rules = [_RunningMinimum(_kl_arrays(a, b)) for a, b in zip(p1, p2)]
+    best = np.array([_kl_arrays(a, b) for a, b in zip(p1, p2)])
     best1, best2, q2 = p1.copy(), p2.copy(), p2.copy()
-    iterations, blocks_converged = np.zeros(len(rules), dtype=int), np.ones(len(rules), dtype=bool)
-    live = np.arange(len(rules))
+    iterations, quiet = np.zeros(best.size, dtype=int), np.zeros(best.size, dtype=int)
+    converged, blocks_converged = np.zeros(best.size, dtype=bool), np.ones(best.size, dtype=bool)
+    live, rounds = np.arange(best.size), 0
     while live.size:
         q1, first_ok, first_steps = _first_block_argmin(q2[live], p1[live], firsts[0])
         raw, values, reach_ok, reach_steps = _reach_rows(q1, p2[live], seconds[0])
@@ -607,15 +588,20 @@ def pairwise_min_divergence(ball_first, ball_second):
         blocks_converged[live] &= first_ok & reach_ok
         fixed = (reach == q2[live]).all(axis=1)
         q2[live] = reach
-        running = np.ones(live.size, dtype=bool)
-        for k, (r, value) in enumerate(zip(live.tolist(), values.tolist())):
-            if value <= rules[r].best:
-                best1[r], best2[r] = q1[k], reach[k]
-            running[k] = not rules[r].stop(value, bool(fixed[k]))
-        live = live[running]
-    results = tuple(PairMinResult(max(rule.best, 0.0), Distribution(a), Distribution(b),
-                                  bool(rule.converged and ok), int(n))
-                    for rule, a, b, ok, n in zip(rules, best1, best2, blocks_converged, iterations))
+        rounds, old = rounds + 1, best[live]
+        with np.errstate(invalid="ignore"):  # inf - inf and inf / inf: disjoint supports start at inf
+            quiet[live] = calm = np.where(_drop(old, values) < _TOLERANCE, quiet[live] + 1, 0)
+            better = values <= old  # rounding can leave the rounds cycling near zero
+            best[live] = new = np.where(better, values, old)
+            # every repeat of a fixed point drops by _drop <= 0, so is quiet, unless that is NaN
+            settled = fixed & (_drop(new, values) < _TOLERANCE)
+        best1[live[better]], best2[live[better]] = q1[better], reach[better]
+        converged[live] = stop = (calm >= _PATIENCE) | (
+            settled & (rounds + _PATIENCE - calm <= _BISECTION_CAP))
+        live = live[~(stop | fixed)] if rounds < _BISECTION_CAP else live[:0]
+    ok = (converged & blocks_converged).tolist()
+    results = tuple(PairMinResult(max(b, 0.0), Distribution(a1), Distribution(a2), c, n)
+                    for b, a1, a2, c, n in zip(best.tolist(), best1, best2, ok, iterations.tolist()))
     return results[0] if single else results
 
 
@@ -686,7 +672,8 @@ class _CommonChannelSet:
 
 
 class _ChannelGame:
-    """The binary common-channel game of (p0, p1, delta, measure, floor).
+    """The binary common-channel game of (p0, p1, delta, measure), on balls
+    with `DistortionBall`'s default floor.
 
     The channel set comes in two orderings of the two laws: `regions[b]`
     puts p_b first, so its range of x is what the channels make of p_b.
@@ -694,14 +681,14 @@ class _ChannelGame:
     """
 
     def __init__(self, p0: Distribution, p1: Distribution, delta: float,
-                 measure: DistortionMeasure, floor: float = 1e-9) -> None:
+                 measure: DistortionMeasure) -> None:
         pa, pb = _instance("p0", p0, Distribution).probs, _instance("p1", p1, Distribution).probs
         if pa.size != 2 or pb.size != 2:
             raise ShapeError("the common-channel min-max applies to binary alphabets only")
         delta = _real("delta", delta)
         if np.any(pa <= 0.0) or np.any(pb <= 0.0):
             raise DomainError("both hypothesis laws must have full support")
-        laws = [(float(p.probs[0]), DistortionBall(p, delta, measure, floor).interval)
+        laws = [(float(p.probs[0]), DistortionBall(p, delta, measure).interval)
                 for p in (p0, p1)]
         self.regions = tuple(_CommonChannelSet(w, v - w, own, rival)
                              for (w, own), (v, rival) in (laws, laws[::-1]))
@@ -736,8 +723,7 @@ class _ChannelGame:
 
 
 def min_max_divergence_over_channel(qhat, p0: Distribution, p1: Distribution, delta: float,
-                                    measure: DistortionMeasure,
-                                    floor: float = 1e-9) -> ChannelMinMaxResult:
+                                    measure: DistortionMeasure) -> ChannelMinMaxResult:
     """Minimize max over b = 0, 1 of D(qhat || p_b A) over binary channels
     A with d(p0, p0 A) <= delta and d(p1, p1 A) <= delta.
 
@@ -747,7 +733,8 @@ def min_max_divergence_over_channel(qhat, p0: Distribution, p1: Distribution, de
     {L(x) <= y <= U(x)} with (0, 0) and (1, 1) among its corners; L and U
     are nondecreasing, and L(x) <= x <= U(x). The feasible set P is
     the parallelogram within I0 x I1, the intervals of the two balls,
-    whose floor keeps every output law at least `floor` entrywise. One
+    whose floor (`DistortionBall`'s default) keeps every output law at
+    least that floor entrywise. One
     branch b alone is a clamp of t = qhat[0] onto the range of P in its
     coordinate (`min_divergence_over_common_channels`).
 
@@ -771,12 +758,11 @@ def min_max_divergence_over_channel(qhat, p0: Distribution, p1: Distribution, de
     min J. It meets J, which holds t. Larger alphabets raise ShapeError.
     """
     with np.errstate(over="ignore"):  # inf for a first entry near -1e308, not a warning
-        return _ChannelGame(p0, p1, delta, measure, floor).minmax(float(_law("qhat", qhat, 2)[0]))
+        return _ChannelGame(p0, p1, delta, measure).minmax(float(_law("qhat", qhat, 2)[0]))
 
 
 def min_divergence_over_common_channels(qhat, target: int, p0: Distribution, p1: Distribution,
-                                        delta: float, measure: DistortionMeasure,
-                                        floor: float = 1e-9) -> ChannelMinMaxResult:
+                                        delta: float, measure: DistortionMeasure) -> ChannelMinMaxResult:
     """Minimize D(qhat || p_target A) over channels feasible for both laws.
 
     Unlike `min_divergence_to_ball`, one channel must respect the distortion
@@ -785,4 +771,4 @@ def min_divergence_over_common_channels(qhat, target: int, p0: Distribution, p1:
     """
     _check_integers(0, 2, target=target)
     with np.errstate(over="ignore"):  # inf for a first entry near -1e308, not a warning
-        return _ChannelGame(p0, p1, delta, measure, floor).single(float(_law("qhat", qhat, 2)[0]), target)
+        return _ChannelGame(p0, p1, delta, measure).single(float(_law("qhat", qhat, 2)[0]), target)

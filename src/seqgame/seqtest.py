@@ -175,12 +175,15 @@ class ThresholdSchedule:
         object.__setattr__(self, "_log_rivals", math.log(self.num_hypotheses - 1.0))
         object.__setattr__(self, "_tables", {})
 
+    def _formula(self, n, log_next, power):
+        """The threshold at n from log(n + 1) and n^(-zeta), on floats or arrays alike."""
+        return self._log_ratio / n + power + (self.alphabet_size * log_next + self._log_rivals) / n
+
     def value(self, n: int) -> float:
-        try:  # no check ahead of the arithmetic but a type test: this runs once per evaluated step
-            if not n >= 1 or isinstance(n, (bool, np.bool_)):
-                raise DomainError(f"threshold is defined for numbers n >= 1, not bools, got {n!r}")
-            extra = self.alphabet_size * math.log(n + 1.0) + self._log_rivals
-            return self._log_ratio / n + n ** (-self.zeta) + extra / n
+        try:
+            if not 1 <= n < math.inf or isinstance(n, (bool, np.bool_)):
+                raise DomainError(f"n must be a finite number >= 1, not a bool, got {n!r}")
+            return self._formula(n, math.log(n + 1.0), pow(n, -self.zeta))
         except (TypeError, ValueError, OverflowError):  # not a number, an array, or beyond floats
             raise DomainError(f"n must be a number >= 1, got {n!r:.80}") from None
 
@@ -195,12 +198,11 @@ class ThresholdSchedule:
         if (steps.dtype == bool if isinstance(steps, np.ndarray)
                 else any(isinstance(step, (bool, np.bool_)) for step in steps)):
             raise DomainError("steps must be numbers, not bools")
-        if n.size and not n.min() >= 1.0:
-            raise DomainError(f"threshold is defined for n >= 1, got {n.min():g}")
+        if n.size and not (n.min() >= 1.0 and n.max() < math.inf):
+            raise DomainError(f"steps must be finite and at least 1, got {n.min():g} to {n.max():g}")
         logs = np.fromiter(map(math.log, (n + 1.0).tolist()), float, n.size)
         powers = np.fromiter(map(pow, n.tolist(), repeat(-self.zeta)), float, n.size)
-        extra = self.alphabet_size * logs + self._log_rivals
-        return self._log_ratio / n + powers + extra / n
+        return self._formula(n, logs, powers)
 
     def _table(self, intervals: tuple[tuple[float, float], ...], cap: int, stride: int) -> _BoundaryTable:
         """The boundary table on `intervals` for this cap and stride, made on first use."""
@@ -251,7 +253,7 @@ def evidence_statistics(counts: np.ndarray, spec: GameSpec) -> np.ndarray:
         raise ShapeError(f"counts must be K or R x K with K = {size}, got shape {arr.shape}")
     rows = np.atleast_2d(arr)
     kind = rows.dtype.kind
-    whole = kind in "iu" or (kind in "fb" and (rows <= 2.0**53).all()
+    whole = kind in "iu" or (kind == "f" and (rows <= 2.0**53).all()
                              and np.allclose(rows, np.round(rows)))
     if not whole or np.any(rows < 0):
         raise ConstructionError("counts must be nonnegative integers")

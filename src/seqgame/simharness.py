@@ -13,11 +13,9 @@ streams in lockstep.
 from __future__ import annotations
 
 import math
-import os
 from bisect import bisect_right
 from dataclasses import dataclass, fields
 from functools import cached_property
-from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -328,13 +326,6 @@ def monte_carlo(config: ScenarioConfig) -> SimulationReport:
     return SimulationReport(tuple(rows))
 
 
-def alpha_sweep(config: ScenarioConfig, path: str | Path | None = None) -> str:
-    """Monte Carlo over the whole alpha grid, rendered as CSV.
-
-    Writes the text to `path` when given and always returns it.
-    """
-    _instance("path", path, (str, os.PathLike, type(None)))
-    text = monte_carlo(config).to_csv()
-    if path is not None:
-        Path(path).write_text(text)
-    return text
+def alpha_sweep(config: ScenarioConfig) -> str:
+    """Monte Carlo over the whole alpha grid, rendered as CSV."""
+    return monte_carlo(config).to_csv()

@@ -6,15 +6,15 @@ ball, the branch statistics of the common channel, the aware and
 common-channel tests fed one symbol at a time, the binary engine's stop
 rule counted ball by ball, random feasible common channels, the pairwise
 alternation run one pair at a time (with its first block solved one row
-at a time), the pairwise alternation and the Bhattacharyya separation run
+at a time, and its stop rule in scalar arithmetic), the pairwise alternation and the Bhattacharyya separation run
 for their full patience, and the stopping-time horizon that the
 separation gives.
 
 They are independent of the solvers in `seqgame.divopt`, of the stacked
 reach solve of `seqgame.seqtest.evidence_statistics`, of the batching of
-pairs in the pairwise alternation, of the stream loop
-that `seqgame.seqtest.run_aware` and `run_nonaware` share and of their
-decision rules, of the count-boundary tables and continuation bands of
+pairs in the pairwise alternation and of its stop rule on arrays, of the
+stream loop that `seqgame.seqtest.run_aware` and `run_nonaware` share and
+of their decision rules, of the count-boundary tables and continuation bands of
 `seqgame.seqtest` and of the fixed-point stop of the pairwise
 alternation (the full-patience loops share only their exact blocks), and
 exist only to check them.
@@ -408,12 +408,40 @@ def first_block_one_row(w: np.ndarray, ball: DistortionBall) -> tuple[np.ndarray
     return kl_tilt_argmin_one_row(w, ball)
 
 
+class RunningMinimum:
+    """The stop rule of one pair of the pairwise alternation, in scalar
+    arithmetic: `divopt._PATIENCE` rounds in a row that drop its running
+    minimum by less than `divopt._TOLERANCE` relative converge,
+    `divopt._BISECTION_CAP` rounds do not. A round is a pure function of
+    the pair's state at its start, so one that ends on that state bit for
+    bit is repeated by every later round: the pair leaves the alternation
+    there, with the outcome the repeats give."""
+
+    def __init__(self, start: float):
+        self.best, self.rounds, self.quiet = start, 0, 0
+
+    def _drop(self, value: float) -> float:
+        return (self.best - value) / max(abs(self.best), 1e-300)
+
+    def stop(self, value: float, fixed_point: bool) -> bool:
+        """Count a round that reached `value`; True once the rounds are over."""
+        self.rounds += 1
+        self.quiet = self.quiet + 1 if self._drop(value) < divopt._TOLERANCE else 0
+        if value <= self.best:
+            self.best = value
+        # every repeat drops by _drop(value) <= 0, so is quiet, unless that is NaN (inf - inf)
+        self.converged = self.quiet >= divopt._PATIENCE or (
+            fixed_point and self._drop(value) < divopt._TOLERANCE
+            and self.rounds + divopt._PATIENCE - self.quiet <= divopt._BISECTION_CAP)
+        return self.converged or fixed_point or self.rounds >= divopt._BISECTION_CAP
+
+
 def pairwise_min_one_pair(ball_first: DistortionBall, ball_second: DistortionBall) -> PairMinResult:
     """`pairwise_min_divergence` on one pair of balls above two symbols, run
     alone: each round one first block of one row and one public reach
-    solve, stopped by the pair's own `divopt._RunningMinimum`."""
+    solve, stopped by the pair's own `RunningMinimum`."""
     q1, q2 = ball_first.center.probs, ball_second.center.probs
-    rule, best_pair = divopt._RunningMinimum(_kl_arrays(q1, q2)), (q1, q2)
+    rule, best_pair = RunningMinimum(_kl_arrays(q1, q2)), (q1, q2)
     blocks_converged, total_iters, done = True, 0, False
     while not done:
         q1, first_ok, it1 = first_block_one_row(q2, ball_first)

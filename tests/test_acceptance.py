@@ -358,12 +358,10 @@ def test_criterion_09b_digits_convergence(digits_spec, digits_sweep):
 def test_criterion_10_reproducible_sweep(bernoulli_spec, tmp_path):
     first = tmp_path / "first.csv"
     second = tmp_path / "second.csv"
-    text_a = alpha_sweep(
-        ScenarioConfig(bernoulli_spec, (0.1, 0.05), 50, 13), path=first
-    )
-    text_b = alpha_sweep(
-        ScenarioConfig(bernoulli_spec, (0.1, 0.05), 50, 13), path=second
-    )
+    text_a = alpha_sweep(ScenarioConfig(bernoulli_spec, (0.1, 0.05), 50, 13))
+    text_b = alpha_sweep(ScenarioConfig(bernoulli_spec, (0.1, 0.05), 50, 13))
+    first.write_text(text_a)
+    second.write_text(text_b)
     identical = text_a == text_b and first.read_bytes() == second.read_bytes()
     _emit("10", identical, f"{len(text_a)} bytes, byte-identical {identical}")
     assert identical

@@ -42,7 +42,7 @@ from oracles import (
 
 P0 = Distribution([0.38, 0.62])
 P1 = Distribution([0.5, 0.5])
-FLOOR = 1e-9
+FLOOR = DistortionBall.floor  # the floor of the balls of every common-channel solve
 GRID_STEP = 1.0 / 200
 
 
@@ -100,10 +100,9 @@ def test_matches_channel_grid_oracle(game):
     laws = (Distribution([p0, 1.0 - p0]), Distribution([p1, 1.0 - p1]))
     qhat = Distribution([q0, 1.0 - q0])
     if len(branches) == 2:
-        res = min_max_divergence_over_channel(qhat, *laws, delta, measure, floor=FLOOR)
+        res = min_max_divergence_over_channel(qhat, *laws, delta, measure)
     else:
-        res = min_divergence_over_common_channels(qhat, branches[0], *laws, delta, measure,
-                                                  floor=FLOOR)
+        res = min_divergence_over_common_channels(qhat, branches[0], *laws, delta, measure)
 
     def feasible(a, b):
         # the solver keeps every output law at least FLOOR entrywise

@@ -70,13 +70,40 @@ def _big_tv_game():
             for _ in range(16)]
 
 
+def _mixed_game(measure, delta):
+    """Ternary balls: 0 and 1 overlap (value 0) at TV 0.1 and KL 0.01, and
+    2 and 3 are far from both."""
+    laws = ((0.5, 0.3, 0.2), (0.45, 0.33, 0.22), (0.1, 0.1, 0.8), (0.2, 0.7, 0.1))
+    return [DistortionBall(Distribution(h), delta, measure) for h in laws]
+
+
+def _disjoint_game():
+    """Two point balls on disjoint supports: each pair starts, and stays,
+    at D = inf, so its first drop is inf - inf."""
+    return [DistortionBall(Distribution(c), 0.0, TV, floor=0.0) for c in ([1, 0, 0], [0, 0, 1])]
+
+
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(_games())
 @example(_big_tv_game())
+@example(_disjoint_game())
+@example(_mixed_game(TV, 0.1))
 def test_every_row_equals_the_per_pair_loop(balls):
     got, want = _all_pairs(balls)
     for res, ref in zip(got, want):
         assert _same(res, ref), (res, ref)
+
+
+def test_the_disjoint_pairs_stop_at_once_unconverged():
+    got, _ = _all_pairs(_disjoint_game())
+    assert [(r.value, r.converged, r.iterations) for r in got] == [(np.inf, False, 1)] * 2
+
+
+def test_the_mixed_tv_pairs_stop_in_different_rounds():
+    """A TV round adds one iteration, its blocks taking no bisection steps,
+    so the pairs of this batch stop after one, two and three rounds."""
+    got, _ = _all_pairs(_mixed_game(TV, 0.1))
+    assert {r.iterations for r in got} == {1, 2, 3}
 
 
 def test_the_big_example_splits_a_knot_scan():
@@ -87,13 +114,6 @@ def test_one_pair_is_a_batch_of_one():
     a, b = _big_tv_game()[:2]
     (batched,) = pairwise_min_divergence([a], [b])
     assert _same(pairwise_min_divergence(a, b), batched)
-
-
-def _mixed_game(measure, delta):
-    """Ternary balls: 0 and 1 overlap (value 0) at TV 0.1 and KL 0.01, and
-    2 and 3 are far from both."""
-    laws = ((0.5, 0.3, 0.2), (0.45, 0.33, 0.22), (0.1, 0.1, 0.8), (0.2, 0.7, 0.1))
-    return [DistortionBall(Distribution(h), delta, measure) for h in laws]
 
 
 @pytest.mark.parametrize("measure, delta", [(TV, 0.1), (KL, 0.01), (KL, 1e-6)])

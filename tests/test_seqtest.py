@@ -191,6 +191,18 @@ class TestThresholdSchedule:
         with pytest.raises(DomainError):
             calls[call]()
 
+    @pytest.mark.parametrize("call", ["value(inf)", "value(nan)", "at([5, inf])", "at([nan])"])
+    def test_steps_must_be_finite(self, call):
+        """value(inf) used to give NaN, and at([inf]) NaN with numpy's
+        "invalid value" warning."""
+        sched = ThresholdSchedule(0.1, 2, 2)
+        calls = {"value(inf)": lambda: sched.value(math.inf),
+                 "value(nan)": lambda: sched.value(math.nan),
+                 "at([5, inf])": lambda: sched.at([5, math.inf]),
+                 "at([nan])": lambda: sched.at([math.nan])}
+        with pytest.raises(DomainError):
+            calls[call]()
+
     @pytest.mark.parametrize("sizes", [(2.5, 2), (math.nan, 2), (2, 2.5), (2, math.nan),
                                        ("3", 2)])
     def test_sizes_must_be_integers(self, sizes):
@@ -225,7 +237,7 @@ class TestEvidenceStatistics:
         assert z[1] == pytest.approx(binary_kl(0.44, 0.405), rel=1e-10)
 
     @pytest.mark.parametrize("counts", [[np.inf, 1.0], [np.nan, 1.0], [0.5, 1.0], [-1, 2],
-                                        ["1", "2"]])
+                                        ["1", "2"], [True, False]])
     def test_rejects_counts_that_are_not_counts(self, bernoulli_spec, counts):
         with pytest.raises(ConstructionError):
             evidence_statistics(np.array(counts), bernoulli_spec)

