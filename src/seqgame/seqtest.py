@@ -6,14 +6,15 @@ stops when any such statistic clears a shrinking threshold. It and the
 common-channel test share one stream loop and one stop rule on two
 symbols: integer boundaries on the count of zeros, on the ball intervals
 or on the channels' output ranges, which `simharness` reads too. More
-symbols compute `evidence_statistics`. The loop drives a tuple of streams
-in lockstep, so that one evidence call covers a read of every stream.
+symbols compute `evidence_statistics`. Every stop rule has one call shape,
+first_stops(steps, tallies), and the loop, not the rule, drops a stop past
+the end of a short read. The loop drives a tuple of streams in lockstep,
+so that one evidence call covers a read of every stream.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from functools import lru_cache
@@ -254,7 +255,7 @@ def evidence_statistics(counts: np.ndarray, spec: GameSpec) -> np.ndarray:
     rows = np.atleast_2d(arr)
     kind = rows.dtype.kind
     whole = kind in "iu" or (kind == "f" and (rows <= 2.0**53).all()
-                             and np.allclose(rows, np.round(rows)))
+                             and (rows == np.round(rows)).all())
     if not whole or np.any(rows < 0):
         raise ConstructionError("counts must be nonnegative integers")
     # float totals: no int64 wraparound, and no overflow from counts of at most 2^53
@@ -391,24 +392,20 @@ class _BoundaryTable:
                                 np.minimum(upper[j], upper[k]), pick))
         return self.blocks[index]
 
-    def first_stop(self, steps, counts: np.ndarray) -> tuple[int, int] | None:
+    def first_stops(self, steps, tallies: np.ndarray) -> list[tuple[int, int] | None]:
         """The first row at which some hypothesis stops, and its decision,
-        or None; row r of `counts` holds the counts at step steps[r], and
-        only its zeros, in column 0, are read. The steps are consecutive
-        evaluated steps, which may run across blocks."""
-        zeros, row, rows = counts[:, 0], 0, len(steps)
-        while row < rows:
-            step = int(steps[row])
-            here, lower, upper, band_lower, band_upper, _ = self.block((step - 1) // _BLOCK)
-            # the column of the step: the cap's, past the last multiple, rounds up
-            col = -((int(here[0]) - step) // self.stride)
-            end = col + min(here.size - col, rows - row)
-            hit = _band_stop(zeros[row:row + end - col], lower[:, col:end], upper[:, col:end],
-                             band_lower[:, col:end], band_upper[:, col:end])
-            if hit is not None:
-                return row + hit[0], hit[1]
-            row += end - col
-        return None
+        or None, for each stream s: tallies[s, r] holds its counts at step
+        steps[r], of which only the zeros, in column 0, are read. The steps
+        are consecutive evaluated steps of one read, so they span at most
+        two blocks."""
+        first, last = (steps[0] - 1) // _BLOCK, (steps[-1] - 1) // _BLOCK
+        here, *bounds, _ = self.block(first)
+        if last > first:
+            bounds = [np.concatenate(pair, axis=1) for pair in zip(bounds, self.block(last)[1:5])]
+        # the column of the first step: the cap's, past the last multiple, rounds up
+        col = -((int(here[0]) - steps[0]) // self.stride)
+        bounds = [b[:, col:col + len(steps)] for b in bounds]
+        return [_band_stop(zeros, *bounds) for zeros in tallies[:, :, 0]]
 
 
 def _band_stop(zeros: np.ndarray, lower: np.ndarray, upper: np.ndarray,
@@ -522,70 +519,56 @@ def _run(streams: tuple, schedule: ThresholdSchedule, cap: int, stride: int, fir
     stream, each that of the stream run alone. Groups of at most _GROUP
     streams run in lockstep, each from a fresh `reads()`. Each round reads
     every live stream up to `next(reads)` evaluated steps on, within the cap
-    and _BLOCK symbols. One first_stops(steps, tallies, reached) call then
-    gives each stream's (row, decision) of its stop, or None: tallies[s, r]
-    counts stream s up to steps[r], and stream s reached steps[:reached[s]].
-    An invalid symbol or the end of a stream is raised once the steps before
-    it are evaluated; of several such streams, the first one's error."""
-    outcomes = []
-    for start in range(0, len(streams), _GROUP):
-        outcomes += _lockstep(streams[start:start + _GROUP], schedule, cap, stride, first_stops,
-                              reads())
-    return outcomes
-
-
-def _lockstep(streams: tuple, schedule: ThresholdSchedule, cap: int, stride: int, first_stops,
-              reads: Iterator[int]) -> list[TestOutcome]:
-    """`_run` on one group of streams."""
+    and _BLOCK symbols. One first_stops(steps, tallies) call then gives each
+    stream's (row, decision) of its first stop, or None: tallies[s, r]
+    counts stream s up to steps[r]. Past the end of a short read a stream's
+    rows repeat its last counts, and a stop there is dropped. An invalid
+    symbol or the end of a stream is raised once the steps before it are
+    evaluated; of several such streams, the first one's error."""
     size = schedule.alphabet_size
-    readers = [_reader(stream, size) for stream in streams]
     outcomes = [TestOutcome(cap, None, True)] * len(streams)
-    live, failure, n = list(range(len(streams))), None, 0
-    counts = np.zeros((len(streams), size), dtype=np.int64)
-    while live and n < cap:
-        end = min((n // stride + next(reads)) * stride, cap)
-        if end - n > _BLOCK:  # the last evaluated step that fits, if any
-            last_step = (n + _BLOCK) // stride * stride
-            end = last_step if last_step > n else n + _BLOCK
-        got = [readers[i](end - n) for i in live]  # the codes stop before an invalid symbol
-        steps = list(range((n // stride + 1) * stride, end + 1, stride))
-        if end == cap and cap % stride:
-            steps.append(cap)
-        # a symbol is binned under the first step at or after it; row r of a
-        # stream then counts up to steps[r], its last row to the end of its read
-        width = (len(steps) + 1) * size
-        bins = np.arange(n % stride, end - n + n % stride) // stride * size
-        flat = [bins[:codes.size] + codes for codes, _ in got]
-        # stream s bins after the `width` bins of each stream before it
-        flat = np.concatenate([f + s * width for s, f in enumerate(flat)]) if len(flat) > 1 else flat[0]
-        tallies = np.bincount(flat, minlength=len(live) * width).reshape(len(live), -1, size)
-        tallies = tallies.cumsum(axis=1)
-        tallies += counts[:, None, :]
-        reached = [len(steps) if codes.size == end - n else bisect_right(steps, n + codes.size)
-                   for codes, _ in got]
-        stops = first_stops(steps, tallies[:, :-1], reached) if steps else [None] * len(live)
-        keep = []
-        for s, (i, (codes, error), stop) in enumerate(zip(live, got, stops)):
-            if stop is not None:
-                outcomes[i] = TestOutcome(steps[stop[0]], stop[1])
-                continue
-            if error is None and codes.size < end - n:
-                error = StreamExhaustedError(f"stream ended after {n + codes.size} symbols with no decision")
-            if error is not None:  # it is raised unless an earlier stream fails too: drop the later ones
-                failure = error
-                break
-            keep.append(s)
-        counts = tallies[:, -1] if len(keep) == len(live) else tallies[keep, -1]
-        live, n = [live[s] for s in keep], end
-    if failure is not None:
-        raise failure
+    for start in range(0, len(streams), _GROUP):
+        group, reads_ahead = streams[start:start + _GROUP], reads()
+        readers = [_reader(stream, size) for stream in group]
+        live, failure, n = list(range(len(group))), None, 0
+        counts = np.zeros((len(group), size), dtype=np.int64)
+        while live and n < cap:
+            end = min((n // stride + next(reads_ahead)) * stride, cap)
+            if end - n > _BLOCK:  # the last evaluated step that fits, if any
+                last_step = (n + _BLOCK) // stride * stride
+                end = last_step if last_step > n else n + _BLOCK
+            got = [readers[i](end - n) for i in live]  # the codes stop before an invalid symbol
+            steps = list(range((n // stride + 1) * stride, end + 1, stride))
+            if end == cap and cap % stride:
+                steps.append(cap)
+            # a symbol is binned under the first step at or after it; row r of a
+            # stream then counts up to steps[r], its last row to the end of its read
+            width = (len(steps) + 1) * size
+            bins = np.arange(n % stride, end - n + n % stride) // stride * size
+            flat = [bins[:codes.size] + codes for codes, _ in got]
+            # stream s bins after the `width` bins of each stream before it
+            flat = np.concatenate([f + s * width for s, f in enumerate(flat)]) if len(flat) > 1 else flat[0]
+            tallies = np.bincount(flat, minlength=len(live) * width).reshape(len(live), -1, size)
+            tallies = tallies.cumsum(axis=1)
+            tallies += counts[:, None, :]
+            stops = first_stops(steps, tallies[:, :-1]) if steps else [None] * len(live)
+            keep = []
+            for s, (i, (codes, error), stop) in enumerate(zip(live, got, stops)):
+                if stop is not None and steps[stop[0]] <= n + codes.size:
+                    outcomes[start + i] = TestOutcome(steps[stop[0]], stop[1])
+                    continue
+                if error is None and codes.size < end - n:
+                    error = StreamExhaustedError(f"stream ended after {n + codes.size} symbols "
+                                                 "with no decision")
+                if error is not None:  # it is raised unless an earlier stream fails too: drop the later ones
+                    failure = error
+                    break
+                keep.append(s)
+            counts = tallies[:, -1] if len(keep) == len(live) else tallies[keep, -1]
+            live, n = [live[s] for s in keep], end
+        if failure is not None:
+            raise failure
     return outcomes
-
-
-def _each(first_stop):
-    """first_stops for `_run` from the first_stop(steps, tallies) of one stream."""
-    return lambda steps, tallies, reached: [first_stop(steps[:r], rows[:r]) if r else None
-                                            for rows, r in zip(tallies, reached)]
 
 
 def run_aware(stream: Iterable[int] | tuple[Iterable[int], ...], schedule: ThresholdSchedule,
@@ -617,20 +600,20 @@ def run_aware(stream: Iterable[int] | tuple[Iterable[int], ...], schedule: Thres
     _instance("spec", spec, GameSpec)
     _check_run(stream, schedule, (spec.num_hypotheses, spec.alphabet_size), cap, stride)
     if spec.alphabet_size == 2:
-        first_stops = _each(schedule._table(tuple(b.interval for b in spec.balls), cap, stride).first_stop)
+        first_stops = schedule._table(tuple(b.interval for b in spec.balls), cap, stride).first_stops
     else:
-        def first_stops(steps, tallies, reached):
-            if min(reached) < len(steps):  # rows past a short read never stop; ones keep them valid
-                short = np.arange(len(steps)) >= np.array(reached)[:, None]
-                tallies = np.where(short[:, :, None], 1, tallies)
+        def first_stops(steps, tallies):
+            empty = ~tallies[:, 0].any(axis=1)  # a stream that read nothing: ones keep its rows valid
+            if empty.any():
+                tallies = np.where(empty[:, None, None], 1, tallies)
             counts = tallies.reshape(-1, spec.alphabet_size)
             # evidence_statistics is looked up at each call, as wrappers put on the module expect
             stats = [evidence_statistics(counts[r:r + _ROWS], spec) for r in range(0, len(counts), _ROWS)]
-            hits = (np.concatenate(stats).reshape(len(reached), len(steps), -1)
-                    >= schedule.at(np.array(steps))[:, None]).reshape(len(reached), -1)
+            hits = (np.concatenate(stats).reshape(len(tallies), len(steps), -1)
+                    >= schedule.at(np.array(steps))[:, None]).reshape(len(tallies), -1)
             first = hits.argmax(axis=1)  # row-major: the first row with a hit, its smallest index
-            return [divmod(int(f), spec.num_hypotheses) if hits[s, f] and f // spec.num_hypotheses < r
-                    else None for s, (f, r) in enumerate(zip(first, reached))]
+            return [divmod(int(f), spec.num_hypotheses) if hits[s, f] else None
+                    for s, f in enumerate(first)]
     several = _several(stream)
     outcomes = _run(stream if several else (stream,), schedule, cap, stride, first_stops,
                     lambda: (_CHUNK_STEPS << k for k in count()))
@@ -670,12 +653,12 @@ def run_nonaware(stream: Iterable[int], schedule: ThresholdSchedule,
     regions = _ChannelGame(p0, p1, delta, measure).regions
     table = schedule._table(tuple((r.x_lo, r.x_hi) for r in regions), cap, stride)
 
-    def first_stop(steps, tallies):
-        hit = table.first_stop(steps, tallies)
+    def first_stops(steps, tallies):
+        (hit,) = table.first_stops(steps, tallies)
         if hit is None:
-            return None
-        t = float(tallies[hit[0], 0]) / steps[hit[0]]
+            return [None]
+        t = float(tallies[0, hit[0], 0]) / steps[hit[0]]
         # each hypothesis faces its rival's output range
         branch = [_binary_kl(t, min(max(t, r.x_lo), r.x_hi)) for r in regions[::-1]]
-        return hit[0], _nonaware_decide(branch, schedule.value(steps[hit[0]]))
-    return _run((stream,), schedule, cap, stride, _each(first_stop), lambda: repeat(1))[0]
+        return [(hit[0], _nonaware_decide(branch, schedule.value(steps[hit[0]])))]
+    return _run((stream,), schedule, cap, stride, first_stops, lambda: repeat(1))[0]

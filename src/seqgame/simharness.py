@@ -26,7 +26,8 @@ import numpy.random  # noqa: F401
 from .equilibrium import EquilibriumSolution, GameSpec, _outputs_within_budget, solve_aware_equilibrium
 from .errors import DomainError, ResourceError, ShapeError
 from .prob import Channel, Distribution, _check_integers, _floats, _instance, _real
-from .seqtest import _BLOCK, TestOutcome, ThresholdSchedule, _BoundaryTable, _CodeStream, run_aware
+from .seqtest import (_BLOCK, TestOutcome, ThresholdSchedule, _band_stop, _BoundaryTable, _CodeStream,
+                      run_aware)
 
 __all__ = [
     "EQUILIBRIUM_ADVERSARY",
@@ -173,8 +174,9 @@ def _run_fast_binary(rng: np.random.Generator, source: Distribution, channel: Ch
     """Blockwise engine for binary alphabets.
 
     Consumes the same uniform stream as sample_through_channel, counts the
-    zeros of each block with one cumulative sum, and stops where
-    `table.first_stop` does, so outcomes match `run_aware`'s exactly.
+    zeros of each block with one cumulative sum, and stops by the band
+    check of the table block it drew, the rule `run_aware` reads, so
+    outcomes match `run_aware`'s exactly.
     """
     cut_in = source.cumulative[0]
     # P(output 0 | input 0) and P(output 0 | input 1)
@@ -183,12 +185,12 @@ def _run_fast_binary(rng: np.random.Generator, source: Distribution, channel: Ch
     done = 0
     while done < table.cap:
         u = rng.random((min(_BLOCK, table.cap - done), 2))
-        steps, *_, pick = table.block(done // _BLOCK)
+        steps, *bounds, pick = table.block(done // _BLOCK)
         inputs = (u[:, 0] >= cut_in).view(np.int8)
         zeros = (u[:, 1] < cuts.take(inputs)).cumsum(dtype=table.dtype)
         if count0:
             zeros += count0
-        hit = table.first_stop(steps, zeros[pick, None])  # one row of counts per step
+        hit = _band_stop(zeros[pick], *bounds) if steps.size else None
         if hit is not None:
             return TestOutcome(int(steps[hit[0]]), hit[1])
         done += zeros.size

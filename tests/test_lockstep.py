@@ -29,9 +29,11 @@ from seqgame import (
     run_aware,
     run_replication,
 )
-from seqgame import seqtest
+from seqgame import run_nonaware, seqtest
 from seqgame.prob import Channel
 from seqgame.simharness import _ChannelStream, _seed_words
+
+from oracles import run_aware_stepwise, run_nonaware_stepwise
 
 
 @contextmanager
@@ -142,13 +144,14 @@ def test_each_stream_keeps_its_reads(group):
     assert len(set(alone)) > 1
 
 
-class TestFailingStreams:
-    @staticmethod
-    def _raised(call):
-        with pytest.raises(Exception) as info:
-            call()
-        return type(info.value), str(info.value)
+def _raised(call):
+    """The type and message of what `call()` raises."""
+    with pytest.raises(Exception) as info:
+        call()
+    return type(info.value), str(info.value)
 
+
+class TestFailingStreams:
     @pytest.mark.parametrize("group", [1, 2, 32])
     @pytest.mark.parametrize("size", [2, 3])
     def test_the_first_failing_stream_raises(self, size, group):
@@ -164,13 +167,13 @@ class TestFailingStreams:
         bad = long[:5] + [size] + long[6:]
         streams = (_stream(spec, 0, 1), long[:300], bad, [])
         with _limits(group, 4096):
-            got = self._raised(lambda: run_aware(streams, schedule, spec))
-        assert got == self._raised(lambda: run_aware(streams[1], schedule, spec))
+            got = _raised(lambda: run_aware(streams, schedule, spec))
+        assert got == _raised(lambda: run_aware(streams[1], schedule, spec))
         assert got[0] is StreamExhaustedError and "after 300 symbols" in got[1]
-        assert self._raised(lambda: run_aware(bad, schedule, spec))[0] is DomainError
+        assert _raised(lambda: run_aware(bad, schedule, spec))[0] is DomainError
         with _limits(group, 4096):
-            tail = self._raised(lambda: run_aware(streams[2:], schedule, spec))
-        assert tail == self._raised(lambda: run_aware(bad, schedule, spec))
+            tail = _raised(lambda: run_aware(streams[2:], schedule, spec))
+        assert tail == _raised(lambda: run_aware(bad, schedule, spec))
 
     def test_a_stream_that_stops_before_its_bad_symbol_does_not_raise(self):
         spec = _spec(3, 2, "tv_l1", 0.05)
@@ -181,6 +184,50 @@ class TestFailingStreams:
         other = _stream(spec, 1, 4)
         assert run_aware((symbols, other), schedule, spec) == (
             stop, run_aware(other, schedule, spec))
+
+
+class TestShortReads:
+    """A stream that ends, or meets an invalid symbol, one symbol before an
+    evaluated step. It repeats one symbol, so its counts there, which the
+    loop carries past the end of the read, give the law at which the full
+    stream stops: the stop rule reports a stop at that step, and the loop
+    must drop it and raise what the per-symbol loop raises."""
+
+    CAP = 100_000
+
+    @staticmethod
+    def _cut(symbol: int, stop: int, size: int) -> dict[str, list[int]]:
+        """The stream of `symbol` one symbol short of `stop`, alone and then
+        followed by an invalid symbol and more of `symbol`."""
+        short = [symbol] * (stop - 1)
+        return {"ends": short, "invalid": short + [size] + [symbol] * 10}
+
+    @pytest.mark.parametrize("stride", [1, 7])
+    @pytest.mark.parametrize("size", [2, 3])
+    def test_aware(self, size, stride):
+        """Alone, and in a tuple before and after a stream that stops later."""
+        spec, schedule = _spec(size, 3, "tv_l1", 0.05), ThresholdSchedule(1e-6, 3, size)
+        kwargs = dict(cap=self.CAP, stride=stride)
+        stop = run_aware_stepwise([size - 1] * self.CAP, schedule, spec, **kwargs).stopping_time
+        assert stop % stride == 0 and stop > 1
+        later = _stream(spec, 3, 0)  # the uniform law, which runs long
+        assert run_aware(later, schedule, spec, **kwargs).stopping_time > 2 * stop
+        for kind, symbols in self._cut(size - 1, stop, size).items():
+            want = _raised(lambda: run_aware_stepwise(symbols, schedule, spec, **kwargs))
+            assert want[0] is (StreamExhaustedError if kind == "ends" else DomainError)
+            for streams in (symbols, (symbols, later), (later, symbols)):
+                assert _raised(lambda: run_aware(streams, schedule, spec, **kwargs)) == want
+
+    @pytest.mark.parametrize("stride", [1, 7])
+    def test_common_channel(self, stride):
+        args = (ThresholdSchedule(0.05, 2, 2), Distribution([0.38, 0.62]), Distribution([0.5, 0.5]),
+                0.05, DistortionMeasure.TV_L1)
+        stop = run_nonaware_stepwise([1] * self.CAP, *args, cap=self.CAP, stride=stride)
+        assert stop.stopping_time % stride == 0 and stop.stopping_time > 1
+        for kind, symbols in self._cut(1, stop.stopping_time, 2).items():
+            want = _raised(lambda: run_nonaware_stepwise(symbols, *args, stride=stride))
+            assert want[0] is (StreamExhaustedError if kind == "ends" else DomainError)
+            assert _raised(lambda: run_nonaware(symbols, *args, stride=stride)) == want
 
 
 @pytest.fixture(scope="module")

@@ -237,7 +237,7 @@ class TestEvidenceStatistics:
         assert z[1] == pytest.approx(binary_kl(0.44, 0.405), rel=1e-10)
 
     @pytest.mark.parametrize("counts", [[np.inf, 1.0], [np.nan, 1.0], [0.5, 1.0], [-1, 2],
-                                        ["1", "2"], [True, False]])
+                                        ["1", "2"], [True, False], [1000000.3, 5.0]])
     def test_rejects_counts_that_are_not_counts(self, bernoulli_spec, counts):
         with pytest.raises(ConstructionError):
             evidence_statistics(np.array(counts), bernoulli_spec)

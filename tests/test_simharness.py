@@ -519,6 +519,57 @@ class TestBandStop:
                 == _first_stop(zeros, lower, upper))
 
 
+@st.composite
+def _table_reads(draw):
+    """A boundary table on M = 2..4 nearby intervals, the evaluated steps of
+    one read of up to 4,096 symbols, which may cross a block edge or end at
+    a cap off the stride, or hold that cap alone, and the counts of zeros
+    of 1..5 streams there: each inside the band of all balls in the read's
+    first rows, where no hypothesis stops, then near a boundary or
+    anywhere from 0 to the step."""
+    balls = draw(st.integers(2, 4))
+    base = draw(st.floats(0.2, 0.8))
+    half = draw(st.sampled_from([0.0, 0.01, 0.03]))
+    centers = [base + draw(st.floats(-0.04, 0.04)) for _ in range(balls)]
+    intervals = tuple((c - half, c + half) for c in centers)
+    stride = draw(st.integers(1, 40))
+    start = max(0, draw(st.integers(1, 2)) * seqtest._BLOCK - draw(st.integers(0, 300)))
+    if draw(st.booleans()):  # any read
+        end = start + draw(st.integers(1, seqtest._BLOCK))
+        cap = end + draw(st.sampled_from([0, 1, 500]))
+    else:  # the last read, from the last multiple of the stride to the cap
+        start -= start % stride
+        end = cap = start + draw(st.integers(1, stride))
+    steps = np.r_[np.arange((start // stride + 1) * stride, end + 1, stride),
+                  [cap] if end == cap and cap % stride else []].astype(np.int64)
+    assume(steps.size)
+    schedule = ThresholdSchedule(draw(st.sampled_from([0.3, 0.01, 1e-6])), balls, 2)
+    table = seqtest._BoundaryTable(schedule, intervals, cap, stride)
+    lower, upper = seqtest._count_boundaries(schedule, intervals, steps)
+    band_lower, band_upper = lower.max(axis=0), upper.min(axis=0)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (draw(st.integers(1, 5)), steps.size)
+    # half the counts within one of a boundary, the rest anywhere
+    near = np.choose(rng.integers(0, 2 * balls, size=shape), np.r_[lower, upper]) + rng.integers(-1, 2, shape)
+    zeros = np.where(rng.random(shape) < 0.5, near.clip(0, steps), rng.integers(0, steps + 1, shape))
+    for row, quiet in zip(zeros, rng.integers(0, steps.size + 1, size=len(zeros))):
+        inside = band_lower[:quiet] + 1 < band_upper[:quiet]
+        row[:quiet][inside] = (band_lower[:quiet] + band_upper[:quiet])[inside] // 2
+    return table, steps.tolist(), zeros, lower, upper
+
+
+class TestTableFirstStops:
+    @settings(max_examples=60, deadline=None)
+    @given(_table_reads())
+    def test_each_row_matches_ball_by_ball_count(self, read):
+        """Each stream's first stop is that of counting the cleared balls
+        at every step, with boundaries searched at the read's steps alone,
+        not block by block."""
+        table, steps, zeros, lower, upper = read
+        got = table.first_stops(steps, zeros[:, :, None])
+        assert got == [_first_stop(row, lower, upper) for row in zeros]
+
+
 class TestCountBoundaries:
     @settings(max_examples=6, deadline=None)
     @given(_binary_scenarios())
