@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DomainError, InfeasibleError, ResourceError, ShapeError
 from .prob import (Channel, Distribution, DistortionMeasure, _binary_kl, _check_integers, _instance,
-                   _kl_arrays, _kl_rows, _law, _real)
+                   _kl_rows, _law, _real)
 
 __all__ = [
     "DistortionBall",
@@ -103,29 +103,24 @@ class DistortionBall:
             raise ShapeError("interval reduction applies to binary alphabets only")
         c = float(self.center.probs[0])
         lo_cap, hi_cap = self.floor, 1.0 - self.floor
-        if self.measure is DistortionMeasure.TV_L1:
-            # sum|q - c| = 2|q0 - c0| for binary vectors
+        if self.measure is DistortionMeasure.KL and self.radius > 0.0:
+            lo, hi = _bisect_kl_edge(c, self.radius, lo_cap), _bisect_kl_edge(c, self.radius, hi_cap)
+        else:  # sum|q - c| = 2|q0 - c0| for binary vectors; radius 0 holds c alone under KL too
             lo, hi = c - self.radius / 2.0, c + self.radius / 2.0
-        else:
-            lo = _bisect_kl_edge(c, self.radius, lo_cap)
-            hi = _bisect_kl_edge(c, self.radius, hi_cap)
         return max(lo, lo_cap), min(hi, hi_cap)
 
 
 def _inside(w: np.ndarray, p: np.ndarray, ball: DistortionBall) -> np.ndarray:
     """Whether each row of w (its last axis) lies in the ball with the
     measure, radius and floor of `ball` around the matching row of p."""
-    if ball.measure is DistortionMeasure.TV_L1:
-        distortion = np.abs(w - p).sum(axis=-1)
-    else:
-        distortion = _kl_rows(p, w)
-    return (distortion <= ball.radius) & (w.min(axis=-1) >= ball.floor) & (w.sum(axis=-1) == 1.0)
+    return ((ball.measure._rows(p, w) <= ball.radius) & (w.min(axis=-1) >= ball.floor)
+            & (w.sum(axis=-1) == 1.0))
 
 
 def _bisect_kl_edge(c: float, radius: float, far: float) -> float:
     """The t between c and `far` where D(c || t) reaches the radius, on its
     feasible side, to adjacent floats; `far` itself when D(c || far) stays
-    within the radius. ResourceError past `_EDGE_CAP` halvings."""
+    within the (positive) radius. ResourceError past `_EDGE_CAP` halvings."""
     if _binary_kl(c, far) <= radius:
         return far
     inside, outside = c, far
@@ -288,9 +283,9 @@ def _bisect_level(point, level, radius: float, lo: np.ndarray,
 
 
 def _kl_from(p: np.ndarray):
-    """The map from an array q and the rows of the (R, K) array p that its
-    rows pair with to D(p_r || q_r) for each row, +inf where q_r misses the
-    support of p_r (with a divide warning)."""
+    """q, rows -> D(p_r || q_r) for the rows of the (R, K) array p that the
+    rows of q pair with, +inf where q_r misses p_r's support (with a divide
+    warning): `_kl_rows`, with p's logs taken once for the bisections."""
     support = p > 0.0
     log_p = np.log(p, out=np.zeros_like(p), where=support)
     # off the support both logs read 0, so the term is an exact zero, which
@@ -572,7 +567,7 @@ def pairwise_min_divergence(ball_first, ball_second):
 
     # one row per pair: q2[r] is the state of pair r, best[r] its running minimum
     p1, p2 = (np.array([ball.center.probs for ball in balls]) for balls in (firsts, seconds))
-    best = np.array([_kl_arrays(a, b) for a, b in zip(p1, p2)])
+    best = _kl_rows(p1, p2)
     best1, best2, q2 = p1.copy(), p2.copy(), p2.copy()
     iterations, quiet = np.zeros(best.size, dtype=int), np.zeros(best.size, dtype=int)
     converged, blocks_converged = np.zeros(best.size, dtype=bool), np.ones(best.size, dtype=bool)
@@ -702,11 +697,15 @@ class _ChannelGame:
         s, _ = region.best_y(x, t)
         return ChannelMinMaxResult(_binary_kl(t, x), region.channel(x, s))
 
+    def clamp_divergences(self, t: float) -> tuple[float, float]:
+        """Entry b is `single(t, b).value`: the divergence to t's clamp onto range b."""
+        return tuple(_binary_kl(t, min(max(t, r.x_lo), r.x_hi)) for r in self.regions)
+
     def minmax(self, t: float) -> ChannelMinMaxResult:
         """min over feasible channels of the larger branch divergence: the
         single branch with the larger reach, whose channel also keeps the
         other branch within it (see `min_max_divergence_over_channel`)."""
-        reach = [_binary_kl(t, min(max(t, r.x_lo), r.x_hi)) for r in self.regions]
+        reach = self.clamp_divergences(t)
         return self.single(t, 0 if reach[0] >= reach[1] else 1)
 
     def facing_ends(self) -> Channel:

@@ -182,9 +182,11 @@ class DistortionMeasure(enum.Enum, metaclass=_MeasureLookup):
     def evaluate(self, original, perturbed) -> float:
         """Distortion d(original, perturbed); KL reads D(original || perturbed)."""
         p = _law("original", original)
-        q = _law("perturbed", perturbed, p.size)
-        with np.errstate(over="ignore"):  # huge entries are infinitely far apart
-            return float(np.abs(p - q).sum()) if self is DistortionMeasure.TV_L1 else _kl_arrays(p, q)
+        return float(self._rows(p, _law("perturbed", perturbed, p.size)))
+
+    def _rows(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+        """`evaluate` along the last axis of two broadcastable arrays, unchecked."""
+        return np.abs(p - q).sum(axis=-1) if self is DistortionMeasure.TV_L1 else _kl_rows(p, q)
 
 
 def apply_channel(dist: Distribution, channel: Channel) -> Distribution:
@@ -198,20 +200,10 @@ def apply_channel(dist: Distribution, channel: Channel) -> Distribution:
     return Distribution(p @ rows)
 
 
-def _kl_arrays(p: np.ndarray, q: np.ndarray) -> float:
-    """KL divergence on raw arrays with the 0*log(0) = 0 convention."""
-    support = p > 0.0
-    if np.any(q[support] <= 0.0):
-        return math.inf
-    ps = p[support]
-    with np.errstate(over="ignore"):  # inf for entries near 1e308, not a warning
-        return float(np.dot(ps, np.log(ps) - np.log(q[support])))
-
-
 def _kl_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """D(p_r || q_r) along the last axis of two broadcastable arrays of
     nonnegative entries, with the 0*log(0) = 0 convention; +inf where q_r
-    misses the support of p_r, as `_kl_arrays` gives."""
+    misses the support of p_r. The one K-ary form of the divergence."""
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(p > 0.0, np.log(p) - np.log(q), 0.0)
     return np.vecdot(p, terms)
@@ -220,16 +212,16 @@ def _kl_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 def kl_divergence(p, q) -> float:
     """D(p || q) in nats; +inf when q misses part of p's support."""
     parr = _law("p", p)
-    return _kl_arrays(parr, _law("q", q, parr.size))
+    return float(_kl_rows(parr, _law("q", q, parr.size)))
 
 
 def _binary_kl(t: float, s: float) -> float:
     """Binary KL with t and s on the closed interval [0, 1]; +inf where t
     puts mass that s does not. Clamped at zero, which the two terms can
-    round below when s is a few ulps from t. The logs are numpy's, as in
-    the vector form `divopt._clamp_divergence`, so the two agree bit for
-    bit (numpy's log and `math.log` differ in the last bit on a few
-    inputs)."""
+    round below when s is a few ulps from t. Its logs are numpy's, so it
+    equals `divopt._clamp_divergence` bit for bit. It stays for scalar
+    calls, about ten times cheaper than that form on one number: a KL
+    ball's edges take about 110 calls, 0.1 ms a ball against 1 ms."""
     if (t > 0.0 and s <= 0.0) or (t < 1.0 and s >= 1.0):
         return math.inf
     value = t * np.log(t / s) if t > 0.0 else 0.0

@@ -32,7 +32,7 @@ from .errors import (
     ShapeError,
     StreamExhaustedError,
 )
-from .prob import Distribution, DistortionMeasure, _binary_kl, _check_integers, _floats, _instance, _real
+from .prob import Distribution, DistortionMeasure, _check_integers, _floats, _instance, _real
 
 __all__ = [
     "threshold_constant",
@@ -176,24 +176,16 @@ class ThresholdSchedule:
         object.__setattr__(self, "_log_rivals", math.log(self.num_hypotheses - 1.0))
         object.__setattr__(self, "_tables", {})
 
-    def _formula(self, n, log_next, power):
-        """The threshold at n from log(n + 1) and n^(-zeta), on floats or arrays alike."""
-        return self._log_ratio / n + power + (self.alphabet_size * log_next + self._log_rivals) / n
-
     def value(self, n: int) -> float:
-        try:
-            if not 1 <= n < math.inf or isinstance(n, (bool, np.bool_)):
-                raise DomainError(f"n must be a finite number >= 1, not a bool, got {n!r}")
-            return self._formula(n, math.log(n + 1.0), pow(n, -self.zeta))
-        except (TypeError, ValueError, OverflowError):  # not a number, an array, or beyond floats
-            raise DomainError(f"n must be a number >= 1, got {n!r:.80}") from None
+        """The threshold at step n: `at([n])[0]`, with its errors."""
+        return float(self.at([n])[0])
 
     def at(self, steps) -> np.ndarray:
-        """Thresholds at the given steps, equal to value(n) at each, bit for bit.
+        """Thresholds at the given steps: the one form of the formula.
 
-        The logarithm and the power go through `math.log` and `pow`, the
-        calls `value` makes, since numpy's may differ in the last bit; the
-        rest of the formula runs in numpy in the same order as `value`.
+        The logarithm and the power are `math.log`'s and `pow`'s, as numpy's
+        may differ in the last bit. Steps that are not numbers raise
+        ConstructionError; bools, steps below 1 or not finite DomainError.
         """
         n = _floats("steps", steps)
         if (steps.dtype == bool if isinstance(steps, np.ndarray)
@@ -203,7 +195,7 @@ class ThresholdSchedule:
             raise DomainError(f"steps must be finite and at least 1, got {n.min():g} to {n.max():g}")
         logs = np.fromiter(map(math.log, (n + 1.0).tolist()), float, n.size)
         powers = np.fromiter(map(pow, n.tolist(), repeat(-self.zeta)), float, n.size)
-        return self._formula(n, logs, powers)
+        return self._log_ratio / n + powers + (self.alphabet_size * logs + self._log_rivals) / n
 
     def _table(self, intervals: tuple[tuple[float, float], ...], cap: int, stride: int) -> _BoundaryTable:
         """The boundary table on `intervals` for this cap and stride, made on first use."""
@@ -396,12 +388,9 @@ class _BoundaryTable:
         """The first row at which some hypothesis stops, and its decision,
         or None, for each stream s: tallies[s, r] holds its counts at step
         steps[r], of which only the zeros, in column 0, are read. The steps
-        are consecutive evaluated steps of one read, so they span at most
-        two blocks."""
-        first, last = (steps[0] - 1) // _BLOCK, (steps[-1] - 1) // _BLOCK
-        here, *bounds, _ = self.block(first)
-        if last > first:
-            bounds = [np.concatenate(pair, axis=1) for pair in zip(bounds, self.block(last)[1:5])]
+        are consecutive evaluated steps of one read, which `_run` ends
+        within one block."""
+        here, *bounds, _ = self.block((steps[0] - 1) // _BLOCK)
         # the column of the first step: the cap's, past the last multiple, rounds up
         col = -((int(here[0]) - steps[0]) // self.stride)
         bounds = [b[:, col:col + len(steps)] for b in bounds]
@@ -519,12 +508,13 @@ def _run(streams: tuple, schedule: ThresholdSchedule, cap: int, stride: int, fir
     stream, each that of the stream run alone. Groups of at most _GROUP
     streams run in lockstep, each from a fresh `reads()`. Each round reads
     every live stream up to `next(reads)` evaluated steps on, within the cap
-    and _BLOCK symbols. One first_stops(steps, tallies) call then gives each
-    stream's (row, decision) of its first stop, or None: tallies[s, r]
-    counts stream s up to steps[r]. Past the end of a short read a stream's
-    rows repeat its last counts, and a stop there is dropped. An invalid
-    symbol or the end of a stream is raised once the steps before it are
-    evaluated; of several such streams, the first one's error."""
+    and the _BLOCK-step table block of its first symbol. One call
+    first_stops(steps, tallies) then gives each stream's (row, decision) of
+    its first stop, or None: tallies[s, r] counts stream s up to steps[r].
+    Past the end of a short read a stream's rows repeat its last counts,
+    and a stop there is dropped. An invalid symbol or the end of a stream
+    is raised once the steps before it are evaluated; of several such
+    streams, the first one's error."""
     size = schedule.alphabet_size
     outcomes = [TestOutcome(cap, None, True)] * len(streams)
     for start in range(0, len(streams), _GROUP):
@@ -533,10 +523,10 @@ def _run(streams: tuple, schedule: ThresholdSchedule, cap: int, stride: int, fir
         live, failure, n = list(range(len(group))), None, 0
         counts = np.zeros((len(group), size), dtype=np.int64)
         while live and n < cap:
-            end = min((n // stride + next(reads_ahead)) * stride, cap)
-            if end - n > _BLOCK:  # the last evaluated step that fits, if any
-                last_step = (n + _BLOCK) // stride * stride
-                end = last_step if last_step > n else n + _BLOCK
+            end, edge = min((n // stride + next(reads_ahead)) * stride, cap), (n // _BLOCK + 1) * _BLOCK
+            if end > edge:  # the last evaluated step in the block, if any
+                last_step = edge // stride * stride
+                end = last_step if last_step > n else edge
             got = [readers[i](end - n) for i in live]  # the codes stop before an invalid symbol
             steps = list(range((n // stride + 1) * stride, end + 1, stride))
             if end == cap and cap % stride:
@@ -582,13 +572,13 @@ def run_aware(stream: Iterable[int] | tuple[Iterable[int], ...], schedule: Thres
     threshold together, the smallest index decides.
 
     The stream is read in chunks that end on evaluated steps: 16 of them at
-    first, twice as many in each next one, and at most 4,096 symbols. On two
-    symbols a chunk reads the schedule's boundary table on the ball
-    intervals, as the binary engine does; else `evidence_statistics` covers
-    it against thresholds from `schedule.at`. Outcomes and errors are those
-    of feeding one symbol at a time, but the stream is read to the end of
-    the chunk of the stop. A schedule built for another size of game raises
-    ShapeError.
+    first, twice as many in each next one, none past its 4,096-step block
+    (steps 1-4,096, 4,097-8,192, ...). On two symbols a chunk reads that
+    block of the schedule's boundary table on the ball intervals, as the
+    binary engine does; else `evidence_statistics` covers it against
+    thresholds from `schedule.at`. Outcomes and errors are those of feeding
+    one symbol at a time, but the stream is read to the end of the chunk of
+    the stop. A schedule built for another size of game raises ShapeError.
 
     A tuple of streams (a non-empty tuple of iterables) gives a tuple of
     outcomes, entry s equal to the call on stream s alone. The streams run
@@ -624,15 +614,6 @@ def run_aware(stream: Iterable[int] | tuple[Iterable[int], ...], schedule: Thres
 # Common-channel (non-aware adversary) test, binary hypotheses
 
 
-def _nonaware_decide(branch, gamma: float) -> int:
-    """Branch whose evidence clears gamma; conflicts fall back to the larger
-    statistic and then the smaller index."""
-    hold = (branch[0] >= gamma, branch[1] >= gamma)
-    if hold[0] != hold[1]:
-        return 0 if hold[0] else 1
-    return 0 if branch[0] >= branch[1] else 1
-
-
 def run_nonaware(stream: Iterable[int], schedule: ThresholdSchedule,
                  p0: Distribution, p1: Distribution, delta: float,
                  measure: DistortionMeasure, cap: int = 1_000_000, stride: int = 1) -> TestOutcome:
@@ -641,24 +622,22 @@ def run_nonaware(stream: Iterable[int], schedule: ThresholdSchedule,
     The statistic of hypothesis b is the divergence from qhat = (t, 1 - t)
     to everything a common channel can make of the rival law: t clamped
     onto the rival's output range. The test reads the schedule's boundary
-    table on the two output ranges of a channel game built once per run,
-    and forms the two statistics at the stop step alone, for
-    `_nonaware_decide`. Each read takes one evaluated step (at most 4,096
-    symbols), so the run reads no symbol past its stop, and an invalid
-    symbol raises DomainError once the rest of its read is consumed. Per
-    symbol, stride 1 costs about 140 times what stride 1,024 does.
-    The schedule must be built for two hypotheses on two symbols.
+    table on the two output ranges of a channel game built once per run:
+    the hypothesis whose own range alone is uncleared wins; if neither is,
+    the larger statistic, then hypothesis 0. Each read takes one evaluated
+    step within its 4,096-step block, so the run reads no symbol past its
+    stop, and an invalid symbol raises DomainError once the rest of its
+    read is consumed. Per symbol, stride 1 costs about 140 times what
+    stride 1,024 does. The schedule must be for two hypotheses on two symbols.
     """
     _check_run(stream, schedule, (2, 2), cap, stride)
-    regions = _ChannelGame(p0, p1, delta, measure).regions
-    table = schedule._table(tuple((r.x_lo, r.x_hi) for r in regions), cap, stride)
+    game = _ChannelGame(p0, p1, delta, measure)
+    table = schedule._table(tuple((r.x_lo, r.x_hi) for r in game.regions), cap, stride)
 
     def first_stops(steps, tallies):
         (hit,) = table.first_stops(steps, tallies)
-        if hit is None:
-            return [None]
-        t = float(tallies[0, hit[0], 0]) / steps[hit[0]]
-        # each hypothesis faces its rival's output range
-        branch = [_binary_kl(t, min(max(t, r.x_lo), r.x_hi)) for r in regions[::-1]]
-        return [(hit[0], _nonaware_decide(branch, schedule.value(steps[hit[0]])))]
+        if hit is not None and hit[1] == 0:  # the table's decision also where both ranges are cleared
+            reach = game.clamp_divergences(float(tallies[0, hit[0], 0]) / steps[hit[0]])
+            hit = (hit[0], 0 if reach[1] >= reach[0] else 1)  # reach[1] is hypothesis 0's statistic
+        return [hit]
     return _run((stream,), schedule, cap, stride, first_stops, lambda: repeat(1))[0]

@@ -48,7 +48,7 @@ from seqgame.errors import (
     ShapeError,
     StreamExhaustedError,
 )
-from seqgame.prob import Channel, Distribution, DistortionMeasure, _kl_arrays
+from seqgame.prob import Channel, Distribution, DistortionMeasure, _kl_rows
 from seqgame.seqtest import TestOutcome, ThresholdSchedule, _check_symbol, evidence_statistics
 
 
@@ -221,7 +221,7 @@ def contains(ball: DistortionBall, point, slack: float = 1e-9) -> bool:
     if ball.measure is DistortionMeasure.TV_L1:
         distortion = np.abs(point - center).sum()
     else:
-        distortion = _kl_arrays(center, point)
+        distortion = _kl_rows(center, point)
     return bool(distortion <= ball.radius + slack and point.min() >= ball.floor - slack
                 and abs(point.sum() - 1.0) <= slack)
 
@@ -441,7 +441,7 @@ def pairwise_min_one_pair(ball_first: DistortionBall, ball_second: DistortionBal
     alone: each round one first block of one row and one public reach
     solve, stopped by the pair's own `RunningMinimum`."""
     q1, q2 = ball_first.center.probs, ball_second.center.probs
-    rule, best_pair = RunningMinimum(_kl_arrays(q1, q2)), (q1, q2)
+    rule, best_pair = RunningMinimum(float(_kl_rows(q1, q2))), (q1, q2)
     blocks_converged, total_iters, done = True, 0, False
     while not done:
         q1, first_ok, it1 = first_block_one_row(q2, ball_first)
@@ -462,7 +462,7 @@ def pairwise_min_full_patience(ball_first: DistortionBall,
     rounds stopping only on `divopt._PATIENCE` quiet rounds in a row or on
     the round cap, never at a fixed point."""
     q1, q2 = ball_first.center.probs, ball_second.center.probs
-    best, best_pair = _kl_arrays(q1, q2), (q1, q2)
+    best, best_pair = float(_kl_rows(q1, q2)), (q1, q2)
     quiet, converged, blocks_converged, total_iters = 0, False, True, 0
     for _ in range(divopt._BISECTION_CAP):
         q1, first_ok, it1 = first_block_one_row(q2, ball_first)

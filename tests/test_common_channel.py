@@ -211,12 +211,16 @@ def _law(p: float) -> Distribution:
 @given(_games())
 def test_minmax_is_the_larger_clamp(game):
     """The min-max value is exactly the larger of the two clamp
-    divergences, and its channel is feasible for both balls and attains it."""
+    divergences, which `clamp_divergences` gives bit for bit, and its
+    channel is feasible for both balls and attains it."""
     measure, p0, p1, delta, q0, _ = game
     laws = (_law(p0), _law(p1))
     channel_game = _ChannelGame(*laws, delta, measure)
     res = channel_game.minmax(q0)
-    assert res.value == max(channel_game.single(q0, b).value for b in (0, 1))
+    singles = [channel_game.single(q0, b).value for b in (0, 1)]
+    assert res.value == max(singles)
+    pair = np.array(channel_game.clamp_divergences(q0))
+    assert np.array_equal(pair.view(np.int64), np.array(singles).view(np.int64)), (pair, singles)
     reached = []
     for p in laws:
         out = p.probs @ res.channel.rows

@@ -108,6 +108,20 @@ def test_every_public_name_is_read_outside_the_tests():
     assert [name for name in _public_surface() if name.split(".")[-1] not in read] == []
 
 
+def test_every_private_helper_is_read_in_the_library_or_the_benchmark():
+    """A private module-level function or class of `src/seqgame` that no
+    module of the library and no benchmark script reads is dead: a deletion
+    left it behind, and only tests can still reach it."""
+    sources = [path.read_text() for path in [*ROOT.glob("src/seqgame/*.py"), *ROOT.glob("bench/*.py")]]
+    read = set().union(*map(_read_names, sources))
+    private = [f"{path.stem}.{node.name}" for path in sorted(ROOT.glob("src/seqgame/*.py"))
+               for node in ast.parse(path.read_text()).body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and node.name.startswith("_") and not node.name.startswith("__")]
+    assert private
+    assert [name for name in private if name.split(".")[-1] not in read] == []
+
+
 def test_read_names_on_a_sample():
     source = ("import os\nfrom math import pi\n__all__ = ['alpha', 'beta']\nWRAPPED = {'gamma': 1}\n"
               "def delta(): return os.sep + eps.zeta\nclass Eta: theta = 1\n")

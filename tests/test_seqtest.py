@@ -16,7 +16,6 @@ from seqgame.prob import Distribution, DistortionMeasure
 from seqgame.seqtest import (
     ThresholdSchedule,
     _gamma_q,
-    _nonaware_decide,
     _tail_bracket,
     evidence_statistics,
     run_aware,
@@ -134,20 +133,6 @@ class TestThresholdSchedule:
                 + (4.0 * math.log(n + 1.0) + math.log(2.0)) / n
             )
             assert sched.value(n) == pytest.approx(expect, rel=1e-15)
-
-    def test_vectorized_matches_scalar(self):
-        sched = ThresholdSchedule(alpha=0.1, num_hypotheses=2, alphabet_size=2)
-        vals = sched.at(np.arange(1, 501))
-        assert vals.shape == (500,)
-        scalar = np.array([sched.value(n) for n in range(1, 501)])
-        np.testing.assert_allclose(vals, scalar, rtol=1e-13)
-
-    @pytest.mark.parametrize("alphabet_size", [2, 3])
-    def test_vector_form_equals_scalar_bit_for_bit(self, alphabet_size):
-        sched = ThresholdSchedule(math.exp(-8), 2, alphabet_size)
-        steps = np.arange(1, 10**6 + 1)
-        scalar = np.fromiter(map(sched.value, steps.tolist()), float, steps.size)
-        np.testing.assert_array_equal(sched.at(steps), scalar)
 
     def test_vector_form_rejects_steps_below_one(self):
         sched = ThresholdSchedule(0.05, 2, 2)
@@ -383,18 +368,6 @@ def test_entry_points_refuse_arguments_of_the_wrong_type(bernoulli_spec, case):
     }
     with pytest.raises(DomainError, match="must be a"):
         calls[case]()
-
-
-class TestNonAwareDecision:
-    def test_single_holder_wins(self):
-        assert _nonaware_decide(np.array([0.5, 0.2]), 0.4) == 0
-        assert _nonaware_decide(np.array([0.2, 0.5]), 0.4) == 1
-
-    def test_conflicts_fall_back_to_magnitude(self):
-        assert _nonaware_decide(np.array([0.5, 0.45]), 0.4) == 0
-        assert _nonaware_decide(np.array([0.45, 0.5]), 0.4) == 1
-        assert _nonaware_decide(np.array([0.3, 0.2]), 0.4) == 0
-        assert _nonaware_decide(np.array([0.3, 0.3]), 0.4) == 0
 
 
 class TestRunNonAware:

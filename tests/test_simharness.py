@@ -522,8 +522,9 @@ class TestBandStop:
 @st.composite
 def _table_reads(draw):
     """A boundary table on M = 2..4 nearby intervals, the evaluated steps of
-    one read of up to 4,096 symbols, which may cross a block edge or end at
-    a cap off the stride, or hold that cap alone, and the counts of zeros
+    one read, which ends within the 4,096-step block of its first symbol, as
+    `_run`'s reads do, possibly at a cap off the stride or on the block's
+    last step, or holds that cap alone, and the counts of zeros
     of 1..5 streams there: each inside the band of all balls in the read's
     first rows, where no hypothesis stops, then near a boundary or
     anywhere from 0 to the step."""
@@ -535,11 +536,12 @@ def _table_reads(draw):
     stride = draw(st.integers(1, 40))
     start = max(0, draw(st.integers(1, 2)) * seqtest._BLOCK - draw(st.integers(0, 300)))
     if draw(st.booleans()):  # any read
-        end = start + draw(st.integers(1, seqtest._BLOCK))
+        end = start + draw(st.integers(1, (start // seqtest._BLOCK + 1) * seqtest._BLOCK - start))
         cap = end + draw(st.sampled_from([0, 1, 500]))
     else:  # the last read, from the last multiple of the stride to the cap
         start -= start % stride
-        end = cap = start + draw(st.integers(1, stride))
+        edge = (start // seqtest._BLOCK + 1) * seqtest._BLOCK
+        end = cap = start + draw(st.integers(1, min(stride, edge - start)))
     steps = np.r_[np.arange((start // stride + 1) * stride, end + 1, stride),
                   [cap] if end == cap and cap % stride else []].astype(np.int64)
     assume(steps.size)

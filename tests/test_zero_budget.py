@@ -1,5 +1,5 @@
-"""A zero distortion budget on a ternary alphabet, and on a binary one
-with a zero support floor.
+"""A zero distortion budget on a ternary alphabet, and on a binary one,
+also with a zero support floor.
 
 Every adversary is then pinned to its hypothesis, so each pairwise minimum
 is the plain divergence between two hypotheses. Each case runs in a fresh
@@ -21,6 +21,7 @@ SRC = str(Path(seqgame.__file__).resolve().parents[1])
 TESTS = str(Path(__file__).resolve().parent)
 TIMEOUT_S = 30
 HYPOTHESES = ((0.6, 0.25, 0.15), (0.2, 0.6, 0.2), (0.2, 0.2, 0.6))
+BINARY = ((0.38, 0.62), (0.5, 0.5))
 MEASURES = ("tv_l1", "kl")
 
 
@@ -39,16 +40,22 @@ def _run_json(code: str):
 
 @pytest.mark.parametrize("measure", MEASURES)
 def test_game_spec_pairwise_minima_are_plain_divergences(measure):
+    """On the ternary game and on a binary one. The binary KL ball of
+    radius 0 must be its center alone, though D(c || t) rounds to zero at
+    some t != c: a bisection to those t puts the minima 1.3e-7 below."""
     got = _run_json(f"""
 import json
 from seqgame import Distribution, DistortionMeasure, GameSpec, kl_divergence
-hyps = tuple(Distribution(h) for h in {HYPOTHESES!r})
-spec = GameSpec(hyps, 0.0, DistortionMeasure({measure!r}))
-print(json.dumps([[r.value, kl_divergence(hyps[i], hyps[j]), r.converged]
-                  for (i, j), r in spec.pairwise_minima.items()]))
+games = []
+for laws in ({HYPOTHESES!r}, {BINARY!r}):
+    hyps = tuple(Distribution(h) for h in laws)
+    spec = GameSpec(hyps, 0.0, DistortionMeasure({measure!r}))
+    games.append([[r.value, kl_divergence(hyps[i], hyps[j]), r.converged]
+                  for (i, j), r in spec.pairwise_minima.items()])
+print(json.dumps(games))
 """)
-    assert len(got) == 6
-    for value, plain, converged in got:
+    assert [len(pairs) for pairs in got] == [6, 2]
+    for value, plain, converged in got[0] + got[1]:
         assert value == pytest.approx(plain, rel=1e-12)
         assert converged
 
