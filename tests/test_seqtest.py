@@ -23,7 +23,7 @@ from seqgame.seqtest import (
     threshold_constant,
 )
 
-from oracles import binary_kl
+from oracles import binary_kl, branch_statistics, run_nonaware_stepwise
 
 # series sums frozen from a 30-digit arbitrary-precision bracket
 C_085 = 2593.3325570093630302
@@ -133,6 +133,29 @@ class TestThresholdSchedule:
                 + (4.0 * math.log(n + 1.0) + math.log(2.0)) / n
             )
             assert sched.value(n) == pytest.approx(expect, rel=1e-15)
+
+    def test_vectorized_matches_scalar(self):
+        sched = ThresholdSchedule(alpha=0.1, num_hypotheses=2, alphabet_size=2)
+        vals = sched.at(np.arange(1, 501))
+        assert vals.shape == (500,)
+        scalar = np.array([sched.value(n) for n in range(1, 501)])
+        np.testing.assert_allclose(vals, scalar, rtol=1e-13)
+
+    @pytest.mark.parametrize("alphabet_size", [2, 3])
+    def test_vector_form_equals_scalar_bit_for_bit(self, alphabet_size):
+        """`at` equals the formula in Python floats, with `math.log` and
+        `pow` and in the formula's order, bit for bit on a million steps;
+        `value` equals it at a sample of them."""
+        sched = ThresholdSchedule(math.exp(-8), 2, alphabet_size)
+        log_ratio = math.log(sched.constant / sched.alpha)
+        log_rivals = math.log(sched.num_hypotheses - 1.0)
+        steps = np.arange(1, 10**6 + 1)
+        scalar = np.array([log_ratio / n + pow(n, -sched.zeta)
+                           + (alphabet_size * math.log(n + 1.0) + log_rivals) / n
+                           for n in steps.tolist()])
+        np.testing.assert_array_equal(sched.at(steps), scalar)
+        sample = [1, 2, 7, 4096, 4097, 123_457, 10**6]
+        assert [sched.value(n) for n in sample] == [scalar[n - 1] for n in sample]
 
     def test_vector_form_rejects_steps_below_one(self):
         sched = ThresholdSchedule(0.05, 2, 2)
@@ -368,6 +391,45 @@ def test_entry_points_refuse_arguments_of_the_wrong_type(bernoulli_spec, case):
     }
     with pytest.raises(DomainError, match="must be a"):
         calls[case]()
+
+
+class TestNonAwareDecision:
+    """The common-channel decision of `run_nonaware`, at one evaluated step
+    of 20,000 symbols: the hypothesis whose statistic alone clears the
+    threshold wins; where both clear, the larger statistic, then
+    hypothesis 0. Hypothesis b's statistic is the divergence from the
+    empirical law to the rival's output range."""
+
+    STEPS = 20_000
+    BENCH = (Distribution([0.38, 0.62]), Distribution([0.5, 0.5]), 0.05, DistortionMeasure.TV_L1)
+
+    def _decide(self, zeros, game):
+        symbols = np.random.default_rng(zeros).permutation([0] * zeros + [1] * (self.STEPS - zeros))
+        sched = ThresholdSchedule(0.05, 2, 2)
+        out = run_nonaware(iter(symbols.tolist()), sched, *game, stride=self.STEPS)
+        assert out == run_nonaware_stepwise(iter(symbols.tolist()), sched, *game, stride=self.STEPS)
+        assert out.stopping_time == self.STEPS
+        qhat = Distribution([zeros / self.STEPS, 1.0 - zeros / self.STEPS])
+        return out.decision, branch_statistics(qhat, *game), sched.value(self.STEPS)
+
+    def test_single_holder_wins(self):
+        # the empirical law on hypothesis 0's output range [0.361, 0.405], then on 1's
+        for zeros, want in ((7_600, 0), (10_000, 1)):
+            decision, branch, gamma = self._decide(zeros, self.BENCH)
+            assert branch[want] >= gamma > branch[1 - want]
+            assert decision == want
+
+    def test_conflicts_fall_back_to_magnitude(self):
+        # t = 0.435 and 0.44 lie between the output ranges; both statistics clear
+        for zeros, want in ((8_700, 0), (8_800, 1)):
+            decision, branch, gamma = self._decide(zeros, self.BENCH)
+            assert min(branch) >= gamma and branch[want] > branch[1 - want]
+            assert decision == want
+        # mirror-image laws at t = 0.5: equal statistics, and hypothesis 0 wins
+        mirror = (Distribution([0.4, 0.6]), Distribution([0.6, 0.4]), 0.05, DistortionMeasure.TV_L1)
+        decision, branch, gamma = self._decide(10_000, mirror)
+        assert branch[0] == branch[1] >= gamma
+        assert decision == 0
 
 
 class TestRunNonAware:
